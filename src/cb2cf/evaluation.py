@@ -7,7 +7,9 @@ vector, so ties favor the original; dividing by catalog size minus one puts
 0 at a perfect retrieval and 0.5 at random. NDCG(K) retrieves the K most
 similar catalog items to the prediction, scores each by its clamped cosine
 to the item's original vector, discounts by 1/log2(rank+1), and normalizes
-by the ideal ordering induced by the original vector itself.
+by the ideal ordering induced by the original vector itself. A zero-norm or
+non-finite prediction ranks worst: percentile rank catalog size minus one
+and NDCG 0.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .features import Centroids, fit_feature_context, featurize_item
 from .model import (Cb2cfModel, SystemSpec, TrainConfig, build_model,
                     bundle_parts, predict, train)
-from .sgns import EmbeddingTable, similarity_search
+from .sgns import EmbeddingTable, cosine_scores, top_rows
 
 DEFAULT_NDCG_KS = (10, 30, 50, 100, 200, 500, 1000)
 REPORT_VERSION = 1
@@ -83,34 +85,19 @@ def mse_metric(originals, predictions: Mapping[str, np.ndarray]) -> float:
     return total / len(predictions)
 
 
-def _catalog_cosines(predicted: np.ndarray, catalog: EmbeddingTable) -> np.ndarray:
-    """Cosine of the predicted vector to every catalog row; zero-norm rows
-    get -1.0. Returns None-equivalent handling upstream for zero-norm query."""
-    norms = np.linalg.norm(catalog.vectors, axis=1)
-    qnorm = float(np.linalg.norm(predicted))
-    safe = np.where(norms > 0, norms * qnorm, 1.0)
-    return np.where(norms > 0, (catalog.vectors @ predicted) / safe, -1.0)
-
-
 def percentile_rank(item_id: str, predicted: np.ndarray,
                     catalog: EmbeddingTable) -> int:
     """Number of other catalog items strictly more similar to the predicted
-    vector than the item's own original vector. A zero-norm prediction takes
-    the worst possible rank."""
+    vector than the item's own original vector. A zero-norm or non-finite
+    prediction takes the worst possible rank."""
     if item_id not in catalog:
         raise ValueError(f"item {item_id!r} not in catalog")
     if len(catalog) < 2:
         raise ValueError("catalog needs at least 2 items")
-    predicted = np.asarray(predicted, dtype=np.float64)
-    if predicted.shape != (catalog.dim,):
-        raise ValueError("predicted vector dimension mismatch")
-    if float(np.linalg.norm(predicted)) == 0.0:
+    scores = cosine_scores(predicted, catalog)
+    if scores is None:
         return len(catalog) - 1
-    sims = _catalog_cosines(predicted, catalog)
-    own = catalog.index[item_id]
-    better = sims > sims[own]
-    better[own] = False
-    return int(np.count_nonzero(better))
+    return int(np.count_nonzero(scores > scores[catalog.index[item_id]]))
 
 
 def mpr(predictions: Mapping[str, np.ndarray], catalog: EmbeddingTable) -> float:
@@ -127,40 +114,26 @@ def ndcg_at_k(item_id: str, predicted: np.ndarray, catalog: EmbeddingTable,
               k: int) -> float:
     """Relevance of a retrieved item is its cosine to the original vector,
     clamped at zero. The ideal ranking orders the catalog by the original
-    vector itself. Zero ideal gain (below 1e-12) scores 0."""
+    vector itself. A zero-norm or non-finite prediction, or zero ideal gain
+    (below 1e-12), scores 0."""
     if item_id not in catalog:
         raise ValueError(f"item {item_id!r} not in catalog")
     if not 1 <= k <= len(catalog) - 1:
         raise ValueError(f"k must be in 1..{len(catalog) - 1}")
-    predicted = np.asarray(predicted, dtype=np.float64)
-    original = catalog.get(item_id)
-    if float(np.linalg.norm(predicted)) == 0.0:
+    scores = cosine_scores(predicted, catalog)
+    relevance = cosine_scores(catalog.get(item_id), catalog)
+    if scores is None or relevance is None:
         return 0.0
 
-    def dcg(ranked_ids: Sequence[str]) -> float:
-        total = 0.0
-        for position, rid in enumerate(ranked_ids, start=1):
-            relevance = max(0.0, _cos(catalog.get(rid), original))
-            total += relevance / math.log2(position + 1)
-        return total
+    def dcg(query_scores: np.ndarray) -> float:
+        gains = relevance[top_rows(query_scores, catalog, k, exclude={item_id})]
+        return sum(max(0.0, g) / math.log2(position)
+                   for position, g in enumerate(gains.tolist(), start=2))
 
-    retrieved = [rid for rid, _ in similarity_search(predicted, catalog, k,
-                                                     exclude={item_id})]
-    ideal = [rid for rid, _ in similarity_search(original, catalog, k,
-                                                 exclude={item_id})] \
-        if float(np.linalg.norm(original)) > 0 else []
-    idcg = dcg(ideal) if ideal else 0.0
+    idcg = dcg(relevance)
     if idcg < 1e-12:
         return 0.0
-    return dcg(retrieved) / idcg
-
-
-def _cos(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return -1.0
-    return float(np.dot(a, b) / (na * nb))
+    return dcg(scores) / idcg
 
 
 def mean_ndcg(predictions: Mapping[str, np.ndarray], catalog: EmbeddingTable,

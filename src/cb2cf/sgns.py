@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -168,19 +169,41 @@ class EmbeddingTable:
             raise ValueError(f"{path}: header declares {count} rows, found {len(ids)}")
         return cls(ids, rows)
 
+    @cached_property
+    def _id_rank(self) -> np.ndarray:
+        """Each row's position in ascending id order: the tie break of every
+        ranking. Built on first use, so unsearched tables never pay for it."""
+        return np.argsort(np.argsort(np.array(self.ids, dtype=object)))
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, with -1.0 for any zero-norm operand so degenerate
-    vectors sort behind every real match."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("shape mismatch")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return -1.0
-    return float(np.dot(a, b) / (na * nb))
+
+def cosine_scores(query: np.ndarray, table: EmbeddingTable) -> np.ndarray | None:
+    """Cosine of ``query`` to every row of ``table``; zero-norm rows score
+    -1.0. A degenerate query (zero or non-finite norm) returns None.
+
+    Dots and row norms are both stacked 1-D dot products, so every score is
+    bit-identical to the scalar ``np.dot(u, v) / (norm(u) * norm(v))``; a
+    plain ``V @ q`` can differ in the last bit and reorder near-ties.
+    """
+    query = np.asarray(query, dtype=np.float64)
+    if query.shape != (table.dim,):
+        raise ValueError(f"query shape {query.shape} does not match table dimension {table.dim}")
+    qnorm = float(np.linalg.norm(query))
+    if not 0.0 < qnorm < math.inf:
+        return None
+    rows = table.vectors[:, None, :]
+    dots = np.matmul(rows, query[:, None])[:, 0, 0]
+    norms = np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1))[:, 0, 0])
+    zero = norms == 0.0
+    return np.where(zero, -1.0, dots / np.where(zero, 1.0, norms * qnorm))
+
+
+def top_rows(scores: np.ndarray, table: EmbeddingTable, topk: int,
+              exclude: Iterable[str] = ()) -> list[int]:
+    """Up to ``topk`` row indices by descending score, ties broken by
+    ascending id, skipping the rows of the ``exclude`` ids."""
+    skip = {table.index[i] for i in exclude if i in table}
+    order = np.lexsort((table._id_rank, -scores))[: topk + len(skip)]
+    return [r for r in order.tolist() if r not in skip][:topk]
 
 
 def build_word_pairs(sentence: Sequence[int], window: int, rng) -> list[tuple[int, int]]:
@@ -347,22 +370,11 @@ def train_sgns(data, config: SgnsConfig) -> EmbeddingTable:
 def similarity_search(query: np.ndarray, table: EmbeddingTable, topk: int,
                       exclude: Iterable[str] = ()) -> list[tuple[str, float]]:
     """Top-k ids by cosine similarity, descending, ties broken by ascending
-    id. Zero-norm table entries score -1.0 and rank last; a zero-norm query
-    is rejected."""
+    id. Zero-norm table entries score -1.0 and rank last; a zero-norm or
+    non-finite query is rejected."""
     if topk < 1:
         raise ValueError("topk must be >= 1")
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (table.dim,):
-        raise ValueError(f"query shape {query.shape} does not match table dim {table.dim}")
-    qnorm = float(np.linalg.norm(query))
-    if qnorm == 0.0:
-        raise ValueError("zero-norm query")
-    norms = np.linalg.norm(table.vectors, axis=1)
-    safe = np.where(norms > 0, norms * qnorm, 1.0)
-    sims = np.where(norms > 0, (table.vectors @ query) / safe, -1.0)
-    excluded = set(exclude)
-    order = sorted(
-        (i for i, item_id in enumerate(table.ids) if item_id not in excluded),
-        key=lambda i: (-sims[i], table.ids[i]),
-    )
-    return [(table.ids[i], float(sims[i])) for i in order[:topk]]
+    scores = cosine_scores(query, table)
+    if scores is None:
+        raise ValueError("zero-norm or non-finite query")
+    return [(table.ids[r], float(scores[r])) for r in top_rows(scores, table, topk, exclude)]

@@ -222,6 +222,18 @@ class TestNdcg:
         assert mean_ndcg(predictions, catalog, 2) == pytest.approx(expected)
 
 
+def test_non_finite_predictions_rank_worst():
+    rng = np.random.default_rng(50)
+    ids = [f"m{i:02d}" for i in range(50)]
+    catalog = EmbeddingTable(ids, rng.standard_normal((50, 8)))
+    all_nan = {i: np.full(8, np.nan) for i in ids}
+    assert mpr(all_nan, catalog) == 1.0
+    assert mean_ndcg(all_nan, catalog, 5) == 0.0
+    infinite = np.array([np.inf] + [1.0] * 7)
+    assert percentile_rank("m00", infinite, catalog) == 49
+    assert ndcg_at_k("m00", infinite, catalog, 5) == 0.0
+
+
 class TestMseMetric:
     def test_hand_computed_value(self):
         catalog = EmbeddingTable(["a", "b"],

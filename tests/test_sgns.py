@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from cb2cf.sgns import (CooccurrenceSets, EmbeddingTable, NoiseSampler,
                         SgnsConfig, SgnsTrainer, build_item_pairs,
-                        build_word_pairs, cosine, discard_probabilities,
+                        build_word_pairs, cosine_scores, discard_probabilities,
                         sigmoid, similarity_search, subsample, train_sgns,
                         _draw_negatives)
 
@@ -111,12 +111,24 @@ class TestEmbeddingTable:
             EmbeddingTable.load(path)
 
 
+def _cos(u, v):
+    """Scalar reference cosine, -1.0 for a zero-norm operand."""
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return -1.0
+    return float(np.dot(u, v) / (nu * nv))
+
+
 def test_cosine_basics():
-    assert cosine([1.0, 0.0], [0.0, 2.0]) == pytest.approx(0.0)
-    assert cosine([1.0, 1.0], [2.0, 2.0]) == pytest.approx(1.0)
-    assert cosine([0.0, 0.0], [1.0, 0.0]) == -1.0
-    with pytest.raises(ValueError):
-        cosine([1.0], [1.0, 2.0])
+    table = EmbeddingTable(["orthogonal", "parallel", "zero"],
+                           np.array([[0.0, 2.0], [3.0, 0.0], [0.0, 0.0]]))
+    scores = cosine_scores(np.array([1.0, 0.0]), table)
+    assert scores.tolist() == pytest.approx([0.0, 1.0, -1.0])
+    assert cosine_scores(np.zeros(2), table) is None
+    assert cosine_scores(np.array([np.nan, 1.0]), table) is None
+    assert cosine_scores(np.array([np.inf, 1.0]), table) is None
+    with pytest.raises(ValueError, match="dimension"):
+        cosine_scores(np.ones(3), table)
 
 
 @given(st.lists(st.floats(-10, 10), min_size=2, max_size=6),
@@ -124,7 +136,21 @@ def test_cosine_basics():
 def test_cosine_scale_invariance(values, scale):
     a = np.array(values)
     b = np.roll(a, 1) + 0.5
-    assert cosine(a * scale, b) == pytest.approx(cosine(a, b), abs=1e-9)
+    scores = cosine_scores(b, EmbeddingTable(["a", "scaled"], np.array([a, a * scale])))
+    assume(scores is not None)  # b itself has zero norm
+    assert scores[1] == pytest.approx(scores[0], abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 40, 100])
+def test_cosine_scores_equal_the_scalar_formula_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    for count in (1, 7, 300, 1200):
+        vectors = rng.standard_normal((count, dim)) * rng.uniform(0.01, 100, (count, 1))
+        vectors[count // 2] = 0.0
+        table = EmbeddingTable([f"r{i}" for i in range(count)], vectors)
+        query = rng.standard_normal(dim)
+        expected = [_cos(row, query) for row in table.vectors]
+        assert cosine_scores(query, table).tolist() == expected
 
 
 def test_word_pairs_are_deterministic_at_window_one():
@@ -306,7 +332,7 @@ def test_train_sgns_separates_disjoint_clusters():
     intra, inter = [], []
     for i, a in enumerate(table.ids):
         for b in table.ids[i + 1:]:
-            sim = cosine(table.get(a), table.get(b))
+            sim = _cos(table.get(a), table.get(b))
             (intra if a[0] == b[0] else inter).append(sim)
     assert np.mean(intra) > np.mean(inter)
 
@@ -336,7 +362,7 @@ class TestSimilaritySearch:
         table = self._table()
         query = np.random.default_rng(1).standard_normal(4)
         expected = sorted(table.ids,
-                          key=lambda i: (-cosine(query, table.get(i)), i))
+                          key=lambda i: (-_cos(query, table.get(i)), i))
         got = [i for i, _ in similarity_search(query, table, 6)]
         assert got == expected
 
@@ -359,6 +385,16 @@ class TestSimilaritySearch:
         got = [i for i, _ in similarity_search(np.array([1.0, 0.0]), table, 3)]
         assert got == ["a", "b", "c"]
 
+    def test_exact_ties_at_the_cut_keep_ascending_ids(self):
+        # e, b, d, a score exactly alike and straddle the top-3 cut.
+        table = EmbeddingTable(["e", "b", "f", "d", "a", "c"],
+                               np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 0.0],
+                                         [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]]))
+        results = similarity_search(np.array([1.0, 0.2]), table, 3,
+                                    exclude={"b"})
+        assert [i for i, _ in results] == ["f", "a", "d"]
+        assert results[1][1] == results[2][1]
+
     def test_zero_norm_rows_rank_last(self):
         table = EmbeddingTable(["far", "zero"],
                                np.array([[-1.0, 0.0], [0.0, 0.0]]))
@@ -367,8 +403,10 @@ class TestSimilaritySearch:
 
     def test_rejects_bad_queries(self):
         table = self._table()
-        with pytest.raises(ValueError):
-            similarity_search(np.zeros(4), table, 1)
+        for degenerate in (np.zeros(4), np.full(4, np.nan),
+                           np.array([np.inf, 0.0, 0.0, 1.0])):
+            with pytest.raises(ValueError, match="non-finite"):
+                similarity_search(degenerate, table, 1)
         with pytest.raises(ValueError):
             similarity_search(np.ones(3), table, 1)
         with pytest.raises(ValueError):
