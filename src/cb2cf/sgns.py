@@ -5,6 +5,12 @@ per position; item co-occurrence sets treat the whole set as the window and
 emit every ordered pair. Positive pairs maximize log(sigmoid(u.v)) while
 sampled negatives maximize log(sigmoid(-u.v')), with negatives drawn from
 the unigram distribution raised to the 3/4 power.
+
+All pairs of one sequence (a kept co-occurrence set, or a sentence) take one
+simultaneous SGD step: every score and gradient reads the tables as they
+were before the step, and the step is two matrix products over the unique
+rows the sequence touches (the blocking of Ji et al., arXiv:1604.04661,
+without shared negatives: each pair keeps its own draw).
 """
 
 from __future__ import annotations
@@ -24,11 +30,9 @@ NOISE_POWER = 0.75
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     """Numerically stable logistic function."""
-    return np.where(
-        np.asarray(x) >= 0,
-        1.0 / (1.0 + np.exp(-np.clip(x, -500, 500))),
-        np.exp(np.clip(x, -500, 500)) / (1.0 + np.exp(np.clip(x, -500, 500))),
-    )
+    x = np.asarray(x)
+    e = np.exp(-np.abs(np.clip(x, -500, 500)))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -144,17 +148,21 @@ class EmbeddingTable:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{len(self.ids)} {self.dim}\n")
             for item_id, row in zip(self.ids, self.vectors):
-                fh.write(item_id + " " + " ".join(repr(float(x)) for x in row) + "\n")
+                fh.write(item_id + " " + " ".join(map(repr, row.tolist())) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingTable":
+        """Read a vector file written by ``save``. Nothing is sized by the
+        header: rows are collected as they are read and stacked at the end,
+        so a corrupt count fails on the row check instead of allocating."""
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
             if len(header) != 2:
                 raise ValueError(f"{path}:1: expected 'count dim' header")
-            count, dim = int(header[0]), int(header[1])
+            count = _header_int(path, "count", header[0], 0)
+            dim = _header_int(path, "dim", header[1], 1)
             ids: list[str] = []
-            rows = np.empty((count, dim), dtype=np.float64)
+            rows: list[np.ndarray] = []
             for lineno, line in enumerate(fh, 2):
                 parts = line.split()
                 if not parts:
@@ -163,17 +171,23 @@ class EmbeddingTable:
                     raise ValueError(f"{path}:{lineno}: expected id and {dim} floats")
                 if len(ids) >= count:
                     raise ValueError(f"{path}:{lineno}: more rows than the header declares")
-                rows[len(ids)] = [float(x) for x in parts[1:]]
+                rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float64))
                 ids.append(parts[0])
         if len(ids) != count:
             raise ValueError(f"{path}: header declares {count} rows, found {len(ids)}")
-        return cls(ids, rows)
+        return cls(ids, np.array(rows, dtype=np.float64).reshape(count, dim))
 
     @cached_property
     def _id_rank(self) -> np.ndarray:
         """Each row's position in ascending id order: the tie break of every
         ranking. Built on first use, so unsearched tables never pay for it."""
         return np.argsort(np.argsort(np.array(self.ids, dtype=object)))
+
+
+def _header_int(path: str | Path, name: str, token: str, minimum: int) -> int:
+    if not (token.isascii() and token.isdigit()) or int(token) < minimum:
+        raise ValueError(f"{path}:1: header {name} must be an integer >= {minimum}, got {token!r}")
+    return int(token)
 
 
 def cosine_scores(query: np.ndarray, table: EmbeddingTable) -> np.ndarray | None:
@@ -276,7 +290,7 @@ class NoiseSampler:
 
 
 class SgnsTrainer:
-    """Input and output vector tables plus the per-pair SGD update.
+    """Input and output vector tables plus the SGNS SGD step.
 
     Input vectors start uniform in [-0.5/dim, 0.5/dim]; output vectors start
     at zero, so the very first update on a pair moves only the output side.
@@ -290,15 +304,33 @@ class SgnsTrainer:
         self.output = np.zeros((vocab_size, dim), dtype=np.float64)
 
     def train_pair(self, center: int, context: int, negatives: np.ndarray, lr: float) -> None:
-        u = self.input[center]
-        targets = np.empty(len(negatives) + 1, dtype=np.int64)
-        targets[0] = context
-        targets[1:] = negatives
-        ctx = self.output[targets]  # copy; the u update must see pre-step values
-        g = -sigmoid(ctx @ u) * lr
-        g[0] += lr
-        np.add.at(self.output, targets, g[:, None] * u[None, :])
-        u += g @ ctx
+        self.train_pairs([center], [context], np.asarray(negatives)[None, :], lr)
+
+    def train_pairs(self, centers, contexts, negatives: np.ndarray, lr: float) -> None:
+        """One simultaneous SGD step on P (center, context) pairs, pair p
+        with the K negative ids in row p of ``negatives`` (shape (P, K)).
+
+        Every score and gradient reads the pre-step tables, and updates to a
+        repeated id accumulate. The step gathers the unique center and
+        target rows once, scores all pairs with one product over them, sums
+        the per-pair gradients into a (centers x targets) coefficient
+        matrix, and updates each table with one more product.
+        """
+        targets = np.column_stack([np.asarray(contexts, dtype=np.int64),
+                                   np.asarray(negatives, dtype=np.int64)])
+        rows, row_of = np.unique(np.asarray(centers, dtype=np.int64), return_inverse=True)
+        cols, cell = np.unique(targets, return_inverse=True)
+        cell = cell.reshape(targets.shape)
+        cell += row_of[:, None] * len(cols)  # flat index into (rows x cols)
+        u = self.input[rows]  # copies: both updates must see pre-step values
+        v = self.output[cols]
+        g = sigmoid((u @ v.T).ravel()[cell])
+        g *= -lr
+        g[:, 0] += lr
+        coef = np.bincount(cell.ravel(), weights=g.ravel(),
+                           minlength=len(rows) * len(cols)).reshape(len(rows), len(cols))
+        self.input[rows] += coef @ v
+        self.output[cols] += coef.T @ u
 
     def pair_loss(self, center: int, context: int, negatives: np.ndarray) -> float:
         u = self.input[center]
@@ -307,10 +339,14 @@ class SgnsTrainer:
         return float(-(math.log(pos + 1e-12) + np.log(neg + 1e-12).sum()))
 
 
-def _draw_negatives(noise: NoiseSampler, rng, k: int, forbidden: int) -> np.ndarray:
-    negatives = noise.draw(k, rng)
+def _draw_negatives(noise: NoiseSampler, rng, k: int, forbidden) -> np.ndarray:
+    """``k`` noise ids per entry of ``forbidden``, none equal to that entry:
+    shape (k,) for a scalar, (P, k) for P forbidden ids. Clashing draws are
+    redrawn until every row is clear."""
+    forbidden = np.asarray(forbidden, dtype=np.int64)
+    negatives = noise.draw(forbidden.size * k, rng).reshape(forbidden.shape + (k,))
     for _ in range(1000):
-        clash = negatives == forbidden
+        clash = negatives == forbidden[..., None]
         if not clash.any():
             return negatives
         negatives[clash] = noise.draw(int(clash.sum()), rng)
@@ -320,9 +356,12 @@ def _draw_negatives(noise: NoiseSampler, rng, k: int, forbidden: int) -> np.ndar
 def train_sgns(data, config: SgnsConfig) -> EmbeddingTable:
     """Train embeddings over word sequences or a CooccurrenceSets instance.
 
-    The learning rate decays linearly with stream position down to a floor
-    of 1e-4 times its initial value. A fixed seed gives bit-identical tables
-    on repeated runs; training is single-threaded by construction.
+    Each sequence (a kept co-occurrence set, or a sentence) is one
+    simultaneous SGD step over all of its pairs, every pair with its own
+    negative draw. The learning rate decays linearly with stream position,
+    once per sequence, down to a floor of 1e-4 times its initial value. A
+    fixed seed gives bit-identical tables on repeated runs; training is
+    single-threaded by construction.
     """
     if isinstance(data, CooccurrenceSets):
         sequences: list[Sequence[str]] = list(data.sets)
@@ -360,9 +399,10 @@ def train_sgns(data, config: SgnsConfig) -> EmbeddingTable:
                 pairs = build_item_pairs(kept.tolist()) if len(kept) >= 2 else []
             else:
                 pairs = build_word_pairs(kept, config.window, rng)
-            for center, context in pairs:
-                negatives = _draw_negatives(noise, rng, config.negatives, context)
-                trainer.train_pair(center, context, negatives, lr)
+            if pairs:
+                centers, contexts = np.array(pairs, dtype=np.int64).T
+                negatives = _draw_negatives(noise, rng, config.negatives, contexts)
+                trainer.train_pairs(centers, contexts, negatives, lr)
             units += len(seq)
     return EmbeddingTable(ids, trainer.input)
 

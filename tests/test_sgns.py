@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,21 @@ class TestEmbeddingTable:
         assert np.array_equal(loaded.vectors, table.vectors)
         assert path.read_text().splitlines()[0] == "5 3"
 
+    def test_save_writes_the_per_scalar_repr_byte_for_byte(self, tmp_path):
+        rng = np.random.default_rng(3)
+        vectors = rng.standard_normal((4, 6)) * np.array([1e-300, 1e-17, 1.0, 1e12, 1e300, 1.0])
+        vectors[0, :3] = [-0.0, 5e-324, -2.2250738585072e-310]  # signed zero, subnormals
+        vectors[1, :2] = [1e300, -1e300]
+        table = EmbeddingTable([f"i{k}" for k in range(4)], vectors)
+        path = tmp_path / "table.vec"
+        table.save(path)
+        expected = "4 6\n" + "".join(
+            item_id + " " + " ".join(repr(float(x)) for x in row) + "\n"
+            for item_id, row in zip(table.ids, table.vectors))
+        assert path.read_bytes() == expected.encode("utf-8")
+        loaded = EmbeddingTable.load(path)
+        assert loaded.vectors.tobytes() == table.vectors.tobytes()
+
     def test_save_rejects_whitespace_ids(self, tmp_path):
         table = EmbeddingTable(["a b"], np.ones((1, 2)))
         with pytest.raises(ValueError):
@@ -108,6 +124,19 @@ class TestEmbeddingTable:
             EmbeddingTable.load(path)
         path.write_text("1 2\na 1.0\n")
         with pytest.raises(ValueError, match="expected id and 2"):
+            EmbeddingTable.load(path)
+
+    def test_load_checks_the_header_counts_before_reading_rows(self, tmp_path):
+        path = tmp_path / "bad.vec"
+        for header in ("x 3", "-2 3", "2 -3", "2.5 3", "2 0"):
+            path.write_text(header + "\na 1.0 2.0 3.0\n")
+            with pytest.raises(ValueError, match="^" + re.escape(f"{path}:1: ")):
+                EmbeddingTable.load(path)
+
+    def test_load_does_not_allocate_from_a_huge_header_count(self, tmp_path):
+        path = tmp_path / "huge.vec"
+        path.write_text("99999999999999 40\na " + " ".join(["0.5"] * 40) + "\n")
+        with pytest.raises(ValueError, match="header declares 99999999999999 rows, found 1"):
             EmbeddingTable.load(path)
 
 
@@ -247,6 +276,18 @@ def test_negative_draws_avoid_the_context_id():
         assert np.all(negatives == 1)
 
 
+def test_negative_draws_avoid_each_row_context():
+    # Heavy skew toward id 0 forces redraw rounds in the rows that forbid it.
+    sampler = NoiseSampler(np.array([20.0, 1.0, 1.0]))
+    rng = np.random.default_rng(5)
+    contexts = np.array([0, 1, 0, 2, 0, 0])
+    for _ in range(100):
+        negatives = _draw_negatives(sampler, rng, 4, contexts)
+        assert negatives.shape == (6, 4)
+        assert np.all(negatives != contexts[:, None])
+        assert np.any(negatives[contexts != 0] == 0)
+
+
 def _reference_pair_update(input_vecs, output_vecs, center, context,
                            negatives, lr):
     """Plain-loop recomputation of one SGNS step. All scores come from the
@@ -278,6 +319,28 @@ def test_train_pair_matches_reference_update(negatives):
     trainer.train_pair(0, 1, np.array(negatives), lr=0.1)
     assert np.allclose(trainer.input, expected_in, atol=1e-12)
     assert np.allclose(trainer.output, expected_out, atol=1e-12)
+
+
+def test_train_pairs_is_one_simultaneous_step_over_the_block():
+    # Center 0 repeats, context 2 of pair 0 is a negative of pairs 1 and 3,
+    # and pair 2 draws negative 4 twice.
+    centers = [0, 1, 0, 3]
+    contexts = [2, 0, 1, 4]
+    negatives = np.array([[3, 4], [2, 5], [4, 4], [2, 0]])
+    rng = np.random.default_rng(12)
+    trainer = SgnsTrainer(6, 5, rng)
+    trainer.output = rng.standard_normal((6, 5)) * 0.3
+    # The block's step is the sum of each pair's step taken from the
+    # pre-step tables.
+    expected_in, expected_out = trainer.input.copy(), trainer.output.copy()
+    for center, context, negs in zip(centers, contexts, negatives):
+        pair_in, pair_out = _reference_pair_update(
+            trainer.input, trainer.output, center, context, negs, lr=0.1)
+        expected_in += pair_in - trainer.input
+        expected_out += pair_out - trainer.output
+    trainer.train_pairs(np.array(centers), np.array(contexts), negatives, lr=0.1)
+    assert np.allclose(trainer.input, expected_in, rtol=0, atol=1e-12)
+    assert np.allclose(trainer.output, expected_out, rtol=0, atol=1e-12)
 
 
 def test_train_pair_zero_tables_are_a_fixed_point():
