@@ -125,6 +125,9 @@ def _cmd_train_model(args: argparse.Namespace) -> None:
     bundles = [features.featurize_item(p, context, parts) for p in usable]
     net_model = model_mod.build_model(spec, context, seed=args.seed)
     report = model_mod.train(net_model, bundles, targets, _train_config(args))
+    if report.stop_reason == "diverged":
+        raise CliError(f"training diverged at epoch {report.epochs - 1} "
+                       f"(non-finite loss or weights); no model written")
     ref = os.path.relpath(Path(args.features).resolve(),
                           Path(args.out).resolve().parent)
     model_mod.save_model(net_model, args.out, features_ref=ref)

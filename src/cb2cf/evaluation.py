@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -110,37 +111,59 @@ def mpr(predictions: Mapping[str, np.ndarray], catalog: EmbeddingTable) -> float
     return total / (len(predictions) * denom)
 
 
-def ndcg_at_k(item_id: str, predicted: np.ndarray, catalog: EmbeddingTable,
-              k: int) -> float:
-    """Relevance of a retrieved item is its cosine to the original vector,
-    clamped at zero. The ideal ranking orders the catalog by the original
-    vector itself. A zero-norm or non-finite prediction, or zero ideal gain
-    (below 1e-12), scores 0."""
+@lru_cache(maxsize=None)
+def _discounts(n: int) -> np.ndarray:
+    """log2(rank + 1) for ranks 1..n, from math.log2; read-only, as every
+    caller shares it."""
+    discounts = np.array([math.log2(position) for position in range(2, n + 2)])
+    discounts.flags.writeable = False
+    return discounts
+
+
+def ndcg_at_cutoffs(item_id: str, predicted: np.ndarray, catalog: EmbeddingTable,
+                    ks: Sequence[int]) -> list[float]:
+    """NDCG at every cutoff in ``ks`` from one ranking to the largest: a
+    cutoff's DCG is the running gain sum at that rank. Relevance of a
+    retrieved item is its cosine to the original vector, clamped at zero;
+    the ideal ranking orders the catalog by the original vector itself. A
+    zero-norm or non-finite prediction, or ideal gain below 1e-12, scores 0."""
     if item_id not in catalog:
         raise ValueError(f"item {item_id!r} not in catalog")
-    if not 1 <= k <= len(catalog) - 1:
+    if not all(1 <= k <= len(catalog) - 1 for k in ks):
         raise ValueError(f"k must be in 1..{len(catalog) - 1}")
     scores = cosine_scores(predicted, catalog)
     relevance = cosine_scores(catalog.get(item_id), catalog)
     if scores is None or relevance is None:
-        return 0.0
+        return [0.0] * len(ks)
 
-    def dcg(query_scores: np.ndarray) -> float:
-        gains = relevance[top_rows(query_scores, catalog, k, exclude={item_id})]
-        return sum(max(0.0, g) / math.log2(position)
-                   for position, g in enumerate(gains.tolist(), start=2))
+    def dcgs(query_scores: np.ndarray) -> list[float]:
+        gains = relevance[top_rows(query_scores, catalog, max(ks, default=0),
+                                   exclude={item_id})]
+        # np.cumsum adds left to right: the same bits as a running float sum.
+        prefix = np.cumsum(np.where(gains > 0.0, gains, 0.0) / _discounts(len(gains)))
+        return [float(prefix[k - 1]) for k in ks]
 
-    idcg = dcg(relevance)
-    if idcg < 1e-12:
-        return 0.0
-    return dcg(scores) / idcg
+    return [0.0 if idcg < 1e-12 else dcg / idcg
+            for dcg, idcg in zip(dcgs(scores), dcgs(relevance))]
+
+
+def ndcg_at_k(item_id: str, predicted: np.ndarray, catalog: EmbeddingTable,
+              k: int) -> float:
+    return ndcg_at_cutoffs(item_id, predicted, catalog, (k,))[0]
+
+
+def mean_ndcg_at(predictions: Mapping[str, np.ndarray], catalog: EmbeddingTable,
+                 ks: Sequence[int]) -> dict[int, float]:
+    """Mean NDCG over the predictions for every cutoff in ``ks``."""
+    if not predictions:
+        raise ValueError("no predictions")
+    rows = [ndcg_at_cutoffs(i, v, catalog, ks) for i, v in predictions.items()]
+    return {k: sum(row[j] for row in rows) / len(rows) for j, k in enumerate(ks)}
 
 
 def mean_ndcg(predictions: Mapping[str, np.ndarray], catalog: EmbeddingTable,
               k: int) -> float:
-    if not predictions:
-        raise ValueError("no predictions")
-    return sum(ndcg_at_k(i, v, catalog, k) for i, v in predictions.items()) / len(predictions)
+    return mean_ndcg_at(predictions, catalog, (k,))[k]
 
 
 @dataclass
@@ -237,7 +260,7 @@ def run_system(system: str | SystemSpec, dataset: EvalDataset,
             fold=fold,
             mse=mse_metric(catalog, predictions),
             mpr=mpr(predictions, catalog),
-            ndcg={k: mean_ndcg(predictions, catalog, k) for k in ndcg_ks},
+            ndcg=mean_ndcg_at(predictions, catalog, ndcg_ks),
         ))
     mean_row = FoldMetrics(
         fold=None,

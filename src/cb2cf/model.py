@@ -11,8 +11,7 @@ the combiner hidden weights.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -28,6 +27,8 @@ TAG_COMPONENT_FIELDS = {"Genres": "genres", "Actors": "actors",
                         "Director": "directors", "Language": "languages"}
 CNN_VARIANTS = ("non-static", "static", "random-init")
 _GROUPS = {"Tags": ("Genres", "Actors", "Director", "Language")}
+# The feature-bundle part each component reads.
+_COMPONENT_PARTS = {"CNN": "text", "BOW": "bow", "Year": "year", **TAG_COMPONENT_FIELDS}
 MODEL_KIND = "cb2cf-model"
 
 
@@ -103,31 +104,13 @@ class SystemSpec:
 
 
 def bundle_parts(spec: SystemSpec) -> set[str]:
-    parts: set[str] = set()
-    for comp in spec.components:
-        if comp == "CNN":
-            parts.add("text")
-        elif comp == "BOW":
-            parts.add("bow")
-        elif comp == "Year":
-            parts.add("year")
-        else:
-            parts.add(TAG_COMPONENT_FIELDS[comp])
-    return parts
+    return {_COMPONENT_PARTS[comp] for comp in spec.components}
 
 
 def component_output_dims(spec: SystemSpec) -> dict[str, int]:
-    dims = {}
-    for comp in spec.components:
-        if comp == "CNN":
-            dims[comp] = spec.cnn_hidden
-        elif comp == "BOW":
-            dims[comp] = spec.bow_hidden
-        elif comp == "Year":
-            dims[comp] = spec.year_hidden
-        else:
-            dims[comp] = spec.tag_hidden[comp]
-    return dims
+    widths = {"CNN": spec.cnn_hidden, "BOW": spec.bow_hidden,
+              "Year": spec.year_hidden, **spec.tag_hidden}
+    return {comp: widths[comp] for comp in spec.components}
 
 
 def _key(component: str) -> str:
@@ -225,123 +208,143 @@ def build_model(spec: SystemSpec, features: FeatureContext, seed: int = 0) -> Cb
     return Cb2cfModel(spec, params, features, embedding, embedding_trainable)
 
 
-def forward(model: Cb2cfModel, bundle: FeatureBundle, *, train: bool = False,
-            rng=None, word_dropout: float = 0.0, unit_dropout: float = 0.0):
-    """One example forward pass. Returns (prediction, cache). Dropout draws
-    happen only in train mode; evaluation is deterministic and rng-free."""
+def _batch_input(bundles: Sequence[FeatureBundle], comp: str) -> list:
+    """Each bundle's input to the component, which must be present."""
+    part = _COMPONENT_PARTS[comp]
+    if part == "text":
+        values = [b.text_indices for b in bundles]
+    elif part == "bow":
+        values = [b.bow for b in bundles]
+    elif part == "year":
+        values = [None if b.year is None else [b.year] for b in bundles]
+    else:
+        values = [b.tags.get(part) for b in bundles]
+    if any(v is None for v in values):
+        raise ValueError(f"bundle has no {part} input for the enabled {comp} component")
+    return values
+
+
+def forward_batch(model: Cb2cfModel, bundles: Sequence[FeatureBundle], *,
+                  train: bool = False, rng=None, word_dropout: float = 0.0,
+                  unit_dropout: float = 0.0):
+    """Forward pass over a minibatch. Returns (predictions, cache) with one
+    prediction row per bundle. Every dense layer is one GEMM over the batch;
+    the text convolution runs per example. Dropout draws happen only in
+    train mode; evaluation is deterministic and rng-free."""
     spec = model.spec
     params = model.params
     if train and (word_dropout > 0 or unit_dropout > 0) and rng is None:
         raise ValueError("train-mode dropout needs an rng")
+    inputs = {comp: _batch_input(bundles, comp) for comp in spec.components}
+    texts = inputs.get("CNN", [])
+    if any(len(indices) > spec.text_length for indices in texts):
+        raise ValueError("bundle text exceeds the model's text length")
+    # For each example in batch order: its word mask, then its BOW unit mask.
+    # Kept units scale by 1/(1-p), so evaluation needs no compensation.
+    word_masks, unit_masks = [], []
+    for i in range(len(bundles) if train else 0):
+        if texts and word_dropout > 0:
+            word_masks.append(net.dropout_mask(rng, len(texts[i]), word_dropout))
+        if "BOW" in inputs and unit_dropout > 0:
+            unit_masks.append(net.dropout_mask(rng, spec.bow_hidden, unit_dropout))
     caches: dict[str, tuple] = {}
     outputs: list[np.ndarray] = []
 
     for comp in spec.components:
         if comp == "CNN":
-            indices = bundle.text_indices
-            if indices is None:
-                raise ValueError("bundle has no text for the enabled CNN component")
-            k = len(indices)
-            if k > spec.text_length:
-                raise ValueError("bundle text exceeds the model's text length")
-            word_dim = model.embedding.shape[1]
-            matrix = np.zeros((spec.text_length, word_dim))
-            if k:
-                matrix[:k] = model.embedding[indices]
-            mask = None
-            if train and word_dropout > 0:
-                # Word dropout zeroes whole rows in place; kept rows scale by
-                # 1/(1-p) so evaluation needs no compensation.
-                mask = (rng.random(k) >= word_dropout) / (1.0 - word_dropout)
-                matrix[:k] *= mask[:, None]
-            pooled, conv_cache = net.conv1d_maxpool_forward(
-                matrix, params["cnn.filters"], params["cnn.conv_bias"])
+            pooled = np.empty((len(bundles), spec.cnn_filters))
+            conv_caches = []
+            for i, indices in enumerate(texts):
+                # Every window from row k on is all padding and scores
+                # exactly the conv bias; keeping one of them leaves the
+                # first-occurrence max where the full-length matrix has it.
+                k = len(indices)
+                matrix = np.zeros((min(spec.text_length, k + spec.cnn_width),
+                                   model.embedding.shape[1]))
+                if k:
+                    matrix[:k] = model.embedding[indices]
+                if word_masks:
+                    matrix[:k] *= word_masks[i][:, None]
+                pooled[i], conv_cache = net.conv1d_maxpool_forward(
+                    matrix, params["cnn.filters"], params["cnn.conv_bias"])
+                conv_caches.append((k, conv_cache))
             act, _ = net.relu_forward(pooled)
             pre, fc_cache = net.dense_forward(act, params["cnn.fc.weight"],
                                               params["cnn.fc.bias"])
             hidden, _ = net.relu_forward(pre)
-            caches[comp] = (indices, mask, conv_cache, pooled, fc_cache, pre)
+            indices = np.concatenate([np.asarray(t, dtype=np.int64) for t in texts])
+            mask = np.concatenate(word_masks) if word_masks else None
+            caches[comp] = (indices, mask, conv_caches, pooled, fc_cache, pre)
         elif comp == "BOW":
-            histogram = bundle.bow
-            if histogram is None:
-                raise ValueError("bundle has no histogram for the enabled BOW component")
-            pre1, c1 = net.dense_forward(histogram, params["bow.fc1.weight"],
-                                         params["bow.fc1.bias"])
+            pre1, c1 = net.dense_forward(np.array(inputs[comp], dtype=np.float64),
+                                         params["bow.fc1.weight"], params["bow.fc1.bias"])
             act1, _ = net.relu_forward(pre1)
-            dropped, mask = net.dropout_forward(act1, unit_dropout if train else 0.0,
-                                                rng, train)
-            pre2, c2 = net.dense_forward(dropped, params["bow.fc2.weight"],
-                                         params["bow.fc2.bias"])
+            mask = np.stack(unit_masks) if unit_masks else None
+            pre2, c2 = net.dense_forward(act1 if mask is None else act1 * mask,
+                                         params["bow.fc2.weight"], params["bow.fc2.bias"])
             hidden, _ = net.relu_forward(pre2)
             caches[comp] = (c1, pre1, mask, c2, pre2)
-        elif comp == "Year":
-            if bundle.year is None:
-                raise ValueError("bundle has no year for the enabled Year component")
-            x = np.array([bundle.year], dtype=np.float64)
-            pre, c = net.dense_forward(x, params["year.weight"], params["year.bias"])
-            hidden, _ = net.relu_forward(pre)
-            caches[comp] = (c, pre)
         else:
-            field_name = TAG_COMPONENT_FIELDS[comp]
-            bits = bundle.tags.get(field_name)
-            if bits is None:
-                raise ValueError(f"bundle has no {field_name} bits for component {comp}")
-            pre, c = net.dense_forward(bits, params[f"{_key(comp)}.weight"],
+            pre, c = net.dense_forward(np.array(inputs[comp], dtype=np.float64),
+                                       params[f"{_key(comp)}.weight"],
                                        params[f"{_key(comp)}.bias"])
             hidden, _ = net.relu_forward(pre)
             caches[comp] = (c, pre)
         outputs.append(hidden)
 
-    concat = np.concatenate(outputs)
+    concat = np.concatenate(outputs, axis=1)
     pre_comb, comb_cache = net.dense_forward(concat, params["combiner.weight"],
                                              params["combiner.bias"])
     combined, _ = net.relu_forward(pre_comb)
-    prediction, out_cache = net.dense_forward(combined, params["output.weight"],
-                                              params["output.bias"])
+    predictions, out_cache = net.dense_forward(combined, params["output.weight"],
+                                               params["output.bias"])
     cache = {"components": caches, "pre_comb": pre_comb, "comb_cache": comb_cache,
              "out_cache": out_cache}
-    return prediction, cache
+    return predictions, cache
 
 
-def backward(model: Cb2cfModel, cache: dict, grad_prediction: np.ndarray):
-    """Gradients of the cached forward pass. Returns (grads, embedding_rows)
-    where embedding_rows maps touched word-table rows to their gradients;
-    duplicate words in the text accumulate."""
+def backward_batch(model: Cb2cfModel, cache: dict, grad_predictions: np.ndarray):
+    """Gradients of a cached ``forward_batch``, summed over the batch.
+    Returns (grads, (rows, row_grads)): the distinct touched word-table rows
+    in ascending order with their summed gradients (both empty unless the
+    embedding is trainable); repeated words accumulate."""
     spec = model.spec
     grads: dict[str, np.ndarray] = {}
     grad_combined, grads["output.weight"], grads["output.bias"] = \
-        net.dense_backward(cache["out_cache"], grad_prediction)
+        net.dense_backward(cache["out_cache"], grad_predictions)
     grad_pre_comb = net.relu_backward(cache["pre_comb"], grad_combined)
     grad_concat, grads["combiner.weight"], grads["combiner.bias"] = \
         net.dense_backward(cache["comb_cache"], grad_pre_comb)
 
     dims = component_output_dims(spec)
-    embedding_rows: dict[int, np.ndarray] = {}
+    rows, row_grads = np.zeros(0, dtype=np.int64), np.zeros((0, 0))
     offset = 0
     for comp in spec.components:
         width = dims[comp]
-        grad_hidden = grad_concat[offset:offset + width]
+        grad_hidden = grad_concat[:, offset:offset + width]
         offset += width
         comp_cache = cache["components"][comp]
         if comp == "CNN":
-            indices, mask, conv_cache, pooled, fc_cache, pre = comp_cache
+            indices, mask, conv_caches, pooled, fc_cache, pre = comp_cache
             grad_pre = net.relu_backward(pre, grad_hidden)
             grad_act, grads["cnn.fc.weight"], grads["cnn.fc.bias"] = \
                 net.dense_backward(fc_cache, grad_pre)
             grad_pooled = net.relu_backward(pooled, grad_act)
-            grad_matrix, grads["cnn.filters"], grads["cnn.conv_bias"] = \
-                net.conv1d_maxpool_backward(conv_cache, grad_pooled)
-            if model.embedding_trainable:
-                k = len(indices)
-                rows = grad_matrix[:k]
+            grad_filters = np.zeros_like(model.params["cnn.filters"])
+            text_grads = []
+            for (k, conv_cache), grad_row in zip(conv_caches, grad_pooled):
+                grad_matrix, grad_f, _ = net.conv1d_maxpool_backward(conv_cache, grad_row)
+                grad_filters += grad_f
+                text_grads.append(grad_matrix[:k])
+            grads["cnn.filters"] = grad_filters
+            grads["cnn.conv_bias"] = grad_pooled.sum(axis=0)
+            if model.embedding_trainable and len(indices):
+                text_rows = np.concatenate(text_grads)
                 if mask is not None:
-                    rows = rows * mask[:, None]
-                for position in range(k):
-                    row = int(indices[position])
-                    if row in embedding_rows:
-                        embedding_rows[row] = embedding_rows[row] + rows[position]
-                    else:
-                        embedding_rows[row] = rows[position].copy()
+                    text_rows = text_rows * mask[:, None]
+                rows, inverse = np.unique(indices, return_inverse=True)
+                row_grads = np.zeros((len(rows), text_rows.shape[1]))
+                np.add.at(row_grads, inverse, text_rows)
         elif comp == "BOW":
             c1, pre1, mask, c2, pre2 = comp_cache
             grad_pre2 = net.relu_backward(pre2, grad_hidden)
@@ -351,16 +354,30 @@ def backward(model: Cb2cfModel, cache: dict, grad_prediction: np.ndarray):
             grad_pre1 = net.relu_backward(pre1, grad_act1)
             _, grads["bow.fc1.weight"], grads["bow.fc1.bias"] = \
                 net.dense_backward(c1, grad_pre1)
-        elif comp == "Year":
-            c, pre = comp_cache
-            grad_pre = net.relu_backward(pre, grad_hidden)
-            _, grads["year.weight"], grads["year.bias"] = net.dense_backward(c, grad_pre)
         else:
             c, pre = comp_cache
             grad_pre = net.relu_backward(pre, grad_hidden)
             _, grads[f"{_key(comp)}.weight"], grads[f"{_key(comp)}.bias"] = \
                 net.dense_backward(c, grad_pre)
-    return grads, embedding_rows
+    return grads, (rows, row_grads)
+
+
+def forward(model: Cb2cfModel, bundle: FeatureBundle, *, train: bool = False,
+            rng=None, word_dropout: float = 0.0, unit_dropout: float = 0.0):
+    """One example forward pass, a batch of one through ``forward_batch``.
+    Returns (prediction, cache)."""
+    predictions, cache = forward_batch(model, [bundle], train=train, rng=rng,
+                                       word_dropout=word_dropout,
+                                       unit_dropout=unit_dropout)
+    return predictions[0], cache
+
+
+def backward(model: Cb2cfModel, cache: dict, grad_prediction: np.ndarray):
+    """Gradients of the cached one-example forward pass. Returns (grads,
+    embedding_rows) where embedding_rows maps touched word-table rows to
+    their gradients; duplicate words in the text accumulate."""
+    grads, (rows, row_grads) = backward_batch(model, cache, grad_prediction[None, :])
+    return grads, dict(zip(rows.tolist(), row_grads))
 
 
 @dataclass
@@ -413,45 +430,43 @@ class TrainReport:
         return lines
 
 
-def _target_vector(targets, item_id: str, output_dim: int) -> np.ndarray:
-    if isinstance(targets, EmbeddingTable):
-        if item_id not in targets:
-            raise ValueError(f"no target vector for item {item_id!r}")
-        vec = targets.get(item_id)
-    else:
-        if item_id not in targets:
-            raise ValueError(f"no target vector for item {item_id!r}")
-        vec = np.asarray(targets[item_id], dtype=np.float64)
-    if vec.shape != (output_dim,):
-        raise ValueError(f"target for {item_id!r} has shape {vec.shape}, "
-                         f"expected ({output_dim},)")
+def _target_vector(targets, item_id: str, dim: int) -> np.ndarray:
+    """The item's vector from a table or mapping, checked to have ``dim``
+    coordinates."""
+    if item_id not in targets:
+        raise ValueError(f"no target vector for item {item_id!r}")
+    vec = (targets.get(item_id) if isinstance(targets, EmbeddingTable)
+           else np.asarray(targets[item_id], dtype=np.float64))
+    if vec.shape != (dim,):
+        raise ValueError(f"target for {item_id!r} has shape {vec.shape}, expected ({dim},)")
     return vec
 
 
-def _mean_eval_mse(model: Cb2cfModel, bundles: Sequence[FeatureBundle],
-                   targets) -> float:
-    total = 0.0
-    for bundle in bundles:
-        pred, _ = forward(model, bundle)
-        loss, _ = net.mse_loss(pred, _target_vector(targets, bundle.item_id,
-                                                    model.spec.output_dim))
-        total += loss
-    return total / len(bundles)
+def _all_finite(model: Cb2cfModel) -> bool:
+    tensors = [*model.params.values(), model.embedding]
+    return all(np.isfinite(t).all() for t in tensors if t is not None)
 
 
+# Overflow and NaN show up as divergence below instead of as warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
           config: TrainConfig) -> TrainReport:
     """Minibatch Adam with early stopping on a held-out validation split.
 
-    The split, batch order, and dropout draws all come from one generator
-    seeded by the config, so a fixed seed reproduces training exactly.
-    Stops once validation loss has not improved for ``patience`` epochs and
-    restores the best epoch's parameters.
+    Each minibatch is one ``forward_batch``/``backward_batch`` pass over the
+    batch-mean loss. The split, batch order, and dropout draws all come from
+    one generator seeded by the config, so a fixed seed reproduces training
+    exactly. Stops once validation loss has not improved for ``patience``
+    epochs and restores the best epoch's parameters. A non-finite batch
+    loss, validation loss or parameter stops training with
+    ``stop_reason="diverged"`` before the next update; the model then gets
+    the best epoch's parameters back, or its pre-training parameters if no
+    epoch had a finite validation loss.
     """
     if not bundles:
         raise ValueError("no training items")
-    for bundle in bundles:
-        _target_vector(targets, bundle.item_id, model.spec.output_dim)
+    dim = model.spec.output_dim
+    target_rows = np.stack([_target_vector(targets, b.item_id, dim) for b in bundles])
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(bundles))
@@ -465,7 +480,8 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
     adam = net.Adam(lr=config.learning_rate)
     best = np.inf
     best_epoch: int | None = None
-    snapshot = None
+    snapshot = ({k: v.copy() for k, v in model.params.items()},
+                None if model.embedding is None else model.embedding.copy())
     bad_epochs = 0
     stop_reason = "max_epochs"
     train_losses: list[float] = []
@@ -476,42 +492,33 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
         epoch_loss = 0.0
         for start in range(0, len(perm), config.batch_size):
             batch = perm[start:start + config.batch_size]
-            acc = {name: np.zeros_like(p) for name, p in model.params.items()}
-            emb_acc: dict[int, np.ndarray] = {}
-            for i in batch:
-                bundle = bundles[int(i)]
-                pred, cache = forward(model, bundle, train=True, rng=rng,
-                                      word_dropout=config.word_dropout,
-                                      unit_dropout=config.dropout)
-                loss, grad_pred = net.mse_loss(
-                    pred, _target_vector(targets, bundle.item_id, model.spec.output_dim))
-                epoch_loss += loss
-                grads, emb_rows = backward(model, cache, grad_pred)
-                for name, g in grads.items():
-                    acc[name] += g
-                for row, g in emb_rows.items():
-                    if row in emb_acc:
-                        emb_acc[row] += g
-                    else:
-                        emb_acc[row] = g.copy()
-            scale = 1.0 / len(batch)
-            for name in acc:
-                acc[name] *= scale
+            preds, cache = forward_batch(model, [bundles[int(i)] for i in batch],
+                                         train=True, rng=rng,
+                                         word_dropout=config.word_dropout,
+                                         unit_dropout=config.dropout)
+            losses, grad_preds = net.mse_loss(preds, target_rows[batch])
+            epoch_loss = sum(losses.tolist(), epoch_loss)
+            if not np.isfinite(epoch_loss):
+                break  # diverged; no update from a non-finite loss
+            grads, (rows, row_grads) = backward_batch(model, cache, grad_preds / len(batch))
             if config.l2 > 0:
                 for name in model.l2_weight_names():
-                    acc[name] += 2.0 * config.l2 * model.params[name]
-            adam.step(model.params, acc)
-            if model.embedding_trainable and emb_acc:
-                for row in emb_acc:
-                    emb_acc[row] = emb_acc[row] * scale
-                adam.step_rows("embedding", model.embedding, emb_acc)
+                    grads[name] += 2.0 * config.l2 * model.params[name]
+            adam.step(model.params, grads)
+            if model.embedding_trainable and len(rows):
+                adam.step_rows("embedding", model.embedding, rows, row_grads)
         train_losses.append(epoch_loss / len(train_idx))
+        if n_val:
+            losses, _ = net.mse_loss(predict(model, val_bundles), target_rows[val_idx])
+            val_losses.append(sum(losses.tolist()) / n_val)
+        if not (np.isfinite(epoch_loss) and _all_finite(model)
+                and (not n_val or np.isfinite(val_losses[-1]))):
+            stop_reason = "diverged"
+            break
 
         if n_val:
-            val_loss = _mean_eval_mse(model, val_bundles, targets)
-            val_losses.append(val_loss)
-            if val_loss < best:
-                best = val_loss
+            if val_losses[-1] < best:
+                best = val_losses[-1]
                 best_epoch = epoch
                 snapshot = ({k: v.copy() for k, v in model.params.items()},
                             None if model.embedding is None else model.embedding.copy())
@@ -522,7 +529,7 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
                     stop_reason = "early_stop"
                     break
 
-    if snapshot is not None:
+    if best_epoch is not None or stop_reason == "diverged":
         model.params = snapshot[0]
         if snapshot[1] is not None:
             model.embedding = snapshot[1]
@@ -580,23 +587,6 @@ def analogy(model: Cb2cfModel, field_name: str, a: str, b: str, c: str,
     return similarity_search(query, table, topk, exclude={a, b, c})
 
 
-def _spec_to_meta(spec: SystemSpec) -> dict:
-    return {
-        "components": list(spec.components),
-        "output_dim": spec.output_dim,
-        "tag_hidden": dict(spec.tag_hidden),
-        "bow_hidden": spec.bow_hidden,
-        "cnn_hidden": spec.cnn_hidden,
-        "year_hidden": spec.year_hidden,
-        "combiner_hidden": spec.combiner_hidden,
-        "cnn_filters": spec.cnn_filters,
-        "cnn_width": spec.cnn_width,
-        "cnn_variant": spec.cnn_variant,
-        "text_length": spec.text_length,
-        "name": spec.name,
-    }
-
-
 def _spec_from_meta(meta: dict) -> SystemSpec:
     meta = dict(meta)
     meta["components"] = tuple(meta["components"])
@@ -612,7 +602,7 @@ def save_model(model: Cb2cfModel, path: str | Path,
         tensors["embedding"] = model.embedding
     meta = {
         "kind": MODEL_KIND,
-        "system": _spec_to_meta(model.spec),
+        "system": asdict(model.spec),
         "features_ref": features_ref,
         "embedding_trainable": model.embedding_trainable,
     }

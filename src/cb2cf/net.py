@@ -1,8 +1,11 @@
 """Minimal dense/convolutional network core with hand-derived gradients.
 
-Everything operates on float64 numpy arrays and single examples (vectors,
-not batches); callers accumulate over a minibatch themselves. Every backward
-function is checked against central finite differences in the test suite.
+Everything operates on float64 numpy arrays. Dense, ReLU, dropout and MSE
+are batch-first: a dense layer maps a (batch, features) matrix (or one
+example's vector) with one GEMM and sums its parameter gradients over the
+batch. The convolution takes one example's (length, dim) text matrix. Every
+backward function is checked against central finite differences in the
+test suite.
 """
 
 from __future__ import annotations
@@ -24,22 +27,25 @@ def glorot_uniform(rng, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np
 
 
 def dense_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
-    """y = W @ x + b for a vector x. Returns (y, cache)."""
+    """y = x @ W.T + b for a batch x of shape (batch, in), or one example
+    of shape (in,). Returns (y, cache)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or weight.ndim != 2 or weight.shape[1] != x.shape[0]:
+    if x.ndim not in (1, 2) or weight.ndim != 2 or weight.shape[1] != x.shape[-1]:
         raise ValueError(f"dense shape mismatch: W {weight.shape}, x {x.shape}")
     if bias.shape != (weight.shape[0],):
         raise ValueError(f"dense bias shape {bias.shape} != ({weight.shape[0]},)")
-    return weight @ x + bias, (x, weight)
+    return x @ weight.T + bias, (x, weight)
 
 
 def dense_backward(cache, grad_out: np.ndarray):
+    """Returns (grad_in, grad_weight, grad_bias); the parameter gradients
+    are summed over the batch."""
     x, weight = cache
-    if grad_out.shape != (weight.shape[0],):
+    out_dim, in_dim = weight.shape
+    if grad_out.shape != x.shape[:-1] + (out_dim,):
         raise ValueError("dense grad shape mismatch")
-    grad_in = weight.T @ grad_out
-    grad_weight = np.outer(grad_out, x)
-    return grad_in, grad_weight, grad_out.copy()
+    rows = grad_out.reshape(-1, out_dim)
+    return grad_out @ weight, rows.T @ x.reshape(-1, in_dim), rows.sum(axis=0)
 
 
 def relu_forward(x: np.ndarray):
@@ -89,6 +95,11 @@ def conv1d_maxpool_backward(cache, grad_pooled: np.ndarray):
     return grad_matrix, grad_filters, grad_bias
 
 
+def dropout_mask(rng, shape, p: float) -> np.ndarray:
+    """Inverted-dropout mask: 0 with probability p, else 1/(1-p)."""
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
 def dropout_forward(x: np.ndarray, p: float, rng, train: bool):
     """Inverted dropout: kept units are scaled by 1/(1-p) at train time so
     evaluation is the identity. Returns (y, mask); mask is None when inactive.
@@ -97,7 +108,7 @@ def dropout_forward(x: np.ndarray, p: float, rng, train: bool):
         raise ValueError("dropout probability must be in [0, 1)")
     if not train or p == 0.0:
         return x, None
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    mask = dropout_mask(rng, x.shape, p)
     return x * mask, mask
 
 
@@ -106,14 +117,16 @@ def dropout_backward(mask, grad_out: np.ndarray) -> np.ndarray:
 
 
 def mse_loss(prediction: np.ndarray, target: np.ndarray):
-    """Mean squared error over coordinates and its gradient w.r.t. prediction."""
+    """Mean squared error over coordinates and its gradient w.r.t. prediction.
+    A (batch, dim) prediction gives one loss per row."""
     prediction = np.asarray(prediction, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if prediction.shape != target.shape:
         raise ValueError(f"prediction {prediction.shape} vs target {target.shape}")
     diff = prediction - target
-    n = diff.size
-    return float(np.sum(diff * diff) / n), (2.0 / n) * diff
+    n = diff.shape[-1]
+    loss = np.sum(diff * diff, axis=-1) / n
+    return (float(loss) if diff.ndim == 1 else loss), (2.0 / n) * diff
 
 
 def l2_penalty(weights: Mapping[str, np.ndarray], lam: float):
@@ -143,15 +156,21 @@ class AdamState:
 def adam_update(param: np.ndarray, grad: np.ndarray, state: AdamState,
                 lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                 eps: float = 1e-8) -> None:
-    """One bias-corrected Adam step, in place."""
+    """One bias-corrected Adam step, in place. Two scratch buffers replace
+    the temporaries of ``param -= lr * m_hat / (sqrt(v_hat) + eps)``; the
+    operation order, and so every bit, is that formula's."""
     if param.shape != grad.shape:
         raise ValueError("param and grad shape mismatch")
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1 ** state.t)
-    v_hat = state.v / (1.0 - beta2 ** state.t)
-    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    scratch = np.multiply(grad, 1.0 - beta1)
+    np.add(np.multiply(state.m, beta1, out=state.m), scratch, out=state.m)
+    np.multiply(np.multiply(grad, 1.0 - beta2, out=scratch), grad, out=scratch)
+    np.add(np.multiply(state.v, beta2, out=state.v), scratch, out=state.v)
+    v_hat = np.divide(state.v, 1.0 - beta2 ** state.t, out=scratch)
+    denominator = np.add(np.sqrt(v_hat, out=scratch), eps, out=scratch)
+    step = np.divide(state.m, 1.0 - beta1 ** state.t)  # m_hat
+    step *= lr
+    param -= np.divide(step, denominator, out=step)
 
 
 @dataclass
@@ -183,17 +202,17 @@ class Adam:
                 state = self.states[name] = AdamState.zeros_like(params[name])
             adam_update(params[name], grad, state, self.lr, self.beta1, self.beta2, self.eps)
 
-    def step_rows(self, name: str, param: np.ndarray,
-                  row_grads: Mapping[int, np.ndarray]) -> None:
-        if not row_grads:
+    def step_rows(self, name: str, param: np.ndarray, rows: np.ndarray,
+                  grads: np.ndarray) -> None:
+        """Adam on the given distinct ``rows`` of ``param`` only, with one
+        gradient row each; every row keeps its own timestep."""
+        if len(rows) == 0:
             return
         state = self.row_states.get(name)
         if state is None:
             state = self.row_states[name] = AdamRowState(
                 np.zeros_like(param), np.zeros_like(param),
                 np.zeros(param.shape[0], dtype=np.int64))
-        rows = np.array(sorted(row_grads), dtype=np.int64)
-        grads = np.stack([row_grads[int(r)] for r in rows])
         state.t[rows] += 1
         t = state.t[rows][:, None].astype(np.float64)
         state.m[rows] = self.beta1 * state.m[rows] + (1.0 - self.beta1) * grads
@@ -258,7 +277,12 @@ def load_checkpoint(path: str | Path):
             raise ValueError(f"unsupported checkpoint version {manifest.get('version')!r}")
         tensors: dict[str, np.ndarray] = {}
         for entry in manifest["tensors"]:
-            shape = tuple(entry["shape"])
+            shape = entry["shape"]
+            if not (isinstance(shape, list)
+                    and all(type(d) is int and d >= 0 for d in shape)):
+                raise ValueError(f"tensor {entry['name']!r} has invalid shape {shape!r}: "
+                                 "expected a list of non-negative integers")
+            shape = tuple(shape)
             size = int(np.prod(shape)) if shape else 1
             raw = fh.read(size * 8)
             if len(raw) != size * 8:

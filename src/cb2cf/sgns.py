@@ -171,7 +171,13 @@ class EmbeddingTable:
                     raise ValueError(f"{path}:{lineno}: expected id and {dim} floats")
                 if len(ids) >= count:
                     raise ValueError(f"{path}:{lineno}: more rows than the header declares")
-                rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float64))
+                try:
+                    row = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if not np.isfinite(row).all():
+                    raise ValueError(f"{path}:{lineno}: vector components must be finite")
+                rows.append(row)
                 ids.append(parts[0])
         if len(ids) != count:
             raise ValueError(f"{path}: header declares {count} rows, found {len(ids)}")

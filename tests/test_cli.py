@@ -63,6 +63,24 @@ def test_train_model_checkpoint_reloads_by_reference(workspace):
     assert len(log.strip().splitlines()) == 2
 
 
+def test_train_model_fails_loudly_on_divergence(workspace, tmp_path, capsys):
+    data_dir = workspace / "data"
+    table = EmbeddingTable.load(data_dir / "vectors.vec")
+    huge = tmp_path / "huge.vec"
+    EmbeddingTable(table.ids, np.full(table.vectors.shape, 1e200)).save(huge)
+    capsys.readouterr()
+    out = tmp_path / "model.ckpt"
+    assert main(["train-model", "--system", "Genres+Year",
+                 "--features", str(workspace / "ctx"),
+                 "--metadata", str(data_dir / "metadata.jsonl"),
+                 "--targets", str(huge), "--batch", "4", "--max-epochs", "3",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cb2cf train-model: error: training diverged at epoch 0")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_train_item2vec_from_sets(tmp_path, workspace, capsys):
     out = tmp_path / "items.vec"
     rc = main(["train-item2vec", "--sets", str(workspace / "data" / "sets.txt"),

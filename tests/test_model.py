@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from cb2cf.data import ContentProfile
 from cb2cf.features import (Centroids, fit_feature_context, featurize_item,
                             save_feature_context, tag_vector)
 from cb2cf.model import (COMPONENT_ORDER, Cb2cfModel, SystemSpec, TrainConfig,
-                         analogy, backward, build_model, bundle_parts,
-                         component_output_dims, forward, load_model,
+                         analogy, backward, backward_batch, build_model,
+                         bundle_parts, component_output_dims, forward,
+                         forward_batch, load_model,
                          parse_system, predict, save_model, tag_representation,
                          train)
 
@@ -539,3 +542,206 @@ def test_component_output_dims_follow_the_spec():
     dims = component_output_dims(spec)
     assert dims == {"CNN": 7, "BOW": 9, "Genres": 3, "Actors": 4,
                     "Director": 5, "Language": 6, "Year": 2}
+
+
+def _full_system(word_table):
+    """A small CNN+BOW+Tags+Year model over texts with repeated words and
+    one item without text."""
+    plots = ["alpha beta alpha gamma alpha", None, "delta beta",
+             "zeta epsilon zeta gamma beta delta alpha", "gamma"]
+    profiles = [ContentProfile(id=f"m{i}", plot=plot, genres=[f"g{i % 2}"],
+                               actors=[f"a{i % 3}"], directors=["d0"],
+                               languages=["en" if i % 2 else "fr"],
+                               year=1990 + 3 * i)
+                for i, plot in enumerate(plots)]
+    centroids = Centroids(np.random.default_rng(4).standard_normal((3, 4)))
+    context = _context(profiles, word_table=word_table, centroids=centroids,
+                       max_words=8)
+    spec = SystemSpec.named("CNN+BOW+Tags+Year", output_dim=3, cnn_filters=4,
+                            cnn_width=3, cnn_hidden=5, bow_hidden=6,
+                            year_hidden=2, combiner_hidden=7, text_length=8,
+                            tag_hidden={"Genres": 3, "Actors": 3,
+                                        "Director": 2, "Language": 2})
+    model = build_model(spec, context, seed=5)
+    bundles = [featurize_item(p, context, bundle_parts(spec)) for p in profiles]
+    return model, bundles
+
+
+def test_batched_step_sums_the_per_example_gradients(word_table):
+    model, bundles = _full_system(word_table)
+    batch = bundles[:4]
+    assert len(batch[1].text_indices) == 0
+    assert len(set(batch[0].text_indices.tolist())) < len(batch[0].text_indices)
+    targets = np.random.default_rng(1).standard_normal((4, 3))
+    dropout = {"train": True, "word_dropout": 0.3, "unit_dropout": 0.3}
+
+    preds, cache = forward_batch(model, batch, rng=np.random.default_rng(7), **dropout)
+    _, grad_preds = net.mse_loss(preds, targets)
+    grads, (rows, row_grads) = backward_batch(model, cache, grad_preds)
+
+    # Per-example passes drawing from one generator in the same order.
+    rng = np.random.default_rng(7)
+    ref = {name: np.zeros_like(p) for name, p in model.params.items()}
+    ref_rows: dict[int, np.ndarray] = {}
+    for i, bundle in enumerate(batch):
+        pred, single_cache = forward(model, bundle, rng=rng, **dropout)
+        assert np.allclose(pred, preds[i], rtol=0, atol=1e-12)
+        _, grad_pred = net.mse_loss(pred, targets[i])
+        single, single_rows = backward(model, single_cache, grad_pred)
+        for name, g in single.items():
+            ref[name] += g
+        for row, g in single_rows.items():
+            ref_rows[row] = ref_rows.get(row, 0.0) + g
+    assert set(grads) == set(ref)
+    for name in ref:
+        assert np.allclose(grads[name], ref[name], rtol=0, atol=1e-12), name
+    assert rows.tolist() == sorted(ref_rows)
+    for row, g in zip(rows.tolist(), row_grads):
+        assert np.allclose(g, ref_rows[row], rtol=0, atol=1e-12)
+
+
+def _reference_train(model, bundles, targets, config):
+    """Per-example minibatch loop: forward/backward one example at a time,
+    gradients summed into dicts, then the same Adam steps as ``train``."""
+    rng = np.random.default_rng(config.seed)
+    order = rng.permutation(len(bundles))
+    n_val = min(len(bundles) - 1, max(1, int(round(config.val_fraction * len(bundles)))))
+    val, train_idx = [bundles[i] for i in order[:n_val]], order[n_val:]
+    adam = net.Adam(lr=config.learning_rate)
+    best, snapshot = np.inf, None
+    for _ in range(config.max_epochs):
+        perm = rng.permutation(train_idx)
+        for start in range(0, len(perm), config.batch_size):
+            batch = perm[start:start + config.batch_size]
+            acc = {name: np.zeros_like(p) for name, p in model.params.items()}
+            emb: dict[int, np.ndarray] = {}
+            for i in batch:
+                pred, cache = forward(model, bundles[i], train=True, rng=rng,
+                                      word_dropout=config.word_dropout,
+                                      unit_dropout=config.dropout)
+                _, grad_pred = net.mse_loss(pred, targets[bundles[i].item_id])
+                grads, rows = backward(model, cache, grad_pred)
+                for name, g in grads.items():
+                    acc[name] += g
+                for row, g in rows.items():
+                    emb[row] = emb.get(row, 0.0) + g
+            for name in acc:
+                acc[name] /= len(batch)
+                if name in model.l2_weight_names():
+                    acc[name] += 2.0 * config.l2 * model.params[name]
+            adam.step(model.params, acc)
+            keys = sorted(emb)
+            adam.step_rows("embedding", model.embedding, np.array(keys, dtype=np.int64),
+                           np.array([emb[r] / len(batch) for r in keys]))
+        val_loss = np.mean([net.mse_loss(forward(model, b)[0], targets[b.item_id])[0]
+                            for b in val])
+        if val_loss < best:
+            best = val_loss
+            snapshot = ({k: v.copy() for k, v in model.params.items()},
+                        model.embedding.copy())
+    model.params, model.embedding = snapshot
+
+
+def test_train_matches_a_per_example_reference_loop(word_table):
+    model, bundles = _full_system(word_table)
+    # Ten items, with texts repeated across batches.
+    bundles = [replace(b, item_id=f"x{i}") for i, b in enumerate(bundles * 2)]
+    rng = np.random.default_rng(3)
+    targets = {b.item_id: rng.standard_normal(3) for b in bundles}
+    config = TrainConfig(batch_size=3, word_dropout=0.25, dropout=0.25, l2=1e-3,
+                         learning_rate=0.01, max_epochs=4, patience=10,
+                         val_fraction=0.2, seed=11)
+    reference = build_model(model.spec, model.features, seed=5)
+    report = train(model, bundles, targets, config)
+    _reference_train(reference, bundles, targets, config)
+    assert report.stop_reason == "max_epochs"
+    for name in model.params:
+        assert np.allclose(model.params[name], reference.params[name],
+                           rtol=0, atol=1e-9), name
+    assert np.allclose(model.embedding, reference.embedding, rtol=0, atol=1e-9)
+    assert not np.array_equal(model.embedding, word_table.vectors)
+
+
+@pytest.mark.parametrize("text_length, cnn_width, plot", [
+    (8, 3, None),                                   # k = 0
+    (8, 3, "alpha"),                                # k < width
+    (8, 3, "alpha beta gamma delta epsilon zeta"),  # k + width > text_length
+    (12, 3, "beta gamma alpha"),                    # trimmed to k + width rows
+])
+def test_trimmed_text_matrix_pools_like_the_full_one(word_table, text_length,
+                                                     cnn_width, plot):
+    profiles = [ContentProfile(id="m0", plot=plot), ContentProfile(id="m1", plot="alpha")]
+    context = _context(profiles, word_table=word_table, max_words=text_length)
+    spec = SystemSpec.named("CNN", output_dim=2, cnn_filters=5, cnn_width=cnn_width,
+                            cnn_hidden=3, combiner_hidden=3, text_length=text_length)
+    model = build_model(spec, context, seed=2)
+    model.params["cnn.conv_bias"][:] = np.random.default_rng(0).standard_normal(5)
+    # Filter 0 scores every real window below its bias: its max is the bias.
+    model.embedding = np.abs(model.embedding) + 0.1
+    model.params["cnn.filters"][0] = -np.abs(model.params["cnn.filters"][0]) - 0.1
+    bundle = featurize_item(profiles[0], context, bundle_parts(spec))
+    k = len(bundle.text_indices)
+
+    _, cache = forward(model, bundle)
+    (cached_k, (matrix, _, best)), = cache["components"]["CNN"][2]
+    pooled = cache["components"]["CNN"][3][0]
+    assert cached_k == k
+    assert len(matrix) == min(text_length, k + cnn_width)
+
+    full = np.zeros((text_length, model.embedding.shape[1]))
+    full[:k] = model.embedding[bundle.text_indices]
+    full_pooled, (_, _, full_best) = net.conv1d_maxpool_forward(
+        full, model.params["cnn.filters"], model.params["cnn.conv_bias"])
+    assert np.allclose(pooled, full_pooled, rtol=0, atol=1e-12)
+    assert np.array_equal(best, full_best)
+    if k + cnn_width <= text_length:  # an all-padding window exists
+        assert pooled[0] == model.params["cnn.conv_bias"][0]
+        assert best[0] == k
+
+
+def test_train_stops_on_divergence_and_keeps_the_initial_parameters():
+    profiles = _tag_year_profiles()
+    context = _context(profiles)
+    spec = SystemSpec.named("Genres+Year", output_dim=3)
+    bundles = [featurize_item(p, context, bundle_parts(spec)) for p in profiles]
+    targets = {p.id: np.full(3, 1e200) for p in profiles}  # the MSE overflows
+    for val_fraction in (0.0, 0.25):
+        model = build_model(spec, context, seed=3)
+        before = {k: v.copy() for k, v in model.params.items()}
+        report = train(model, bundles, targets,
+                       TrainConfig(batch_size=4, max_epochs=5, val_fraction=val_fraction))
+        assert report.stop_reason == "diverged"
+        assert report.epochs == 1 and not np.isfinite(report.train_losses[0])
+        assert report.best_epoch is None
+        for name in before:
+            assert np.array_equal(model.params[name], before[name])
+
+
+def test_train_divergence_after_a_finite_epoch_restores_the_best_epoch(monkeypatch):
+    profiles = _tag_year_profiles()
+    context = _context(profiles)
+    spec = SystemSpec.named("Genres+Year", output_dim=3)
+    bundles = [featurize_item(p, context, bundle_parts(spec)) for p in profiles]
+    targets = {p.id: np.zeros(3) for p in profiles}
+    config = TrainConfig(batch_size=4, max_epochs=5, val_fraction=0.25, seed=1)
+    finite = build_model(spec, context, seed=3)
+    first = train(finite, bundles, targets, replace(config, max_epochs=1))
+
+    model = build_model(spec, context, seed=3)
+    real_step = net.Adam.step
+    calls = []
+
+    def poisoning_step(self, params, grads):
+        real_step(self, params, grads)
+        calls.append(1)
+        if len(calls) == 6:  # 9 training items, batch 4: last step of epoch 1
+            params["combiner.bias"][0] = np.nan
+
+    monkeypatch.setattr(net.Adam, "step", poisoning_step)
+    report = train(model, bundles, targets, config)
+    assert report.stop_reason == "diverged"
+    assert report.epochs == 2 and report.best_epoch == 0
+    assert report.val_losses[0] == first.val_losses[0]
+    assert not np.isfinite(report.val_losses[1])
+    for name in model.params:
+        assert np.array_equal(model.params[name], finite.params[name])

@@ -33,6 +33,29 @@ def test_dense_gradients_against_finite_differences():
     assert net.grad_check(loss_fn, tensors) < 1e-6
 
 
+def test_batched_dense_gradients_against_finite_differences():
+    rng = np.random.default_rng(1)
+    target = rng.standard_normal((5, 4))
+
+    def loss_fn(tensors):
+        y, cache = net.dense_forward(tensors["x"], tensors["w"], tensors["b"])
+        losses, grad_y = net.mse_loss(y, target)
+        grad_x, grad_w, grad_b = net.dense_backward(cache, grad_y)
+        return float(losses.sum()), {"x": grad_x, "w": grad_w, "b": grad_b}
+
+    tensors = {"x": rng.standard_normal((5, 3)), "w": rng.standard_normal((4, 3)),
+               "b": rng.standard_normal(4)}
+    assert net.grad_check(loss_fn, tensors) < 1e-6
+    # A batch row is the one-example layer; parameter gradients add up.
+    y, cache = net.dense_forward(tensors["x"], tensors["w"], tensors["b"])
+    grad_y = rng.standard_normal((5, 4))
+    _, grad_w, grad_b = net.dense_backward(cache, grad_y)
+    singles = [net.dense_backward(net.dense_forward(x, tensors["w"], tensors["b"])[1], g)
+               for x, g in zip(tensors["x"], grad_y)]
+    assert np.allclose(grad_w, sum(s[1] for s in singles), rtol=0, atol=1e-12)
+    assert np.allclose(grad_b, sum(s[2] for s in singles), rtol=0, atol=1e-12)
+
+
 def test_relu_values_and_subgradient():
     y, cache = net.relu_forward(np.array([-1.0, 0.0, 2.0]))
     assert np.array_equal(y, [0.0, 0.0, 2.0])
@@ -183,6 +206,33 @@ def test_adam_first_step_closed_form():
     assert state.t == 1
 
 
+def _reference_adam_update(param, grad, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as the plain out-of-place formula."""
+    state.t += 1
+    state.m = beta1 * state.m + (1.0 - beta1) * grad
+    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
+    m_hat = state.m / (1.0 - beta1 ** state.t)
+    v_hat = state.v / (1.0 - beta2 ** state.t)
+    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_in_place_adam_is_bit_identical_to_the_formula():
+    rng = np.random.default_rng(12)
+    param = rng.standard_normal((30, 7))
+    reference = param.copy()
+    state = net.AdamState.zeros_like(param)
+    ref_state = net.AdamState.zeros_like(param)
+    m_before = state.m
+    for _ in range(5):
+        grad = rng.standard_normal(param.shape) * 10.0 ** rng.integers(-6, 3, param.shape)
+        net.adam_update(param, grad, state, lr=3e-3)
+        _reference_adam_update(reference, grad, ref_state, lr=3e-3)
+        assert param.tobytes() == reference.tobytes()
+        assert state.m.tobytes() == ref_state.m.tobytes()
+        assert state.v.tobytes() == ref_state.v.tobytes()
+    assert state.m is m_before and state.t == 5
+
+
 def test_adam_zero_gradient_leaves_parameters_unchanged():
     param = np.array([3.0])
     state = net.AdamState.zeros_like(param)
@@ -214,18 +264,18 @@ def test_adam_row_steps_match_dense_updates_when_all_rows_move():
     for step in range(5):
         grad = rng.standard_normal((4, 3))
         net.adam_update(dense, grad, dense_state, lr=0.01)
-        adam.step_rows("emb", sparse, {r: grad[r] for r in range(4)})
+        adam.step_rows("emb", sparse, np.arange(4), grad)
     assert np.allclose(dense, sparse, atol=1e-12)
 
 
 def test_adam_row_steps_touch_only_given_rows():
     param = np.zeros((3, 2))
     adam = net.Adam(lr=0.1)
-    adam.step_rows("emb", param, {1: np.array([1.0, -1.0])})
+    adam.step_rows("emb", param, np.array([1]), np.array([[1.0, -1.0]]))
     assert np.all(param[0] == 0.0) and np.all(param[2] == 0.0)
     assert np.all(param[1] != 0.0)
     before = param.copy()
-    adam.step_rows("emb", param, {})
+    adam.step_rows("emb", param, np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
     assert np.array_equal(param, before)
 
 
@@ -272,6 +322,18 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            net.load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[-2, 3], [2.0, 3], 6, "6", [True, 2]],
+                             ids=["negative", "float", "int", "string", "bool"])
+    def test_rejects_a_manifest_shape_that_is_not_a_list_of_counts(self, tmp_path, shape):
+        path = tmp_path / "shape.ckpt"
+        net.save_checkpoint(path, {"w": np.ones(6)})
+        _, payload = path.read_bytes().split(b"\n", 1)
+        manifest = {"version": net.CHECKPOINT_VERSION, "meta": {},
+                    "tensors": [{"name": "w", "shape": shape}]}
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match="tensor 'w' has invalid shape"):
             net.load_checkpoint(path)
 
     def test_rejects_trailing_bytes(self, tmp_path):

@@ -126,6 +126,13 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError, match="expected id and 2"):
             EmbeddingTable.load(path)
 
+    @pytest.mark.parametrize("row", ["a 1.0 zz", "a 1.0 nan", "a inf 2.0"])
+    def test_load_reports_bad_row_components_with_their_line(self, tmp_path, row):
+        path = tmp_path / "bad.vec"
+        path.write_text("2 2\nb 0.5 0.5\n" + row + "\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:3: ")):
+            EmbeddingTable.load(path)
+
     def test_load_checks_the_header_counts_before_reading_rows(self, tmp_path):
         path = tmp_path / "bad.vec"
         for header in ("x 3", "-2 3", "2 -3", "2.5 3", "2 0"):
