@@ -17,18 +17,28 @@ def _is_punct(char: str) -> bool:
     return char in _SYMBOL_CHARS or unicodedata.category(char).startswith("P")
 
 
+class _TokenCharTable(dict):
+    """``str.translate`` table that fills each code point on first sight:
+    punctuation maps to None (deleted), a decimal digit to '9', and every
+    other character to itself."""
+
+    def __missing__(self, code: int) -> str | None:
+        char = chr(code)
+        value = None if _is_punct(char) else "9" if char.isdecimal() else char
+        self[code] = value
+        return value
+
+
+_TOKEN_CHARS = _TokenCharTable()
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase and whitespace-split, mapping every decimal digit to '9'
     and stripping punctuation characters. Tokens emptied by stripping are
     dropped, so the result round-trips: tokenizing the joined output is a
     fixed point.
     """
-    tokens: list[str] = []
-    for raw in text.lower().split():
-        kept = ["9" if c.isdecimal() else c for c in raw if not _is_punct(c)]
-        if kept:
-            tokens.append("".join(kept))
-    return tokens
+    return text.lower().translate(_TOKEN_CHARS).split()
 
 
 class Vocabulary:

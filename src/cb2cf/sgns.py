@@ -1,16 +1,18 @@
 """Skip-gram with negative sampling over word sequences and item sets.
 
-One trainer serves both modes. Word sequences draw a fresh context window
-per position; item co-occurrence sets treat the whole set as the window and
-emit every ordered pair. Positive pairs maximize log(sigmoid(u.v)) while
-sampled negatives maximize log(sigmoid(-u.v')), with negatives drawn from
-the unigram distribution raised to the 3/4 power.
+One trainer serves both modes. Word sequences draw a context span per
+position, uniform in 1..window; item co-occurrence sets treat the whole set
+as the window and pair every two distinct positions. Positive pairs maximize
+log(sigmoid(u.v)) while sampled negatives maximize log(sigmoid(-u.v')), with
+negatives drawn from the unigram distribution raised to the 3/4 power.
 
-All pairs of one sequence (a kept co-occurrence set, or a sentence) take one
-simultaneous SGD step: every score and gradient reads the tables as they
-were before the step, and the step is two matrix products over the unique
-rows the sequence touches (the blocking of Ji et al., arXiv:1604.04661,
-without shared negatives: each pair keeps its own draw).
+Training follows the shared-negative blocking of Ji et al., "Parallelizing
+Word2Vec in Shared and Distributed Memory" (arXiv:1604.04661). A block is a
+kept co-occurrence set, or up to ``WORD_BLOCK`` consecutive centers of a
+sentence. All pairs of a block share one draw of K negatives and take one
+simultaneous SGD step: one product scores the block's centers against its
+contexts and negatives, read from the tables as they were before the step,
+a pair mask weights the scores, and two more products give the updates.
 """
 
 from __future__ import annotations
@@ -26,13 +28,17 @@ import numpy as np
 
 LR_FLOOR_FRACTION = 1e-4
 NOISE_POWER = 0.75
+# Most centers in one word-mode block: bounds a block's score matrix at
+# WORD_BLOCK x (WORD_BLOCK + 2 * window + negatives) cells on long lines.
+WORD_BLOCK = 256
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
-    """Numerically stable logistic function."""
-    x = np.asarray(x)
-    e = np.exp(-np.abs(np.clip(x, -500, 500)))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    """Logistic function as 0.5 + 0.5 tanh(x / 2): it cannot overflow."""
+    y = np.tanh(np.multiply(x, 0.5))
+    y *= 0.5
+    y += 0.5
+    return y
 
 
 @dataclass
@@ -198,23 +204,53 @@ def _header_int(path: str | Path, name: str, token: str, minimum: int) -> int:
 
 def cosine_scores(query: np.ndarray, table: EmbeddingTable) -> np.ndarray | None:
     """Cosine of ``query`` to every row of ``table``; zero-norm rows score
-    -1.0. A degenerate query (zero or non-finite norm) returns None.
+    -1.0. A degenerate query (zero norm or a non-finite component) returns
+    None.
 
     Dots and row norms are both stacked 1-D dot products, so every score is
     bit-identical to the scalar ``np.dot(u, v) / (norm(u) * norm(v))``; a
-    plain ``V @ q`` can differ in the last bit and reorder near-ties.
+    plain ``V @ q`` can differ in the last bit and reorder near-ties. A row
+    or query whose norm lies outside [2**-500, 2**500], where squares lose
+    precision to underflow or overflow to inf, is first divided exactly by
+    a power of two near its largest component; cosines ignore the scale.
     """
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (table.dim,):
         raise ValueError(f"query shape {query.shape} does not match table dimension {table.dim}")
-    qnorm = float(np.linalg.norm(query))
-    if not 0.0 < qnorm < math.inf:
+    if not np.isfinite(query).all():
         return None
-    rows = table.vectors[:, None, :]
-    dots = np.matmul(rows, query[:, None])[:, 0, 0]
-    norms = np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1))[:, 0, 0])
+    with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
+        qnorm = float(np.linalg.norm(query))
+        norms = _row_norms(table.vectors)
+    if not _SAFE_NORMS[0] <= qnorm <= _SAFE_NORMS[1]:
+        query = _power_of_two_scaled(query)
+        qnorm = float(np.linalg.norm(query))
+    if qnorm == 0.0:
+        return None
+    rows = table.vectors
+    unsafe = (norms < _SAFE_NORMS[0]) | (norms > _SAFE_NORMS[1])
+    if unsafe.any():
+        rows = rows.copy()
+        rows[unsafe] = _power_of_two_scaled(rows[unsafe])
+        norms[unsafe] = _row_norms(rows[unsafe])
+    dots = np.matmul(rows[:, None, :], query[:, None])[:, 0, 0]
     zero = norms == 0.0
     return np.where(zero, -1.0, dots / np.where(zero, 1.0, norms * qnorm))
+
+
+_SAFE_NORMS = (2.0 ** -500, 2.0 ** 500)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    stacked = rows[:, None, :]
+    return np.sqrt(np.matmul(stacked, stacked.transpose(0, 2, 1))[:, 0, 0])
+
+
+def _power_of_two_scaled(x: np.ndarray) -> np.ndarray:
+    """``x`` (each row of ``x``) divided by the power of two that brings its
+    largest magnitude into [0.5, 1); exact, and zero stays zero."""
+    _, exponent = np.frexp(np.abs(x).max(axis=-1, keepdims=True))
+    return np.ldexp(x, -exponent)
 
 
 def top_rows(scores: np.ndarray, table: EmbeddingTable, topk: int,
@@ -226,28 +262,23 @@ def top_rows(scores: np.ndarray, table: EmbeddingTable, topk: int,
     return [r for r in order.tolist() if r not in skip][:topk]
 
 
-def build_word_pairs(sentence: Sequence[int], window: int, rng) -> list[tuple[int, int]]:
-    """Emit (center, context) pairs with a per-position effective window
-    drawn uniformly from 1..window."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    pairs: list[tuple[int, int]] = []
-    n = len(sentence)
-    for i in range(n):
-        span = int(rng.integers(1, window + 1))
-        for j in range(max(0, i - span), min(n, i + span + 1)):
-            if j != i:
-                pairs.append((int(sentence[i]), int(sentence[j])))
-    return pairs
+def window_blocks(spans: np.ndarray, size: int):
+    """Split a sequence whose position i pairs with every other position
+    within ``spans[i]`` into blocks of at most ``size`` consecutive centers.
 
-
-def build_item_pairs(items: Sequence) -> list[tuple]:
-    """Every ordered pair of distinct positions: the set is the window."""
-    if len(items) < 2:
-        raise ValueError("item sets need at least 2 items")
-    if len(set(items)) != len(items):
-        raise ValueError("duplicate item in set")
-    return [(a, b) for i, a in enumerate(items) for j, b in enumerate(items) if i != j]
+    Yields ``(centers, contexts, mask)``: two slices of positions and the
+    (centers x contexts) float mask whose cell (i, j) is 1.0 when the pair
+    of center ``centers.start + i`` and context ``contexts.start + j`` is
+    in the window.
+    """
+    n = len(spans)
+    for start in range(0, n, size):
+        stop = min(n, start + size)
+        reach = int(spans[start:stop].max())
+        lo, hi = max(0, start - reach), min(n, stop + reach)
+        gap = np.abs(np.arange(start, stop)[:, None] - np.arange(lo, hi))
+        mask = (gap > 0) & (gap <= spans[start:stop, None])
+        yield slice(start, stop), slice(lo, hi), mask.astype(np.float64)
 
 
 def discard_probabilities(counts: np.ndarray, threshold: float) -> np.ndarray:
@@ -310,33 +341,35 @@ class SgnsTrainer:
         self.output = np.zeros((vocab_size, dim), dtype=np.float64)
 
     def train_pair(self, center: int, context: int, negatives: np.ndarray, lr: float) -> None:
-        self.train_pairs([center], [context], np.asarray(negatives)[None, :], lr)
+        self.train_pairs([center], [context], np.ones((1, 1)), negatives, lr)
 
-    def train_pairs(self, centers, contexts, negatives: np.ndarray, lr: float) -> None:
-        """One simultaneous SGD step on P (center, context) pairs, pair p
-        with the K negative ids in row p of ``negatives`` (shape (P, K)).
+    def train_pairs(self, centers, contexts, mask: np.ndarray, negatives, lr: float) -> None:
+        """One simultaneous SGD step on a block of pairs sharing the K
+        ``negatives``: pair (``centers[i]``, ``contexts[j]``) has weight
+        ``mask[i, j]``.
 
-        Every score and gradient reads the pre-step tables, and updates to a
-        repeated id accumulate. The step gathers the unique center and
-        target rows once, scores all pairs with one product over them, sums
-        the per-pair gradients into a (centers x targets) coefficient
-        matrix, and updates each table with one more product.
+        Center i scores every context and negative in one product. A
+        positive pair weighs in by its mask cell, a negative by the count
+        of i's pairs whose context it does not equal (word2vec's rule of
+        skipping a negative that hits the context). Every score and
+        gradient reads the pre-step tables, and updates to a repeated id
+        accumulate: the rows of one id are summed before the scatter, so
+        each of them writes the id's whole update.
         """
-        targets = np.column_stack([np.asarray(contexts, dtype=np.int64),
-                                   np.asarray(negatives, dtype=np.int64)])
-        rows, row_of = np.unique(np.asarray(centers, dtype=np.int64), return_inverse=True)
-        cols, cell = np.unique(targets, return_inverse=True)
-        cell = cell.reshape(targets.shape)
-        cell += row_of[:, None] * len(cols)  # flat index into (rows x cols)
-        u = self.input[rows]  # copies: both updates must see pre-step values
-        v = self.output[cols]
-        g = sigmoid((u @ v.T).ravel()[cell])
-        g *= -lr
-        g[:, 0] += lr
-        coef = np.bincount(cell.ravel(), weights=g.ravel(),
-                           minlength=len(rows) * len(cols)).reshape(len(rows), len(cols))
-        self.input[rows] += coef @ v
-        self.output[cols] += coef.T @ u
+        centers = np.asarray(centers, dtype=np.int64)
+        mask = np.asarray(mask, dtype=np.float64)
+        targets = np.concatenate((np.asarray(contexts, dtype=np.int64),
+                                  np.asarray(negatives, dtype=np.int64)))
+        n = mask.shape[1]
+        u = self.input[centers]  # copies: both updates must see pre-step values
+        v = self.output[targets]
+        weights = np.concatenate((mask, mask @ (targets[:n, None] != targets[n:])), axis=1)
+        coef = sigmoid(u @ v.T)
+        coef[:, :n] -= 1.0
+        coef *= weights
+        coef *= -lr
+        self.input[centers] += (centers[:, None] == centers) @ (coef @ v)
+        self.output[targets] += (targets[:, None] == targets) @ (coef.T @ u)
 
     def pair_loss(self, center: int, context: int, negatives: np.ndarray) -> float:
         u = self.input[center]
@@ -345,29 +378,15 @@ class SgnsTrainer:
         return float(-(math.log(pos + 1e-12) + np.log(neg + 1e-12).sum()))
 
 
-def _draw_negatives(noise: NoiseSampler, rng, k: int, forbidden) -> np.ndarray:
-    """``k`` noise ids per entry of ``forbidden``, none equal to that entry:
-    shape (k,) for a scalar, (P, k) for P forbidden ids. Clashing draws are
-    redrawn until every row is clear."""
-    forbidden = np.asarray(forbidden, dtype=np.int64)
-    negatives = noise.draw(forbidden.size * k, rng).reshape(forbidden.shape + (k,))
-    for _ in range(1000):
-        clash = negatives == forbidden[..., None]
-        if not clash.any():
-            return negatives
-        negatives[clash] = noise.draw(int(clash.sum()), rng)
-    raise RuntimeError("could not draw negatives distinct from the context")
-
-
 def train_sgns(data, config: SgnsConfig) -> EmbeddingTable:
     """Train embeddings over word sequences or a CooccurrenceSets instance.
 
-    Each sequence (a kept co-occurrence set, or a sentence) is one
-    simultaneous SGD step over all of its pairs, every pair with its own
-    negative draw. The learning rate decays linearly with stream position,
-    once per sequence, down to a floor of 1e-4 times its initial value. A
-    fixed seed gives bit-identical tables on repeated runs; training is
-    single-threaded by construction.
+    Each block (a kept co-occurrence set, or up to ``WORD_BLOCK`` centers
+    of a kept sentence) draws K shared negatives and takes one
+    simultaneous SGD step over all of its pairs. The learning rate decays
+    linearly with stream position, once per sequence, down to a floor of
+    1e-4 times its initial value. A fixed seed gives bit-identical tables
+    on repeated runs; training is single-threaded by construction.
     """
     if isinstance(data, CooccurrenceSets):
         sequences: list[Sequence[str]] = list(data.sets)
@@ -387,29 +406,33 @@ def train_sgns(data, config: SgnsConfig) -> EmbeddingTable:
     encoded = [np.array([id_index[str(t)] for t in seq], dtype=np.int64) for seq in sequences]
     counts = np.array([counter[t] for t in ids], dtype=np.float64)
 
-    total_positions = int(sum(len(s) for s in encoded))
+    offsets = np.cumsum([0] + [len(s) for s in encoded]).tolist()
+    total_positions = offsets[-1]
     total_units = config.epochs * total_positions
-    discard = discard_probabilities(counts, config.subsample)
+    discard = discard_probabilities(counts, config.subsample)[np.concatenate(encoded)]
     noise = NoiseSampler(counts)
     rng = np.random.default_rng(config.seed)
     trainer = SgnsTrainer(len(ids), config.dim, rng)
     floor = LR_FLOOR_FRACTION * config.learning_rate
 
-    units = 0
-    for _ in range(config.epochs):
-        for seq in encoded:
+    for epoch in range(config.epochs):
+        keep = rng.random(total_positions) >= discard
+        spans = None if item_mode else rng.integers(1, config.window + 1, total_positions)
+        for seq, start, stop in zip(encoded, offsets, offsets[1:]):
+            units = epoch * total_positions + start
             lr = max(floor, config.learning_rate * (1.0 - units / total_units))
-            keep = rng.random(len(seq)) >= discard[seq]
-            kept = seq[keep]
+            kept = keep[start:stop]
+            n = np.count_nonzero(kept)
+            if n < 2:
+                continue
             if item_mode:
-                pairs = build_item_pairs(kept.tolist()) if len(kept) >= 2 else []
+                blocks = [(slice(None), slice(None), 1.0 - np.eye(n))]
             else:
-                pairs = build_word_pairs(kept, config.window, rng)
-            if pairs:
-                centers, contexts = np.array(pairs, dtype=np.int64).T
-                negatives = _draw_negatives(noise, rng, config.negatives, contexts)
-                trainer.train_pairs(centers, contexts, negatives, lr)
-            units += len(seq)
+                blocks = window_blocks(spans[start:stop][kept], WORD_BLOCK)
+            block_ids = seq[kept]
+            for centers, contexts, mask in blocks:
+                trainer.train_pairs(block_ids[centers], block_ids[contexts], mask,
+                                    noise.draw(config.negatives, rng), lr)
     return EmbeddingTable(ids, trainer.input)
 
 

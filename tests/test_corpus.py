@@ -1,7 +1,8 @@
 import string
+import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cb2cf.corpus import (build_vocabulary, decode, encode, load_vocabulary,
                           save_vocabulary, tokenize, Vocabulary)
@@ -27,6 +28,28 @@ def test_tokenize_drops_tokens_emptied_by_stripping():
 
 def test_tokenize_keeps_non_decimal_unicode_letters():
     assert tokenize("café naïve") == ["café", "naïve"]
+
+
+def _reference_tokenize(text):
+    """Per-character tokenizer: split, drop P* punctuation and ~^|<>=+,
+    map decimal digits to '9', drop tokens left empty."""
+    tokens = []
+    for raw in text.lower().split():
+        kept = ["9" if c.isdecimal() else c for c in raw
+                if c not in "~^|<>=+" and not unicodedata.category(c).startswith("P")]
+        if kept:
+            tokens.append("".join(kept))
+    return tokens
+
+
+@given(st.text(max_size=200))
+@example("٣٤ १२ ３ ௫x x߂")  # Arabic-Indic, Devanagari, fullwidth, Tamil, NKo digits
+@example("¡¿“”‘’«»‹›—–‐‥…·・、。「」『』【】〔〕〈〉《》¶§†‡※")  # P* punctuation
+@example("a~b ^c| <d> e=f+g ~^|<>=+")
+@example("  \t\n !!! ~~ ... 「」 —— ")  # tokenizes to nothing
+@example("Straße İstanbul ǅ Σίσυφος ２０１６年")
+def test_tokenize_matches_the_per_character_reference(text):
+    assert tokenize(text) == _reference_tokenize(text)
 
 
 @given(st.text(max_size=200))

@@ -1,15 +1,16 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+from cb2cf import sgns
 from cb2cf.sgns import (CooccurrenceSets, EmbeddingTable, NoiseSampler,
-                        SgnsConfig, SgnsTrainer, build_item_pairs,
-                        build_word_pairs, cosine_scores, discard_probabilities,
+                        SgnsConfig, SgnsTrainer, cosine_scores, discard_probabilities,
                         sigmoid, similarity_search, subsample, train_sgns,
-                        _draw_negatives)
+                        window_blocks)
 
 
 def test_sigmoid_midpoint_and_saturation():
@@ -42,6 +43,8 @@ def test_config_validation():
         SgnsConfig(subsample=1.5)
     with pytest.raises(ValueError):
         SgnsConfig(negatives=0)
+    with pytest.raises(ValueError):
+        SgnsConfig(window=0)
     with pytest.raises(ValueError):
         SgnsConfig(learning_rate=0.0)
 
@@ -155,6 +158,17 @@ def _cos(u, v):
     return float(np.dot(u, v) / (nu * nv))
 
 
+def _exact_cos(u, v):
+    """Cosine in exact rational arithmetic, rounded once at the end; -1.0
+    for a zero operand."""
+    u, v = [Fraction(x) for x in u], [Fraction(x) for x in v]
+    dot = sum(x * y for x, y in zip(u, v))
+    squares = sum(x * x for x in u) * sum(y * y for y in v)
+    if squares == 0:
+        return -1.0
+    return math.copysign(math.sqrt(dot * dot / squares), dot)
+
+
 def test_cosine_basics():
     table = EmbeddingTable(["orthogonal", "parallel", "zero"],
                            np.array([[0.0, 2.0], [3.0, 0.0], [0.0, 0.0]]))
@@ -167,14 +181,40 @@ def test_cosine_basics():
         cosine_scores(np.ones(3), table)
 
 
+def test_cosine_scores_rescale_norms_that_underflow_or_overflow():
+    # Squares of these components underflow to subnormals or zero, or
+    # overflow to inf; every cosine is still that of the plain direction.
+    rows = np.array([[3.0, 4.0], [3e-170, 4e-170], [3e-310, 4e-310],
+                     [3e200, 4e200], [1e300, 0.0], [0.0, 0.0]])
+    table = EmbeddingTable(["plain", "tiny", "subnormal", "huge", "axis", "zero"], rows)
+    for query in (np.array([1.0, 0.0]), np.array([1e200, 0.0]), np.array([1e-200, 0.0])):
+        scores = cosine_scores(query, table)
+        assert scores is not None
+        # The subnormal row holds its components to about 1e-14.
+        assert scores[:4] == pytest.approx([0.6] * 4, rel=1e-12, abs=0)
+        assert scores[4:].tolist() == [1.0, -1.0]
+    huge = cosine_scores(np.array([1e200, 1e200]), table)
+    assert huge[0] == pytest.approx(7 / (5 * math.sqrt(2)), rel=1e-15)
+    with pytest.raises(ValueError, match="non-finite"):
+        similarity_search(np.array([np.inf, 1e200]), table, 1)
+
+
 @given(st.lists(st.floats(-10, 10), min_size=2, max_size=6),
        st.floats(0.1, 50.0))
+@example(values=[0.0, 9.247568681504214e-160], scale=0.5)
+@example(values=[0.0, 5e-324], scale=0.5)
 def test_cosine_scale_invariance(values, scale):
     a = np.array(values)
     b = np.roll(a, 1) + 0.5
-    scores = cosine_scores(b, EmbeddingTable(["a", "scaled"], np.array([a, a * scale])))
+    rows = np.array([a, a * scale])
+    scores = cosine_scores(b, EmbeddingTable(["a", "scaled"], rows))
     assume(scores is not None)  # b itself has zero norm
-    assert scores[1] == pytest.approx(scores[0], abs=1e-9)
+    for score, row in zip(scores, rows):
+        assert score == pytest.approx(_exact_cos(row, b), abs=1e-9)
+    # Scaling rounds a subnormal component to a few bits, or to zero, so
+    # the scaled row points elsewhere; it is a multiple of a otherwise.
+    if not np.any((rows != 0) & (np.abs(rows) < np.finfo(np.float64).tiny)):
+        assert scores[1] == pytest.approx(scores[0], abs=1e-9)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 40, 100])
@@ -189,41 +229,110 @@ def test_cosine_scores_equal_the_scalar_formula_bit_for_bit(dim):
         assert cosine_scores(query, table).tolist() == expected
 
 
+def _reference_word_pairs(sentence, spans):
+    """(center, context) pairs of every position within its own span."""
+    return [(sentence[i], sentence[j]) for i in range(len(sentence))
+            for j in range(max(0, i - spans[i]), min(len(sentence), i + spans[i] + 1))
+            if j != i]
+
+
+def _block_pairs(sentence, spans, size):
+    """The (center, context) pairs that ``window_blocks`` masks in, with
+    multiplicity, block after block."""
+    sentence = np.asarray(sentence)
+    pairs = []
+    for centers, contexts, mask in window_blocks(np.asarray(spans), size):
+        assert mask.shape == (len(sentence[centers]), len(sentence[contexts]))
+        assert set(np.unique(mask)) <= {0.0, 1.0}
+        rows, cols = np.nonzero(mask)
+        pairs += list(zip(sentence[centers][rows].tolist(), sentence[contexts][cols].tolist()))
+    return pairs
+
+
 def test_word_pairs_are_deterministic_at_window_one():
-    rng = np.random.default_rng(0)
-    assert build_word_pairs([5, 7], 1, rng) == [(5, 7), (7, 5)]
-    assert build_word_pairs([3], 1, rng) == []
-    with pytest.raises(ValueError):
-        build_word_pairs([1, 2], 0, rng)
+    assert _block_pairs([5, 7], [1, 1], sgns.WORD_BLOCK) == [(5, 7), (7, 5)]
+    assert _block_pairs([3], [1], sgns.WORD_BLOCK) == []
 
 
 def test_word_pairs_expected_count_matches_uniform_window_draw():
     # For [a, b, c] with window 2 the per-position spans give expected
     # pair counts 1.5 + 2 + 1.5 = 5.
     rng = np.random.default_rng(42)
-    totals = [len(build_word_pairs([0, 1, 2], 2, rng)) for _ in range(4000)]
+    totals = [len(_block_pairs([0, 1, 2], rng.integers(1, 3, 3), sgns.WORD_BLOCK))
+              for _ in range(4000)]
     assert np.mean(totals) == pytest.approx(5.0, abs=0.15)
 
 
 def test_word_pairs_stay_inside_the_window():
     rng = np.random.default_rng(1)
     sentence = list(range(10))
-    for _ in range(50):
-        for center, context in build_word_pairs(sentence, 3, rng):
-            assert center != context
-            assert abs(center - context) <= 3
+    for size in (1, 4, sgns.WORD_BLOCK):
+        for _ in range(50):
+            for center, context in _block_pairs(sentence, rng.integers(1, 4, 10), size):
+                assert center != context
+                assert abs(center - context) <= 3
 
 
-def test_item_pairs_enumerate_all_ordered_pairs():
-    assert build_item_pairs(["a", "b"]) == [("a", "b"), ("b", "a")]
-    pairs = build_item_pairs(["a", "b", "c"])
-    assert len(pairs) == 6
-    assert set(pairs) == {("a", "b"), ("a", "c"), ("b", "a"),
-                          ("b", "c"), ("c", "a"), ("c", "b")}
-    with pytest.raises(ValueError):
-        build_item_pairs(["a"])
-    with pytest.raises(ValueError):
-        build_item_pairs(["a", "a"])
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 256])
+def test_window_block_masks_equal_the_per_position_window_pairs(size):
+    rng = np.random.default_rng(size)
+    for length in (1, 2, 5, 12):
+        sentence = rng.integers(0, 4, length).tolist()  # word ids repeat
+        for _ in range(20):
+            spans = rng.integers(1, 5, length).tolist()
+            assert sorted(_block_pairs(sentence, spans, size)) == \
+                sorted(_reference_word_pairs(sentence, spans))
+
+
+def _recorded_blocks(monkeypatch, data, config):
+    """Every (centers, contexts, mask, negatives) that ``train_sgns`` passes
+    to ``train_pairs``, as id arrays of the trained table."""
+    calls = []
+    original = SgnsTrainer.train_pairs
+
+    def record(self, centers, contexts, mask, negatives, lr):
+        calls.append((np.array(centers), np.array(contexts), np.array(mask), np.array(negatives)))
+        original(self, centers, contexts, mask, negatives, lr)
+
+    monkeypatch.setattr(SgnsTrainer, "train_pairs", record)
+    table = train_sgns(data, config)
+    return table, calls
+
+
+def test_item_pairs_enumerate_all_ordered_pairs(monkeypatch):
+    sets = CooccurrenceSets([("a", "b"), ("c", "a", "d"), ("b", "c", "d", "e")])
+    config = SgnsConfig(dim=3, epochs=1, negatives=4, subsample=1.0, seed=0)
+    table, calls = _recorded_blocks(monkeypatch, sets, config)
+    assert len(calls) == len(sets)
+    for items, (centers, contexts, mask, negatives) in zip(sets.sets, calls):
+        ids = [table.ids[i] for i in centers]
+        assert ids == list(items)
+        assert np.array_equal(contexts, centers)
+        assert negatives.shape == (4,)
+        rows, cols = np.nonzero(mask)
+        pairs = [(ids[i], ids[j]) for i, j in zip(rows, cols)]
+        assert sorted(pairs) == sorted((a, b) for a in items for b in items if a != b)
+        assert mask.sum() == len(pairs)
+
+
+def test_word_blocks_of_a_long_sentence_cover_its_window_pairs(monkeypatch):
+    monkeypatch.setattr(sgns, "WORD_BLOCK", 3)
+    sentences = [[f"w{i}" for i in range(8)], ["x", "y"], ["z"]]
+    config = SgnsConfig(dim=3, epochs=2, negatives=2, subsample=1.0, window=1, seed=0)
+    table, calls = _recorded_blocks(monkeypatch, sentences, config)
+    # Window 1 fixes every span at 1: each epoch pairs neighbours only,
+    # in blocks of 3, 3 and 2 centers, then one block for ["x", "y"].
+    assert [len(c[0]) for c in calls] == [3, 3, 2, 2] * 2
+    pairs = []
+    for centers, contexts, mask, _ in calls[:4]:
+        rows, cols = np.nonzero(mask)
+        pairs += [(table.ids[centers[i]], table.ids[contexts[j]]) for i, j in zip(rows, cols)]
+    expected = []
+    for sentence in sentences:
+        expected += _reference_word_pairs(sentence, [1] * len(sentence))
+    assert sorted(pairs) == sorted(expected)
+    # Each block draws its own negatives.
+    assert len({c[3].tobytes() for c in calls}) > 1
 
 
 def test_discard_probability_formula():
@@ -274,27 +383,6 @@ def test_noise_sampler_single_id_and_validation():
         NoiseSampler(np.array([-1.0, 2.0]))
 
 
-def test_negative_draws_avoid_the_context_id():
-    # Heavy skew toward id 0 forces redraw rounds when 0 is forbidden.
-    sampler = NoiseSampler(np.array([10.0, 1.0]))
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        negatives = _draw_negatives(sampler, rng, 5, forbidden=0)
-        assert np.all(negatives == 1)
-
-
-def test_negative_draws_avoid_each_row_context():
-    # Heavy skew toward id 0 forces redraw rounds in the rows that forbid it.
-    sampler = NoiseSampler(np.array([20.0, 1.0, 1.0]))
-    rng = np.random.default_rng(5)
-    contexts = np.array([0, 1, 0, 2, 0, 0])
-    for _ in range(100):
-        negatives = _draw_negatives(sampler, rng, 4, contexts)
-        assert negatives.shape == (6, 4)
-        assert np.all(negatives != contexts[:, None])
-        assert np.any(negatives[contexts != 0] == 0)
-
-
 def _reference_pair_update(input_vecs, output_vecs, center, context,
                            negatives, lr):
     """Plain-loop recomputation of one SGNS step. All scores come from the
@@ -328,26 +416,59 @@ def test_train_pair_matches_reference_update(negatives):
     assert np.allclose(trainer.output, expected_out, atol=1e-12)
 
 
-def test_train_pairs_is_one_simultaneous_step_over_the_block():
-    # Center 0 repeats, context 2 of pair 0 is a negative of pairs 1 and 3,
-    # and pair 2 draws negative 4 twice.
-    centers = [0, 1, 0, 3]
-    contexts = [2, 0, 1, 4]
-    negatives = np.array([[3, 4], [2, 5], [4, 4], [2, 0]])
-    rng = np.random.default_rng(12)
-    trainer = SgnsTrainer(6, 5, rng)
-    trainer.output = rng.standard_normal((6, 5)) * 0.3
-    # The block's step is the sum of each pair's step taken from the
-    # pre-step tables.
+def _reference_block_update(trainer, centers, contexts, mask, negatives, lr):
+    """The sum of each masked pair's reference step from the pre-step
+    tables, every pair with the shared negatives minus those equal to its
+    context."""
     expected_in, expected_out = trainer.input.copy(), trainer.output.copy()
-    for center, context, negs in zip(centers, contexts, negatives):
+    for i, j in zip(*np.nonzero(mask)):
+        center, context = int(centers[i]), int(contexts[j])
+        negs = [n for n in negatives if n != context]
         pair_in, pair_out = _reference_pair_update(
-            trainer.input, trainer.output, center, context, negs, lr=0.1)
-        expected_in += pair_in - trainer.input
-        expected_out += pair_out - trainer.output
-    trainer.train_pairs(np.array(centers), np.array(contexts), negatives, lr=0.1)
+            trainer.input, trainer.output, center, context, negs, lr)
+        expected_in += mask[i, j] * (pair_in - trainer.input)
+        expected_out += mask[i, j] * (pair_out - trainer.output)
+    return expected_in, expected_out
+
+
+def _check_block_step(centers, contexts, mask, negatives, seed, vocab=7, lr=0.1):
+    mask = np.asarray(mask, dtype=float)
+    rng = np.random.default_rng(seed)
+    trainer = SgnsTrainer(vocab, 5, rng)
+    trainer.output = rng.standard_normal((vocab, 5)) * 0.3
+    expected_in, expected_out = _reference_block_update(
+        trainer, centers, contexts, mask, negatives, lr)
+    trainer.train_pairs(np.array(centers), np.array(contexts), mask, np.array(negatives), lr)
     assert np.allclose(trainer.input, expected_in, rtol=0, atol=1e-12)
     assert np.allclose(trainer.output, expected_out, rtol=0, atol=1e-12)
+
+
+def test_train_pairs_is_one_simultaneous_step_over_the_block():
+    # A sentence in which word 0 repeats, with its window mask; negative 2
+    # is the context of some pairs, and negative 4 is drawn twice.
+    sentence = [0, 2, 0, 3, 1]
+    (_, _, mask), = window_blocks(np.array([1, 2, 1, 2, 1]), sgns.WORD_BLOCK)
+    _check_block_step(sentence, sentence, mask, [4, 2, 4, 5], seed=12)
+
+
+@pytest.mark.parametrize("case", [
+    # item set: every ordered pair, negatives clear of the set
+    ([1, 3, 5], [1, 3, 5], 1.0 - np.eye(3), [0, 2, 6]),
+    # item set: a negative equal to one member, the context of two pairs
+    ([1, 3, 5], [1, 3, 5], 1.0 - np.eye(3), [3, 0, 6]),
+    # duplicated negative, one of them equal to a context
+    ([1, 3], [1, 3], 1.0 - np.eye(2), [3, 3, 6, 6]),
+    # repeated word id among centers and contexts of a sentence
+    ([2, 4, 2, 2], [2, 4, 2, 2], [[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 1], [0, 0, 1, 0]],
+     [2, 6, 0]),
+    # a block of a long sentence: contexts reach past its centers
+    ([4, 1], [0, 4, 1, 3], [[1, 0, 1, 1], [0, 1, 0, 1]], [1, 1, 5]),
+    # a weighted pair counts its weight times
+    ([0], [1], [[2.0]], [3, 1]),
+], ids=["item", "negative-is-a-member", "duplicate-negative", "repeated-word",
+        "contexts-beyond-centers", "weighted-pair"])
+def test_block_step_equals_the_sum_of_its_pair_updates(case):
+    _check_block_step(*case, seed=len(case[0]))
 
 
 def test_train_pair_zero_tables_are_a_fixed_point():
