@@ -22,8 +22,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .features import Centroids, fit_feature_context, featurize_item
-from .model import (Cb2cfModel, SystemSpec, TrainConfig, build_model,
-                    bundle_parts, predict, train)
+from .model import (Cb2cfModel, SystemSpec, TrainConfig, _target_vector,
+                    build_model, bundle_parts, predict, train)
 from .sgns import EmbeddingTable, cosine_scores, top_rows
 
 DEFAULT_NDCG_KS = (10, 30, 50, 100, 200, 500, 1000)
@@ -63,25 +63,14 @@ def make_folds(ids: Sequence[str], folds: int = 10, seed: int = 0) -> FoldAssign
                           folds, seed)
 
 
-def _vector(source, item_id: str) -> np.ndarray:
-    if isinstance(source, EmbeddingTable):
-        if item_id not in source:
-            raise ValueError(f"no vector for item {item_id!r}")
-        return source.get(item_id)
-    return np.asarray(source[item_id], dtype=np.float64)
-
-
 def mse_metric(originals, predictions: Mapping[str, np.ndarray]) -> float:
     """Mean over items of the per-coordinate mean squared difference."""
     if not predictions:
         raise ValueError("no predictions")
     total = 0.0
     for item_id, predicted in predictions.items():
-        original = _vector(originals, item_id)
         predicted = np.asarray(predicted, dtype=np.float64)
-        if predicted.shape != original.shape:
-            raise ValueError(f"shape mismatch for {item_id!r}")
-        diff = predicted - original
+        diff = predicted - _target_vector(originals, item_id, predicted.shape)
         total += float(np.sum(diff * diff) / diff.size)
     return total / len(predictions)
 

@@ -1,4 +1,4 @@
-"""Content featurization: text word-vector matrices, clustered bag-of-words
+"""Content featurization: text word indices, clustered bag-of-words
 histograms, binary tag vectors, and a standardized release-year scalar.
 
 A FeatureContext bundles every fitted statistic (tag vocabulary, year
@@ -53,23 +53,6 @@ def text_word_indices(tokens: Sequence[str], table: EmbeddingTable,
             if len(out) == max_words:
                 break
     return np.array(out, dtype=np.int64)
-
-
-@dataclass
-class TextMatrix:
-    rows: np.ndarray
-    effective_length: int
-
-
-def text_matrix(text: str | None, table: EmbeddingTable, max_words: int) -> TextMatrix:
-    """Stack word vectors for the first in-table words, zero-padded to a
-    fixed row count. Missing text becomes the 'n/a' token, which normally has
-    no vector and therefore yields an all-zero matrix."""
-    indices = text_word_indices(text_tokens(text), table, max_words)
-    rows = np.zeros((max_words, table.dim), dtype=np.float64)
-    if len(indices):
-        rows[: len(indices)] = table.vectors[indices]
-    return TextMatrix(rows, len(indices))
 
 
 @dataclass
@@ -390,26 +373,37 @@ def save_feature_context(context: FeatureContext, dirpath: str | Path) -> None:
         json.dump(manifest, fh, sort_keys=True, indent=2)
 
 
+def _field(mapping, key: str, path: Path):
+    """``mapping[key]``, or a ValueError naming the file and the key."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise ValueError(f"{path}: missing key {key!r}")
+    return mapping[key]
+
+
 def load_feature_context(dirpath: str | Path) -> FeatureContext:
     directory = Path(dirpath)
-    with open(directory / MANIFEST_NAME, encoding="utf-8") as fh:
+    manifest_path = directory / MANIFEST_NAME
+    with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if manifest.get("version") != CONTEXT_VERSION:
-        raise ValueError(f"unsupported feature context version {manifest.get('version')!r}")
-    with open(directory / manifest["files"]["tag_vocab"], encoding="utf-8") as fh:
+    if _field(manifest, "version", manifest_path) != CONTEXT_VERSION:
+        raise ValueError(f"{manifest_path}: unsupported version {manifest['version']!r}")
+    files = _field(manifest, "files", manifest_path)
+    vocab_path = directory / _field(files, "tag_vocab", manifest_path)
+    with open(vocab_path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    vocab = TagVocabulary(raw["tags"], raw["counts"], raw["min_count"])
+    vocab = TagVocabulary(*(_field(raw, k, vocab_path) for k in ("tags", "counts", "min_count")))
     word_table = None
-    if manifest["files"].get("word_vectors"):
-        word_table = EmbeddingTable.load(directory / manifest["files"]["word_vectors"])
+    if files.get("word_vectors"):
+        word_table = EmbeddingTable.load(directory / files["word_vectors"])
     centroids = None
-    if manifest["files"].get("centroids"):
-        centroids = load_centroids(directory / manifest["files"]["centroids"])
+    if files.get("centroids"):
+        centroids = load_centroids(directory / files["centroids"])
     return FeatureContext(
         tag_vocab=vocab,
-        year_stats=YearStats(float(manifest["year_mean"]), float(manifest["year_std"])),
+        year_stats=YearStats(*(float(_field(manifest, k, manifest_path))
+                               for k in ("year_mean", "year_std"))),
         word_table=word_table,
         centroids=centroids,
-        max_words=int(manifest["max_words"]),
-        temperature=float(manifest["temperature"]),
+        max_words=int(_field(manifest, "max_words", manifest_path)),
+        temperature=float(_field(manifest, "temperature", manifest_path)),
     )

@@ -2,18 +2,22 @@
 collaborative-filtering item vectors.
 
 Each enabled component (text CNN, clustered bag-of-words, one binary input
-per tag field, release year) produces a hidden activation; the combiner
-concatenates them, applies one more hidden layer, and a linear output layer
-emits the predicted CF vector. All hidden activations are ReLU; the loss is
-mean squared error with L2 on the conv filters, the tag hidden weights, and
-the combiner hidden weights.
+per tag field, release year) feeds its feature-bundle part through a small
+stack of dense ReLU layers; the combiner concatenates the stacks' outputs,
+applies one more hidden layer, and a linear output layer emits the predicted
+CF vector. ``COMPONENTS`` is the one table of what each component reads and
+which dense layers it owns; the forward and backward passes run every stack
+through the same loop, and only the CNN adds a front (its convolution and
+max-pool over the word rows) below its stack. The loss is mean squared error
+with L2 on the conv filters, the tag hidden weights, and the combiner hidden
+weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,14 +26,24 @@ from .features import (FeatureBundle, FeatureContext, TAG_FIELDS,
                        load_feature_context)
 from .sgns import EmbeddingTable, similarity_search
 
-COMPONENT_ORDER = ("CNN", "BOW", "Genres", "Actors", "Director", "Language", "Year")
-TAG_COMPONENT_FIELDS = {"Genres": "genres", "Actors": "actors",
-                        "Director": "directors", "Language": "languages"}
+# Component -> (the feature-bundle part it reads, its dense layers bottom
+# first), in canonical order. Layer "x" owns parameters "x.weight" and
+# "x.bias"; BOW's unit dropout masks the input of its second layer.
+COMPONENTS = {
+    "CNN": ("text", ("cnn.fc",)),
+    "BOW": ("bow", ("bow.fc1", "bow.fc2")),
+    "Genres": ("genres", ("genres",)),
+    "Actors": ("actors", ("actors",)),
+    "Director": ("directors", ("director",)),
+    "Language": ("languages", ("language",)),
+    "Year": ("year", ("year",)),
+}
+COMPONENT_ORDER = tuple(COMPONENTS)
+TAG_COMPONENT_FIELDS = {c: part for c, (part, _) in COMPONENTS.items() if part in TAG_FIELDS}
 CNN_VARIANTS = ("non-static", "static", "random-init")
-_GROUPS = {"Tags": ("Genres", "Actors", "Director", "Language")}
-# The feature-bundle part each component reads.
-_COMPONENT_PARTS = {"CNN": "text", "BOW": "bow", "Year": "year", **TAG_COMPONENT_FIELDS}
+_GROUPS = {"Tags": tuple(TAG_COMPONENT_FIELDS)}
 MODEL_KIND = "cb2cf-model"
+PREDICT_CHUNK = 256  # bundles per forward pass in ``predict``
 
 
 def parse_system(name: str) -> tuple[str, ...]:
@@ -104,17 +118,13 @@ class SystemSpec:
 
 
 def bundle_parts(spec: SystemSpec) -> set[str]:
-    return {_COMPONENT_PARTS[comp] for comp in spec.components}
+    return {COMPONENTS[comp][0] for comp in spec.components}
 
 
 def component_output_dims(spec: SystemSpec) -> dict[str, int]:
     widths = {"CNN": spec.cnn_hidden, "BOW": spec.bow_hidden,
               "Year": spec.year_hidden, **spec.tag_hidden}
     return {comp: widths[comp] for comp in spec.components}
-
-
-def _key(component: str) -> str:
-    return component.lower()
 
 
 class Cb2cfModel:
@@ -135,93 +145,117 @@ class Cb2cfModel:
         self.embedding_trainable = embedding_trainable
 
     def l2_weight_names(self) -> list[str]:
-        names = []
-        if "CNN" in self.spec.components:
-            names.append("cnn.filters")
-        for comp in self.spec.components:
-            if comp in TAG_COMPONENT_FIELDS:
-                names.append(f"{_key(comp)}.weight")
-        names.append("combiner.weight")
-        return names
+        comps = self.spec.components
+        names = ["cnn.filters"] if "CNN" in comps else []
+        names += [f"{COMPONENTS[c][1][0]}.weight" for c in comps if c in TAG_COMPONENT_FIELDS]
+        return names + ["combiner.weight"]
 
     def parameter_count(self) -> int:
         return int(sum(p.size for p in self.params.values()))
 
 
+def _init_dense(params: dict, rng, name: str, fan_in: int, fan_out: int) -> None:
+    params[f"{name}.weight"] = net.glorot_uniform(rng, fan_in, fan_out, (fan_out, fan_in))
+    params[f"{name}.bias"] = np.zeros(fan_out)
+
+
 def build_model(spec: SystemSpec, features: FeatureContext, seed: int = 0) -> Cb2cfModel:
-    """Allocate parameters for the enabled components. Weights are uniform
-    in +-sqrt(6/(fan_in+fan_out)), biases zero. Component input sizes come
-    from the fitted feature context."""
+    """Allocate parameters for the enabled components, in table order.
+    Weights are uniform in +-sqrt(6/(fan_in+fan_out)), biases zero.
+    Component input sizes come from the fitted feature context."""
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     embedding = None
-    embedding_trainable = False
+    dims = component_output_dims(spec)
 
     for comp in spec.components:
-        if comp == "CNN":
-            if features.word_table is None:
-                raise ValueError("CNN component needs a word table in the feature context")
+        part, layers = COMPONENTS[comp]
+        if part == "text":
             table = features.word_table
-            word_dim = table.dim
-            if spec.cnn_variant == "random-init":
-                embedding = rng.uniform(-0.5 / word_dim, 0.5 / word_dim,
-                                        size=table.vectors.shape)
-            else:
-                embedding = table.vectors.copy()
-            embedding_trainable = spec.cnn_variant != "static"
-            fan_in = spec.cnn_width * word_dim
+            if table is None:
+                raise ValueError("CNN component needs a word table in the feature context")
+            embedding = (rng.uniform(-0.5 / table.dim, 0.5 / table.dim, size=table.vectors.shape)
+                         if spec.cnn_variant == "random-init" else table.vectors.copy())
             params["cnn.filters"] = net.glorot_uniform(
-                rng, fan_in, spec.cnn_filters, (spec.cnn_filters, spec.cnn_width, word_dim))
+                rng, spec.cnn_width * table.dim, spec.cnn_filters,
+                (spec.cnn_filters, spec.cnn_width, table.dim))
             params["cnn.conv_bias"] = np.zeros(spec.cnn_filters)
-            params["cnn.fc.weight"] = net.glorot_uniform(
-                rng, spec.cnn_filters, spec.cnn_hidden, (spec.cnn_hidden, spec.cnn_filters))
-            params["cnn.fc.bias"] = np.zeros(spec.cnn_hidden)
-        elif comp == "BOW":
+            width = spec.cnn_filters
+        elif part == "bow":
             if features.centroids is None:
                 raise ValueError("BOW component needs centroids in the feature context")
-            bins = len(features.centroids)
-            params["bow.fc1.weight"] = net.glorot_uniform(
-                rng, bins, spec.bow_hidden, (spec.bow_hidden, bins))
-            params["bow.fc1.bias"] = np.zeros(spec.bow_hidden)
-            params["bow.fc2.weight"] = net.glorot_uniform(
-                rng, spec.bow_hidden, spec.bow_hidden, (spec.bow_hidden, spec.bow_hidden))
-            params["bow.fc2.bias"] = np.zeros(spec.bow_hidden)
-        elif comp == "Year":
-            params["year.weight"] = net.glorot_uniform(rng, 1, spec.year_hidden,
-                                                       (spec.year_hidden, 1))
-            params["year.bias"] = np.zeros(spec.year_hidden)
+            width = len(features.centroids)
         else:
-            field_name = TAG_COMPONENT_FIELDS[comp]
-            size = spec.tag_hidden[comp]
-            width = features.tag_vocab.size(field_name)
-            params[f"{_key(comp)}.weight"] = net.glorot_uniform(rng, width, size, (size, width))
-            params[f"{_key(comp)}.bias"] = np.zeros(size)
+            width = 1 if part == "year" else features.tag_vocab.size(part)
+        for name in layers:
+            _init_dense(params, rng, name, width, dims[comp])
+            width = dims[comp]
 
-    dims = component_output_dims(spec)
-    concat_dim = sum(dims[c] for c in spec.components)
-    params["combiner.weight"] = net.glorot_uniform(
-        rng, concat_dim, spec.combiner_hidden, (spec.combiner_hidden, concat_dim))
-    params["combiner.bias"] = np.zeros(spec.combiner_hidden)
-    params["output.weight"] = net.glorot_uniform(
-        rng, spec.combiner_hidden, spec.output_dim, (spec.output_dim, spec.combiner_hidden))
-    params["output.bias"] = np.zeros(spec.output_dim)
-    return Cb2cfModel(spec, params, features, embedding, embedding_trainable)
+    _init_dense(params, rng, "combiner", sum(dims.values()), spec.combiner_hidden)
+    _init_dense(params, rng, "output", spec.combiner_hidden, spec.output_dim)
+    return Cb2cfModel(spec, params, features, embedding,
+                      embedding is not None and spec.cnn_variant != "static")
 
 
-def _batch_input(bundles: Sequence[FeatureBundle], comp: str) -> list:
-    """Each bundle's input to the component, which must be present."""
-    part = _COMPONENT_PARTS[comp]
-    if part == "text":
-        values = [b.text_indices for b in bundles]
-    elif part == "bow":
-        values = [b.bow for b in bundles]
-    elif part == "year":
-        values = [None if b.year is None else [b.year] for b in bundles]
-    else:
-        values = [b.tags.get(part) for b in bundles]
+def _batch_input(bundles: Sequence[FeatureBundle], comp: str):
+    """Each bundle's input to the component, which must be present: the
+    word-index arrays for the CNN, else one row per bundle."""
+    part = COMPONENTS[comp][0]
+    values = [b.text_indices if part == "text" else
+              b.tags.get(part) if part in TAG_FIELDS else getattr(b, part)
+              for b in bundles]
     if any(v is None for v in values):
         raise ValueError(f"bundle has no {part} input for the enabled {comp} component")
-    return values
+    return values if part == "text" else np.vstack(values)
+
+
+def _text_forward(model: Cb2cfModel, texts: list, word_masks: list) -> tuple:
+    """Convolution and max-pool over each text's word rows. The rows stop
+    one padding window past the words: every later window is all padding
+    and scores exactly the conv bias, so keeping one of them leaves the
+    first-occurrence max where the full-length matrix has it."""
+    spec = model.spec
+    pooled = np.empty((len(texts), spec.cnn_filters))
+    conv_caches = []
+    for i, indices in enumerate(texts):
+        k = len(indices)
+        matrix = np.zeros((min(spec.text_length, k + spec.cnn_width),
+                           model.embedding.shape[1]))
+        if k:
+            matrix[:k] = model.embedding[indices]
+        if word_masks:
+            matrix[:k] *= word_masks[i][:, None]
+        pooled[i], conv_cache = net.conv1d_maxpool_forward(
+            matrix, model.params["cnn.filters"], model.params["cnn.conv_bias"])
+        conv_caches.append((k, conv_cache))
+    indices = np.concatenate([np.asarray(t, dtype=np.int64) for t in texts])
+    mask = np.concatenate(word_masks) if word_masks else None
+    return indices, mask, conv_caches, pooled
+
+
+def _text_backward(model: Cb2cfModel, text_cache: tuple, grad_act: np.ndarray,
+                   grads: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of ``_text_forward`` given the gradient of relu(pooled);
+    returns the touched word-table rows and their summed gradients."""
+    indices, mask, conv_caches, pooled = text_cache
+    grad_pooled = net.relu_backward(pooled, grad_act)
+    grad_filters = np.zeros_like(model.params["cnn.filters"])
+    text_grads = []
+    for (k, conv_cache), grad_row in zip(conv_caches, grad_pooled):
+        grad_matrix, grad_f, _ = net.conv1d_maxpool_backward(conv_cache, grad_row)
+        grad_filters += grad_f
+        text_grads.append(grad_matrix[:k])
+    grads["cnn.filters"] = grad_filters
+    grads["cnn.conv_bias"] = grad_pooled.sum(axis=0)
+    if not (model.embedding_trainable and len(indices)):
+        return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
+    text_rows = np.concatenate(text_grads)
+    if mask is not None:
+        text_rows = text_rows * mask[:, None]
+    rows, inverse = np.unique(indices, return_inverse=True)
+    row_grads = np.zeros((len(rows), text_rows.shape[1]))
+    np.add.at(row_grads, inverse, text_rows)
+    return rows, row_grads
 
 
 def forward_batch(model: Cb2cfModel, bundles: Sequence[FeatureBundle], *,
@@ -247,59 +281,32 @@ def forward_batch(model: Cb2cfModel, bundles: Sequence[FeatureBundle], *,
             word_masks.append(net.dropout_mask(rng, len(texts[i]), word_dropout))
         if "BOW" in inputs and unit_dropout > 0:
             unit_masks.append(net.dropout_mask(rng, spec.bow_hidden, unit_dropout))
-    caches: dict[str, tuple] = {}
+    unit_mask = np.stack(unit_masks) if unit_masks else None
+    cache: dict = {"components": {}, "unit_mask": unit_mask}
     outputs: list[np.ndarray] = []
 
     for comp in spec.components:
+        x = inputs[comp]
         if comp == "CNN":
-            pooled = np.empty((len(bundles), spec.cnn_filters))
-            conv_caches = []
-            for i, indices in enumerate(texts):
-                # Every window from row k on is all padding and scores
-                # exactly the conv bias; keeping one of them leaves the
-                # first-occurrence max where the full-length matrix has it.
-                k = len(indices)
-                matrix = np.zeros((min(spec.text_length, k + spec.cnn_width),
-                                   model.embedding.shape[1]))
-                if k:
-                    matrix[:k] = model.embedding[indices]
-                if word_masks:
-                    matrix[:k] *= word_masks[i][:, None]
-                pooled[i], conv_cache = net.conv1d_maxpool_forward(
-                    matrix, params["cnn.filters"], params["cnn.conv_bias"])
-                conv_caches.append((k, conv_cache))
-            act, _ = net.relu_forward(pooled)
-            pre, fc_cache = net.dense_forward(act, params["cnn.fc.weight"],
-                                              params["cnn.fc.bias"])
-            hidden, _ = net.relu_forward(pre)
-            indices = np.concatenate([np.asarray(t, dtype=np.int64) for t in texts])
-            mask = np.concatenate(word_masks) if word_masks else None
-            caches[comp] = (indices, mask, conv_caches, pooled, fc_cache, pre)
-        elif comp == "BOW":
-            pre1, c1 = net.dense_forward(np.array(inputs[comp], dtype=np.float64),
-                                         params["bow.fc1.weight"], params["bow.fc1.bias"])
-            act1, _ = net.relu_forward(pre1)
-            mask = np.stack(unit_masks) if unit_masks else None
-            pre2, c2 = net.dense_forward(act1 if mask is None else act1 * mask,
-                                         params["bow.fc2.weight"], params["bow.fc2.bias"])
-            hidden, _ = net.relu_forward(pre2)
-            caches[comp] = (c1, pre1, mask, c2, pre2)
-        else:
-            pre, c = net.dense_forward(np.array(inputs[comp], dtype=np.float64),
-                                       params[f"{_key(comp)}.weight"],
-                                       params[f"{_key(comp)}.bias"])
-            hidden, _ = net.relu_forward(pre)
-            caches[comp] = (c, pre)
-        outputs.append(hidden)
+            cache["text"] = _text_forward(model, x, word_masks)
+            x, _ = net.relu_forward(cache["text"][3])
+        layer_caches = []
+        for j, name in enumerate(COMPONENTS[comp][1]):
+            if j and unit_mask is not None:
+                x = x * unit_mask
+            pre, dense_cache = net.dense_forward(x, params[f"{name}.weight"],
+                                                 params[f"{name}.bias"])
+            x, _ = net.relu_forward(pre)
+            layer_caches.append((dense_cache, pre))
+        cache["components"][comp] = layer_caches
+        outputs.append(x)
 
     concat = np.concatenate(outputs, axis=1)
-    pre_comb, comb_cache = net.dense_forward(concat, params["combiner.weight"],
-                                             params["combiner.bias"])
-    combined, _ = net.relu_forward(pre_comb)
-    predictions, out_cache = net.dense_forward(combined, params["output.weight"],
-                                               params["output.bias"])
-    cache = {"components": caches, "pre_comb": pre_comb, "comb_cache": comb_cache,
-             "out_cache": out_cache}
+    cache["pre_comb"], cache["comb_cache"] = net.dense_forward(
+        concat, params["combiner.weight"], params["combiner.bias"])
+    combined, _ = net.relu_forward(cache["pre_comb"])
+    predictions, cache["out_cache"] = net.dense_forward(
+        combined, params["output.weight"], params["output.bias"])
     return predictions, cache
 
 
@@ -308,7 +315,6 @@ def backward_batch(model: Cb2cfModel, cache: dict, grad_predictions: np.ndarray)
     Returns (grads, (rows, row_grads)): the distinct touched word-table rows
     in ascending order with their summed gradients (both empty unless the
     embedding is trainable); repeated words accumulate."""
-    spec = model.spec
     grads: dict[str, np.ndarray] = {}
     grad_combined, grads["output.weight"], grads["output.bias"] = \
         net.dense_backward(cache["out_cache"], grad_predictions)
@@ -316,68 +322,21 @@ def backward_batch(model: Cb2cfModel, cache: dict, grad_predictions: np.ndarray)
     grad_concat, grads["combiner.weight"], grads["combiner.bias"] = \
         net.dense_backward(cache["comb_cache"], grad_pre_comb)
 
-    dims = component_output_dims(spec)
     rows, row_grads = np.zeros(0, dtype=np.int64), np.zeros((0, 0))
     offset = 0
-    for comp in spec.components:
-        width = dims[comp]
-        grad_hidden = grad_concat[:, offset:offset + width]
+    for comp, width in component_output_dims(model.spec).items():
+        grad = grad_concat[:, offset:offset + width]
         offset += width
-        comp_cache = cache["components"][comp]
+        layers = COMPONENTS[comp][1]
+        for j in reversed(range(len(layers))):
+            dense_cache, pre = cache["components"][comp][j]
+            grad, grads[f"{layers[j]}.weight"], grads[f"{layers[j]}.bias"] = \
+                net.dense_backward(dense_cache, net.relu_backward(pre, grad))
+            if j:
+                grad = net.dropout_backward(cache["unit_mask"], grad)
         if comp == "CNN":
-            indices, mask, conv_caches, pooled, fc_cache, pre = comp_cache
-            grad_pre = net.relu_backward(pre, grad_hidden)
-            grad_act, grads["cnn.fc.weight"], grads["cnn.fc.bias"] = \
-                net.dense_backward(fc_cache, grad_pre)
-            grad_pooled = net.relu_backward(pooled, grad_act)
-            grad_filters = np.zeros_like(model.params["cnn.filters"])
-            text_grads = []
-            for (k, conv_cache), grad_row in zip(conv_caches, grad_pooled):
-                grad_matrix, grad_f, _ = net.conv1d_maxpool_backward(conv_cache, grad_row)
-                grad_filters += grad_f
-                text_grads.append(grad_matrix[:k])
-            grads["cnn.filters"] = grad_filters
-            grads["cnn.conv_bias"] = grad_pooled.sum(axis=0)
-            if model.embedding_trainable and len(indices):
-                text_rows = np.concatenate(text_grads)
-                if mask is not None:
-                    text_rows = text_rows * mask[:, None]
-                rows, inverse = np.unique(indices, return_inverse=True)
-                row_grads = np.zeros((len(rows), text_rows.shape[1]))
-                np.add.at(row_grads, inverse, text_rows)
-        elif comp == "BOW":
-            c1, pre1, mask, c2, pre2 = comp_cache
-            grad_pre2 = net.relu_backward(pre2, grad_hidden)
-            grad_dropped, grads["bow.fc2.weight"], grads["bow.fc2.bias"] = \
-                net.dense_backward(c2, grad_pre2)
-            grad_act1 = net.dropout_backward(mask, grad_dropped)
-            grad_pre1 = net.relu_backward(pre1, grad_act1)
-            _, grads["bow.fc1.weight"], grads["bow.fc1.bias"] = \
-                net.dense_backward(c1, grad_pre1)
-        else:
-            c, pre = comp_cache
-            grad_pre = net.relu_backward(pre, grad_hidden)
-            _, grads[f"{_key(comp)}.weight"], grads[f"{_key(comp)}.bias"] = \
-                net.dense_backward(c, grad_pre)
+            rows, row_grads = _text_backward(model, cache["text"], grad, grads)
     return grads, (rows, row_grads)
-
-
-def forward(model: Cb2cfModel, bundle: FeatureBundle, *, train: bool = False,
-            rng=None, word_dropout: float = 0.0, unit_dropout: float = 0.0):
-    """One example forward pass, a batch of one through ``forward_batch``.
-    Returns (prediction, cache)."""
-    predictions, cache = forward_batch(model, [bundle], train=train, rng=rng,
-                                       word_dropout=word_dropout,
-                                       unit_dropout=unit_dropout)
-    return predictions[0], cache
-
-
-def backward(model: Cb2cfModel, cache: dict, grad_prediction: np.ndarray):
-    """Gradients of the cached one-example forward pass. Returns (grads,
-    embedding_rows) where embedding_rows maps touched word-table rows to
-    their gradients; duplicate words in the text accumulate."""
-    grads, (rows, row_grads) = backward_batch(model, cache, grad_prediction[None, :])
-    return grads, dict(zip(rows.tolist(), row_grads))
 
 
 @dataclass
@@ -430,15 +389,14 @@ class TrainReport:
         return lines
 
 
-def _target_vector(targets, item_id: str, dim: int) -> np.ndarray:
-    """The item's vector from a table or mapping, checked to have ``dim``
-    coordinates."""
+def _target_vector(targets, item_id: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The item's vector from a table or mapping, checked to have ``shape``."""
     if item_id not in targets:
         raise ValueError(f"no target vector for item {item_id!r}")
     vec = (targets.get(item_id) if isinstance(targets, EmbeddingTable)
            else np.asarray(targets[item_id], dtype=np.float64))
-    if vec.shape != (dim,):
-        raise ValueError(f"target for {item_id!r} has shape {vec.shape}, expected ({dim},)")
+    if vec.shape != shape:
+        raise ValueError(f"target for {item_id!r} has shape {vec.shape}, expected {shape}")
     return vec
 
 
@@ -465,8 +423,8 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
     """
     if not bundles:
         raise ValueError("no training items")
-    dim = model.spec.output_dim
-    target_rows = np.stack([_target_vector(targets, b.item_id, dim) for b in bundles])
+    shape = (model.spec.output_dim,)
+    target_rows = np.stack([_target_vector(targets, b.item_id, shape) for b in bundles])
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(bundles))
@@ -538,32 +496,34 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
 
 
 def predict(model: Cb2cfModel, bundles: Sequence[FeatureBundle]) -> np.ndarray:
-    """Eval-mode predictions, one row per bundle, order preserved."""
+    """Eval-mode predictions, one row per bundle, order preserved; one
+    ``forward_batch`` per ``PREDICT_CHUNK`` bundles."""
     out = np.zeros((len(bundles), model.spec.output_dim))
-    for i, bundle in enumerate(bundles):
-        out[i], _ = forward(model, bundle)
+    for start in range(0, len(bundles), PREDICT_CHUNK):
+        out[start:start + PREDICT_CHUNK], _ = forward_batch(
+            model, bundles[start:start + PREDICT_CHUNK])
     return out
 
 
-def _tag_component(model: Cb2cfModel, field_name: str) -> str:
+def _tag_layer(model: Cb2cfModel, field_name: str):
+    """(field, weight, bias) of the tag component named by its field or
+    component name."""
     for comp, fname in TAG_COMPONENT_FIELDS.items():
         if fname == field_name or comp == field_name:
             if comp not in model.spec.components:
                 raise ValueError(f"component {comp} is not enabled in this model")
-            return comp
+            layer = COMPONENTS[comp][1][0]
+            return fname, model.params[f"{layer}.weight"], model.params[f"{layer}.bias"]
     raise ValueError(f"unknown tag field {field_name!r}")
 
 
 def tag_representation(model: Cb2cfModel, field_name: str, tag: str) -> np.ndarray:
     """Hidden activation of the field's component for the tag's one-hot
     input: relu(W[:, tag] + b)."""
-    comp = _tag_component(model, field_name)
-    fname = TAG_COMPONENT_FIELDS[comp]
+    fname, weight, bias = _tag_layer(model, field_name)
     index = model.features.tag_vocab.index[fname]
     if tag not in index:
         raise ValueError(f"unknown {fname} tag {tag!r}")
-    weight = model.params[f"{_key(comp)}.weight"]
-    bias = model.params[f"{_key(comp)}.bias"]
     return np.maximum(weight[:, index[tag]] + bias, 0.0)
 
 
@@ -571,11 +531,8 @@ def analogy(model: Cb2cfModel, field_name: str, a: str, b: str, c: str,
             topk: int = 1) -> list[tuple[str, float]]:
     """Rank tags by cosine to repr(c) + repr(a) - repr(b), excluding the
     three query tags. Ties break on ascending tag id."""
-    comp = _tag_component(model, field_name)
-    fname = TAG_COMPONENT_FIELDS[comp]
+    fname, weight, bias = _tag_layer(model, field_name)
     tags = model.features.tag_vocab.tags[fname]
-    weight = model.params[f"{_key(comp)}.weight"]
-    bias = model.params[f"{_key(comp)}.bias"]
     reps = np.maximum(weight + bias[:, None], 0.0).T  # (tags, hidden)
     rep = {}
     for name in (a, b, c):

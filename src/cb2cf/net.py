@@ -11,6 +11,8 @@ test suite.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
@@ -98,18 +100,6 @@ def conv1d_maxpool_backward(cache, grad_pooled: np.ndarray):
 def dropout_mask(rng, shape, p: float) -> np.ndarray:
     """Inverted-dropout mask: 0 with probability p, else 1/(1-p)."""
     return (rng.random(shape) >= p) / (1.0 - p)
-
-
-def dropout_forward(x: np.ndarray, p: float, rng, train: bool):
-    """Inverted dropout: kept units are scaled by 1/(1-p) at train time so
-    evaluation is the identity. Returns (y, mask); mask is None when inactive.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError("dropout probability must be in [0, 1)")
-    if not train or p == 0.0:
-        return x, None
-    mask = dropout_mask(rng, x.shape, p)
-    return x * mask, mask
 
 
 def dropout_backward(mask, grad_out: np.ndarray) -> np.ndarray:
@@ -270,24 +260,41 @@ def save_checkpoint(path: str | Path, tensors: Mapping[str, np.ndarray],
 
 
 def load_checkpoint(path: str | Path):
-    """Returns (tensors, meta). Rejects unknown container versions."""
+    """Returns (tensors, meta). Every manifest field is checked, and the
+    declared tensor bytes must match the bytes after the manifest, before
+    any tensor is read; a bad file raises ValueError naming the path."""
+    def bad(reason: str) -> ValueError:
+        return ValueError(f"checkpoint {path}: {reason}")
+
     with open(path, "rb") as fh:
-        manifest = json.loads(fh.readline().decode("utf-8"))
+        try:
+            manifest = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            raise bad(f"unreadable manifest line ({exc})") from None
+        if not isinstance(manifest, dict):
+            raise bad("manifest is not a JSON object")
         if manifest.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {manifest.get('version')!r}")
-        tensors: dict[str, np.ndarray] = {}
-        for entry in manifest["tensors"]:
-            shape = entry["shape"]
+            raise bad(f"unsupported checkpoint version {manifest.get('version')!r}")
+        entries, meta = manifest.get("tensors"), manifest.get("meta", {})
+        if not isinstance(entries, list) or not isinstance(meta, dict):
+            raise bad("'tensors' must be a list and 'meta' an object")
+        shapes: list[tuple[str, tuple[int, ...]]] = []
+        for entry in entries:
+            name = entry.get("name") if isinstance(entry, dict) else None
+            if not isinstance(name, str):
+                raise bad(f"tensor entry {entry!r} has no string 'name'")
+            shape = entry.get("shape")
             if not (isinstance(shape, list)
                     and all(type(d) is int and d >= 0 for d in shape)):
-                raise ValueError(f"tensor {entry['name']!r} has invalid shape {shape!r}: "
-                                 "expected a list of non-negative integers")
-            shape = tuple(shape)
-            size = int(np.prod(shape)) if shape else 1
-            raw = fh.read(size * 8)
-            if len(raw) != size * 8:
-                raise ValueError(f"checkpoint truncated at tensor {entry['name']!r}")
-            tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise ValueError("trailing bytes after declared tensors")
-    return tensors, manifest.get("meta", {})
+                raise bad(f"tensor {name!r} has invalid shape {shape!r}: "
+                          "expected a list of non-negative integers")
+            shapes.append((name, tuple(shape)))
+        declared = sum(8 * math.prod(shape) for _, shape in shapes)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if declared != left:
+            kind = "truncated" if declared > left else "has trailing bytes"
+            raise bad(f"{kind}: the manifest declares {declared} tensor bytes, "
+                      f"{left} follow it")
+        tensors = {name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8")
+                   .reshape(shape).copy() for name, shape in shapes}
+    return tensors, meta

@@ -23,9 +23,9 @@ from cb2cf.evaluation import (EvalDataset, make_folds, mean_ndcg, mpr,
                               mse_metric, ndcg_at_k, percentile_rank,
                               run_system)
 from cb2cf.features import (Centroids, bow_histogram, fit_feature_context,
-                            featurize_item, text_matrix)
-from cb2cf.model import (SystemSpec, TrainConfig, analogy, backward,
-                         build_model, bundle_parts, forward, train)
+                            featurize_item)
+from cb2cf.model import (SystemSpec, TrainConfig, analogy, backward_batch,
+                         build_model, bundle_parts, forward_batch, train)
 from cb2cf.sgns import EmbeddingTable, SgnsConfig, similarity_search, train_sgns
 from cb2cf.synthetic import SyntheticSpec, cluster_labels, generate_synthetic
 
@@ -107,9 +107,10 @@ def test_criterion_1_gradient_correctness():
             model.params[name] = tensors[name]
         for r in rows:
             model.embedding[r] = tensors[f"embedding_row_{r}"]
-        pred, cache = forward(model, bundle)
-        loss, grad_pred = net.mse_loss(pred, target)
-        grads, emb_rows = backward(model, cache, grad_pred)
+        preds, cache = forward_batch(model, [bundle])
+        loss, grad_pred = net.mse_loss(preds[0], target)
+        grads, (touched, touched_grads) = backward_batch(model, cache, grad_pred[None, :])
+        emb_rows = dict(zip(touched.tolist(), touched_grads))
         penalty, penalty_grads = net.l2_penalty(
             {n: model.params[n] for n in l2_names}, lam)
         for name, g in penalty_grads.items():
@@ -350,14 +351,21 @@ def test_criterion_7_featurization_invariants():
             failures.append(f"bow simplex broken on trial {trial}")
             break
 
-    # Text matrices are exactly zero past the effective length.
+    # The CNN's text rows are exactly zero past the item's words.
+    text_spec = SystemSpec.named("CNN", output_dim=2, cnn_filters=2, cnn_width=3,
+                                 cnn_hidden=2, combiner_hidden=2, text_length=8)
     for trial in range(20):
         words = [f"w{c}" for c in "abcdef"]
         table = EmbeddingTable(words, rng.standard_normal((6, 4)))
         n_words = int(rng.integers(0, 5))
         text = " ".join(rng.choice(words, size=n_words)) if n_words else None
-        result = text_matrix(text, table, 8)
-        if not np.all(result.rows[result.effective_length:] == 0.0):
+        profile = ContentProfile(id="t", plot=text)
+        context = fit_feature_context([profile], word_table=table, max_words=8)
+        text_model = build_model(text_spec, context)
+        bundle = featurize_item(profile, context, bundle_parts(text_spec))
+        _, cache = forward_batch(text_model, [bundle])
+        (effective_length, (rows, _, _)), = cache["text"][2]
+        if not np.all(rows[effective_length:] == 0.0):
             failures.append(f"padding not zero on trial {trial}")
             break
 

@@ -253,8 +253,12 @@ class TestMseMetric:
             mse_metric(catalog, {})
         with pytest.raises(ValueError, match="shape"):
             mse_metric(catalog, {"a": np.ones(3)})
-        with pytest.raises(ValueError, match="no vector"):
+        with pytest.raises(ValueError, match="no target vector"):
             mse_metric(catalog, {"z": np.ones(2)})
+
+    def test_plain_mapping_without_the_item_is_rejected(self):
+        with pytest.raises(ValueError, match="no target vector for item 'z'"):
+            mse_metric({"a": np.ones(2)}, {"z": np.ones(2)})
 
 
 def _tagged_dataset(n=9, dim=3, seed=0):

@@ -12,7 +12,7 @@ from cb2cf.features import (Centroids, FeatureContext, NA_TOKEN, TAG_FIELDS,
                             fit_year_stats, load_centroids,
                             load_feature_context, numeric_feature,
                             save_centroids, save_feature_context, tag_vector,
-                            text_matrix, text_tokens)
+                            text_tokens, text_word_indices)
 from cb2cf.sgns import EmbeddingTable
 
 WORDS = ["alpha", "beta", "delta", "epsilon", "gamma", "zeta"]
@@ -32,35 +32,29 @@ def test_text_tokens_falls_back_to_sentinel():
     assert text_tokens("Alpha beta") == ["alpha", "beta"]
 
 
+def _text_indices(text, table, max_words):
+    return text_word_indices(text_tokens(text), table, max_words)
+
+
 def test_text_matrix_stacks_and_zero_pads(word_table):
-    out = text_matrix("alpha beta gamma", word_table, max_words=6)
-    assert out.rows.shape == (6, 4)
-    assert out.effective_length == 3
-    assert np.array_equal(out.rows[0], word_table.get("alpha"))
-    assert np.array_equal(out.rows[1], word_table.get("beta"))
-    assert np.array_equal(out.rows[2], word_table.get("gamma"))
-    assert np.all(out.rows[3:] == 0.0)
+    out = _text_indices("alpha beta gamma", word_table, max_words=6)
+    assert out.dtype == np.int64
+    assert out.tolist() == [word_table.index[w] for w in ("alpha", "beta", "gamma")]
 
 
 def test_text_matrix_keeps_first_in_table_words(word_table):
     # OOV words do not consume slots; the cap counts in-table words only.
-    out = text_matrix("qqq alpha zzz beta gamma", word_table, max_words=2)
-    assert out.effective_length == 2
-    assert np.array_equal(out.rows[0], word_table.get("alpha"))
-    assert np.array_equal(out.rows[1], word_table.get("beta"))
+    out = _text_indices("qqq alpha zzz beta gamma", word_table, max_words=2)
+    assert out.tolist() == [word_table.index["alpha"], word_table.index["beta"]]
 
 
 def test_text_matrix_missing_text_is_all_zero(word_table):
-    out = text_matrix(None, word_table, max_words=4)
-    assert out.effective_length == 0
-    assert np.all(out.rows == 0.0)
+    assert len(_text_indices(None, word_table, max_words=4)) == 0
 
 
 def test_text_matrix_sentinel_with_vector_is_used():
     table = _table(words=[NA_TOKEN, "alpha"])
-    out = text_matrix(None, table, max_words=3)
-    assert out.effective_length == 1
-    assert np.array_equal(out.rows[0], table.get(NA_TOKEN))
+    assert _text_indices(None, table, max_words=3).tolist() == [table.index[NA_TOKEN]]
 
 
 @settings(max_examples=50)
@@ -68,10 +62,9 @@ def test_text_matrix_sentinel_with_vector_is_used():
        st.integers(min_value=1, max_value=8))
 def test_text_matrix_pads_with_exact_zeros(tokens, max_words):
     table = _table()
-    out = text_matrix(" ".join(tokens), table, max_words=max_words)
+    out = _text_indices(" ".join(tokens), table, max_words=max_words)
     in_table = [t for t in tokens if t in table.index][:max_words]
-    assert out.effective_length == len(in_table)
-    assert np.all(out.rows[out.effective_length:] == 0.0)
+    assert out.tolist() == [table.index[t] for t in in_table]
 
 
 class TestKmeans:
@@ -411,6 +404,21 @@ class TestPersistence:
         manifest["version"] = 99
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="version"):
+            load_feature_context(tmp_path / "ctx")
+
+    @pytest.mark.parametrize("filename, key", [
+        ("manifest.json", "files"), ("manifest.json", "year_mean"),
+        ("tag_vocab.json", "counts")])
+    def test_missing_key_names_the_file_and_the_key(self, tmp_path, profiles,
+                                                    filename, key):
+        import json
+        save_feature_context(fit_feature_context(profiles, min_tag_count=1),
+                             tmp_path / "ctx")
+        path = tmp_path / "ctx" / filename
+        content = json.loads(path.read_text())
+        del content[key]
+        path.write_text(json.dumps(content))
+        with pytest.raises(ValueError, match=f"{filename}: missing key '{key}'"):
             load_feature_context(tmp_path / "ctx")
 
 

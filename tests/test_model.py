@@ -3,16 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cb2cf import model as model_module
 from cb2cf import net
 from cb2cf.data import ContentProfile
 from cb2cf.features import (Centroids, fit_feature_context, featurize_item,
                             save_feature_context, tag_vector)
 from cb2cf.model import (COMPONENT_ORDER, Cb2cfModel, SystemSpec, TrainConfig,
-                         analogy, backward, backward_batch, build_model,
-                         bundle_parts, component_output_dims, forward,
+                         analogy, backward_batch, build_model,
+                         bundle_parts, component_output_dims,
                          forward_batch, load_model,
                          parse_system, predict, save_model, tag_representation,
                          train)
+from model_helpers import backward, forward
 
 
 class TestParseSystem:
@@ -275,7 +277,7 @@ def test_word_dropout_masks_have_unit_mean(word_table):
     for _ in range(draws):
         _, cache = forward(model, bundle, train=True, rng=rng,
                            word_dropout=0.2)
-        mask = cache["components"]["CNN"][1]
+        mask = cache["text"][1]
         assert set(np.round(np.unique(mask), 12)) <= {0.0, round(1.25, 12)}
         mask_sum += mask
     mean_mask = mask_sum / draws
@@ -407,7 +409,8 @@ def test_predict_matches_single_forwards_and_handles_empty():
     assert batch.shape == (len(bundles), 3)
     for i, bundle in enumerate(bundles):
         single, _ = forward(model, bundle)
-        assert np.array_equal(batch[i], single)
+        # One GEMM over the batch may round differently from one GEMV.
+        assert np.allclose(batch[i], single, rtol=0, atol=1e-12)
     assert predict(model, []).shape == (0, 3)
 
 
@@ -567,6 +570,35 @@ def _full_system(word_table):
     return model, bundles
 
 
+def test_full_system_parameters_and_l2_names(word_table):
+    model, _ = _full_system(word_table)
+    # Word dim 4, 3 centroids; tag vocabularies (with 'n/a') of 3, 4, 2, 3.
+    assert [(name, p.shape) for name, p in model.params.items()] == [
+        ("cnn.filters", (4, 3, 4)), ("cnn.conv_bias", (4,)),
+        ("cnn.fc.weight", (5, 4)), ("cnn.fc.bias", (5,)),
+        ("bow.fc1.weight", (6, 3)), ("bow.fc1.bias", (6,)),
+        ("bow.fc2.weight", (6, 6)), ("bow.fc2.bias", (6,)),
+        ("genres.weight", (3, 3)), ("genres.bias", (3,)),
+        ("actors.weight", (3, 4)), ("actors.bias", (3,)),
+        ("director.weight", (2, 2)), ("director.bias", (2,)),
+        ("language.weight", (2, 3)), ("language.bias", (2,)),
+        ("year.weight", (2, 1)), ("year.bias", (2,)),
+        ("combiner.weight", (7, 23)), ("combiner.bias", (7,)),
+        ("output.weight", (3, 7)), ("output.bias", (3,)),
+    ]
+    assert model.l2_weight_names() == [
+        "cnn.filters", "genres.weight", "actors.weight", "director.weight",
+        "language.weight", "combiner.weight"]
+
+
+def test_predict_in_chunks_matches_one_forward_batch(word_table, monkeypatch):
+    model, bundles = _full_system(word_table)
+    assert len(bundles) == 5
+    whole, _ = forward_batch(model, bundles)
+    monkeypatch.setattr(model_module, "PREDICT_CHUNK", 2)
+    assert np.allclose(predict(model, bundles), whole, rtol=0, atol=1e-12)
+
+
 def test_batched_step_sums_the_per_example_gradients(word_table):
     model, bundles = _full_system(word_table)
     batch = bundles[:4]
@@ -683,8 +715,8 @@ def test_trimmed_text_matrix_pools_like_the_full_one(word_table, text_length,
     k = len(bundle.text_indices)
 
     _, cache = forward(model, bundle)
-    (cached_k, (matrix, _, best)), = cache["components"]["CNN"][2]
-    pooled = cache["components"]["CNN"][3][0]
+    (cached_k, (matrix, _, best)), = cache["text"][2]
+    pooled = cache["text"][3][0]
     assert cached_k == k
     assert len(matrix) == min(text_length, k + cnn_width)
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -147,20 +148,11 @@ def test_conv_stack_gradients_against_finite_differences():
     assert net.grad_check(loss_fn, tensors) < 1e-6
 
 
-def test_dropout_identity_cases():
-    x = np.arange(5, dtype=np.float64)
-    y, mask = net.dropout_forward(x, 0.0, None, train=True)
-    assert mask is None and np.array_equal(y, x)
-    y, mask = net.dropout_forward(x, 0.9, None, train=False)
-    assert mask is None and np.array_equal(y, x)
-    with pytest.raises(ValueError):
-        net.dropout_forward(x, 1.0, None, train=True)
-
-
 def test_dropout_scales_kept_units_and_masks_gradient():
     rng = np.random.default_rng(0)
     x = np.ones(100_000)
-    y, mask = net.dropout_forward(x, 0.3, rng, train=True)
+    mask = net.dropout_mask(rng, x.shape, 0.3)
+    y = x * mask
     kept = y > 0
     assert np.all(np.isin(np.round(y[kept], 12), np.round(1.0 / 0.7, 12)))
     assert np.mean(kept) == pytest.approx(0.7, abs=0.01)
@@ -293,6 +285,11 @@ def test_grad_check_requires_every_gradient():
         net.grad_check(lambda t: (0.0, {}), {"w": np.zeros(2)})
 
 
+def _manifest(tensors) -> bytes:
+    return json.dumps({"version": net.CHECKPOINT_VERSION, "meta": {},
+                       "tensors": tensors}).encode() + b"\n"
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -341,4 +338,18 @@ class TestCheckpoint:
         net.save_checkpoint(path, {"a": np.ones(2)})
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="trailing"):
+            net.load_checkpoint(path)
+
+    @pytest.mark.parametrize("content", [
+        _manifest([{"name": "w", "shape": [2 ** 40]}]) + bytes(16),
+        _manifest([{"shape": [2]}]) + bytes(16),
+        json.dumps([net.CHECKPOINT_VERSION]).encode() + b"\n",
+        _manifest(5),
+        b'{"version": 1, "tensors": [], "meta": {"x": "\xff"}}\n',
+    ], ids=["shape-larger-than-the-file", "entry-without-name", "list-manifest",
+            "tensors-not-a-list", "not-utf8"])
+    def test_rejects_a_bad_manifest_naming_the_path(self, tmp_path, content):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: ")):
             net.load_checkpoint(path)
