@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, evaluation, features, model as model_mod, synthetic
-from .corpus import DEFAULT_CAP, build_vocabulary, save_vocabulary, tokenize
+from .corpus import DEFAULT_CAP, build_vocabulary, open_text, save_vocabulary, tokenize
 from .sgns import EmbeddingTable, SgnsConfig, similarity_search, train_sgns
 
 
@@ -33,7 +33,7 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 def _read_corpus(path: str) -> list[list[str]]:
     sentences = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             tokens = tokenize(line)
             if tokens:

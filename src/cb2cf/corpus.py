@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 DEFAULT_CAP = 50_000
 
@@ -115,6 +116,29 @@ def decode(indices: Iterable[int], vocab: Vocabulary) -> list[str]:
     return out
 
 
+@contextmanager
+def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """``open(path, encoding="utf-8")`` for reading, except that a byte
+    sequence that is not UTF-8 raises ``ValueError("<path>:<line>: not valid
+    UTF-8")``. The line is looked up only after decoding has failed."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}:{_first_bad_line(path)}: not valid UTF-8") from None
+
+
+def _first_bad_line(path: str | Path) -> int:
+    # Lines split at b"\n", which never occurs inside a multi-byte sequence.
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return 1  # only if the file changed since it failed to decode
+
+
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     """Write one ``token<TAB>count`` line per entry, in rank order."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -128,7 +152,7 @@ def load_vocabulary(path: str | Path, cap: int | None = None) -> Vocabulary:
     """
     tokens: list[str] = []
     counts: list[int] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .corpus import open_text
 from .sgns import CooccurrenceSets, EmbeddingTable
 
 logger = logging.getLogger(__name__)
@@ -55,7 +56,7 @@ def load_ratings(path: str | Path) -> list[UserHistory]:
     Ratings must sit on the half-star scale; malformed rows fail with their
     line number. Users keep their events in file order."""
     histories: dict[str, UserHistory] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -116,7 +117,7 @@ def load_sets(path: str | Path) -> CooccurrenceSets:
     and counted with a warning."""
     sets: list[tuple[str, ...]] = []
     dropped = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             items = sorted(set(line.split()))
             if len(items) >= 2:
@@ -144,7 +145,7 @@ def load_metadata(path: str | Path) -> list[ContentProfile]:
     other field may be null or absent."""
     profiles: list[ContentProfile] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue

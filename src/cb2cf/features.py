@@ -4,7 +4,8 @@ histograms, binary tag vectors, and a standardized release-year scalar.
 A FeatureContext bundles every fitted statistic (tag vocabulary, year
 mean/std, word vectors, centroids). In cross-validation the item-dependent
 statistics must be fitted on training items only; the word table and its
-centroids depend on no item and may be shared across folds.
+centroids depend on no item and may be shared across folds. A context caches
+each word's BOW row on first use: it grows with the words seen, not the table.
 """
 
 from __future__ import annotations
@@ -134,25 +135,34 @@ def bow_histogram(tokens: Iterable[str], centroids: Centroids, table: EmbeddingT
 
     Each in-table word distributes one unit of mass by a softmax over its
     cosine similarities to the centroids, divided by the temperature. Texts
-    with no in-table words fall back to the uniform histogram.
+    with no in-table words fall back to the uniform histogram. A
+    ``FeatureContext`` keeps each word's softmax row and sums those rows.
     """
+    return _cached_bow(tokens, centroids, table, temperature, {})
+
+
+def _cached_bow(tokens, centroids, table, temperature: float, cache: dict) -> np.ndarray:
+    """``bow_histogram`` reading word rows from ``cache``, adding the missing ones."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     bins = len(centroids)
-    rows = [table.index[t] for t in tokens if t in table.index]
-    if not rows:
+    known = [t for t in tokens if t in table.index]
+    if not known:
         return np.full(bins, 1.0 / bins)
-    words = table.vectors[rows]
-    wnorm = np.linalg.norm(words, axis=1)
-    cnorm = np.linalg.norm(centroids.vectors, axis=1)
-    denom = np.where(wnorm[:, None] * cnorm[None, :] > 0, wnorm[:, None] * cnorm[None, :], 1.0)
-    cos = np.where((wnorm[:, None] > 0) & (cnorm[None, :] > 0),
-                   words @ centroids.vectors.T / denom, 0.0)
-    logits = cos / temperature
-    logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    weights /= weights.sum(axis=1, keepdims=True)
-    histogram = weights.sum(axis=0)
+    new = [t for t in dict.fromkeys(known) if t not in cache]
+    if new:
+        words = table.vectors[[table.index[t] for t in new]]
+        wnorm = np.linalg.norm(words, axis=1)
+        cnorm = np.linalg.norm(centroids.vectors, axis=1)
+        denom = np.where(wnorm[:, None] * cnorm[None, :] > 0, wnorm[:, None] * cnorm[None, :], 1.0)
+        cos = np.where((wnorm[:, None] > 0) & (cnorm[None, :] > 0),
+                       words @ centroids.vectors.T / denom, 0.0)
+        logits = cos / temperature
+        logits -= logits.max(axis=1, keepdims=True)
+        weights = np.exp(logits)
+        weights /= weights.sum(axis=1, keepdims=True)
+        cache.update(zip(new, weights))
+    histogram = np.array([cache[t] for t in known]).sum(axis=0)
     return histogram / histogram.sum()
 
 
@@ -254,6 +264,8 @@ class FeatureContext:
     centroids: Centroids | None = None
     max_words: int = DEFAULT_MAX_WORDS
     temperature: float = DEFAULT_TEMPERATURE
+    # Word -> its BOW row; valid while table, centroids and temperature stay.
+    _bow_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_words < 1:
@@ -321,8 +333,8 @@ def featurize_item(profile: "ContentProfile", context: FeatureContext,
     if "bow" in selected:
         if context.centroids is None:
             raise ValueError("bow features requested but the context has no centroids")
-        bundle.bow = bow_histogram(tokens, context.centroids, context.word_table,
-                                   context.temperature)
+        bundle.bow = _cached_bow(tokens, context.centroids, context.word_table,
+                                 context.temperature, context._bow_rows)
     for field_name in TAG_FIELDS:
         if field_name in selected:
             bundle.tags[field_name] = tag_vector(profile, field_name, context.tag_vocab)

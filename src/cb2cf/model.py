@@ -236,26 +236,27 @@ def _text_forward(model: Cb2cfModel, texts: list, word_masks: list) -> tuple:
 def _text_backward(model: Cb2cfModel, text_cache: tuple, grad_act: np.ndarray,
                    grads: dict) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of ``_text_forward`` given the gradient of relu(pooled);
-    returns the touched word-table rows and their summed gradients."""
+    returns the touched word-table rows and their summed gradients, built
+    only for a trainable embedding."""
     indices, mask, conv_caches, pooled = text_cache
     grad_pooled = net.relu_backward(pooled, grad_act)
+    trainable = model.embedding_trainable and len(indices) > 0
     grad_filters = np.zeros_like(model.params["cnn.filters"])
     text_grads = []
     for (k, conv_cache), grad_row in zip(conv_caches, grad_pooled):
-        grad_matrix, grad_f, _ = net.conv1d_maxpool_backward(conv_cache, grad_row)
+        grad_matrix, grad_f, _ = net.conv1d_maxpool_backward(conv_cache, grad_row, trainable)
         grad_filters += grad_f
-        text_grads.append(grad_matrix[:k])
+        if trainable:
+            text_grads.append(grad_matrix[:k])
     grads["cnn.filters"] = grad_filters
     grads["cnn.conv_bias"] = grad_pooled.sum(axis=0)
-    if not (model.embedding_trainable and len(indices)):
+    if not trainable:
         return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
     text_rows = np.concatenate(text_grads)
     if mask is not None:
         text_rows = text_rows * mask[:, None]
     rows, inverse = np.unique(indices, return_inverse=True)
-    row_grads = np.zeros((len(rows), text_rows.shape[1]))
-    np.add.at(row_grads, inverse, text_rows)
-    return rows, row_grads
+    return rows, net.scatter_rows(inverse, text_rows, len(rows))
 
 
 def forward_batch(model: Cb2cfModel, bundles: Sequence[FeatureBundle], *,

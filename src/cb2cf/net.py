@@ -3,9 +3,10 @@
 Everything operates on float64 numpy arrays. Dense, ReLU, dropout and MSE
 are batch-first: a dense layer maps a (batch, features) matrix (or one
 example's vector) with one GEMM and sums its parameter gradients over the
-batch. The convolution takes one example's (length, dim) text matrix. Every
-backward function is checked against central finite differences in the
-test suite.
+batch. The convolution takes one example's (length, dim) text matrix; its
+input gradient is one ``np.bincount``, bit for bit ``np.add.at``. Adam takes
+Kingma & Ba's efficient form (arXiv:1412.6980, section 2). Every backward
+function is checked against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 CHECKPOINT_VERSION = 1
+ADAM_BLOCK = 16384  # elements: a block's ~4 arrays of <= 128 KiB stay in L2 across its passes
 
 
 def glorot_uniform(rng, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -66,7 +68,7 @@ def conv1d_maxpool_forward(matrix: np.ndarray, filters: np.ndarray, bias: np.nda
     Each filter slides over length-width+1 positions; the output keeps only
     the per-filter maximum, with the first position winning ties.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     length, dim = matrix.shape
     count, width, fdim = filters.shape
     if fdim != dim:
@@ -75,26 +77,34 @@ def conv1d_maxpool_forward(matrix: np.ndarray, filters: np.ndarray, bias: np.nda
         raise ValueError(f"filter width {width} exceeds input length {length}")
     if bias.shape != (count,):
         raise ValueError("conv bias shape mismatch")
-    windows = sliding_window_view(matrix, (width, dim)).reshape(length - width + 1, width * dim)
-    activations = windows @ filters.reshape(count, width * dim).T + bias
-    best = np.argmax(activations, axis=0)  # first occurrence on ties
-    pooled = activations[best, np.arange(count)]
+    windows = as_strided(matrix, (length - width + 1, width * dim), matrix.strides,
+                         writeable=False)  # row p: the width*dim values from row p on
+    activations = filters.reshape(count, width * dim) @ windows.T + bias[:, None]
+    best = np.argmax(activations, axis=1)  # first occurrence on ties
+    pooled = activations[np.arange(count), best]
     return pooled, (matrix, filters, best)
 
 
-def conv1d_maxpool_backward(cache, grad_pooled: np.ndarray):
+def scatter_rows(rows: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """``np.add.at(zeros((count, dim)), rows, values)``: one bincount, same order, same bits."""
+    dim = values.shape[1]
+    cells = (rows[:, None] * dim + np.arange(dim)).ravel()
+    return np.bincount(cells, values.ravel(), minlength=count * dim).reshape(count, dim)
+
+
+def conv1d_maxpool_backward(cache, grad_pooled: np.ndarray, input_grad: bool = True):
+    """(grad_matrix, grad_filters, grad_bias); grad_matrix only if ``input_grad``."""
     matrix, filters, best = cache
     count, width, dim = filters.shape
     if grad_pooled.shape != (count,):
         raise ValueError("pooled grad shape mismatch")
     offsets = best[:, None] + np.arange(width)[None, :]          # (count, width)
-    picked = matrix[offsets]                                     # (count, width, dim)
-    grad_filters = grad_pooled[:, None, None] * picked
-    grad_bias = grad_pooled.copy()
-    grad_matrix = np.zeros_like(matrix)
-    contributions = grad_pooled[:, None, None] * filters         # (count, width, dim)
-    np.add.at(grad_matrix, offsets.reshape(-1), contributions.reshape(count * width, dim))
-    return grad_matrix, grad_filters, grad_bias
+    grad_filters = grad_pooled[:, None, None] * matrix[offsets]  # (count, width, dim)
+    if not input_grad:
+        return None, grad_filters, grad_pooled.copy()
+    contributions = grad_pooled[:, None, None] * filters
+    grad_matrix = scatter_rows(offsets.reshape(-1), contributions.reshape(-1, dim), len(matrix))
+    return grad_matrix, grad_filters, grad_pooled.copy()
 
 
 def dropout_mask(rng, shape, p: float) -> np.ndarray:
@@ -137,6 +147,7 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    scratch: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def zeros_like(cls, param: np.ndarray) -> "AdamState":
@@ -146,21 +157,27 @@ class AdamState:
 def adam_update(param: np.ndarray, grad: np.ndarray, state: AdamState,
                 lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                 eps: float = 1e-8) -> None:
-    """One bias-corrected Adam step, in place. Two scratch buffers replace
-    the temporaries of ``param -= lr * m_hat / (sqrt(v_hat) + eps)``; the
-    operation order, and so every bit, is that formula's."""
+    """One bias-corrected Adam step, in place, per block of whole rows of at most
+    ``ADAM_BLOCK`` elements (or one row) through one scratch buffer kept on the state:
+    ``param -= lr_t * m / (sqrt(v) + eps_t)``, ``c = sqrt(1 - beta2**t)``,
+    ``lr_t = lr * c / (1 - beta1**t)``, ``eps_t = eps * c``. ``m`` and ``v`` keep the bits
+    of ``lr * m_hat / (sqrt(v_hat) + eps)``; ``param`` differs by a few ulps per step."""
     if param.shape != grad.shape:
         raise ValueError("param and grad shape mismatch")
     state.t += 1
-    scratch = np.multiply(grad, 1.0 - beta1)
-    np.add(np.multiply(state.m, beta1, out=state.m), scratch, out=state.m)
-    np.multiply(np.multiply(grad, 1.0 - beta2, out=scratch), grad, out=scratch)
-    np.add(np.multiply(state.v, beta2, out=state.v), scratch, out=state.v)
-    v_hat = np.divide(state.v, 1.0 - beta2 ** state.t, out=scratch)
-    denominator = np.add(np.sqrt(v_hat, out=scratch), eps, out=scratch)
-    step = np.divide(state.m, 1.0 - beta1 ** state.t)  # m_hat
-    step *= lr
-    param -= np.divide(step, denominator, out=step)
+    c = math.sqrt(1.0 - beta2 ** state.t)
+    lr_t, eps_t = lr * c / (1.0 - beta1 ** state.t), eps * c
+    rows = max(1, ADAM_BLOCK * len(param) // max(param.size, 1))
+    if state.scratch is None:
+        state.scratch = np.empty_like(param[:rows])
+    for lo in range(0, len(param), rows):
+        p, g, m, v = (a[lo:lo + rows] for a in (param, grad, state.m, state.v))
+        s = state.scratch[:len(p)]
+        np.add(np.multiply(m, beta1, out=m), np.multiply(g, 1.0 - beta1, out=s), out=m)
+        np.multiply(np.multiply(g, 1.0 - beta2, out=s), g, out=s)
+        np.add(np.multiply(v, beta2, out=v), s, out=v)
+        np.add(np.sqrt(v, out=s), eps_t, out=s)
+        p -= np.multiply(np.divide(m, s, out=s), lr_t, out=s)
 
 
 @dataclass

@@ -26,6 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .corpus import open_text
+
 LR_FLOOR_FRACTION = 1e-4
 NOISE_POWER = 0.75
 # Most centers in one word-mode block: bounds a block's score matrix at
@@ -161,7 +163,7 @@ class EmbeddingTable:
         """Read a vector file written by ``save``. Nothing is sized by the
         header: rows are collected as they are read and stacked at the end,
         so a corrupt count fails on the row check instead of allocating."""
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             header = fh.readline().split()
             if len(header) != 2:
                 raise ValueError(f"{path}:1: expected 'count dim' header")

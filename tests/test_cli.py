@@ -5,7 +5,7 @@ import pytest
 
 from cb2cf.cli import main
 from cb2cf.corpus import load_vocabulary
-from cb2cf.data import load_metadata, load_sets
+from cb2cf.data import load_metadata, load_ratings, load_sets
 from cb2cf.features import load_feature_context
 from cb2cf.model import load_model
 from cb2cf.sgns import EmbeddingTable
@@ -292,3 +292,28 @@ def test_missing_input_file_is_reported_not_raised(tmp_path, capsys):
                "--out", str(tmp_path / "x.vec")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("cb2cf train-item2vec: error:")
+
+
+def _train_word2vec(path):
+    return main(["train-word2vec", "--corpus", str(path), "--out", str(path) + ".vec"])
+
+
+@pytest.mark.parametrize("reader, body, line", [
+    (EmbeddingTable.load, b"2 2\na 1.0 2.0\nb\xff 1.0 2.0\n", 3),
+    (load_ratings, b"userId,movieId,rating,timestamp\nu1,m1,4.0,1\nu\xff,m2,4.0,2\n", 3),
+    (load_sets, b"a b\nc \xff d\n", 2),
+    (load_metadata, b'{"id": "a"}\n{"id": "b\xff"}\n', 2),
+    (load_vocabulary, b"a\t3\nb\xff\t2\n", 2),
+    (_train_word2vec, b"alpha beta\ngamma \xff delta\n", 2),
+], ids=["vectors", "ratings", "sets", "metadata", "vocabulary", "train-word2vec"])
+def test_non_utf8_input_names_the_path_and_line(tmp_path, capsys, reader, body, line):
+    path = tmp_path / "input"
+    path.write_bytes(body)
+    message = f"{path}:{line}: not valid UTF-8"
+    if reader is _train_word2vec:
+        assert reader(path) == 1
+        assert capsys.readouterr().err.strip().endswith(message)
+        return
+    with pytest.raises(ValueError) as raised:
+        reader(path)
+    assert str(raised.value) == message

@@ -175,6 +175,23 @@ class TestBowHistogram:
         assert hist.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+    def test_context_cache_matches_the_formula_and_grows_per_word(self):
+        table = _table()
+        centroids = Centroids(np.random.default_rng(8).standard_normal((5, 4)))
+        context = FeatureContext(build_tag_vocab([]), YearStats(0.0, 1.0), table,
+                                 centroids, temperature=0.3)
+        rows = {}
+        for plot in ["alpha oov alpha beta", "beta gamma beta", "oov", None,
+                     "gamma alpha zeta zeta"]:
+            bundle = featurize_item(ContentProfile(id="p", plot=plot), context, ["bow"])
+            expected = bow_histogram(text_tokens(plot), centroids, table, temperature=0.3)
+            assert np.allclose(bundle.bow, expected, rtol=0, atol=1e-12)
+            for word, row in rows.items():
+                assert context._bow_rows[word] is row  # computed once, then reused
+            rows = dict(context._bow_rows)
+        assert sorted(rows) == ["alpha", "beta", "gamma", "zeta"]
+
+
 def _tagged(n, field="genres", tag="x"):
     return [ContentProfile(id=f"p{i}", **{field: [tag]}) for i in range(n)]
 

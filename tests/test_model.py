@@ -547,9 +547,9 @@ def test_component_output_dims_follow_the_spec():
                     "Director": 5, "Language": 6, "Year": 2}
 
 
-def _full_system(word_table):
-    """A small CNN+BOW+Tags+Year model over texts with repeated words and
-    one item without text."""
+def _full_system(word_table, cnn_variant="non-static"):
+    """A small CNN+BOW+Tags+Year model over texts with repeated words, a
+    one-word text and one item without text."""
     plots = ["alpha beta alpha gamma alpha", None, "delta beta",
              "zeta epsilon zeta gamma beta delta alpha", "gamma"]
     profiles = [ContentProfile(id=f"m{i}", plot=plot, genres=[f"g{i % 2}"],
@@ -563,6 +563,7 @@ def _full_system(word_table):
     spec = SystemSpec.named("CNN+BOW+Tags+Year", output_dim=3, cnn_filters=4,
                             cnn_width=3, cnn_hidden=5, bow_hidden=6,
                             year_hidden=2, combiner_hidden=7, text_length=8,
+                            cnn_variant=cnn_variant,
                             tag_hidden={"Genres": 3, "Actors": 3,
                                         "Director": 2, "Language": 2})
     model = build_model(spec, context, seed=5)
@@ -630,6 +631,46 @@ def test_batched_step_sums_the_per_example_gradients(word_table):
     assert rows.tolist() == sorted(ref_rows)
     for row, g in zip(rows.tolist(), row_grads):
         assert np.allclose(g, ref_rows[row], rtol=0, atol=1e-12)
+
+
+def _add_at_scatter(rows, values, count):
+    out = np.zeros((count, values.shape[1]))
+    np.add.at(out, rows, values)
+    return out
+
+
+def test_word_row_gradients_match_add_at_bit_for_bit(word_table, monkeypatch):
+    model, bundles = _full_system(word_table)
+    assert sorted(len(b.text_indices) for b in bundles)[:2] == [0, 1]
+    preds, cache = forward_batch(model, bundles, train=True, rng=np.random.default_rng(7),
+                                 word_dropout=0.3, unit_dropout=0.3)
+    assert 0.0 in cache["text"][1]  # a dropped word
+    grad_preds = np.random.default_rng(1).standard_normal(preds.shape)
+    grads, (rows, row_grads) = backward_batch(model, cache, grad_preds)
+    monkeypatch.setattr(net, "scatter_rows", _add_at_scatter)
+    ref_grads, (ref_rows, ref_row_grads) = backward_batch(model, cache, grad_preds)
+    assert len(rows) < len(cache["text"][0])  # repeated words share a row
+    assert np.array_equal(rows, ref_rows)
+    assert np.array_equal(row_grads, ref_row_grads)
+    for name in ref_grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+@pytest.mark.parametrize("variant", ["static", "non-static"])
+def test_word_gradient_is_built_only_for_a_trainable_embedding(word_table, monkeypatch,
+                                                               variant):
+    model, bundles = _full_system(word_table, cnn_variant=variant)
+    calls = []
+    scatter = net.scatter_rows
+    monkeypatch.setattr(net, "scatter_rows",
+                        lambda *args: calls.append(args) or scatter(*args))
+    preds, cache = forward_batch(model, bundles)
+    grads, (rows, _) = backward_batch(model, cache, np.ones_like(preds))
+    assert np.any(grads["cnn.filters"] != 0.0)
+    if variant == "static":
+        assert calls == [] and len(rows) == 0
+    else:
+        assert calls and len(rows) > 0
 
 
 def _reference_train(model, bundles, targets, config):
