@@ -99,6 +99,17 @@ def _cmd_fit_features(args: argparse.Namespace) -> None:
     print(f"feature context over {len(profiles)} profiles ({sizes}) -> {args.out}")
 
 
+def _usable_profiles(profiles: list, targets: EmbeddingTable) -> list:
+    """The profiles that have a target vector; says how many were skipped."""
+    usable = [p for p in profiles if p.id in targets]
+    if not usable:
+        raise CliError("no metadata item has a target vector")
+    if len(usable) < len(profiles):
+        print(f"skipping {len(profiles) - len(usable)} items without target vectors",
+              file=sys.stderr)
+    return usable
+
+
 def _train_config(args: argparse.Namespace) -> model_mod.TrainConfig:
     return model_mod.TrainConfig(
         batch_size=args.batch, word_dropout=args.word_dropout,
@@ -115,12 +126,7 @@ def _cmd_train_model(args: argparse.Namespace) -> None:
     spec = model_mod.SystemSpec.named(
         args.system, output_dim=targets.dim, cnn_variant=args.cnn_variant,
         text_length=context.max_words)
-    usable = [p for p in profiles if p.id in targets]
-    if not usable:
-        raise CliError("no metadata item has a target vector")
-    if len(usable) < len(profiles):
-        print(f"skipping {len(profiles) - len(usable)} items without target vectors",
-              file=sys.stderr)
+    usable = _usable_profiles(profiles, targets)
     parts = model_mod.bundle_parts(spec)
     bundles = [features.featurize_item(p, context, parts) for p in usable]
     net_model = model_mod.build_model(spec, context, seed=args.seed)
@@ -151,12 +157,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
         raise CliError("--systems lists no system names")
     profiles = data.load_metadata(args.metadata)
     targets = EmbeddingTable.load(args.targets)
-    usable = [p for p in profiles if p.id in targets]
-    if not usable:
-        raise CliError("no metadata item has a target vector")
-    if len(usable) < len(profiles):
-        print(f"skipping {len(profiles) - len(usable)} items without target vectors",
-              file=sys.stderr)
+    usable = _usable_profiles(profiles, targets)
 
     needed = set()
     for name in systems:
@@ -174,11 +175,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     elif needed & {"text", "bow"}:
         raise CliError("these systems need --word-vectors")
 
-    ks = []
-    for raw in args.ndcg_k.split(","):
-        raw = raw.strip()
-        if raw:
-            ks.append(int(raw))
+    ks = [int(raw) for raw in args.ndcg_k.split(",") if raw.strip()]
     if not ks:
         raise CliError("--ndcg-k lists no cutoffs")
     limit = len(targets) - 1

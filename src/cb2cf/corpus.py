@@ -81,9 +81,6 @@ class Vocabulary:
     def __contains__(self, token: object) -> bool:
         return token in self.index
 
-    def count(self, token: str) -> int:
-        return self.counts[self.index[token]]
-
 
 def build_vocabulary(streams: Iterable[Iterable[str]],
                      cap: int = DEFAULT_CAP) -> Vocabulary:
@@ -98,22 +95,6 @@ def build_vocabulary(streams: Iterable[Iterable[str]],
             total += 1
     ranked = sorted(counter, key=lambda t: (-counter[t], t))[:cap]
     return Vocabulary(ranked, [counter[t] for t in ranked], total, cap)
-
-
-def encode(tokens: Iterable[str], vocab: Vocabulary) -> list[int]:
-    """Map tokens to vocabulary indices, silently dropping out-of-vocabulary ones."""
-    index = vocab.index
-    return [index[t] for t in tokens if t in index]
-
-
-def decode(indices: Iterable[int], vocab: Vocabulary) -> list[str]:
-    tokens = vocab.tokens
-    out = []
-    for i in indices:
-        if not 0 <= i < len(tokens):
-            raise ValueError(f"index {i} outside vocabulary of size {len(tokens)}")
-        out.append(tokens[i])
-    return out
 
 
 @contextmanager
@@ -166,6 +147,7 @@ def load_vocabulary(path: str | Path, cap: int | None = None) -> Vocabulary:
                 raise ValueError(f"{path}:{lineno}: bad count {parts[1]!r}") from exc
             tokens.append(parts[0])
             counts.append(count)
-    if cap is None:
-        cap = max(len(tokens), 1)
-    return Vocabulary(tokens, counts, sum(counts), cap)
+    try:
+        return Vocabulary(tokens, counts, sum(counts), max(len(tokens), 1) if cap is None else cap)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -59,32 +59,34 @@ def load_ratings(path: str | Path) -> list[UserHistory]:
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}:1: empty file, expected header "
-                             f"{','.join(RATINGS_HEADER)}") from None
-        if header != RATINGS_HEADER:
-            raise ValueError(f"{path}:1: bad header {header!r}, expected "
-                             f"{RATINGS_HEADER!r}")
-        for lineno, row in enumerate(reader, 2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            user, item = row[0], row[1]
-            if not user or not item:
-                raise ValueError(f"{path}:{lineno}: empty user or item id")
-            try:
-                rating = float(row[2])
-                timestamp = int(row[3])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not _valid_rating(rating):
-                raise ValueError(f"{path}:{lineno}: rating {row[2]} not on the "
-                                 "0.5..5.0 half-star scale")
-            if user not in histories:
-                histories[user] = UserHistory(user, [])
-            histories[user].events.append((item, rating, timestamp))
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}:1: empty file, expected header "
+                                 f"{','.join(RATINGS_HEADER)}")
+            if header != RATINGS_HEADER:
+                raise ValueError(f"{path}:1: bad header {header!r}, expected "
+                                 f"{RATINGS_HEADER!r}")
+            for lineno, row in enumerate(reader, 2):
+                if not row:
+                    continue
+                if len(row) != 4:
+                    raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+                user, item = row[0], row[1]
+                if not user or not item:
+                    raise ValueError(f"{path}:{lineno}: empty user or item id")
+                try:
+                    rating = float(row[2])
+                    timestamp = int(row[3])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if not _valid_rating(rating):
+                    raise ValueError(f"{path}:{lineno}: rating {row[2]} not on the "
+                                     "0.5..5.0 half-star scale")
+                if user not in histories:
+                    histories[user] = UserHistory(user, [])
+                histories[user].events.append((item, rating, timestamp))
+        except csv.Error as exc:  # e.g. a field past the csv module's size limit
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return list(histories.values())
 
 
@@ -129,9 +131,6 @@ def load_sets(path: str | Path) -> CooccurrenceSets:
     return CooccurrenceSets(sets, dropped)
 
 
-_METADATA_FIELDS = {"id", "plot", "genres", "actors", "directors", "languages", "year"}
-
-
 def _string_list(value, lineno, path, key) -> list[str]:
     if value is None:
         return []
@@ -151,7 +150,7 @@ def load_metadata(path: str | Path) -> list[ContentProfile]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer past Python's digit limit
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object")
@@ -170,14 +169,9 @@ def load_metadata(path: str | Path) -> list[ContentProfile]:
                     raise ValueError(f"{path}:{lineno}: year must be an integer or null")
             try:
                 profiles.append(ContentProfile(
-                    id=item_id,
-                    plot=plot,
-                    genres=_string_list(record.get("genres"), lineno, path, "genres"),
-                    actors=_string_list(record.get("actors"), lineno, path, "actors"),
-                    directors=_string_list(record.get("directors"), lineno, path, "directors"),
-                    languages=_string_list(record.get("languages"), lineno, path, "languages"),
-                    year=year,
-                ))
+                    id=item_id, plot=plot, year=year,
+                    **{key: _string_list(record.get(key), lineno, path, key)
+                       for key in ("genres", "actors", "directors", "languages")}))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return profiles
@@ -194,16 +188,7 @@ def save_metadata(profiles: Iterable[ContentProfile], path: str | Path) -> None:
     """Inverse of load_metadata: one JSON object per line, keys sorted."""
     with open(path, "w", encoding="utf-8") as fh:
         for profile in profiles:
-            record = {
-                "id": profile.id,
-                "plot": profile.plot,
-                "genres": profile.genres,
-                "actors": profile.actors,
-                "directors": profile.directors,
-                "languages": profile.languages,
-                "year": profile.year,
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(profile), sort_keys=True) + "\n")
 
 
 def export_labeled_vectors(table: EmbeddingTable, labels: Mapping[str, str],

@@ -11,6 +11,7 @@ each word's BOW row on first use: it grows with the words seen, not the table.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import tokenize
+from .corpus import open_text, tokenize
 from .sgns import EmbeddingTable
 
 if TYPE_CHECKING:
@@ -29,6 +30,8 @@ TAG_FIELDS = ("genres", "actors", "directors", "languages")
 DEFAULT_MAX_WORDS = 500
 DEFAULT_TEMPERATURE = 0.1
 DEFAULT_MIN_TAG_COUNT = 5
+KMEANS_TOL = 1e-6  # Lloyd rounds stop once no centroid moves this far
+KMEANS_MAX_ITER = 100
 ALL_PARTS = ("text", "bow", "year") + TAG_FIELDS
 
 MANIFEST_NAME = "manifest.json"
@@ -88,12 +91,11 @@ def _kmeans_pp_init(points: np.ndarray, clusters: int, rng) -> np.ndarray:
     return points[chosen].copy()
 
 
-def fit_kmeans(vectors: np.ndarray, clusters: int, seed: int = 0, *,
-               tol: float = 1e-6, max_iter: int = 100) -> Centroids:
+def fit_kmeans(vectors: np.ndarray, clusters: int, seed: int = 0) -> Centroids:
     """Lloyd iterations from a k-means++ seeding.
 
-    Stops when the largest centroid shift falls below ``tol`` or after
-    ``max_iter`` rounds. A cluster left empty is reseeded to the point
+    Stops when the largest centroid shift falls below ``KMEANS_TOL`` or after
+    ``KMEANS_MAX_ITER`` rounds. A cluster left empty is reseeded to the point
     farthest from its assigned centroid. Requires at least ``clusters``
     distinct input vectors.
     """
@@ -108,7 +110,7 @@ def fit_kmeans(vectors: np.ndarray, clusters: int, seed: int = 0, *,
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, clusters, rng)
     sq = (points ** 2).sum(axis=1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = sq[:, None] + (centroids ** 2).sum(axis=1)[None, :] - 2.0 * points @ centroids.T
         assign = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(len(points)), assign].copy()
@@ -124,7 +126,7 @@ def fit_kmeans(vectors: np.ndarray, clusters: int, seed: int = 0, *,
                 point_d2[pick] = -np.inf  # a second empty cluster takes the next-farthest
         shift = float(np.max(np.linalg.norm(updated - centroids, axis=1)))
         centroids = updated
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     return Centroids(centroids)
 
@@ -307,21 +309,14 @@ class FeatureBundle:
 
 
 def featurize_item(profile: "ContentProfile", context: FeatureContext,
-                   parts: Iterable[str] | None = None) -> FeatureBundle:
+                   parts: Iterable[str]) -> FeatureBundle:
     """Build the feature bundle for one item. ``parts`` selects from
-    'text', 'bow', 'year', and the tag field names; None takes everything
-    the context supports. Deterministic for a fixed context."""
-    if parts is None:
-        selected = set(TAG_FIELDS) | {"year"}
-        if context.word_table is not None:
-            selected.add("text")
-            if context.centroids is not None:
-                selected.add("bow")
-    else:
-        selected = set(parts)
-        unknown = selected - set(ALL_PARTS)
-        if unknown:
-            raise ValueError(f"unknown feature parts: {sorted(unknown)}")
+    'text', 'bow', 'year', and the tag field names. Deterministic for a
+    fixed context."""
+    selected = set(parts)
+    unknown = selected - set(ALL_PARTS)
+    if unknown:
+        raise ValueError(f"unknown feature parts: {sorted(unknown)}")
 
     bundle = FeatureBundle(item_id=profile.id)
     if "text" in selected or "bow" in selected:
@@ -350,10 +345,12 @@ def save_centroids(centroids: Centroids, path: str | Path) -> None:
 
 def load_centroids(path: str | Path) -> Centroids:
     table = EmbeddingTable.load(path)
-    expected = [f"c{i}" for i in range(len(table))]
-    if table.ids != expected:
-        raise ValueError("centroid file ids must be c0..c{count-1} in order")
-    return Centroids(table.vectors)
+    try:
+        if table.ids != [f"c{i}" for i in range(len(table))]:
+            raise ValueError("centroid file ids must be c0..c{count-1} in order")
+        return Centroids(table.vectors)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_feature_context(context: FeatureContext, dirpath: str | Path) -> None:
@@ -385,37 +382,68 @@ def save_feature_context(context: FeatureContext, dirpath: str | Path) -> None:
         json.dump(manifest, fh, sort_keys=True, indent=2)
 
 
-def _field(mapping, key: str, path: Path):
-    """``mapping[key]``, or a ValueError naming the file and the key."""
+def _field(mapping, key: str, path: Path, kinds=object, positive: bool = False):
+    """``mapping[key]``, or a ValueError naming the file and the key unless the
+    value is one of ``kinds`` and no bool, and a number is finite (and > 0
+    if ``positive``)."""
     if not isinstance(mapping, dict) or key not in mapping:
         raise ValueError(f"{path}: missing key {key!r}")
-    return mapping[key]
+    value = mapping[key]
+    if isinstance(value, bool) or not isinstance(value, kinds) or isinstance(value, (int, float)) \
+            and not (abs(value) <= sys.float_info.max and (value > 0 or not positive)):
+        raise ValueError(f"{path}: bad value {value!r} for key {key!r}")
+    return value
+
+
+def _read_json(path: Path):
+    with open_text(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also an integer past Python's digit limit
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
 
 
 def load_feature_context(dirpath: str | Path) -> FeatureContext:
+    """Read a context written by ``save_feature_context``. A malformed
+    manifest or tag vocabulary raises a ValueError naming the file and key."""
     directory = Path(dirpath)
     manifest_path = directory / MANIFEST_NAME
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(manifest_path)
     if _field(manifest, "version", manifest_path) != CONTEXT_VERSION:
         raise ValueError(f"{manifest_path}: unsupported version {manifest['version']!r}")
-    files = _field(manifest, "files", manifest_path)
-    vocab_path = directory / _field(files, "tag_vocab", manifest_path)
-    with open(vocab_path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    vocab = TagVocabulary(*(_field(raw, k, vocab_path) for k in ("tags", "counts", "min_count")))
-    word_table = None
-    if files.get("word_vectors"):
-        word_table = EmbeddingTable.load(directory / files["word_vectors"])
-    centroids = None
-    if files.get("centroids"):
-        centroids = load_centroids(directory / files["centroids"])
+    files = _field(manifest, "files", manifest_path, dict)
+    _field(files, "tag_vocab", manifest_path, str)
+    paths = {}
+    for key in ("tag_vocab", "word_vectors", "centroids"):
+        if files.get(key) is not None:
+            paths[key] = directory / _field(files, key, manifest_path, str)
+            if not paths[key].is_file():
+                raise ValueError(f"{manifest_path}: key 'files.{key}' names no file")
+    raw = _read_json(paths["tag_vocab"])
+    tags = _field(raw, "tags", paths["tag_vocab"], dict)
+    for name in (*TAG_FIELDS, *tags):
+        if not all(isinstance(t, str) for t in _field(tags, name, paths["tag_vocab"], list)):
+            raise ValueError(f"{paths['tag_vocab']}: key {name!r} must list strings")
+    try:
+        vocab = TagVocabulary(tags, _field(raw, "counts", paths["tag_vocab"], dict),
+                              _field(raw, "min_count", paths["tag_vocab"], int))
+    except ValueError as exc:
+        raise ValueError(f"{paths['tag_vocab']}: key 'tags': {exc}") from None
+    word_table = EmbeddingTable.load(paths["word_vectors"]) if "word_vectors" in paths else None
+    centroids = load_centroids(paths["centroids"]) if "centroids" in paths else None
+    if centroids is not None and word_table is not None \
+            and centroids.vectors.shape[1] != word_table.dim:
+        raise ValueError(f"{manifest_path}: key 'files.centroids' has dim "
+                         f"{centroids.vectors.shape[1]}, the word vectors {word_table.dim}")
     return FeatureContext(
         tag_vocab=vocab,
-        year_stats=YearStats(*(float(_field(manifest, k, manifest_path))
-                               for k in ("year_mean", "year_std"))),
+        year_stats=YearStats(float(_field(manifest, "year_mean", manifest_path, (int, float))),
+                             float(_field(manifest, "year_std", manifest_path, (int, float),
+                                          positive=True))),
         word_table=word_table,
         centroids=centroids,
-        max_words=int(_field(manifest, "max_words", manifest_path)),
-        temperature=float(_field(manifest, "temperature", manifest_path)),
+        max_words=_field(manifest, "max_words", manifest_path, int, positive=True),
+        temperature=float(_field(manifest, "temperature", manifest_path, (int, float),
+                                 positive=True)),
     )

@@ -15,6 +15,7 @@ weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -101,11 +102,14 @@ class SystemSpec:
                              (self.combiner_hidden, "combiner_hidden"),
                              (self.cnn_filters, "cnn_filters"), (self.cnn_width, "cnn_width"),
                              (self.text_length, "text_length")]:
-            if value < 1:
-                raise ValueError(f"{label} must be >= 1")
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{label} must be an integer >= 1")
+        if not isinstance(self.tag_hidden, dict):
+            raise ValueError("tag_hidden must map tag components to widths")
         for comp in TAG_COMPONENT_FIELDS:
-            if self.tag_hidden.get(comp, 0) < 1:
-                raise ValueError(f"tag_hidden[{comp!r}] must be >= 1")
+            width = self.tag_hidden.get(comp)
+            if type(width) is not int or width < 1:
+                raise ValueError(f"tag_hidden[{comp!r}] must be an integer >= 1")
         if self.cnn_width > self.text_length:
             raise ValueError("cnn_width exceeds text_length")
         if self.name is None:
@@ -136,13 +140,15 @@ class Cb2cfModel:
     """
 
     def __init__(self, spec: SystemSpec, params: dict[str, np.ndarray],
-                 features: FeatureContext, embedding: np.ndarray | None,
-                 embedding_trainable: bool) -> None:
+                 features: FeatureContext, embedding: np.ndarray | None) -> None:
         self.spec = spec
         self.params = params
         self.features = features
         self.embedding = embedding
-        self.embedding_trainable = embedding_trainable
+
+    @property
+    def embedding_trainable(self) -> bool:
+        return self.embedding is not None and self.spec.cnn_variant != "static"
 
     def l2_weight_names(self) -> list[str]:
         comps = self.spec.components
@@ -150,36 +156,20 @@ class Cb2cfModel:
         names += [f"{COMPONENTS[c][1][0]}.weight" for c in comps if c in TAG_COMPONENT_FIELDS]
         return names + ["combiner.weight"]
 
-    def parameter_count(self) -> int:
-        return int(sum(p.size for p in self.params.values()))
 
-
-def _init_dense(params: dict, rng, name: str, fan_in: int, fan_out: int) -> None:
-    params[f"{name}.weight"] = net.glorot_uniform(rng, fan_in, fan_out, (fan_out, fan_in))
-    params[f"{name}.bias"] = np.zeros(fan_out)
-
-
-def build_model(spec: SystemSpec, features: FeatureContext, seed: int = 0) -> Cb2cfModel:
-    """Allocate parameters for the enabled components, in table order.
-    Weights are uniform in +-sqrt(6/(fan_in+fan_out)), biases zero.
-    Component input sizes come from the fitted feature context."""
-    rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    embedding = None
+def parameter_shapes(spec: SystemSpec, features: FeatureContext) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in table order; component input sizes come
+    from the fitted feature context. Layer "x" has "x.weight" (out, in) and
+    "x.bias" (out,); the CNN adds "cnn.filters" and "cnn.conv_bias"."""
+    shapes: dict[str, tuple[int, ...]] = {}
     dims = component_output_dims(spec)
-
     for comp in spec.components:
         part, layers = COMPONENTS[comp]
         if part == "text":
-            table = features.word_table
-            if table is None:
+            if features.word_table is None:
                 raise ValueError("CNN component needs a word table in the feature context")
-            embedding = (rng.uniform(-0.5 / table.dim, 0.5 / table.dim, size=table.vectors.shape)
-                         if spec.cnn_variant == "random-init" else table.vectors.copy())
-            params["cnn.filters"] = net.glorot_uniform(
-                rng, spec.cnn_width * table.dim, spec.cnn_filters,
-                (spec.cnn_filters, spec.cnn_width, table.dim))
-            params["cnn.conv_bias"] = np.zeros(spec.cnn_filters)
+            shapes["cnn.filters"] = (spec.cnn_filters, spec.cnn_width, features.word_table.dim)
+            shapes["cnn.conv_bias"] = (spec.cnn_filters,)
             width = spec.cnn_filters
         elif part == "bow":
             if features.centroids is None:
@@ -188,13 +178,33 @@ def build_model(spec: SystemSpec, features: FeatureContext, seed: int = 0) -> Cb
         else:
             width = 1 if part == "year" else features.tag_vocab.size(part)
         for name in layers:
-            _init_dense(params, rng, name, width, dims[comp])
+            shapes[f"{name}.weight"], shapes[f"{name}.bias"] = (dims[comp], width), (dims[comp],)
             width = dims[comp]
+    shapes["combiner.weight"] = (spec.combiner_hidden, sum(dims.values()))
+    shapes["combiner.bias"] = (spec.combiner_hidden,)
+    shapes["output.weight"] = (spec.output_dim, spec.combiner_hidden)
+    shapes["output.bias"] = (spec.output_dim,)
+    return shapes
 
-    _init_dense(params, rng, "combiner", sum(dims.values()), spec.combiner_hidden)
-    _init_dense(params, rng, "output", spec.combiner_hidden, spec.output_dim)
-    return Cb2cfModel(spec, params, features, embedding,
-                      embedding is not None and spec.cnn_variant != "static")
+
+def build_model(spec: SystemSpec, features: FeatureContext, seed: int = 0) -> Cb2cfModel:
+    """Allocate the ``parameter_shapes`` tensors in table order. Weights and
+    filters are uniform in +-sqrt(6/(fan_in+fan_out)), biases zero; a
+    'random-init' embedding is drawn just before the filters."""
+    rng = np.random.default_rng(seed)
+    params: dict[str, np.ndarray] = {}
+    embedding = None
+    for name, shape in parameter_shapes(spec, features).items():
+        if name == "cnn.filters":
+            table = features.word_table
+            embedding = (rng.uniform(-0.5 / table.dim, 0.5 / table.dim, size=table.vectors.shape)
+                         if spec.cnn_variant == "random-init" else table.vectors.copy())
+        if len(shape) == 1:
+            params[name] = np.zeros(shape)
+        else:
+            fan_out, fan_in = shape[0], math.prod(shape[1:])
+            params[name] = net.glorot_uniform(rng, fan_in, fan_out, shape)
+    return Cb2cfModel(spec, params, features, embedding)
 
 
 def _batch_input(bundles: Sequence[FeatureBundle], comp: str):
@@ -401,6 +411,11 @@ def _target_vector(targets, item_id: str, shape: tuple[int, ...]) -> np.ndarray:
     return vec
 
 
+def _snapshot(model: Cb2cfModel) -> tuple:
+    return ({k: v.copy() for k, v in model.params.items()},
+            None if model.embedding is None else model.embedding.copy())
+
+
 def _all_finite(model: Cb2cfModel) -> bool:
     tensors = [*model.params.values(), model.embedding]
     return all(np.isfinite(t).all() for t in tensors if t is not None)
@@ -439,8 +454,7 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
     adam = net.Adam(lr=config.learning_rate)
     best = np.inf
     best_epoch: int | None = None
-    snapshot = ({k: v.copy() for k, v in model.params.items()},
-                None if model.embedding is None else model.embedding.copy())
+    snapshot = _snapshot(model)
     bad_epochs = 0
     stop_reason = "max_epochs"
     train_losses: list[float] = []
@@ -461,8 +475,8 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
                 break  # diverged; no update from a non-finite loss
             grads, (rows, row_grads) = backward_batch(model, cache, grad_preds / len(batch))
             if config.l2 > 0:
-                for name in model.l2_weight_names():
-                    grads[name] += 2.0 * config.l2 * model.params[name]
+                for name in model.l2_weight_names():  # one 2*l2*W temporary at a time
+                    grads[name] += net.l2_penalty({name: model.params[name]}, config.l2)[1][name]
             adam.step(model.params, grads)
             if model.embedding_trainable and len(rows):
                 adam.step_rows("embedding", model.embedding, rows, row_grads)
@@ -479,8 +493,7 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
             if val_losses[-1] < best:
                 best = val_losses[-1]
                 best_epoch = epoch
-                snapshot = ({k: v.copy() for k, v in model.params.items()},
-                            None if model.embedding is None else model.embedding.copy())
+                snapshot = _snapshot(model)
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -506,49 +519,38 @@ def predict(model: Cb2cfModel, bundles: Sequence[FeatureBundle]) -> np.ndarray:
     return out
 
 
-def _tag_layer(model: Cb2cfModel, field_name: str):
-    """(field, weight, bias) of the tag component named by its field or
-    component name."""
+def _tag_reps(model: Cb2cfModel, field_name: str, tags: Sequence[str]):
+    """(field, relu(W + b) with one row per tag of the field, the rows of
+    ``tags``) for the tag component named by its field or component name."""
     for comp, fname in TAG_COMPONENT_FIELDS.items():
         if fname == field_name or comp == field_name:
             if comp not in model.spec.components:
                 raise ValueError(f"component {comp} is not enabled in this model")
+            index = model.features.tag_vocab.index[fname]
+            for tag in tags:
+                if tag not in index:
+                    raise ValueError(f"unknown {fname} tag {tag!r}")
             layer = COMPONENTS[comp][1][0]
-            return fname, model.params[f"{layer}.weight"], model.params[f"{layer}.bias"]
+            weight, bias = model.params[f"{layer}.weight"], model.params[f"{layer}.bias"]
+            return fname, np.maximum(weight + bias[:, None], 0.0).T, [index[t] for t in tags]
     raise ValueError(f"unknown tag field {field_name!r}")
 
 
 def tag_representation(model: Cb2cfModel, field_name: str, tag: str) -> np.ndarray:
     """Hidden activation of the field's component for the tag's one-hot
     input: relu(W[:, tag] + b)."""
-    fname, weight, bias = _tag_layer(model, field_name)
-    index = model.features.tag_vocab.index[fname]
-    if tag not in index:
-        raise ValueError(f"unknown {fname} tag {tag!r}")
-    return np.maximum(weight[:, index[tag]] + bias, 0.0)
+    _, reps, (row,) = _tag_reps(model, field_name, [tag])
+    return reps[row]
 
 
 def analogy(model: Cb2cfModel, field_name: str, a: str, b: str, c: str,
             topk: int = 1) -> list[tuple[str, float]]:
     """Rank tags by cosine to repr(c) + repr(a) - repr(b), excluding the
     three query tags. Ties break on ascending tag id."""
-    fname, weight, bias = _tag_layer(model, field_name)
-    tags = model.features.tag_vocab.tags[fname]
-    reps = np.maximum(weight + bias[:, None], 0.0).T  # (tags, hidden)
-    rep = {}
-    for name in (a, b, c):
-        if name not in model.features.tag_vocab.index[fname]:
-            raise ValueError(f"unknown {fname} tag {name!r}")
-        rep[name] = reps[model.features.tag_vocab.index[fname][name]]
-    query = rep[c] + rep[a] - rep[b]
-    table = EmbeddingTable(tags, reps)
-    return similarity_search(query, table, topk, exclude={a, b, c})
-
-
-def _spec_from_meta(meta: dict) -> SystemSpec:
-    meta = dict(meta)
-    meta["components"] = tuple(meta["components"])
-    return SystemSpec(**meta)
+    fname, reps, (row_a, row_b, row_c) = _tag_reps(model, field_name, [a, b, c])
+    table = EmbeddingTable(model.features.tag_vocab.tags[fname], reps)
+    return similarity_search(reps[row_c] + reps[row_a] - reps[row_b], table, topk,
+                             exclude={a, b, c})
 
 
 def save_model(model: Cb2cfModel, path: str | Path,
@@ -571,20 +573,38 @@ def load_model(path: str | Path,
                features: FeatureContext | None = None) -> Cb2cfModel:
     """Restore a checkpoint. The feature context comes from ``features`` or,
     failing that, from the checkpoint's stored reference resolved relative
-    to the checkpoint file."""
+    to the checkpoint file. The tensors must have the names and shapes that
+    the stored system spec gives over that context."""
+    def bad(reason: str) -> ValueError:
+        return ValueError(f"checkpoint {path}: {reason}")
+
     tensors, meta = net.load_checkpoint(path)
     if meta.get("kind") != MODEL_KIND:
-        raise ValueError("not a model checkpoint")
+        raise bad("not a model checkpoint")
+    system = meta.get("system")
+    if not isinstance(system, dict):
+        raise bad("meta has no 'system' object")
+    try:
+        spec = SystemSpec(**system)
+    except (TypeError, ValueError) as exc:
+        raise bad(f"bad system spec: {exc}") from None
     if features is None:
         ref = meta.get("features_ref")
-        if not ref:
-            raise ValueError("checkpoint stores no feature context reference; "
-                             "pass the context explicitly")
+        if not ref or not isinstance(ref, str):
+            raise bad("no feature context reference; pass the context explicitly")
         ref_path = Path(ref)
         if not ref_path.is_absolute():
             ref_path = Path(path).parent / ref_path
         features = load_feature_context(ref_path)
-    spec = _spec_from_meta(meta["system"])
+    try:
+        expected = parameter_shapes(spec, features)
+    except ValueError as exc:
+        raise bad(str(exc)) from None
+    if "CNN" in spec.components:
+        expected["embedding"] = features.word_table.vectors.shape
+    wrong = sorted(n for n in expected.keys() | tensors.keys()
+                   if n not in tensors or tensors[n].shape != expected.get(n))
+    if wrong:
+        raise bad(f"tensors missing, unexpected or misshapen for the system spec: {wrong}")
     embedding = tensors.pop("embedding", None)
-    return Cb2cfModel(spec, tensors, features, embedding,
-                      bool(meta.get("embedding_trainable", False)))
+    return Cb2cfModel(spec, tensors, features, embedding)

@@ -5,8 +5,9 @@ are batch-first: a dense layer maps a (batch, features) matrix (or one
 example's vector) with one GEMM and sums its parameter gradients over the
 batch. The convolution takes one example's (length, dim) text matrix; its
 input gradient is one ``np.bincount``, bit for bit ``np.add.at``. Adam takes
-Kingma & Ba's efficient form (arXiv:1412.6980, section 2). Every backward
-function is checked against central finite differences in the test suite.
+Kingma & Ba's efficient form (arXiv:1412.6980, section 2) on dense tensors and
+embedding rows alike. Every backward function is checked against central
+finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 CHECKPOINT_VERSION = 1
 ADAM_BLOCK = 16384  # elements: a block's ~4 arrays of <= 128 KiB stay in L2 across its passes
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def glorot_uniform(rng, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -134,19 +136,18 @@ def l2_penalty(weights: Mapping[str, np.ndarray], lam: float):
     gradient 2*lam*W each. Biases and embeddings are never passed here."""
     if lam < 0:
         raise ValueError("l2 strength must be non-negative")
-    penalty = 0.0
-    grads = {}
-    for name, w in weights.items():
-        penalty += float(np.sum(w * w))
-        grads[name] = 2.0 * lam * w
-    return lam * penalty, grads
+    penalty = sum(float(np.vdot(w, w)) for w in weights.values())
+    return lam * penalty, {name: 2.0 * lam * w for name, w in weights.items()}
 
 
 @dataclass
 class AdamState:
+    """Adam moments of one tensor. ``t`` counts its steps: an int for a dense
+    tensor, an int64 array with one count per row for a row-sparse table."""
+
     m: np.ndarray
     v: np.ndarray
-    t: int = 0
+    t: int | np.ndarray = 0
     scratch: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
@@ -154,51 +155,53 @@ class AdamState:
         return cls(np.zeros_like(param), np.zeros_like(param))
 
 
+def _adam_rates(lr: float, t):
+    """``(lr_t, eps_t)`` at step ``t``; an array of row steps gives one column
+    each, every value computed in Python floats like a dense tensor's."""
+    if isinstance(t, np.ndarray):
+        steps, inverse = np.unique(t, return_inverse=True)
+        rates = np.array([_adam_rates(lr, step) for step in steps.tolist()])
+        return rates[inverse, :1], rates[inverse, 1:]
+    c = math.sqrt(1.0 - ADAM_BETA2 ** t)
+    return lr * c / (1.0 - ADAM_BETA1 ** t), ADAM_EPS * c
+
+
+def _adam_block(p, g, m, v, s, lr_t, eps_t) -> None:
+    """Kingma & Ba's efficient form on one block, in place, with ``s`` as scratch:
+    ``param -= lr_t * m / (sqrt(v) + eps_t)``, ``c = sqrt(1 - ADAM_BETA2**t)``,
+    ``lr_t = lr * c / (1 - ADAM_BETA1**t)``, ``eps_t = ADAM_EPS * c``. ``m`` and
+    ``v`` keep the bits of ``lr * m_hat / (sqrt(v_hat) + eps)``; ``param`` differs
+    from that by a few ulps."""
+    np.add(np.multiply(m, ADAM_BETA1, out=m), np.multiply(g, 1.0 - ADAM_BETA1, out=s), out=m)
+    np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=s), g, out=s)
+    np.add(np.multiply(v, ADAM_BETA2, out=v), s, out=v)
+    np.add(np.sqrt(v, out=s), eps_t, out=s)
+    p -= np.multiply(np.divide(m, s, out=s), lr_t, out=s)
+
+
 def adam_update(param: np.ndarray, grad: np.ndarray, state: AdamState,
-                lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8) -> None:
+                lr: float = 1e-3) -> None:
     """One bias-corrected Adam step, in place, per block of whole rows of at most
-    ``ADAM_BLOCK`` elements (or one row) through one scratch buffer kept on the state:
-    ``param -= lr_t * m / (sqrt(v) + eps_t)``, ``c = sqrt(1 - beta2**t)``,
-    ``lr_t = lr * c / (1 - beta1**t)``, ``eps_t = eps * c``. ``m`` and ``v`` keep the bits
-    of ``lr * m_hat / (sqrt(v_hat) + eps)``; ``param`` differs by a few ulps per step."""
+    ``ADAM_BLOCK`` elements (or one row) through one scratch buffer kept on the state."""
     if param.shape != grad.shape:
         raise ValueError("param and grad shape mismatch")
     state.t += 1
-    c = math.sqrt(1.0 - beta2 ** state.t)
-    lr_t, eps_t = lr * c / (1.0 - beta1 ** state.t), eps * c
+    lr_t, eps_t = _adam_rates(lr, state.t)
     rows = max(1, ADAM_BLOCK * len(param) // max(param.size, 1))
     if state.scratch is None:
         state.scratch = np.empty_like(param[:rows])
     for lo in range(0, len(param), rows):
         p, g, m, v = (a[lo:lo + rows] for a in (param, grad, state.m, state.v))
-        s = state.scratch[:len(p)]
-        np.add(np.multiply(m, beta1, out=m), np.multiply(g, 1.0 - beta1, out=s), out=m)
-        np.multiply(np.multiply(g, 1.0 - beta2, out=s), g, out=s)
-        np.add(np.multiply(v, beta2, out=v), s, out=v)
-        np.add(np.sqrt(v, out=s), eps_t, out=s)
-        p -= np.multiply(np.divide(m, s, out=s), lr_t, out=s)
-
-
-@dataclass
-class AdamRowState:
-    m: np.ndarray
-    v: np.ndarray
-    t: np.ndarray  # per-row timestep
+        _adam_block(p, g, m, v, state.scratch[:len(p)], lr_t, eps_t)
 
 
 class Adam:
     """Adam over a dict of named tensors, plus a row-sparse path for
     embedding tables where only rows touched by the batch may move."""
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8) -> None:
+    def __init__(self, lr: float = 1e-3) -> None:
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.states: dict[str, AdamState] = {}
-        self.row_states: dict[str, AdamRowState] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
         for name, grad in grads.items():
@@ -207,7 +210,7 @@ class Adam:
             state = self.states.get(name)
             if state is None:
                 state = self.states[name] = AdamState.zeros_like(params[name])
-            adam_update(params[name], grad, state, self.lr, self.beta1, self.beta2, self.eps)
+            adam_update(params[name], grad, state, self.lr)
 
     def step_rows(self, name: str, param: np.ndarray, rows: np.ndarray,
                   grads: np.ndarray) -> None:
@@ -215,49 +218,14 @@ class Adam:
         gradient row each; every row keeps its own timestep."""
         if len(rows) == 0:
             return
-        state = self.row_states.get(name)
+        state = self.states.get(name)
         if state is None:
-            state = self.row_states[name] = AdamRowState(
-                np.zeros_like(param), np.zeros_like(param),
-                np.zeros(param.shape[0], dtype=np.int64))
+            state = self.states[name] = AdamState(
+                np.zeros_like(param), np.zeros_like(param), np.zeros(len(param), dtype=np.int64))
         state.t[rows] += 1
-        t = state.t[rows][:, None].astype(np.float64)
-        state.m[rows] = self.beta1 * state.m[rows] + (1.0 - self.beta1) * grads
-        state.v[rows] = self.beta2 * state.v[rows] + (1.0 - self.beta2) * grads * grads
-        m_hat = state.m[rows] / (1.0 - self.beta1 ** t)
-        v_hat = state.v[rows] / (1.0 - self.beta2 ** t)
-        param[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-LossFn = Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]]
-
-
-def grad_check(loss_fn: LossFn, tensors: dict[str, np.ndarray],
-               eps: float = 1e-5) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    loss_fn must be deterministic and return (loss, grads) with one gradient
-    per input tensor.
-    """
-    _, analytic = loss_fn(tensors)
-    worst = 0.0
-    for name, tensor in tensors.items():
-        if name not in analytic:
-            raise KeyError(f"loss_fn returned no gradient for {name!r}")
-        grad = analytic[name]
-        flat = tensor.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + eps
-            up, _ = loss_fn(tensors)
-            flat[i] = original - eps
-            down, _ = loss_fn(tensors)
-            flat[i] = original
-            numeric = (up - down) / (2.0 * eps)
-            a = float(grad.reshape(-1)[i])
-            err = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
+        p, m, v = param[rows], state.m[rows], state.v[rows]
+        _adam_block(p, grads, m, v, np.empty_like(p), *_adam_rates(self.lr, state.t[rows]))
+        param[rows], state.m[rows], state.v[rows] = p, m, v
 
 
 def save_checkpoint(path: str | Path, tensors: Mapping[str, np.ndarray],

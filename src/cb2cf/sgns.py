@@ -17,7 +17,6 @@ a pair mask weights the scores, and two more products give the updates.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -140,11 +139,6 @@ class EmbeddingTable:
     def get(self, item_id: str) -> np.ndarray:
         return self.vectors[self.index[item_id]]
 
-    @classmethod
-    def from_mapping(cls, mapping: dict[str, np.ndarray]) -> "EmbeddingTable":
-        ids = sorted(mapping)
-        return cls(ids, np.array([mapping[i] for i in ids], dtype=np.float64))
-
     def save(self, path: str | Path) -> None:
         """Vector file: a ``count dim`` header line, then one id per line
         followed by its components. Floats are written with repr so a read
@@ -189,7 +183,10 @@ class EmbeddingTable:
                 ids.append(parts[0])
         if len(ids) != count:
             raise ValueError(f"{path}: header declares {count} rows, found {len(ids)}")
-        return cls(ids, np.array(rows, dtype=np.float64).reshape(count, dim))
+        try:
+            return cls(ids, np.array(rows, dtype=np.float64).reshape(count, dim))
+        except ValueError as exc:  # a repeated id
+            raise ValueError(f"{path}: {exc}") from None
 
     @cached_property
     def _id_rank(self) -> np.ndarray:
@@ -295,30 +292,16 @@ def discard_probabilities(counts: np.ndarray, threshold: float) -> np.ndarray:
     return np.where(counts > 0, np.maximum(0.0, 1.0 - np.sqrt(threshold / freqs)), 0.0)
 
 
-def subsample(ids: Sequence[int], threshold: float, counts: np.ndarray, rng) -> list[int]:
-    """Randomly drop frequent ids. Ids at or below the threshold frequency
-    are never dropped. One uniform draw is consumed per element."""
-    ids_arr = np.asarray(ids, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.float64)
-    if ids_arr.size and (ids_arr.min() < 0 or ids_arr.max() >= len(counts)):
-        raise ValueError("stream id outside the counts table")
-    if ids_arr.size and np.any(counts[ids_arr] <= 0):
-        raise ValueError("stream contains an id with zero count")
-    probs = discard_probabilities(counts, threshold)
-    keep = rng.random(ids_arr.size) >= probs[ids_arr]
-    return [int(i) for i in ids_arr[keep]]
-
-
 class NoiseSampler:
     """Draws ids proportionally to count**0.75 via inverse-CDF lookup."""
 
-    def __init__(self, counts: np.ndarray, power: float = NOISE_POWER) -> None:
+    def __init__(self, counts: np.ndarray) -> None:
         counts = np.asarray(counts, dtype=np.float64)
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError("counts must be a nonempty 1-D array")
         if np.any(counts < 0) or counts.sum() <= 0:
             raise ValueError("counts must be non-negative with positive total")
-        weights = counts ** power
+        weights = counts ** NOISE_POWER
         self.probabilities = weights / weights.sum()
         self._cdf = np.cumsum(self.probabilities)
         self._cdf[-1] = 1.0
@@ -341,9 +324,6 @@ class SgnsTrainer:
             raise ValueError("vocab_size and dim must be >= 1")
         self.input = (rng.random((vocab_size, dim)) - 0.5) / dim
         self.output = np.zeros((vocab_size, dim), dtype=np.float64)
-
-    def train_pair(self, center: int, context: int, negatives: np.ndarray, lr: float) -> None:
-        self.train_pairs([center], [context], np.ones((1, 1)), negatives, lr)
 
     def train_pairs(self, centers, contexts, mask: np.ndarray, negatives, lr: float) -> None:
         """One simultaneous SGD step on a block of pairs sharing the K
@@ -372,12 +352,6 @@ class SgnsTrainer:
         coef *= -lr
         self.input[centers] += (centers[:, None] == centers) @ (coef @ v)
         self.output[targets] += (targets[:, None] == targets) @ (coef.T @ u)
-
-    def pair_loss(self, center: int, context: int, negatives: np.ndarray) -> float:
-        u = self.input[center]
-        pos = sigmoid(float(self.output[context] @ u))
-        neg = sigmoid(-(self.output[np.asarray(negatives, dtype=np.int64)] @ u))
-        return float(-(math.log(pos + 1e-12) + np.log(neg + 1e-12).sum()))
 
 
 def train_sgns(data, config: SgnsConfig) -> EmbeddingTable:

@@ -27,6 +27,7 @@ from .sgns import CooccurrenceSets, EmbeddingTable
 
 _LETTERS = string.ascii_lowercase
 _MAX_WORDS = len(_LETTERS) ** 3
+_WORDS_PER_PLOT = 60
 
 # Year layout: cluster shifts are small next to the in-cluster spread, so
 # tags alone reveal little about an item's year.
@@ -53,16 +54,11 @@ class SyntheticSpec:
     clusters: int = 8
     dim: int = 40
     vocab_size: int = 200
-    genre_count: int | None = None
-    actor_count: int | None = None
-    director_count: int | None = None
-    language_count: int | None = None
     noise: float = 0.05
     year_weight: float = 0.0
     set_count: int | None = None
     min_set_size: int = 2
     max_set_size: int = 8
-    words_per_plot: int = 60
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -84,21 +80,11 @@ class SyntheticSpec:
             raise ValueError("set_count must be >= 0")
         if not 2 <= self.min_set_size <= self.max_set_size:
             raise ValueError("set sizes must satisfy 2 <= min <= max")
-        if self.words_per_plot < 1:
-            raise ValueError("words_per_plot must be >= 1")
-        for name in ("genre_count", "actor_count", "director_count", "language_count"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1")
 
     def tag_counts(self) -> dict[str, int]:
+        """Tags per field: the least base >= 2 whose square covers the clusters."""
         base = max(2, math.isqrt(self.clusters - 1) + 1)
-        return {
-            "genres": self.genre_count or base,
-            "actors": self.actor_count or base,
-            "directors": self.director_count or base,
-            "languages": self.language_count or base,
-        }
+        return dict.fromkeys(("genres", "actors", "directors", "languages"), base)
 
 
 def _cluster_tags(cluster: int, counts: dict[str, int]) -> dict[str, str]:
@@ -131,7 +117,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[CooccurrenceSets, list[Cont
     for i, item_id in enumerate(ids):
         c = cluster_of[item_id]
         slice_words = words[c * per_cluster: (c + 1) * per_cluster] or [words[c % spec.vocab_size]]
-        plot = " ".join(rng.choice(slice_words, size=spec.words_per_plot, replace=True))
+        plot = " ".join(rng.choice(slice_words, size=_WORDS_PER_PLOT, replace=True))
         year = _YEAR_BASE + (c % 5) + int(rng.integers(0, _YEAR_SPAN))
         tags = _cluster_tags(c, counts)
         profiles.append(ContentProfile(

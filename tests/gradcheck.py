@@ -1,0 +1,35 @@
+"""Central finite-difference check of hand-derived gradients."""
+
+from typing import Callable
+
+import numpy as np
+
+LossFn = Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]]
+
+
+def grad_check(loss_fn: LossFn, tensors: dict[str, np.ndarray],
+               eps: float = 1e-5) -> float:
+    """Max relative error between analytic gradients and central differences.
+
+    loss_fn must be deterministic and return (loss, grads) with one gradient
+    per input tensor.
+    """
+    _, analytic = loss_fn(tensors)
+    worst = 0.0
+    for name, tensor in tensors.items():
+        if name not in analytic:
+            raise KeyError(f"loss_fn returned no gradient for {name!r}")
+        grad = analytic[name]
+        flat = tensor.reshape(-1)
+        for i in range(flat.size):
+            original = flat[i]
+            flat[i] = original + eps
+            up, _ = loss_fn(tensors)
+            flat[i] = original - eps
+            down, _ = loss_fn(tensors)
+            flat[i] = original
+            numeric = (up - down) / (2.0 * eps)
+            a = float(grad.reshape(-1)[i])
+            err = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-8)
+            worst = max(worst, err)
+    return worst

@@ -28,6 +28,7 @@ from cb2cf.model import (SystemSpec, TrainConfig, analogy, backward_batch,
                          build_model, bundle_parts, forward_batch, train)
 from cb2cf.sgns import EmbeddingTable, SgnsConfig, similarity_search, train_sgns
 from cb2cf.synthetic import SyntheticSpec, cluster_labels, generate_synthetic
+from gradcheck import grad_check
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -49,7 +50,7 @@ def test_criterion_1_gradient_correctness():
         grad_x, grad_w, grad_b = net.dense_backward(cache, grad_y)
         return loss, {"x": grad_x, "w": grad_w, "b": grad_b}
 
-    dense_err = net.grad_check(dense_loss, {
+    dense_err = grad_check(dense_loss, {
         "x": rng.standard_normal(7), "w": rng.standard_normal((5, 7)),
         "b": rng.standard_normal(5)})
 
@@ -65,7 +66,7 @@ def test_criterion_1_gradient_correctness():
                                                               grad_pooled)
         return loss, {"m": grad_m, "f": grad_f, "cb": grad_cb}
 
-    conv_err = net.grad_check(conv_loss, {
+    conv_err = grad_check(conv_loss, {
         "m": rng.standard_normal((8, 3)), "f": rng.standard_normal((4, 3, 3)),
         "cb": rng.standard_normal(4)})
 
@@ -73,7 +74,7 @@ def test_criterion_1_gradient_correctness():
         loss, grads = net.l2_penalty({"w": tensors["w"]}, 0.01)
         return loss, {"w": grads["w"]}
 
-    l2_err = net.grad_check(l2_loss, {"w": rng.standard_normal((3, 4))})
+    l2_err = grad_check(l2_loss, {"w": rng.standard_normal((3, 4))})
 
     # Assembled model: text length 12, word dim 6, 4 filters, output dim 5,
     # with the fine-tuned embedding rows checked as extra tensors.
@@ -122,7 +123,7 @@ def test_criterion_1_gradient_correctness():
     tensors = {name: value for name, value in model.params.items()}
     for r in rows:
         tensors[f"embedding_row_{r}"] = model.embedding[r]
-    model_err = net.grad_check(model_loss, tensors)
+    model_err = grad_check(model_loss, tensors)
 
     elapsed = time.monotonic() - started
     worst = max(dense_err, conv_err, l2_err, model_err)

@@ -121,7 +121,7 @@ def test_train_word2vec_with_vocab_export(tmp_path, capsys):
     table = EmbeddingTable.load(tmp_path / "words.vec")
     assert "the" in table
     vocab = load_vocabulary(tmp_path / "vocab.tsv")
-    assert vocab.count("the") == 9
+    assert vocab.counts[vocab.index["the"]] == 9
 
 
 def test_train_word2vec_rejects_an_empty_corpus(tmp_path, capsys):

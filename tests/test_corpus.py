@@ -1,10 +1,11 @@
+import re
 import string
 import unicodedata
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cb2cf.corpus import (build_vocabulary, decode, encode, load_vocabulary,
+from cb2cf.corpus import (build_vocabulary, load_vocabulary,
                           save_vocabulary, tokenize, Vocabulary)
 
 
@@ -98,7 +99,7 @@ def test_build_vocabulary_cap_tie_at_boundary_is_deterministic():
 
 def test_vocabulary_count_lookup():
     vocab = _vocab(["x", "x", "y"])
-    assert vocab.count("x") == 2
+    assert vocab.counts[vocab.index["x"]] == 2
     assert "y" in vocab and "z" not in vocab
 
 
@@ -115,25 +116,6 @@ def test_vocabulary_rejects_bad_construction():
         Vocabulary(["a"], [0], 0)
 
 
-def test_encode_drops_out_of_vocabulary_tokens():
-    vocab = _vocab(["a", "a", "b"])  # a ranks 0, b ranks 1
-    assert encode(["a", "zzz", "b", "a"], vocab) == [0, 1, 0]
-
-
-def test_encode_decode_round_trip():
-    vocab = _vocab(["c", "a", "b", "a"])
-    tokens = ["a", "b", "c", "a"]
-    assert decode(encode(tokens, vocab), vocab) == tokens
-
-
-def test_decode_rejects_out_of_range_indices():
-    vocab = _vocab(["a", "b"])
-    with pytest.raises(ValueError):
-        decode([2], vocab)
-    with pytest.raises(ValueError):
-        decode([-1], vocab)
-
-
 @given(st.lists(st.lists(st.sampled_from(list(string.ascii_lowercase)),
                           max_size=20), max_size=10),
        st.integers(min_value=1, max_value=8))
@@ -142,8 +124,7 @@ def test_build_vocabulary_invariants(streams, cap):
     assert len(vocab) <= cap
     assert vocab.counts == sorted(vocab.counts, reverse=True)
     assert vocab.total_tokens == sum(len(s) for s in streams)
-    for i in encode([t for s in streams for t in s], vocab):
-        assert 0 <= i < len(vocab)
+    assert [vocab.tokens[vocab.index[t]] for t in vocab.tokens] == vocab.tokens
 
 
 def test_save_load_round_trip(tmp_path):
@@ -164,6 +145,19 @@ def test_load_vocabulary_honors_explicit_cap(tmp_path):
     assert loaded.cap == 5
     with pytest.raises(ValueError):
         load_vocabulary(path, cap=1)  # two rows exceed the cap
+
+
+@pytest.mark.parametrize("content, fragment", [
+    ("a\t0\n", "counts must be positive"),
+    (",a\t3\n", "invalid vocabulary token"),
+    ("a\t1\nb\t2\n", "non-increasing"),
+    ("a\t2\na\t1\n", "duplicate"),
+])
+def test_load_vocabulary_names_the_file_of_an_invalid_vocabulary(tmp_path, content, fragment):
+    path = tmp_path / "vocab.tsv"
+    path.write_text(content)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{fragment}"):
+        load_vocabulary(path)
 
 
 def test_load_vocabulary_rejects_malformed_lines(tmp_path):

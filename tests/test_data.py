@@ -62,6 +62,12 @@ def test_load_ratings_rejects_malformed_rows(tmp_path, row, fragment):
         assert fragment in str(exc)
 
 
+def test_load_ratings_names_the_line_of_an_oversized_field(tmp_path):
+    path = _write_ratings(tmp_path, "u1,m1,4.0,100\nu1,m2," + "9" * 200_000 + ",100\n")
+    with pytest.raises(ValueError, match=":3: field larger than field limit"):
+        load_ratings(path)
+
+
 def test_valid_rating_half_star_scale():
     for value in (0.5, 1.0, 3.5, 5.0):
         assert _valid_rating(value)
@@ -188,6 +194,12 @@ class TestLoadMetadata:
             load_metadata(path)
         except ValueError as exc:
             assert fragment in str(exc)
+
+    def test_rejects_an_integer_past_the_digit_limit(self, tmp_path):
+        path = tmp_path / "meta.jsonl"
+        path.write_text('{"id": "m", "year": ' + "1" * 5000 + "}\n")
+        with pytest.raises(ValueError, match=":1: invalid JSON"):
+            load_metadata(path)
 
     def test_rejects_duplicate_ids(self, tmp_path):
         path = tmp_path / "meta.jsonl"

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cb2cf import features
 from cb2cf.data import ContentProfile
 from cb2cf.evaluation import make_folds
-from cb2cf.features import (Centroids, FeatureContext, NA_TOKEN, TAG_FIELDS,
+from cb2cf.features import (ALL_PARTS, Centroids, FeatureContext, NA_TOKEN, TAG_FIELDS,
                             YearStats, bow_histogram, build_tag_vocab,
                             featurize_item, fit_feature_context, fit_kmeans,
                             fit_year_stats, load_centroids,
@@ -85,7 +86,7 @@ class TestKmeans:
         got = {tuple(np.round(v, 9)) for v in centroids.vectors}
         assert got == {(0.0, 0.0), (5.0, 5.0), (9.0, 0.0)}
 
-    def test_inertia_never_increases_with_more_iterations(self):
+    def test_inertia_never_increases_with_more_iterations(self, monkeypatch):
         rng = np.random.default_rng(2)
         points = rng.standard_normal((60, 3))
 
@@ -93,8 +94,10 @@ class TestKmeans:
             d2 = ((points[:, None, :] - centroids.vectors[None]) ** 2).sum(-1)
             return float(d2.min(axis=1).sum())
 
-        values = [inertia(fit_kmeans(points, 4, seed=7, max_iter=i))
-                  for i in range(1, 8)]
+        values = []
+        for rounds in range(1, 8):
+            monkeypatch.setattr(features, "KMEANS_MAX_ITER", rounds)
+            values.append(inertia(fit_kmeans(points, 4, seed=7)))
         for previous, current in zip(values, values[1:]):
             assert current <= previous + 1e-9
 
@@ -310,7 +313,7 @@ class TestFeaturizeItem:
 
     def test_full_bundle(self, word_table, profiles):
         context = self._context(word_table, profiles)
-        bundle = featurize_item(profiles[0], context)
+        bundle = featurize_item(profiles[0], context, ALL_PARTS)
         assert bundle.item_id == "m1"
         assert bundle.text_indices is not None and len(bundle.text_indices) == 3
         assert bundle.bow is not None and bundle.bow.sum() == pytest.approx(1.0)
@@ -333,15 +336,15 @@ class TestFeaturizeItem:
         with pytest.raises(ValueError):
             featurize_item(profiles[0], context, parts={"bow"})
 
-    def test_default_parts_without_text_assets(self, profiles):
+    def test_tag_and_year_parts_without_text_assets(self, profiles):
         context = fit_feature_context(profiles, min_tag_count=1)
-        bundle = featurize_item(profiles[0], context)
+        bundle = featurize_item(profiles[0], context, {"year", *TAG_FIELDS})
         assert bundle.text_indices is None and bundle.bow is None
         assert set(bundle.tags) == set(TAG_FIELDS)
 
     def test_sparse_profile_uses_sentinels(self, word_table, profiles):
         context = self._context(word_table, profiles)
-        bundle = featurize_item(profiles[2], context)  # no plot, tags, year
+        bundle = featurize_item(profiles[2], context, ALL_PARTS)  # no plot, tags, year
         assert len(bundle.text_indices) == 0
         assert np.allclose(bundle.bow, 1.0 / 3.0)
         for field in TAG_FIELDS:
@@ -398,8 +401,8 @@ class TestPersistence:
         assert loaded.tag_vocab.tags == context.tag_vocab.tags
         assert loaded.tag_vocab.counts == context.tag_vocab.counts
         for profile in profiles:
-            a = featurize_item(profile, context)
-            b = featurize_item(profile, loaded)
+            a = featurize_item(profile, context, ALL_PARTS)
+            b = featurize_item(profile, loaded, ALL_PARTS)
             assert np.array_equal(a.text_indices, b.text_indices)
             assert np.array_equal(a.bow, b.bow)
             assert a.year == b.year
@@ -437,6 +440,39 @@ class TestPersistence:
         path.write_text(json.dumps(content))
         with pytest.raises(ValueError, match=f"{filename}: missing key '{key}'"):
             load_feature_context(tmp_path / "ctx")
+
+
+@pytest.mark.parametrize("filename, mutate, message", [
+    ("manifest.json", lambda m: m.update(max_words=[1]), "max_words"),
+    ("manifest.json", lambda m: m["files"].update(tag_vocab=5), "tag_vocab"),
+    ("manifest.json", lambda m: m["files"].update(word_vectors="nowhere.vec"),
+     "files.word_vectors"),
+    ("manifest.json", lambda m: m.update(year_mean="abc"), "year_mean"),
+    ("manifest.json", lambda m: m.update(year_std=0.0), "year_std"),
+    ("manifest.json", lambda m: m.update(temperature=10 ** 400), "temperature"),
+    ("tag_vocab.json", lambda v: v.update(tags=5), "tags"),
+    ("tag_vocab.json", lambda v: v["tags"].update(genres=["drama"]), "tags"),
+    ("tag_vocab.json", lambda v: v["tags"].pop("actors"), "actors"),
+], ids=["max-words-list", "tag-vocab-number", "missing-sidecar", "year-mean-string",
+        "year-std-zero", "huge-temperature", "tags-number", "no-sentinel", "missing-field"])
+def test_bad_context_values_name_the_file_and_the_key(tmp_path, profiles, filename,
+                                                      mutate, message):
+    import json
+    save_feature_context(fit_feature_context(profiles, min_tag_count=1), tmp_path / "ctx")
+    path = tmp_path / "ctx" / filename
+    content = json.loads(path.read_text())
+    mutate(content)
+    path.write_text(json.dumps(content))
+    with pytest.raises(ValueError, match=f"{filename}: .*{message}"):
+        load_feature_context(tmp_path / "ctx")
+
+
+def test_non_utf8_manifest_names_the_file(tmp_path, profiles):
+    save_feature_context(fit_feature_context(profiles, min_tag_count=1), tmp_path / "ctx")
+    path = tmp_path / "ctx" / "manifest.json"
+    path.write_bytes(path.read_bytes().replace(b'"files"', b'"fil\xffes"'))
+    with pytest.raises(ValueError, match=r"manifest.json:\d+: not valid UTF-8"):
+        load_feature_context(tmp_path / "ctx")
 
 
 def test_feature_context_validation():

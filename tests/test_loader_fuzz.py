@@ -1,0 +1,177 @@
+"""Mutated input files either load or raise a ValueError that names the file.
+
+Each loader gets a valid file, then a few byte edits (flips, inserted
+bytes or tokens, deletions, truncation) or, for JSON documents, a value
+swapped for an arbitrary JSON value or a key deleted. No other exception
+type (MemoryError, KeyError, TypeError, IndexError, AttributeError,
+UnicodeDecodeError, ...) may escape. Examples are derandomized so every
+run checks the same bounded set.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from cb2cf.corpus import build_vocabulary, load_vocabulary, save_vocabulary
+from cb2cf.data import ContentProfile, load_metadata, load_ratings, save_metadata
+from cb2cf.features import (Centroids, fit_feature_context, load_feature_context,
+                            save_feature_context)
+from cb2cf.model import SystemSpec, build_model, load_model, save_model
+from cb2cf.sgns import EmbeddingTable
+
+FUZZ = settings(max_examples=120, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+TOKENS = [b"\n", b" ", b"\t", b",", b"\"", b"-", b"0", b"-1", b"1e999", b"nan", b"inf",
+          b"9" * 30, b"\xff", b"\xc3", b"\x00", b"{", b"}", b"[", b"]", b":", b"null",
+          b"true", b"1.5"]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=4)
+
+
+def _mutate_bytes(data, original: bytes) -> bytes:
+    out = bytearray(original)
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["flip", "insert", "delete", "truncate"]))
+        pos = data.draw(st.integers(0, len(out)))
+        if kind == "flip" and pos < len(out):
+            out[pos] = data.draw(st.integers(0, 255))
+        elif kind == "insert":
+            out[pos:pos] = data.draw(st.sampled_from(TOKENS) | st.binary(min_size=1, max_size=6))
+        elif kind == "delete":
+            del out[pos:pos + data.draw(st.integers(1, 12))]
+        elif kind == "truncate":
+            del out[pos:]
+    return bytes(out)
+
+
+def _json_paths(value, prefix=()):
+    yield prefix
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _mutate_json(data, document):
+    """A deep copy of ``document`` with one value replaced or one key deleted."""
+    document = json.loads(json.dumps(document))
+    path = data.draw(st.sampled_from(list(_json_paths(document))))
+    if not path:
+        return data.draw(JSON_VALUES)
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JSON_VALUES)
+    return document
+
+
+def _mutate_text(data, original: bytes, json_lines: bool = False) -> bytes:
+    """Byte edits, or a structural edit of the JSON document (of one line
+    of a JSON Lines file)."""
+    if data.draw(st.booleans()):
+        return _mutate_bytes(data, original)
+    lines = original.splitlines(keepends=True) if json_lines else [original]
+    index = data.draw(st.integers(0, len(lines) - 1))
+    lines[index] = json.dumps(_mutate_json(data, json.loads(lines[index]))).encode() + b"\n"
+    return b"".join(lines)
+
+
+def _loads_or_names(load, *names) -> None:
+    try:
+        load()
+    except ValueError as exc:
+        assert any(str(name) in str(exc) for name in names), exc
+
+
+@pytest.fixture
+def word_table():
+    rng = np.random.default_rng(0)
+    return EmbeddingTable([f"w{i}" for i in range(6)], rng.standard_normal((6, 3)))
+
+
+@pytest.fixture
+def context(word_table):
+    profiles = [ContentProfile(id=f"m{i}", plot="w0 w1 w2", genres=[f"g{i % 2}"],
+                               actors=["a"], directors=["d"], languages=["en"],
+                               year=1990 + i) for i in range(4)]
+    return fit_feature_context(profiles, word_table=word_table,
+                               centroids=Centroids(word_table.vectors[:2].copy()),
+                               max_words=4, min_tag_count=1)
+
+
+@FUZZ
+@given(data=st.data())
+def test_vector_files(tmp_path, word_table, data):
+    path = tmp_path / "table.vec"
+    word_table.save(path)
+    path.write_bytes(_mutate_bytes(data, path.read_bytes()))
+    _loads_or_names(lambda: EmbeddingTable.load(path), path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_ratings_files(tmp_path, data):
+    path = tmp_path / "ratings.csv"
+    path.write_bytes(_mutate_bytes(data, b"userId,movieId,rating,timestamp\n"
+                                         b"1,m1,4.0,10\n1,m2,3.5,11\n2,m1,5.0,12\n"))
+    _loads_or_names(lambda: load_ratings(path), path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_metadata_files(tmp_path, data):
+    path = tmp_path / "metadata.jsonl"
+    save_metadata([ContentProfile(id="m1", plot="a plot", genres=["drama"], year=1999),
+                   ContentProfile(id="m2", actors=["ann", "bob"], languages=["en"])], path)
+    path.write_bytes(_mutate_text(data, path.read_bytes(), json_lines=True))
+    _loads_or_names(lambda: load_metadata(path), path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_vocabulary_files(tmp_path, data):
+    path = tmp_path / "vocab.tsv"
+    save_vocabulary(build_vocabulary([["the", "cat", "the", "sat", "the", "cat"]]), path)
+    path.write_bytes(_mutate_bytes(data, path.read_bytes()))
+    _loads_or_names(lambda: load_vocabulary(path), path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_feature_context_files(tmp_path, context, data):
+    directory = tmp_path / "ctx"
+    save_feature_context(context, directory)
+    path = directory / data.draw(st.sampled_from(
+        ["manifest.json", "tag_vocab.json", "word_vectors.vec", "centroids.vec"]))
+    original = path.read_bytes()
+    path.write_bytes(_mutate_text(data, original) if path.suffix == ".json"
+                     else _mutate_bytes(data, original))
+    _loads_or_names(lambda: load_feature_context(directory), directory)
+
+
+@FUZZ
+@given(data=st.data())
+def test_model_checkpoints(tmp_path, context, data):
+    path = tmp_path / "model.ckpt"
+    spec = SystemSpec.named("CNN+BOW+Genres+Year", output_dim=3, cnn_filters=2,
+                            cnn_width=2, cnn_hidden=3, bow_hidden=2, combiner_hidden=4,
+                            text_length=4)
+    save_model(build_model(spec, context, seed=0), path)
+    manifest, _, payload = path.read_bytes().partition(b"\n")
+    if data.draw(st.booleans()):
+        manifest = json.dumps(_mutate_json(data, json.loads(manifest))).encode()
+        path.write_bytes(manifest + b"\n" + payload)
+    else:
+        path.write_bytes(_mutate_bytes(data, manifest + b"\n" + payload))
+    _loads_or_names(lambda: load_model(path, features=context), f"checkpoint {path}")
+

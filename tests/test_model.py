@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from cb2cf.model import (COMPONENT_ORDER, Cb2cfModel, SystemSpec, TrainConfig,
                          forward_batch, load_model,
                          parse_system, predict, save_model, tag_representation,
                          train)
+from gradcheck import grad_check
 from model_helpers import backward, forward
 
 
@@ -101,7 +103,7 @@ def test_year_only_parameter_count():
     context = _context(_tag_year_profiles())
     model = build_model(SystemSpec(components=("Year",)), context)
     # 1*8+8 year, 256*8+256 combiner, 40*256+40 output.
-    assert model.parameter_count() == 16 + 2304 + 10280 == 12600
+    assert sum(p.size for p in model.params.values()) == 16 + 2304 + 10280 == 12600
 
 
 def test_build_model_is_deterministic_per_seed():
@@ -258,7 +260,7 @@ def test_backward_gradients_match_finite_differences():
         grads, _ = backward(model, cache, grad_pred)
         return loss, grads
 
-    assert net.grad_check(loss_fn, dict(model.params)) < 1e-5
+    assert grad_check(loss_fn, dict(model.params)) < 1e-5
 
 
 def test_word_dropout_masks_have_unit_mean(word_table):
@@ -456,6 +458,38 @@ class TestModelPersistence:
         save_model(model, path)
         with pytest.raises(ValueError, match="feature context"):
             load_model(path)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda tensors, meta: meta.pop("system"), "no 'system' object"),
+        (lambda tensors, meta: meta["system"].update(colour="red"), "bad system spec"),
+        (lambda tensors, meta: meta["system"].update(cnn_filters=2.5), "bad system spec"),
+        (lambda tensors, meta: tensors.pop("output.bias"), "output.bias"),
+        (lambda tensors, meta: tensors.pop("embedding"), "embedding"),
+        (lambda tensors, meta: tensors.update({"genres.weight": np.ones((2, 2))}),
+         "genres.weight"),
+        (lambda tensors, meta: tensors.update(extra=np.ones(1)), "extra"),
+    ], ids=["no-system", "unknown-spec-key", "float-width", "missing-tensor",
+            "missing-embedding", "wrong-shape", "extra-tensor"])
+    def test_bad_checkpoints_name_the_path(self, tmp_path, word_table, mutate, message):
+        model, context, _ = self._trained(word_table)
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        tensors, meta = net.load_checkpoint(path)
+        mutate(tensors, meta)
+        net.save_checkpoint(path, tensors, meta)
+        with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))}: .*{message}"):
+            load_model(path, features=context)
+
+    def test_the_spec_variant_decides_whether_a_loaded_embedding_trains(self, tmp_path,
+                                                                        word_table):
+        model, context, _ = self._trained(word_table)
+        model.spec.cnn_variant = "static"
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        tensors, meta = net.load_checkpoint(path)
+        meta["embedding_trainable"] = True
+        net.save_checkpoint(path, tensors, meta)
+        assert not load_model(path, features=context).embedding_trainable
 
     def test_foreign_checkpoints_are_rejected(self, tmp_path):
         path = tmp_path / "other.ckpt"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cb2cf import net
+from gradcheck import grad_check
 
 
 def test_dense_forward_values_and_shape_checks():
@@ -31,7 +32,7 @@ def test_dense_gradients_against_finite_differences():
 
     tensors = {"x": x0, "w": rng.standard_normal((4, 3)),
                "b": rng.standard_normal(4)}
-    assert net.grad_check(loss_fn, tensors) < 1e-6
+    assert grad_check(loss_fn, tensors) < 1e-6
 
 
 def test_batched_dense_gradients_against_finite_differences():
@@ -46,7 +47,7 @@ def test_batched_dense_gradients_against_finite_differences():
 
     tensors = {"x": rng.standard_normal((5, 3)), "w": rng.standard_normal((4, 3)),
                "b": rng.standard_normal(4)}
-    assert net.grad_check(loss_fn, tensors) < 1e-6
+    assert grad_check(loss_fn, tensors) < 1e-6
     # A batch row is the one-example layer; parameter gradients add up.
     y, cache = net.dense_forward(tensors["x"], tensors["w"], tensors["b"])
     grad_y = rng.standard_normal((5, 4))
@@ -175,7 +176,7 @@ def test_conv_stack_gradients_against_finite_differences():
     tensors = {"m": x0, "f": rng.standard_normal((4, 3, 2)),
                "cb": rng.standard_normal(4),
                "w": rng.standard_normal((3, 4)), "b": rng.standard_normal(3)}
-    assert net.grad_check(loss_fn, tensors) < 1e-6
+    assert grad_check(loss_fn, tensors) < 1e-6
 
 
 def test_dropout_scales_kept_units_and_masks_gradient():
@@ -309,7 +310,33 @@ def test_adam_row_steps_match_dense_updates_when_all_rows_move():
         grad = rng.standard_normal((4, 3))
         net.adam_update(dense, grad, dense_state, lr=0.01)
         adam.step_rows("emb", sparse, np.arange(4), grad)
-    assert np.allclose(dense, sparse, atol=1e-12)
+    assert np.array_equal(dense, sparse)
+    assert np.array_equal(adam.states["emb"].m, dense_state.m)
+    assert np.array_equal(adam.states["emb"].v, dense_state.v)
+    assert np.array_equal(adam.states["emb"].t, np.full(4, 5))
+
+
+def test_adam_rows_at_staggered_steps_match_the_formula_per_row():
+    rng = np.random.default_rng(14)
+    param = rng.standard_normal((6, 3))
+    references = [param[r].copy() for r in range(6)]
+    ref_states = [net.AdamState.zeros_like(param[r]) for r in range(6)]
+    # The moments of the per-row textbook formula, updated on the touched rows.
+    m, v = np.zeros_like(param), np.zeros_like(param)
+    adam = net.Adam(lr=3e-3)
+    for _ in range(12):
+        rows = np.flatnonzero(rng.random(6) < 0.5)
+        grads = rng.standard_normal((len(rows), 3)) * 10.0 ** rng.integers(-6, 3, (len(rows), 3))
+        adam.step_rows("emb", param, rows, grads)
+        m[rows] = 0.9 * m[rows] + (1.0 - 0.9) * grads
+        v[rows] = 0.999 * v[rows] + (1.0 - 0.999) * grads * grads
+        for row, grad in zip(rows, grads):
+            _reference_adam_update(references[row], grad, ref_states[row], lr=3e-3)
+    state = adam.states["emb"]
+    assert len(set(state.t.tolist())) > 3  # the rows really are at different steps
+    assert state.t.tolist() == [s.t for s in ref_states]
+    _assert_close_relative(param, np.array(references))
+    assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
 
 
 def test_adam_row_steps_touch_only_given_rows():
@@ -328,13 +355,13 @@ def test_grad_check_accepts_exact_gradients():
         w = tensors["w"]
         return float(np.sum(w * w)), {"w": 2.0 * w}
 
-    err = net.grad_check(loss_fn, {"w": np.array([1.0, -2.0, 0.5])})
+    err = grad_check(loss_fn, {"w": np.array([1.0, -2.0, 0.5])})
     assert err < 1e-9
 
 
 def test_grad_check_requires_every_gradient():
     with pytest.raises(KeyError):
-        net.grad_check(lambda t: (0.0, {}), {"w": np.zeros(2)})
+        grad_check(lambda t: (0.0, {}), {"w": np.zeros(2)})
 
 
 def _manifest(tensors) -> bytes:

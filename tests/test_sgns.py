@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, strategies as st
 from cb2cf import sgns
 from cb2cf.sgns import (CooccurrenceSets, EmbeddingTable, NoiseSampler,
                         SgnsConfig, SgnsTrainer, cosine_scores, discard_probabilities,
-                        sigmoid, similarity_search, subsample, train_sgns,
+                        sigmoid, similarity_search, train_sgns,
                         window_blocks)
 
 
@@ -77,11 +77,6 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError):
             EmbeddingTable(["a"], np.array([[np.nan]]))
 
-    def test_from_mapping_sorts_ids(self):
-        table = EmbeddingTable.from_mapping(
-            {"b": np.array([2.0]), "a": np.array([1.0])})
-        assert table.ids == ["a", "b"]
-
     def test_save_load_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         vectors = rng.standard_normal((5, 3)) * np.array([1e-17, 1.0, 1e12])
@@ -142,6 +137,12 @@ class TestEmbeddingTable:
             path.write_text(header + "\na 1.0 2.0 3.0\n")
             with pytest.raises(ValueError, match="^" + re.escape(f"{path}:1: ")):
                 EmbeddingTable.load(path)
+
+    def test_load_names_the_file_of_a_repeated_id(self, tmp_path):
+        path = tmp_path / "dup.vec"
+        path.write_text("2 2\na 1.0 2.0\na 3.0 4.0\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: duplicate id")):
+            EmbeddingTable.load(path)
 
     def test_load_does_not_allocate_from_a_huge_header_count(self, tmp_path):
         path = tmp_path / "huge.vec"
@@ -347,19 +348,12 @@ def test_discard_probability_formula():
 
 
 def test_subsample_keep_rate_matches_closed_form():
-    # f = 0.75, t = 0.03: discard 1 - sqrt(0.04) = 0.8, keep 0.2.
-    counts = np.array([3.0, 1.0])
-    stream = [0] * 100_000
-    kept = subsample(stream, 0.03, counts, np.random.default_rng(9))
-    assert len(kept) / len(stream) == pytest.approx(0.2, abs=0.01)
-
-
-def test_subsample_validates_stream_ids():
-    counts = np.array([2.0, 0.0])
-    with pytest.raises(ValueError):
-        subsample([5], 0.1, counts, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        subsample([1], 0.1, counts, np.random.default_rng(0))
+    # f = 0.75, t = 0.03: discard 1 - sqrt(0.04) = 0.8, keep 0.2; drawn as
+    # train_sgns draws its keep mask.
+    stream = np.zeros(100_000, dtype=np.int64)
+    discard = discard_probabilities(np.array([3.0, 1.0]), 0.03)[stream]
+    kept = np.random.default_rng(9).random(len(stream)) >= discard
+    assert kept.mean() == pytest.approx(0.2, abs=0.01)
 
 
 def test_noise_sampler_matches_powered_unigram():
@@ -404,6 +398,17 @@ def _reference_pair_update(input_vecs, output_vecs, center, context,
     return inp, out
 
 
+def _train_pair(trainer, center, context, negatives, lr):
+    trainer.train_pairs([center], [context], np.ones((1, 1)), negatives, lr)
+
+
+def _pair_loss(trainer, center, context, negatives):
+    u = trainer.input[center]
+    pos = sigmoid(float(trainer.output[context] @ u))
+    neg = sigmoid(-(trainer.output[np.asarray(negatives)] @ u))
+    return float(-(math.log(pos + 1e-12) + np.log(neg + 1e-12).sum()))
+
+
 @pytest.mark.parametrize("negatives", [[2, 3], [2, 2], [3, 4, 3]])
 def test_train_pair_matches_reference_update(negatives):
     rng = np.random.default_rng(11)
@@ -411,7 +416,7 @@ def test_train_pair_matches_reference_update(negatives):
     trainer.output = rng.standard_normal((5, 4)) * 0.3
     expected_in, expected_out = _reference_pair_update(
         trainer.input, trainer.output, 0, 1, negatives, lr=0.1)
-    trainer.train_pair(0, 1, np.array(negatives), lr=0.1)
+    _train_pair(trainer, 0, 1, np.array(negatives), lr=0.1)
     assert np.allclose(trainer.input, expected_in, atol=1e-12)
     assert np.allclose(trainer.output, expected_out, atol=1e-12)
 
@@ -474,7 +479,7 @@ def test_block_step_equals_the_sum_of_its_pair_updates(case):
 def test_train_pair_zero_tables_are_a_fixed_point():
     trainer = SgnsTrainer(4, 3, np.random.default_rng(0))
     trainer.input[:] = 0.0
-    trainer.train_pair(0, 1, np.array([2, 3]), lr=0.5)
+    _train_pair(trainer, 0, 1, np.array([2, 3]), lr=0.5)
     assert np.all(trainer.input == 0.0)
     assert np.all(trainer.output == 0.0)
 
@@ -486,9 +491,9 @@ def test_repeated_pair_training_reduces_its_loss_monotonically():
     negatives = np.array([2, 3, 4])
     losses = []
     for _ in range(100):
-        losses.append(trainer.pair_loss(0, 1, negatives))
-        trainer.train_pair(0, 1, negatives, lr=0.05)
-    losses.append(trainer.pair_loss(0, 1, negatives))
+        losses.append(_pair_loss(trainer, 0, 1, negatives))
+        _train_pair(trainer, 0, 1, negatives, lr=0.05)
+    losses.append(_pair_loss(trainer, 0, 1, negatives))
     assert all(b < a for a, b in zip(losses, losses[1:]))
     assert losses[-1] < 0.25 * losses[0]
 

@@ -90,8 +90,6 @@ class TestTags:
         eight = _small_spec(clusters=8, items=32, dim=12)
         assert eight.tag_counts() == \
             {"genres": 3, "actors": 3, "directors": 3, "languages": 3}
-        custom = _small_spec(genre_count=5)
-        assert custom.tag_counts()["genres"] == 5
 
     def test_single_tags_are_ambiguous_but_tuples_resolve_clusters(self):
         spec = _small_spec(clusters=8, items=64, dim=12)
@@ -184,10 +182,6 @@ class TestSpecValidation:
             SyntheticSpec(min_set_size=1, **good)
         with pytest.raises(ValueError, match="set sizes"):
             SyntheticSpec(min_set_size=5, max_set_size=4, **good)
-        with pytest.raises(ValueError, match="words_per_plot"):
-            SyntheticSpec(words_per_plot=0, **good)
-        with pytest.raises(ValueError, match=">= 1"):
-            SyntheticSpec(genre_count=0, **good)
 
 
 def test_cluster_labels_match_generation_order():
