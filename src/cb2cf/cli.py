@@ -49,10 +49,9 @@ def _cmd_train_word2vec(args: argparse.Namespace) -> None:
     vocab = build_vocabulary(sentences, cap=args.vocab_cap)
     kept = [[t for t in s if t in vocab] for s in sentences]
     kept = [s for s in kept if s]
-    config = SgnsConfig.word_defaults(
-        dim=args.dim, epochs=args.epochs, negatives=args.neg,
-        subsample=args.subsample, window=args.window,
-        learning_rate=args.lr, seed=args.seed)
+    config = SgnsConfig(dim=args.dim, epochs=args.epochs, negatives=args.neg,
+                        subsample=args.subsample, window=args.window,
+                        learning_rate=args.lr, seed=args.seed)
     table = train_sgns(kept, config)
     table.save(args.out)
     if args.save_vocab:
@@ -71,9 +70,8 @@ def _cmd_train_item2vec(args: argparse.Namespace) -> None:
         sets = data.load_sets(args.sets)
     if not sets.sets:
         raise CliError("no co-occurrence sets of size >= 2")
-    config = SgnsConfig.item_defaults(
-        dim=args.dim, epochs=args.epochs, negatives=args.neg,
-        subsample=args.subsample, learning_rate=args.lr, seed=args.seed)
+    config = SgnsConfig(dim=args.dim, epochs=args.epochs, negatives=args.neg,
+                        subsample=args.subsample, learning_rate=args.lr, seed=args.seed)
     table = train_sgns(sets, config)
     table.save(args.out)
     print(f"trained {len(table)} item vectors of dim {table.dim} from "
@@ -317,7 +315,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_sgns_flags(p, dim=40, subsample=1e-4)
 
     p = sub("fit-features", _cmd_fit_features,
-            "fit tag/year statistics and persist the feature context")
+            "fit tag/year statistics and write the feature context file")
     p.add_argument("--metadata")
     p.add_argument("--word-vectors")
     p.add_argument("--bow-centroids", type=int, default=250)
@@ -394,18 +392,27 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def _apply_config(parser: argparse.ArgumentParser,
                   registry: dict[str, argparse.ArgumentParser],
                   argv: list[str], args: argparse.Namespace) -> argparse.Namespace:
-    with open(args.config, encoding="utf-8") as fh:
-        loaded = json.load(fh)
+    with open_text(args.config) as fh:
+        text = fh.read()
+    try:
+        loaded = json.loads(text)
+    except ValueError as exc:  # also an integer past Python's digit limit
+        raise CliError(f"{args.config}: invalid JSON ({exc})") from None
     if not isinstance(loaded, dict):
         raise CliError(f"{args.config}: config must be a JSON object")
     sub = registry[args.command]
-    valid = {a.dest for a in sub._actions}
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("config", "help")}
     defaults = {}
     for key, value in loaded.items():
-        dest = key.replace("-", "_")
-        if dest not in valid or dest in ("config", "func", "help"):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise CliError(f"{args.config}: unknown option {key!r} for {args.command}")
-        defaults[dest] = value
+        # Checked as a flag would be: its type as written, and its choices.
+        kinds = {int: int, float: (int, float), None: str}[action.type]
+        if isinstance(value, bool) or not isinstance(value, kinds) \
+                or action.choices is not None and value not in action.choices:
+            raise CliError(f"{args.config}: bad value {value!r} for key {key!r}")
+        defaults[action.dest] = value
     sub.set_defaults(**defaults)
     return parser.parse_args(argv)  # explicit flags still win
 

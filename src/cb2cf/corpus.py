@@ -126,28 +126,3 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
         for token, count in zip(vocab.tokens, vocab.counts):
             fh.write(f"{token}\t{count}\n")
 
-
-def load_vocabulary(path: str | Path, cap: int | None = None) -> Vocabulary:
-    """Read a vocabulary export. The stream total is approximated by the sum
-    of retained counts, which is all the file format preserves.
-    """
-    tokens: list[str] = []
-    counts: list[int] = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected token<TAB>count")
-            try:
-                count = int(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad count {parts[1]!r}") from exc
-            tokens.append(parts[0])
-            counts.append(count)
-    try:
-        return Vocabulary(tokens, counts, sum(counts), max(len(tokens), 1) if cap is None else cap)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

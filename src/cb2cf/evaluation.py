@@ -150,11 +150,6 @@ def mean_ndcg_at(predictions: Mapping[str, np.ndarray], catalog: EmbeddingTable,
     return {k: sum(row[j] for row in rows) / len(rows) for j, k in enumerate(ks)}
 
 
-def mean_ndcg(predictions: Mapping[str, np.ndarray], catalog: EmbeddingTable,
-              k: int) -> float:
-    return mean_ndcg_at(predictions, catalog, (k,))[k]
-
-
 @dataclass
 class FoldMetrics:
     fold: int | None  # None marks the cross-fold mean row

@@ -10,7 +10,6 @@ each word's BOW row on first use: it grows with the words seen, not the table.
 
 from __future__ import annotations
 
-import json
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -19,7 +18,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import open_text, tokenize
+from . import net
+from .corpus import tokenize
 from .sgns import EmbeddingTable
 
 if TYPE_CHECKING:
@@ -34,8 +34,7 @@ KMEANS_TOL = 1e-6  # Lloyd rounds stop once no centroid moves this far
 KMEANS_MAX_ITER = 100
 ALL_PARTS = ("text", "bow", "year") + TAG_FIELDS
 
-MANIFEST_NAME = "manifest.json"
-CONTEXT_VERSION = 1
+CONTEXT_KIND = "cb2cf-feature-context"  # the ``kind`` meta of a context checkpoint
 
 
 def text_tokens(text: str | None) -> list[str]:
@@ -338,48 +337,24 @@ def featurize_item(profile: "ContentProfile", context: FeatureContext,
     return bundle
 
 
-def save_centroids(centroids: Centroids, path: str | Path) -> None:
-    ids = [f"c{i}" for i in range(len(centroids))]
-    EmbeddingTable(ids, centroids.vectors).save(path)
-
-
-def load_centroids(path: str | Path) -> Centroids:
-    table = EmbeddingTable.load(path)
-    try:
-        if table.ids != [f"c{i}" for i in range(len(table))]:
-            raise ValueError("centroid file ids must be c0..c{count-1} in order")
-        return Centroids(table.vectors)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def save_feature_context(context: FeatureContext, dirpath: str | Path) -> None:
-    """Persist the context as a manifest plus referenced sidecar files."""
-    directory = Path(dirpath)
-    directory.mkdir(parents=True, exist_ok=True)
-    files: dict[str, str | None] = {"word_vectors": None, "centroids": None}
+def save_feature_context(context: FeatureContext, path: str | Path) -> None:
+    """Persist the context as one ``net`` checkpoint: the word vectors and the
+    centroids are tensors, each written only when present; the rest is meta."""
+    tensors = {}
     if context.word_table is not None:
-        files["word_vectors"] = "word_vectors.vec"
-        context.word_table.save(directory / "word_vectors.vec")
+        tensors["word_vectors"] = context.word_table.vectors
     if context.centroids is not None:
-        files["centroids"] = "centroids.vec"
-        save_centroids(context.centroids, directory / "centroids.vec")
-    with open(directory / "tag_vocab.json", "w", encoding="utf-8") as fh:
-        json.dump({"min_count": context.tag_vocab.min_count,
-                   "tags": context.tag_vocab.tags,
-                   "counts": context.tag_vocab.counts},
-                  fh, sort_keys=True, indent=2)
-    files["tag_vocab"] = "tag_vocab.json"
-    manifest = {
-        "version": CONTEXT_VERSION,
+        tensors["centroids"] = context.centroids.vectors
+    vocab = context.tag_vocab
+    net.save_checkpoint(path, tensors, {
+        "kind": CONTEXT_KIND,
         "max_words": context.max_words,
         "temperature": context.temperature,
         "year_mean": context.year_stats.mean,
         "year_std": context.year_stats.std,
-        "files": files,
-    }
-    with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+        "word_ids": None if context.word_table is None else context.word_table.ids,
+        "tag_vocab": {"min_count": vocab.min_count, "tags": vocab.tags, "counts": vocab.counts},
+    })
 
 
 def _field(mapping, key: str, path: Path, kinds=object, positive: bool = False):
@@ -395,55 +370,49 @@ def _field(mapping, key: str, path: Path, kinds=object, positive: bool = False):
     return value
 
 
-def _read_json(path: Path):
-    with open_text(path) as fh:
-        text = fh.read()
+def _build(path: Path, key: str, make, *args):
+    """``make(*args)``, with its ValueError prefixed by the file and the key."""
     try:
-        return json.loads(text)
-    except ValueError as exc:  # also an integer past Python's digit limit
-        raise ValueError(f"{path}: invalid JSON ({exc})") from None
-
-
-def load_feature_context(dirpath: str | Path) -> FeatureContext:
-    """Read a context written by ``save_feature_context``. A malformed
-    manifest or tag vocabulary raises a ValueError naming the file and key."""
-    directory = Path(dirpath)
-    manifest_path = directory / MANIFEST_NAME
-    manifest = _read_json(manifest_path)
-    if _field(manifest, "version", manifest_path) != CONTEXT_VERSION:
-        raise ValueError(f"{manifest_path}: unsupported version {manifest['version']!r}")
-    files = _field(manifest, "files", manifest_path, dict)
-    _field(files, "tag_vocab", manifest_path, str)
-    paths = {}
-    for key in ("tag_vocab", "word_vectors", "centroids"):
-        if files.get(key) is not None:
-            paths[key] = directory / _field(files, key, manifest_path, str)
-            if not paths[key].is_file():
-                raise ValueError(f"{manifest_path}: key 'files.{key}' names no file")
-    raw = _read_json(paths["tag_vocab"])
-    tags = _field(raw, "tags", paths["tag_vocab"], dict)
-    for name in (*TAG_FIELDS, *tags):
-        if not all(isinstance(t, str) for t in _field(tags, name, paths["tag_vocab"], list)):
-            raise ValueError(f"{paths['tag_vocab']}: key {name!r} must list strings")
-    try:
-        vocab = TagVocabulary(tags, _field(raw, "counts", paths["tag_vocab"], dict),
-                              _field(raw, "min_count", paths["tag_vocab"], int))
+        return make(*args)
     except ValueError as exc:
-        raise ValueError(f"{paths['tag_vocab']}: key 'tags': {exc}") from None
-    word_table = EmbeddingTable.load(paths["word_vectors"]) if "word_vectors" in paths else None
-    centroids = load_centroids(paths["centroids"]) if "centroids" in paths else None
+        raise ValueError(f"{path}: key {key!r}: {exc}") from None
+
+
+def load_feature_context(path: str | Path) -> FeatureContext:
+    """Read a context written by ``save_feature_context``. A malformed file
+    raises a ValueError naming the file and, for a bad meta value, the key."""
+    tensors, meta = net.load_checkpoint(path)
+    if meta.get("kind") != CONTEXT_KIND:
+        raise ValueError(f"{path}: not a feature context")
+    unexpected = sorted(tensors.keys() - {"word_vectors", "centroids"})
+    if unexpected:
+        raise ValueError(f"{path}: unexpected tensors {unexpected}")
+    raw = _field(meta, "tag_vocab", path, dict)
+    tags = _field(raw, "tags", path, dict)
+    for name in (*TAG_FIELDS, *tags):
+        if not all(isinstance(t, str) for t in _field(tags, name, path, list)):
+            raise ValueError(f"{path}: key {name!r} must list strings")
+    vocab = _build(path, "tags", TagVocabulary, tags, _field(raw, "counts", path, dict),
+                   _field(raw, "min_count", path, int))
+    ids = _field(meta, "word_ids", path, (list, type(None)))
+    if (ids is None) != ("word_vectors" not in tensors) \
+            or not all(isinstance(i, str) for i in ids or ()):
+        raise ValueError(f"{path}: key 'word_ids' must list string ids exactly when "
+                         "there are word vectors")
+    word_table = None if ids is None else \
+        _build(path, "word_ids", EmbeddingTable, ids, tensors["word_vectors"])
+    centroids = _build(path, "centroids", Centroids, tensors["centroids"]) \
+        if "centroids" in tensors else None
     if centroids is not None and word_table is not None \
             and centroids.vectors.shape[1] != word_table.dim:
-        raise ValueError(f"{manifest_path}: key 'files.centroids' has dim "
+        raise ValueError(f"{path}: key 'centroids' has dim "
                          f"{centroids.vectors.shape[1]}, the word vectors {word_table.dim}")
     return FeatureContext(
         tag_vocab=vocab,
-        year_stats=YearStats(float(_field(manifest, "year_mean", manifest_path, (int, float))),
-                             float(_field(manifest, "year_std", manifest_path, (int, float),
-                                          positive=True))),
+        year_stats=YearStats(float(_field(meta, "year_mean", path, (int, float))),
+                             float(_field(meta, "year_std", path, (int, float), positive=True))),
         word_table=word_table,
         centroids=centroids,
-        max_words=_field(manifest, "max_words", manifest_path, int, positive=True),
-        temperature=float(_field(manifest, "temperature", manifest_path, (int, float),
-                                 positive=True)),
+        max_words=_field(meta, "max_words", path, int, positive=True),
+        temperature=float(_field(meta, "temperature", path, (int, float), positive=True)),
     )

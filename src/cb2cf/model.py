@@ -556,7 +556,7 @@ def analogy(model: Cb2cfModel, field_name: str, a: str, b: str, c: str,
 def save_model(model: Cb2cfModel, path: str | Path,
                features_ref: str | None = None) -> None:
     """Checkpoint the parameters (embedding included) with the system spec
-    and a reference to the persisted feature context directory."""
+    and a reference to the persisted feature context file."""
     tensors = dict(model.params)
     if model.embedding is not None:
         tensors["embedding"] = model.embedding
@@ -564,7 +564,6 @@ def save_model(model: Cb2cfModel, path: str | Path,
         "kind": MODEL_KIND,
         "system": asdict(model.spec),
         "features_ref": features_ref,
-        "embedding_trainable": model.embedding_trainable,
     }
     net.save_checkpoint(path, tensors, meta)
 

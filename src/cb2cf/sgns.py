@@ -18,7 +18,7 @@ a pair mask weights the scores, and two more products give the updates.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -65,14 +65,6 @@ class SgnsConfig:
             raise ValueError("window must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-
-    @classmethod
-    def item_defaults(cls, **overrides) -> "SgnsConfig":
-        return replace(cls(dim=40, subsample=1e-4), **overrides)
-
-    @classmethod
-    def word_defaults(cls, **overrides) -> "SgnsConfig":
-        return replace(cls(dim=100, subsample=1e-5), **overrides)
 
 
 @dataclass

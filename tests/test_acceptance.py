@@ -19,7 +19,7 @@ from cb2cf import net
 from cb2cf.cli import main as cli_main
 from cb2cf.data import (ContentProfile, UserHistory, cooccurrence_from_ratings,
                         load_sets)
-from cb2cf.evaluation import (EvalDataset, make_folds, mean_ndcg, mpr,
+from cb2cf.evaluation import (EvalDataset, make_folds, mean_ndcg_at, mpr,
                               mse_metric, ndcg_at_k, percentile_rank,
                               run_system)
 from cb2cf.features import (Centroids, bow_histogram, fit_feature_context,
@@ -184,8 +184,8 @@ def test_criterion_2_metric_oracles():
     identity = {i: pos_catalog.get(i) for i in ids}
     identity_ok = (mse_metric(pos_catalog, identity) == 0.0
                    and mpr(identity, pos_catalog) == 0.0
-                   and all(mean_ndcg(identity, pos_catalog, k) == 1.0
-                           for k in (1, 3, 5)))
+                   and all(v == 1.0 for v in
+                           mean_ndcg_at(identity, pos_catalog, (1, 3, 5)).values()))
 
     rng = np.random.default_rng(0)
     big = rng.standard_normal((1000, 40))
@@ -210,9 +210,8 @@ def test_criterion_3_item_vector_cluster_recovery():
                          noise=0.0, set_count=2000, max_set_size=4, seed=11)
     sets, _, _ = generate_synthetic(spec)
     labels = cluster_labels(spec)
-    config = SgnsConfig.item_defaults(dim=10, epochs=100, negatives=5,
-                                      subsample=1.0, learning_rate=0.025,
-                                      seed=3)
+    config = SgnsConfig(dim=10, epochs=100, negatives=5, subsample=1.0,
+                        learning_rate=0.025, seed=3)
     table = train_sgns(sets, config)
 
     hits = 0
@@ -437,7 +436,7 @@ def test_criterion_9_real_data_smoke(tmp_path):
     ratings = os.path.join(source, "ratings.csv")
     metadata = os.path.join(source, "metadata.jsonl")
     vectors = tmp_path / "items.vec"
-    ctx = tmp_path / "ctx"
+    ctx = tmp_path / "ctx.ckpt"
     model_path = tmp_path / "model.ckpt"
     report_json = tmp_path / "report.json"
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cb2cf.cli import main
-from cb2cf.corpus import load_vocabulary
 from cb2cf.data import load_metadata, load_ratings, load_sets
 from cb2cf.features import load_feature_context
 from cb2cf.model import load_model
@@ -21,9 +20,9 @@ def workspace(tmp_path_factory):
                  "--out", str(data_dir)]) == 0
     assert main(["fit-features", "--metadata", str(data_dir / "metadata.jsonl"),
                  "--min-tag-count", "1", "--max-words", "8",
-                 "--out", str(root / "ctx")]) == 0
+                 "--out", str(root / "ctx.ckpt")]) == 0
     assert main(["train-model", "--system", "Genres+Year",
-                 "--features", str(root / "ctx"),
+                 "--features", str(root / "ctx.ckpt"),
                  "--metadata", str(data_dir / "metadata.jsonl"),
                  "--targets", str(data_dir / "vectors.vec"),
                  "--batch", "4", "--max-epochs", "2", "--val-fraction", "0",
@@ -50,7 +49,8 @@ def test_synth_writes_a_loadable_dataset(workspace):
 
 
 def test_fit_features_persists_a_context(workspace):
-    context = load_feature_context(workspace / "ctx")
+    assert (workspace / "ctx.ckpt").is_file()
+    context = load_feature_context(workspace / "ctx.ckpt")
     assert context.tag_vocab.size("genres") == 3  # 2 genres + sentinel
     assert context.word_table is None
 
@@ -71,7 +71,7 @@ def test_train_model_fails_loudly_on_divergence(workspace, tmp_path, capsys):
     capsys.readouterr()
     out = tmp_path / "model.ckpt"
     assert main(["train-model", "--system", "Genres+Year",
-                 "--features", str(workspace / "ctx"),
+                 "--features", str(workspace / "ctx.ckpt"),
                  "--metadata", str(data_dir / "metadata.jsonl"),
                  "--targets", str(huge), "--batch", "4", "--max-epochs", "3",
                  "--out", str(out)]) == 1
@@ -120,8 +120,7 @@ def test_train_word2vec_with_vocab_export(tmp_path, capsys):
     assert "word vectors" in capsys.readouterr().out
     table = EmbeddingTable.load(tmp_path / "words.vec")
     assert "the" in table
-    vocab = load_vocabulary(tmp_path / "vocab.tsv")
-    assert vocab.counts[vocab.index["the"]] == 9
+    assert (tmp_path / "vocab.tsv").read_text().startswith("the\t9\n")
 
 
 def test_train_word2vec_rejects_an_empty_corpus(tmp_path, capsys):
@@ -158,8 +157,8 @@ def test_recommend_unknown_item_fails(workspace, capsys):
 
 def test_analogy_over_the_trained_tag_layer(workspace, capsys):
     rc = main(["analogy", "--model", str(workspace / "model.ckpt"),
-               "--field", "genres", "--a", "genre_aaa", "--b", "genre_aaa",
-               "--c", "genre_aab", "--topk", "2"])
+               "--features", str(workspace / "ctx.ckpt"), "--field", "genres",
+               "--a", "genre_aaa", "--b", "genre_aaa", "--c", "genre_aab", "--topk", "2"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     # Both real genres are query tags; only the sentinel is left to rank.
@@ -278,6 +277,46 @@ class TestConfigFile:
         assert rc == 1
         assert "must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body, message", [
+        (b'{"items": 5,\n "out": "x\xff"}', ":2: not valid UTF-8"),
+        (b'{"items": 5,', ": invalid JSON"),
+    ], ids=["non-utf8", "invalid-json"])
+    def test_unreadable_config_names_the_file(self, tmp_path, capsys, body, message):
+        config = tmp_path / "bad.json"
+        config.write_bytes(body)
+        assert main(["synth", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"{config}{message}" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("synth", "dim", [4]),
+        ("train-item2vec", "epochs", 2.7),
+        ("synth", "dim", True),
+        ("synth", "noise", True),
+        ("synth", "noise", "0.1"),
+        ("synth", "out", 5),
+        ("evaluate", "cnn-variant", "dynamic"),
+    ], ids=["int-list", "int-float", "int-bool", "float-bool", "float-string",
+            "string-int", "not-a-choice"])
+    def test_bad_config_value_names_the_file_and_the_key(self, tmp_path, capsys,
+                                                         command, key, value):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({key: value}))
+        assert main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"{config}: bad value {value!r} for key {key!r}" in err
+
+    def test_config_values_obey_the_option_choices(self, workspace, tmp_path, capsys):
+        out = tmp_path / "labeled.tsv"
+        config = tmp_path / "export.json"
+        config.write_text(json.dumps({
+            "vectors": str(workspace / "data" / "vectors.vec"), "labels": "bogus",
+            "metadata": str(workspace / "data" / "metadata.jsonl"), "out": str(out)}))
+        assert main(["export", "--config", str(config)]) == 1
+        assert f"{config}: bad value 'bogus' for key 'labels'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_missing_required_flag_is_a_one_line_error(capsys):
     assert main(["fit-features"]) == 1
@@ -303,9 +342,8 @@ def _train_word2vec(path):
     (load_ratings, b"userId,movieId,rating,timestamp\nu1,m1,4.0,1\nu\xff,m2,4.0,2\n", 3),
     (load_sets, b"a b\nc \xff d\n", 2),
     (load_metadata, b'{"id": "a"}\n{"id": "b\xff"}\n', 2),
-    (load_vocabulary, b"a\t3\nb\xff\t2\n", 2),
     (_train_word2vec, b"alpha beta\ngamma \xff delta\n", 2),
-], ids=["vectors", "ratings", "sets", "metadata", "vocabulary", "train-word2vec"])
+], ids=["vectors", "ratings", "sets", "metadata", "train-word2vec"])
 def test_non_utf8_input_names_the_path_and_line(tmp_path, capsys, reader, body, line):
     path = tmp_path / "input"
     path.write_bytes(body)

@@ -1,12 +1,10 @@
-import re
 import string
 import unicodedata
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cb2cf.corpus import (build_vocabulary, load_vocabulary,
-                          save_vocabulary, tokenize, Vocabulary)
+from cb2cf.corpus import build_vocabulary, save_vocabulary, tokenize, Vocabulary
 
 
 def test_tokenize_lowercases_splits_and_masks_digits():
@@ -132,39 +130,3 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "vocab.tsv"
     save_vocabulary(vocab, path)
     assert path.read_text() == "b\t3\nc\t2\na\t1\n"
-    loaded = load_vocabulary(path)
-    assert loaded.tokens == vocab.tokens
-    assert loaded.counts == vocab.counts
-    assert loaded.total_tokens == 6  # sum of retained counts
-
-
-def test_load_vocabulary_honors_explicit_cap(tmp_path):
-    path = tmp_path / "vocab.tsv"
-    path.write_text("a\t3\nb\t1\n")
-    loaded = load_vocabulary(path, cap=5)
-    assert loaded.cap == 5
-    with pytest.raises(ValueError):
-        load_vocabulary(path, cap=1)  # two rows exceed the cap
-
-
-@pytest.mark.parametrize("content, fragment", [
-    ("a\t0\n", "counts must be positive"),
-    (",a\t3\n", "invalid vocabulary token"),
-    ("a\t1\nb\t2\n", "non-increasing"),
-    ("a\t2\na\t1\n", "duplicate"),
-])
-def test_load_vocabulary_names_the_file_of_an_invalid_vocabulary(tmp_path, content, fragment):
-    path = tmp_path / "vocab.tsv"
-    path.write_text(content)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{fragment}"):
-        load_vocabulary(path)
-
-
-def test_load_vocabulary_rejects_malformed_lines(tmp_path):
-    path = tmp_path / "bad.tsv"
-    path.write_text("a\t3\nb 1\n")
-    with pytest.raises(ValueError, match=":2"):
-        load_vocabulary(path)
-    path.write_text("a\tx\n")
-    with pytest.raises(ValueError, match="bad count"):
-        load_vocabulary(path)

@@ -5,7 +5,7 @@ import pytest
 
 from cb2cf.data import ContentProfile
 from cb2cf.evaluation import (DEFAULT_NDCG_KS, EvalDataset, make_folds,
-                              mean_ndcg, mpr, mse_metric, ndcg_at_k,
+                              mean_ndcg_at, mpr, mse_metric, ndcg_at_k,
                               percentile_rank, report_json_dict, report_tsv,
                               run_evaluation, run_system)
 from cb2cf.model import TrainConfig
@@ -219,7 +219,7 @@ class TestNdcg:
         predictions = {"a": np.array([1.0, 0.2]), "b": np.array([0.1, 1.0])}
         expected = (ndcg_at_k("a", predictions["a"], catalog, 2)
                     + ndcg_at_k("b", predictions["b"], catalog, 2)) / 2
-        assert mean_ndcg(predictions, catalog, 2) == pytest.approx(expected)
+        assert mean_ndcg_at(predictions, catalog, (2,))[2] == pytest.approx(expected)
 
 
 def test_non_finite_predictions_rank_worst():
@@ -228,7 +228,7 @@ def test_non_finite_predictions_rank_worst():
     catalog = EmbeddingTable(ids, rng.standard_normal((50, 8)))
     all_nan = {i: np.full(8, np.nan) for i in ids}
     assert mpr(all_nan, catalog) == 1.0
-    assert mean_ndcg(all_nan, catalog, 5) == 0.0
+    assert mean_ndcg_at(all_nan, catalog, (5,))[5] == 0.0
     infinite = np.array([np.inf] + [1.0] * 7)
     assert percentile_rank("m00", infinite, catalog) == 49
     assert ndcg_at_k("m00", infinite, catalog, 5) == 0.0

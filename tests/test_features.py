@@ -1,18 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cb2cf import features
+from cb2cf import features, net
 from cb2cf.data import ContentProfile
 from cb2cf.evaluation import make_folds
 from cb2cf.features import (ALL_PARTS, Centroids, FeatureContext, NA_TOKEN, TAG_FIELDS,
                             YearStats, bow_histogram, build_tag_vocab,
                             featurize_item, fit_feature_context, fit_kmeans,
-                            fit_year_stats, load_centroids,
-                            load_feature_context, numeric_feature,
-                            save_centroids, save_feature_context, tag_vector,
+                            fit_year_stats, load_feature_context, numeric_feature,
+                            save_feature_context, tag_vector,
                             text_tokens, text_word_indices)
 from cb2cf.sgns import EmbeddingTable
 
@@ -372,34 +372,42 @@ def test_fold_refit_cannot_leak_held_out_tags():
     assert bits.shape == (2,)  # sentinel + common only
 
 
+def _rewrite(path, mutate):
+    """Apply ``mutate(tensors, meta)`` to a saved checkpoint, in place."""
+    tensors, meta = net.load_checkpoint(path)
+    mutate(tensors, meta)
+    net.save_checkpoint(path, tensors, meta)
+
+
 class TestPersistence:
-    def test_centroid_round_trip(self, tmp_path):
+    def test_centroid_round_trip(self, tmp_path, profiles):
         rng = np.random.default_rng(5)
         centroids = Centroids(rng.standard_normal((4, 3)))
-        path = tmp_path / "centroids.vec"
-        save_centroids(centroids, path)
-        loaded = load_centroids(path)
-        assert np.array_equal(loaded.vectors, centroids.vectors)
-
-    def test_centroid_file_id_format_is_enforced(self, tmp_path):
-        table = EmbeddingTable(["x0", "x1"], np.eye(2))
-        path = tmp_path / "bad.vec"
-        table.save(path)
-        with pytest.raises(ValueError):
-            load_centroids(path)
+        path = tmp_path / "ctx.ckpt"
+        save_feature_context(fit_feature_context(profiles, centroids=centroids,
+                                                 min_tag_count=1), path)
+        loaded = load_feature_context(path)
+        assert np.array_equal(loaded.centroids.vectors, centroids.vectors)
+        assert loaded.word_table is None
 
     def test_context_round_trip(self, tmp_path, word_table, profiles):
         centroids = Centroids(word_table.vectors[:2].copy())
         context = fit_feature_context(profiles, word_table=word_table,
                                       centroids=centroids, max_words=7,
                                       min_tag_count=1, temperature=0.25)
-        save_feature_context(context, tmp_path / "ctx")
-        loaded = load_feature_context(tmp_path / "ctx")
+        path = tmp_path / "ctx.ckpt"
+        save_feature_context(context, path)
+        assert path.is_file()
+        loaded = load_feature_context(path)
         assert loaded.max_words == 7
         assert loaded.temperature == 0.25
         assert loaded.year_stats == context.year_stats
         assert loaded.tag_vocab.tags == context.tag_vocab.tags
         assert loaded.tag_vocab.counts == context.tag_vocab.counts
+        assert loaded.tag_vocab.min_count == context.tag_vocab.min_count
+        assert loaded.word_table.ids == word_table.ids
+        assert np.array_equal(loaded.word_table.vectors, word_table.vectors)
+        assert np.array_equal(loaded.centroids.vectors, centroids.vectors)
         for profile in profiles:
             a = featurize_item(profile, context, ALL_PARTS)
             b = featurize_item(profile, loaded, ALL_PARTS)
@@ -411,68 +419,75 @@ class TestPersistence:
 
     def test_context_without_text_assets(self, tmp_path, profiles):
         context = fit_feature_context(profiles, min_tag_count=1)
-        save_feature_context(context, tmp_path / "ctx")
-        loaded = load_feature_context(tmp_path / "ctx")
+        path = tmp_path / "ctx.ckpt"
+        save_feature_context(context, path)
+        assert net.load_checkpoint(path)[0] == {}
+        loaded = load_feature_context(path)
         assert loaded.word_table is None and loaded.centroids is None
+        assert loaded.year_stats == context.year_stats
+        assert loaded.tag_vocab.tags == context.tag_vocab.tags
+        parts = ("year",) + TAG_FIELDS
+        for profile in profiles:
+            a = featurize_item(profile, context, parts)
+            b = featurize_item(profile, loaded, parts)
+            assert a.year == b.year
+            for field in TAG_FIELDS:
+                assert np.array_equal(a.tags[field], b.tags[field])
 
     def test_unknown_version_is_rejected(self, tmp_path, profiles):
         import json
-        context = fit_feature_context(profiles, min_tag_count=1)
-        save_feature_context(context, tmp_path / "ctx")
-        manifest_path = tmp_path / "ctx" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
+        path = tmp_path / "ctx.ckpt"
+        save_feature_context(fit_feature_context(profiles, min_tag_count=1), path)
+        manifest, _, payload = path.read_bytes().partition(b"\n")
+        manifest = json.loads(manifest)
         manifest["version"] = 99
-        manifest_path.write_text(json.dumps(manifest))
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
         with pytest.raises(ValueError, match="version"):
-            load_feature_context(tmp_path / "ctx")
+            load_feature_context(path)
 
-    @pytest.mark.parametrize("filename, key", [
-        ("manifest.json", "files"), ("manifest.json", "year_mean"),
-        ("tag_vocab.json", "counts")])
-    def test_missing_key_names_the_file_and_the_key(self, tmp_path, profiles,
-                                                    filename, key):
-        import json
-        save_feature_context(fit_feature_context(profiles, min_tag_count=1),
-                             tmp_path / "ctx")
-        path = tmp_path / "ctx" / filename
-        content = json.loads(path.read_text())
-        del content[key]
-        path.write_text(json.dumps(content))
-        with pytest.raises(ValueError, match=f"{filename}: missing key '{key}'"):
-            load_feature_context(tmp_path / "ctx")
+    def test_other_checkpoints_are_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        net.save_checkpoint(path, {}, {"kind": "cb2cf-model"})
+        with pytest.raises(ValueError, match="not a feature context"):
+            load_feature_context(path)
+
+    @pytest.mark.parametrize("key", ["year_mean", "counts", "word_ids"])
+    def test_missing_key_names_the_file_and_the_key(self, tmp_path, profiles, key):
+        path = tmp_path / "ctx.ckpt"
+        save_feature_context(fit_feature_context(profiles, min_tag_count=1), path)
+        _rewrite(path, lambda tensors, meta:
+                 (meta["tag_vocab"] if key == "counts" else meta).pop(key))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: missing key '{key}'"):
+            load_feature_context(path)
 
 
-@pytest.mark.parametrize("filename, mutate, message", [
-    ("manifest.json", lambda m: m.update(max_words=[1]), "max_words"),
-    ("manifest.json", lambda m: m["files"].update(tag_vocab=5), "tag_vocab"),
-    ("manifest.json", lambda m: m["files"].update(word_vectors="nowhere.vec"),
-     "files.word_vectors"),
-    ("manifest.json", lambda m: m.update(year_mean="abc"), "year_mean"),
-    ("manifest.json", lambda m: m.update(year_std=0.0), "year_std"),
-    ("manifest.json", lambda m: m.update(temperature=10 ** 400), "temperature"),
-    ("tag_vocab.json", lambda v: v.update(tags=5), "tags"),
-    ("tag_vocab.json", lambda v: v["tags"].update(genres=["drama"]), "tags"),
-    ("tag_vocab.json", lambda v: v["tags"].pop("actors"), "actors"),
-], ids=["max-words-list", "tag-vocab-number", "missing-sidecar", "year-mean-string",
-        "year-std-zero", "huge-temperature", "tags-number", "no-sentinel", "missing-field"])
-def test_bad_context_values_name_the_file_and_the_key(tmp_path, profiles, filename,
+@pytest.mark.parametrize("mutate, message", [
+    (lambda t, m: m.update(max_words=[1]), "max_words"),
+    (lambda t, m: m.update(tag_vocab=5), "tag_vocab"),
+    (lambda t, m: m.update(year_mean="abc"), "year_mean"),
+    (lambda t, m: m.update(year_std=0.0), "year_std"),
+    (lambda t, m: m.update(temperature=10 ** 400), "temperature"),
+    (lambda t, m: m["tag_vocab"].update(tags=5), "tags"),
+    (lambda t, m: m["tag_vocab"]["tags"].update(genres=["drama"]), "tags"),
+    (lambda t, m: m["tag_vocab"]["tags"].pop("actors"), "actors"),
+    (lambda t, m: m["word_ids"].pop(), "word_ids"),
+    (lambda t, m: m.update(word_ids=None), "word_ids"),
+    (lambda t, m: t.pop("word_vectors"), "word_ids"),
+    (lambda t, m: t.update(centroids=np.eye(2, 3)), "centroids"),
+    (lambda t, m: t.update(extra=np.ones(1)), "unexpected tensors"),
+], ids=["max-words-list", "tag-vocab-number", "year-mean-string", "year-std-zero",
+        "huge-temperature", "tags-number", "no-sentinel", "missing-field",
+        "word-ids-short", "word-ids-null", "no-word-vectors", "centroid-dim",
+        "extra-tensor"])
+def test_bad_context_values_name_the_file_and_the_key(tmp_path, word_table, profiles,
                                                       mutate, message):
-    import json
-    save_feature_context(fit_feature_context(profiles, min_tag_count=1), tmp_path / "ctx")
-    path = tmp_path / "ctx" / filename
-    content = json.loads(path.read_text())
-    mutate(content)
-    path.write_text(json.dumps(content))
-    with pytest.raises(ValueError, match=f"{filename}: .*{message}"):
-        load_feature_context(tmp_path / "ctx")
-
-
-def test_non_utf8_manifest_names_the_file(tmp_path, profiles):
-    save_feature_context(fit_feature_context(profiles, min_tag_count=1), tmp_path / "ctx")
-    path = tmp_path / "ctx" / "manifest.json"
-    path.write_bytes(path.read_bytes().replace(b'"files"', b'"fil\xffes"'))
-    with pytest.raises(ValueError, match=r"manifest.json:\d+: not valid UTF-8"):
-        load_feature_context(tmp_path / "ctx")
+    path = tmp_path / "ctx.ckpt"
+    save_feature_context(fit_feature_context(
+        profiles, word_table=word_table, centroids=Centroids(word_table.vectors[:2].copy()),
+        min_tag_count=1), path)
+    _rewrite(path, mutate)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{message}"):
+        load_feature_context(path)
 
 
 def test_feature_context_validation():

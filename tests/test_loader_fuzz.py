@@ -1,4 +1,5 @@
-"""Mutated input files either load or raise a ValueError that names the file.
+"""Mutated input files either load or raise a ValueError (for a config, a
+CliError) that names the file.
 
 Each loader gets a valid file, then a few byte edits (flips, inserted
 bytes or tokens, deletions, truncation) or, for JSON documents, a value
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cb2cf.corpus import build_vocabulary, load_vocabulary, save_vocabulary
-from cb2cf.data import ContentProfile, load_metadata, load_ratings, save_metadata
+from cb2cf import cli, net
+from cb2cf.data import (ContentProfile, CooccurrenceSets, load_metadata, load_ratings,
+                        load_sets, save_metadata, save_sets)
 from cb2cf.features import (Centroids, fit_feature_context, load_feature_context,
                             save_feature_context)
 from cb2cf.model import SystemSpec, build_model, load_model, save_model
@@ -86,10 +88,10 @@ def _mutate_text(data, original: bytes, json_lines: bool = False) -> bytes:
     return b"".join(lines)
 
 
-def _loads_or_names(load, *names) -> None:
+def _loads_or_names(load, *names, errors=ValueError) -> None:
     try:
         load()
-    except ValueError as exc:
+    except errors as exc:
         assert any(str(name) in str(exc) for name in names), exc
 
 
@@ -139,24 +141,38 @@ def test_metadata_files(tmp_path, data):
 
 @FUZZ
 @given(data=st.data())
-def test_vocabulary_files(tmp_path, data):
-    path = tmp_path / "vocab.tsv"
-    save_vocabulary(build_vocabulary([["the", "cat", "the", "sat", "the", "cat"]]), path)
+def test_sets_files(tmp_path, data):
+    path = tmp_path / "sets.txt"
+    save_sets(CooccurrenceSets([("m1", "m2", "m3"), ("m2", "m4")]), path)
     path.write_bytes(_mutate_bytes(data, path.read_bytes()))
-    _loads_or_names(lambda: load_vocabulary(path), path)
+    _loads_or_names(lambda: load_sets(path), path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_config_files(tmp_path, data):
+    path = tmp_path / "evaluate.json"
+    path.write_text(json.dumps({
+        "systems": "Genres,Year", "metadata": "metadata.jsonl", "folds": 2,
+        "max-epochs": 6, "batch": 4, "lr": 0.001, "cnn_variant": "static", "seed": 3}))
+    path.write_bytes(_mutate_text(data, path.read_bytes()))
+    argv = ["evaluate", "--config", str(path)]
+    parser, registry = cli.build_parser()
+    _loads_or_names(lambda: cli._apply_config(parser, registry, argv, parser.parse_args(argv)),
+                    path, errors=(ValueError, cli.CliError))
 
 
 @FUZZ
 @given(data=st.data())
 def test_feature_context_files(tmp_path, context, data):
-    directory = tmp_path / "ctx"
-    save_feature_context(context, directory)
-    path = directory / data.draw(st.sampled_from(
-        ["manifest.json", "tag_vocab.json", "word_vectors.vec", "centroids.vec"]))
-    original = path.read_bytes()
-    path.write_bytes(_mutate_text(data, original) if path.suffix == ".json"
-                     else _mutate_bytes(data, original))
-    _loads_or_names(lambda: load_feature_context(directory), directory)
+    path = tmp_path / "ctx.ckpt"
+    save_feature_context(context, path)
+    if data.draw(st.booleans()):
+        tensors, meta = net.load_checkpoint(path)
+        net.save_checkpoint(path, tensors, _mutate_json(data, meta))
+    else:
+        path.write_bytes(_mutate_bytes(data, path.read_bytes()))
+    _loads_or_names(lambda: load_feature_context(path), path)
 
 
 @FUZZ

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from cb2cf import sgns
+from cb2cf.cli import build_parser
 from cb2cf.sgns import (CooccurrenceSets, EmbeddingTable, NoiseSampler,
                         SgnsConfig, SgnsTrainer, cosine_scores, discard_probabilities,
                         sigmoid, similarity_search, train_sgns,
@@ -23,15 +24,14 @@ def test_sigmoid_midpoint_and_saturation():
 
 
 def test_config_defaults_per_mode():
-    item = SgnsConfig.item_defaults()
-    word = SgnsConfig.word_defaults()
+    """The per-mode SGNS defaults are those of the two training commands."""
+    parser, _ = build_parser()
+    item = parser.parse_args(["train-item2vec"])
+    word = parser.parse_args(["train-word2vec"])
     assert (item.dim, item.subsample) == (40, 1e-4)
-    assert (word.dim, word.subsample) == (100, 1e-5)
-    for config in (item, word):
-        assert config.epochs == 100
-        assert config.negatives == 15
-        assert config.window == 4
-        assert config.learning_rate == 0.025
+    assert (word.dim, word.subsample, word.window) == (100, 1e-5, 4)
+    for args in (item, word):
+        assert (args.epochs, args.neg, args.lr) == (100, 15, 0.025)
 
 
 def test_config_validation():
