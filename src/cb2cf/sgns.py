@@ -7,12 +7,12 @@ log(sigmoid(u.v)) while sampled negatives maximize log(sigmoid(-u.v')), with
 negatives drawn from the unigram distribution raised to the 3/4 power.
 
 Training follows the shared-negative blocking of Ji et al., "Parallelizing
-Word2Vec in Shared and Distributed Memory" (arXiv:1604.04661). A block is a
-kept co-occurrence set, or up to ``WORD_BLOCK`` consecutive centers of a
-sentence. All pairs of a block share one draw of K negatives and take one
-simultaneous SGD step: one product scores the block's centers against its
-contexts and negatives, read from the tables as they were before the step,
-a pair mask weights the scores, and two more products give the updates.
+Word2Vec in Shared and Distributed Memory" (arXiv:1604.04661): an epoch's
+kept positions form one stream, cut into blocks of consecutive centers
+across sets and sentences. A block's pairs share one draw of K negatives
+and take one simultaneous SGD step: one product scores its centers against
+its contexts and negatives from the pre-step tables, a pair mask weights
+the scores, and two more products give the updates.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from .corpus import open_text
 
 LR_FLOOR_FRACTION = 1e-4
 NOISE_POWER = 0.75
-# Most centers in one word-mode block: bounds a block's score matrix at
-# WORD_BLOCK x (WORD_BLOCK + 2 * window + negatives) cells on long lines.
-WORD_BLOCK = 256
+# Most targets summed per id by an equality-matrix product (targets^2 cells).
+DENSE_SCATTER_MAX = 128
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
@@ -91,12 +90,6 @@ class CooccurrenceSets:
 
     def __len__(self) -> int:
         return len(self.sets)
-
-    def item_ids(self) -> list[str]:
-        seen: set[str] = set()
-        for s in self.sets:
-            seen.update(s)
-        return sorted(seen)
 
 
 class EmbeddingTable:
@@ -253,23 +246,32 @@ def top_rows(scores: np.ndarray, table: EmbeddingTable, topk: int,
     return [r for r in order.tolist() if r not in skip][:topk]
 
 
-def window_blocks(spans: np.ndarray, size: int):
-    """Split a sequence whose position i pairs with every other position
-    within ``spans[i]`` into blocks of at most ``size`` consecutive centers.
+def block_centers(vocab_size: int) -> int:
+    """Most centers of one block: an eighth of the vocabulary, within [16, 64].
+    A block reads stale tables, so an id in many of its centers overshoots;
+    past 64 centers the products outgrow the per-call cost they save."""
+    return min(64, max(16, vocab_size // 8))
 
-    Yields ``(centers, contexts, mask)``: two slices of positions and the
-    (centers x contexts) float mask whose cell (i, j) is 1.0 when the pair
-    of center ``centers.start + i`` and context ``contexts.start + j`` is
-    in the window.
+
+def pack_blocks(seqs: np.ndarray, spans: np.ndarray, size: int):
+    """Cut a stream of positions into blocks of at most ``size`` consecutive
+    centers. Position i pairs with each position j of its own sequence
+    (``seqs`` labels, ascending) with 0 < |i - j| <= ``spans[i]``.
+
+    Yields ``(centers, contexts, mask)``: two slices of stream positions and
+    the float mask whose cell (i, j) is 1.0 when center ``centers.start + i``
+    pairs with context ``contexts.start + j``.
     """
-    n = len(spans)
-    for start in range(0, n, size):
-        stop = min(n, start + size)
-        reach = int(spans[start:stop].max())
-        lo, hi = max(0, start - reach), min(n, stop + reach)
-        gap = np.abs(np.arange(start, stop)[:, None] - np.arange(lo, hi))
-        mask = (gap > 0) & (gap <= spans[start:stop, None])
-        yield slice(start, stop), slice(lo, hi), mask.astype(np.float64)
+    position = np.arange(len(seqs))
+    lo = np.maximum(np.searchsorted(seqs, seqs, "left"), position - spans)
+    hi = np.minimum(np.searchsorted(seqs, seqs, "right"), position + spans + 1)
+    cuts = np.arange(0, len(seqs), size)
+    for start, low, high in zip(cuts.tolist(), np.minimum.reduceat(lo, cuts).tolist(),
+                                np.maximum.reduceat(hi, cuts).tolist()):
+        block, window = slice(start, min(len(seqs), start + size)), slice(low, high)
+        gap = np.abs(position[block, None] - position[window])
+        mask = (gap > 0) & (gap <= spans[block, None]) & (seqs[block, None] == seqs[window])
+        yield block, window, mask.astype(np.float64)
 
 
 def discard_probabilities(counts: np.ndarray, threshold: float) -> np.ndarray:
@@ -317,10 +319,11 @@ class SgnsTrainer:
         self.input = (rng.random((vocab_size, dim)) - 0.5) / dim
         self.output = np.zeros((vocab_size, dim), dtype=np.float64)
 
-    def train_pairs(self, centers, contexts, mask: np.ndarray, negatives, lr: float) -> None:
+    def train_pairs(self, centers, contexts, mask: np.ndarray, negatives, lr) -> None:
         """One simultaneous SGD step on a block of pairs sharing the K
         ``negatives``: pair (``centers[i]``, ``contexts[j]``) has weight
-        ``mask[i, j]``.
+        ``mask[i, j]``. ``lr`` is one rate, or a (centers, 1) column of
+        per-center rates.
 
         Center i scores every context and negative in one product. A
         positive pair weighs in by its mask cell, a negative by the count
@@ -343,64 +346,61 @@ class SgnsTrainer:
         coef *= weights
         coef *= -lr
         self.input[centers] += (centers[:, None] == centers) @ (coef @ v)
-        self.output[targets] += (targets[:, None] == targets) @ (coef.T @ u)
+        grad = coef.T @ u
+        if len(targets) <= DENSE_SCATTER_MAX:
+            self.output[targets] += (targets[:, None] == targets) @ grad
+        else:  # a long set's contexts: sum each id's rows in sorted order
+            order = np.argsort(targets, kind="stable")
+            first = np.flatnonzero(np.diff(targets[order], prepend=-1))
+            self.output[targets[order[first]]] += np.add.reduceat(grad[order], first)
 
 
 def train_sgns(data, config: SgnsConfig) -> EmbeddingTable:
     """Train embeddings over word sequences or a CooccurrenceSets instance.
 
-    Each block (a kept co-occurrence set, or up to ``WORD_BLOCK`` centers
-    of a kept sentence) draws K shared negatives and takes one
-    simultaneous SGD step over all of its pairs. The learning rate decays
-    linearly with stream position, once per sequence, down to a floor of
+    Each epoch drops the sequences with under two kept positions and cuts
+    the rest into ``pack_blocks`` blocks (an item's span is its set's
+    length), with K negatives per block from one draw. A center's learning
+    rate decays linearly with its sequence's start in the stream, down to
     1e-4 times its initial value. A fixed seed gives bit-identical tables
     on repeated runs; training is single-threaded by construction.
     """
-    if isinstance(data, CooccurrenceSets):
-        sequences: list[Sequence[str]] = list(data.sets)
-        item_mode = True
-    else:
-        sequences = [list(s) for s in data]
-        item_mode = False
-    sequences = [s for s in sequences if len(s) > 0]
+    item_mode = isinstance(data, CooccurrenceSets)
+    sequences = [s for s in map(list, data.sets if item_mode else data) if s]
     if not sequences:
         raise ValueError("empty training data")
 
-    counter: Counter[str] = Counter()
-    for seq in sequences:
-        counter.update(str(t) for t in seq)
+    counter = Counter(str(t) for seq in sequences for t in seq)
     ids = sorted(counter, key=lambda t: (-counter[t], t))
     id_index = {t: i for i, t in enumerate(ids)}
-    encoded = [np.array([id_index[str(t)] for t in seq], dtype=np.int64) for seq in sequences]
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    stream = np.fromiter((id_index[str(t)] for seq in sequences for t in seq), np.int64)
     counts = np.array([counter[t] for t in ids], dtype=np.float64)
 
-    offsets = np.cumsum([0] + [len(s) for s in encoded]).tolist()
-    total_positions = offsets[-1]
+    seq_of = np.repeat(np.arange(len(sequences)), lengths)
+    seq_start = np.cumsum(lengths) - lengths
+    total_positions = len(stream)
     total_units = config.epochs * total_positions
-    discard = discard_probabilities(counts, config.subsample)[np.concatenate(encoded)]
+    discard = discard_probabilities(counts, config.subsample)[stream]
     noise = NoiseSampler(counts)
     rng = np.random.default_rng(config.seed)
     trainer = SgnsTrainer(len(ids), config.dim, rng)
     floor = LR_FLOOR_FRACTION * config.learning_rate
+    size = block_centers(len(ids))
 
     for epoch in range(config.epochs):
         keep = rng.random(total_positions) >= discard
         spans = None if item_mode else rng.integers(1, config.window + 1, total_positions)
-        for seq, start, stop in zip(encoded, offsets, offsets[1:]):
-            units = epoch * total_positions + start
-            lr = max(floor, config.learning_rate * (1.0 - units / total_units))
-            kept = keep[start:stop]
-            n = np.count_nonzero(kept)
-            if n < 2:
-                continue
-            if item_mode:
-                blocks = [(slice(None), slice(None), 1.0 - np.eye(n))]
-            else:
-                blocks = window_blocks(spans[start:stop][kept], WORD_BLOCK)
-            block_ids = seq[kept]
-            for centers, contexts, mask in blocks:
-                trainer.train_pairs(block_ids[centers], block_ids[contexts], mask,
-                                    noise.draw(config.negatives, rng), lr)
+        keep &= (np.bincount(seq_of[keep], minlength=len(lengths)) >= 2)[seq_of]
+        kept = np.flatnonzero(keep)
+        seqs = seq_of[kept]
+        units = epoch * total_positions + seq_start[seqs]
+        lr = np.maximum(floor, config.learning_rate * (1.0 - units / total_units))[:, None]
+        negatives = noise.draw(config.negatives * -(-len(kept) // size), rng)
+        blocks = pack_blocks(seqs, lengths[seqs] if item_mode else spans[kept], size)
+        for (centers, contexts, mask), negs in zip(blocks, negatives.reshape(-1, config.negatives)):
+            trainer.train_pairs(stream[kept[centers]], stream[kept[contexts]], mask, negs,
+                                lr[centers])
     return EmbeddingTable(ids, trainer.input)
 
 

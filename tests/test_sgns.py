@@ -10,8 +10,7 @@ from cb2cf import sgns
 from cb2cf.cli import build_parser
 from cb2cf.sgns import (CooccurrenceSets, EmbeddingTable, NoiseSampler,
                         SgnsConfig, SgnsTrainer, cosine_scores, discard_probabilities,
-                        sigmoid, similarity_search, train_sgns,
-                        window_blocks)
+                        pack_blocks, sigmoid, similarity_search, train_sgns)
 
 
 def test_sigmoid_midpoint_and_saturation():
@@ -51,7 +50,7 @@ def test_config_validation():
 
 def test_cooccurrence_sets_validation():
     sets = CooccurrenceSets([("a", "b"), ("b", "c", "a")])
-    assert sets.item_ids() == ["a", "b", "c"]
+    assert sets.sets == [("a", "b"), ("b", "c", "a")]
     assert sets.dropped == 0
     with pytest.raises(ValueError):
         CooccurrenceSets([("a",)])
@@ -237,29 +236,39 @@ def _reference_word_pairs(sentence, spans):
             if j != i]
 
 
-def _block_pairs(sentence, spans, size):
-    """The (center, context) pairs that ``window_blocks`` masks in, with
-    multiplicity, block after block."""
-    sentence = np.asarray(sentence)
+def _packed_pairs(sequences, spans, size):
+    """The (center, context) pairs that ``pack_blocks`` masks in over the
+    concatenated ``sequences`` (``spans`` per stream position), with
+    multiplicity, block after block. Checks that no block holds more than
+    ``size`` centers and that no pair crosses a sequence."""
+    stream = np.concatenate([np.asarray(s, dtype=np.int64) for s in sequences])
+    seqs = np.repeat(np.arange(len(sequences)), [len(s) for s in sequences])
     pairs = []
-    for centers, contexts, mask in window_blocks(np.asarray(spans), size):
-        assert mask.shape == (len(sentence[centers]), len(sentence[contexts]))
+    for centers, contexts, mask in pack_blocks(seqs, np.asarray(spans), size):
+        assert 0 < centers.stop - centers.start <= size
+        assert mask.shape == (len(stream[centers]), len(stream[contexts]))
         assert set(np.unique(mask)) <= {0.0, 1.0}
         rows, cols = np.nonzero(mask)
-        pairs += list(zip(sentence[centers][rows].tolist(), sentence[contexts][cols].tolist()))
+        assert np.array_equal(seqs[centers][rows], seqs[contexts][cols])
+        pairs += list(zip(stream[centers][rows].tolist(), stream[contexts][cols].tolist()))
     return pairs
 
 
+def _block_pairs(sentence, spans, size):
+    return _packed_pairs([sentence], spans, size)
+
+
 def test_word_pairs_are_deterministic_at_window_one():
-    assert _block_pairs([5, 7], [1, 1], sgns.WORD_BLOCK) == [(5, 7), (7, 5)]
-    assert _block_pairs([3], [1], sgns.WORD_BLOCK) == []
+    assert _block_pairs([5, 7], [1, 1], 256) == [(5, 7), (7, 5)]
+    assert _block_pairs([3], [1], 256) == []
+    assert _packed_pairs([[5, 7], [3], [8, 9]], [1] * 5, 256) == [(5, 7), (7, 5), (8, 9), (9, 8)]
 
 
 def test_word_pairs_expected_count_matches_uniform_window_draw():
     # For [a, b, c] with window 2 the per-position spans give expected
     # pair counts 1.5 + 2 + 1.5 = 5.
     rng = np.random.default_rng(42)
-    totals = [len(_block_pairs([0, 1, 2], rng.integers(1, 3, 3), sgns.WORD_BLOCK))
+    totals = [len(_block_pairs([0, 1, 2], rng.integers(1, 3, 3), 256))
               for _ in range(4000)]
     assert np.mean(totals) == pytest.approx(5.0, abs=0.15)
 
@@ -267,7 +276,7 @@ def test_word_pairs_expected_count_matches_uniform_window_draw():
 def test_word_pairs_stay_inside_the_window():
     rng = np.random.default_rng(1)
     sentence = list(range(10))
-    for size in (1, 4, sgns.WORD_BLOCK):
+    for size in (1, 4, 256):
         for _ in range(50):
             for center, context in _block_pairs(sentence, rng.integers(1, 4, 10), size):
                 assert center != context
@@ -276,23 +285,29 @@ def test_word_pairs_stay_inside_the_window():
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 256])
 def test_window_block_masks_equal_the_per_position_window_pairs(size):
+    """Blocks cut across sequence boundaries; their masks still give each
+    sequence's own window pairs, and only those."""
     rng = np.random.default_rng(size)
-    for length in (1, 2, 5, 12):
-        sentence = rng.integers(0, 4, length).tolist()  # word ids repeat
+    for lengths in ([1], [2], [5], [12], [3, 1, 4], [2, 12, 2, 5]):
+        # Disjoint id ranges per sequence, word ids repeating within one.
+        sequences = [(rng.integers(0, 4, n) + 10 * k).tolist() for k, n in enumerate(lengths)]
         for _ in range(20):
-            spans = rng.integers(1, 5, length).tolist()
-            assert sorted(_block_pairs(sentence, spans, size)) == \
-                sorted(_reference_word_pairs(sentence, spans))
+            spans = [rng.integers(1, 5, n).tolist() for n in lengths]
+            expected = [pair for seq, sp in zip(sequences, spans)
+                        for pair in _reference_word_pairs(seq, sp)]
+            assert sorted(_packed_pairs(sequences, sum(spans, []), size)) == sorted(expected)
 
 
 def _recorded_blocks(monkeypatch, data, config):
-    """Every (centers, contexts, mask, negatives) that ``train_sgns`` passes
-    to ``train_pairs``, as id arrays of the trained table."""
+    """Every (centers, contexts, mask, negatives, lr) that ``train_sgns``
+    passes to ``train_pairs``, the first three as id arrays of the trained
+    table."""
     calls = []
     original = SgnsTrainer.train_pairs
 
     def record(self, centers, contexts, mask, negatives, lr):
-        calls.append((np.array(centers), np.array(contexts), np.array(mask), np.array(negatives)))
+        calls.append((np.array(centers), np.array(contexts), np.array(mask), np.array(negatives),
+                      np.array(lr)))
         original(self, centers, contexts, mask, negatives, lr)
 
     monkeypatch.setattr(SgnsTrainer, "train_pairs", record)
@@ -300,40 +315,80 @@ def _recorded_blocks(monkeypatch, data, config):
     return table, calls
 
 
+def _recorded_pairs(table, calls):
+    pairs = []
+    for centers, contexts, mask, _, _ in calls:
+        rows, cols = np.nonzero(mask)
+        assert mask.sum() == len(rows)
+        pairs += [(table.ids[centers[i]], table.ids[contexts[j]]) for i, j in zip(rows, cols)]
+    return pairs
+
+
 def test_item_pairs_enumerate_all_ordered_pairs(monkeypatch):
-    sets = CooccurrenceSets([("a", "b"), ("c", "a", "d"), ("b", "c", "d", "e")])
+    """One epoch's blocks mask in every ordered pair of every set exactly
+    once, pair no two sets, and hold at most ``block_centers`` centers; a
+    set longer than a block still pairs with all of its members."""
+    monkeypatch.setattr(sgns, "block_centers", lambda vocab_size: 3)
+    # Set ids are disjoint, so a pair across two sets would show as an
+    # unexpected pair; the last set is longer than a block.
+    sets = CooccurrenceSets([("a", "b"), ("c", "d", "e"), ("f", "g"),
+                             ("h", "i", "j", "k", "l", "m", "n")])
     config = SgnsConfig(dim=3, epochs=1, negatives=4, subsample=1.0, seed=0)
     table, calls = _recorded_blocks(monkeypatch, sets, config)
-    assert len(calls) == len(sets)
-    for items, (centers, contexts, mask, negatives) in zip(sets.sets, calls):
-        ids = [table.ids[i] for i in centers]
-        assert ids == list(items)
-        assert np.array_equal(contexts, centers)
-        assert negatives.shape == (4,)
-        rows, cols = np.nonzero(mask)
-        pairs = [(ids[i], ids[j]) for i, j in zip(rows, cols)]
-        assert sorted(pairs) == sorted((a, b) for a in items for b in items if a != b)
-        assert mask.sum() == len(pairs)
+    assert [len(c[0]) for c in calls] == [3, 3, 3, 3, 2]
+    assert all(c[3].shape == (4,) for c in calls)
+    expected = [(a, b) for items in sets.sets for a in items for b in items if a != b]
+    assert sorted(_recorded_pairs(table, calls)) == sorted(expected)
+    # Blocks share sets: the first block's contexts reach into the second
+    # set; the long set's blocks each see its whole membership.
+    assert [table.ids[i] for i in calls[0][1]] == list("abcde")
+    for centers, contexts, _, _, _ in calls[3:]:
+        assert sorted(table.ids[i] for i in contexts) == list("hijklmn")
 
 
 def test_word_blocks_of_a_long_sentence_cover_its_window_pairs(monkeypatch):
-    monkeypatch.setattr(sgns, "WORD_BLOCK", 3)
+    monkeypatch.setattr(sgns, "block_centers", lambda vocab_size: 3)
     sentences = [[f"w{i}" for i in range(8)], ["x", "y"], ["z"]]
     config = SgnsConfig(dim=3, epochs=2, negatives=2, subsample=1.0, window=1, seed=0)
     table, calls = _recorded_blocks(monkeypatch, sentences, config)
-    # Window 1 fixes every span at 1: each epoch pairs neighbours only,
-    # in blocks of 3, 3 and 2 centers, then one block for ["x", "y"].
-    assert [len(c[0]) for c in calls] == [3, 3, 2, 2] * 2
-    pairs = []
-    for centers, contexts, mask, _ in calls[:4]:
-        rows, cols = np.nonzero(mask)
-        pairs += [(table.ids[centers[i]], table.ids[contexts[j]]) for i, j in zip(rows, cols)]
+    # Window 1 fixes every span at 1: each epoch pairs neighbours only.
+    # The 10 kept centers (["z"] has no pair) make blocks of 3, 3, 3 and 1,
+    # the third one crossing from the long sentence into ["x", "y"].
+    assert [len(c[0]) for c in calls] == [3, 3, 3, 1] * 2
     expected = []
     for sentence in sentences:
         expected += _reference_word_pairs(sentence, [1] * len(sentence))
-    assert sorted(pairs) == sorted(expected)
+    assert sorted(_recorded_pairs(table, calls[:4])) == sorted(expected)
     # Each block draws its own negatives.
     assert len({c[3].tobytes() for c in calls}) > 1
+
+
+def test_train_sgns_passes_each_center_its_sequence_learning_rate(monkeypatch):
+    """Each center's rate is max(floor, lr0 (1 - units / total units)) at
+    its sequence's first stream position, whatever block it falls in."""
+    monkeypatch.setattr(sgns, "block_centers", lambda vocab_size: 4)
+    sentences = [["a", "b", "c"], ["d"], ["e", "f", "g", "h", "i"], ["j", "k"]] * 3
+    config = SgnsConfig(dim=3, epochs=3, negatives=2, subsample=1.0, window=2,
+                        learning_rate=0.5, seed=4)
+    table, calls = _recorded_blocks(monkeypatch, sentences, config)
+    offsets = np.cumsum([0] + [len(s) for s in sentences])
+    position = int(offsets[-1])
+    total_units = config.epochs * position
+    floor = sgns.LR_FLOOR_FRACTION * config.learning_rate
+    seen = 0
+    for epoch in range(config.epochs):
+        expected = [max(floor, config.learning_rate
+                        * (1.0 - (epoch * position + int(offsets[k])) / total_units))
+                    for k, sentence in enumerate(sentences) if len(sentence) > 1
+                    for _ in sentence]
+        got = []
+        while len(got) < len(expected):
+            centers, _, _, _, lr = calls[seen]
+            assert lr.shape == (len(centers), 1)
+            got += lr[:, 0].tolist()
+            seen += 1
+        assert got == expected
+    assert seen == len(calls)
 
 
 def test_discard_probability_formula():
@@ -452,7 +507,7 @@ def test_train_pairs_is_one_simultaneous_step_over_the_block():
     # A sentence in which word 0 repeats, with its window mask; negative 2
     # is the context of some pairs, and negative 4 is drawn twice.
     sentence = [0, 2, 0, 3, 1]
-    (_, _, mask), = window_blocks(np.array([1, 2, 1, 2, 1]), sgns.WORD_BLOCK)
+    (_, _, mask), = pack_blocks(np.zeros(5, dtype=np.int64), np.array([1, 2, 1, 2, 1]), 256)
     _check_block_step(sentence, sentence, mask, [4, 2, 4, 5], seed=12)
 
 
@@ -474,6 +529,16 @@ def test_train_pairs_is_one_simultaneous_step_over_the_block():
         "contexts-beyond-centers", "weighted-pair"])
 def test_block_step_equals_the_sum_of_its_pair_updates(case):
     _check_block_step(*case, seed=len(case[0]))
+
+
+def test_a_block_past_the_dense_scatter_limit_sums_repeated_targets_alike():
+    """More targets than ``DENSE_SCATTER_MAX`` (a long set's contexts) take
+    the sorted scatter, with the same step as the sum of pair updates."""
+    rng = np.random.default_rng(8)
+    width = sgns.DENSE_SCATTER_MAX + 12
+    contexts = rng.integers(0, 7, width).tolist()  # ids repeat many times
+    mask = (rng.random((3, width)) < 0.3).astype(float)
+    _check_block_step([1, 3, 1], contexts, mask, [2, 6, 2, 0], seed=8)
 
 
 def test_train_pair_zero_tables_are_a_fixed_point():
@@ -539,6 +604,24 @@ def test_train_sgns_accepts_word_sequences():
                                              subsample=1.0, window=2, seed=0))
     assert set(table.ids) == {"the", "cat", "dog", "sat"}
     assert table.ids[0] in ("sat", "the")  # highest count first
+
+
+def test_train_sgns_separates_disjoint_topic_sentences():
+    """Word mode: sentences drawn from one of two disjoint topic
+    vocabularies give vectors whose nearest neighbours share the topic."""
+    rng = np.random.default_rng(2)
+    topics = [[f"{name}{k}" for k in range(12)] for name in ("a", "b")]
+    sentences = [rng.choice(topics[int(rng.integers(2))], size=8).tolist() for _ in range(300)]
+    table = train_sgns(sentences, SgnsConfig(dim=10, epochs=10, negatives=5, subsample=1.0,
+                                             window=3, seed=1))
+    unit = table.vectors / np.linalg.norm(table.vectors, axis=1, keepdims=True)
+    sims = unit @ unit.T
+    np.fill_diagonal(sims, np.nan)
+    topic = np.array([t[0] for t in table.ids])
+    same = topic[:, None] == topic
+    purity = np.mean(topic[np.nanargmax(sims, axis=1)] == topic)
+    assert purity >= 0.9
+    assert np.nanmean(sims[same]) > np.nanmean(sims[~same])
 
 
 def test_train_sgns_rejects_empty_data():
