@@ -29,7 +29,8 @@ from .corpus import open_text
 
 LR_FLOOR_FRACTION = 1e-4
 NOISE_POWER = 0.75
-# Most targets summed per id by an equality-matrix product (targets^2 cells).
+# Most targets summed per id by an equality-matrix product (targets^2 cells);
+# past it np.add.at is faster at dims 40 and 100.
 DENSE_SCATTER_MAX = 128
 
 
@@ -330,8 +331,7 @@ class SgnsTrainer:
         of i's pairs whose context it does not equal (word2vec's rule of
         skipping a negative that hits the context). Every score and
         gradient reads the pre-step tables, and updates to a repeated id
-        accumulate: the rows of one id are summed before the scatter, so
-        each of them writes the id's whole update.
+        accumulate.
         """
         centers = np.asarray(centers, dtype=np.int64)
         mask = np.asarray(mask, dtype=np.float64)
@@ -349,10 +349,8 @@ class SgnsTrainer:
         grad = coef.T @ u
         if len(targets) <= DENSE_SCATTER_MAX:
             self.output[targets] += (targets[:, None] == targets) @ grad
-        else:  # a long set's contexts: sum each id's rows in sorted order
-            order = np.argsort(targets, kind="stable")
-            first = np.flatnonzero(np.diff(targets[order], prepend=-1))
-            self.output[targets[order[first]]] += np.add.reduceat(grad[order], first)
+        else:  # a long set's contexts
+            np.add.at(self.output, targets, grad)
 
 
 def train_sgns(data, config: SgnsConfig) -> EmbeddingTable:

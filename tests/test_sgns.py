@@ -533,7 +533,7 @@ def test_block_step_equals_the_sum_of_its_pair_updates(case):
 
 def test_a_block_past_the_dense_scatter_limit_sums_repeated_targets_alike():
     """More targets than ``DENSE_SCATTER_MAX`` (a long set's contexts) take
-    the sorted scatter, with the same step as the sum of pair updates."""
+    the ``np.add.at`` scatter, with the same step as the sum of pair updates."""
     rng = np.random.default_rng(8)
     width = sgns.DENSE_SCATTER_MAX + 12
     contexts = rng.integers(0, 7, width).tolist()  # ids repeat many times
@@ -608,12 +608,15 @@ def test_train_sgns_accepts_word_sequences():
 
 def test_train_sgns_separates_disjoint_topic_sentences():
     """Word mode: sentences drawn from one of two disjoint topic
-    vocabularies give vectors whose nearest neighbours share the topic."""
+    vocabularies give vectors whose nearest neighbours share the topic. The
+    512-word vocabulary trains in blocks of the largest size, 64 centers."""
     rng = np.random.default_rng(2)
-    topics = [[f"{name}{k}" for k in range(12)] for name in ("a", "b")]
-    sentences = [rng.choice(topics[int(rng.integers(2))], size=8).tolist() for _ in range(300)]
+    topics = [[f"{name}{k}" for k in range(256)] for name in ("a", "b")]
+    sentences = [rng.choice(topics[int(rng.integers(2))], size=8).tolist() for _ in range(2000)]
+    assert sgns.block_centers(2 * 256) == 64
     table = train_sgns(sentences, SgnsConfig(dim=10, epochs=10, negatives=5, subsample=1.0,
                                              window=3, seed=1))
+    assert len(table) == 2 * 256
     unit = table.vectors / np.linalg.norm(table.vectors, axis=1, keepdims=True)
     sims = unit @ unit.T
     np.fill_diagonal(sims, np.nan)
