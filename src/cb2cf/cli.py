@@ -81,8 +81,7 @@ def _cmd_train_item2vec(args: argparse.Namespace) -> None:
 def _cmd_fit_features(args: argparse.Namespace) -> None:
     _require(args, "metadata", "out")
     profiles = data.load_metadata(args.metadata)
-    word_table = None
-    centroids = None
+    word_table = centroids = None
     if args.word_vectors:
         word_table = EmbeddingTable.load(args.word_vectors)
         if args.bow_centroids > 0:
@@ -161,8 +160,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     for name in systems:
         needed |= model_mod.bundle_parts(
             model_mod.SystemSpec.named(name, output_dim=targets.dim))
-    word_table = None
-    centroids = None
+    word_table = centroids = None
     if args.word_vectors:
         word_table = EmbeddingTable.load(args.word_vectors)
         if "bow" in needed:

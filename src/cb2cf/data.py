@@ -74,6 +74,8 @@ def load_ratings(path: str | Path) -> list[UserHistory]:
                 user, item = row[0], row[1]
                 if not user or not item:
                     raise ValueError(f"{path}:{lineno}: empty user or item id")
+                if any(c.isspace() for c in item):  # a vector table could not hold it
+                    raise ValueError(f"{path}:{lineno}: item id {item!r} holds whitespace")
                 try:
                     rating = float(row[2])
                     timestamp = int(row[3])

@@ -131,25 +131,22 @@ def fit_kmeans(vectors: np.ndarray, clusters: int, seed: int = 0) -> Centroids:
 
 
 def bow_histogram(tokens: Iterable[str], centroids: Centroids, table: EmbeddingTable,
-                  temperature: float = DEFAULT_TEMPERATURE) -> np.ndarray:
+                  temperature: float = DEFAULT_TEMPERATURE,
+                  cache: dict | None = None) -> np.ndarray:
     """Soft-assignment histogram over centroids, normalized to sum to one.
 
     Each in-table word distributes one unit of mass by a softmax over its
     cosine similarities to the centroids, divided by the temperature. Texts
-    with no in-table words fall back to the uniform histogram. A
-    ``FeatureContext`` keeps each word's softmax row and sums those rows.
+    with no in-table words fall back to the uniform histogram. Word rows are
+    read from ``cache``, adding the missing ones: a context passes its own.
     """
-    return _cached_bow(tokens, centroids, table, temperature, {})
-
-
-def _cached_bow(tokens, centroids, table, temperature: float, cache: dict) -> np.ndarray:
-    """``bow_histogram`` reading word rows from ``cache``, adding the missing ones."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     bins = len(centroids)
     known = [t for t in tokens if t in table.index]
     if not known:
         return np.full(bins, 1.0 / bins)
+    cache = {} if cache is None else cache
     new = [t for t in dict.fromkeys(known) if t not in cache]
     if new:
         words = table.vectors[[table.index[t] for t in new]]
@@ -327,8 +324,8 @@ def featurize_item(profile: "ContentProfile", context: FeatureContext,
     if "bow" in selected:
         if context.centroids is None:
             raise ValueError("bow features requested but the context has no centroids")
-        bundle.bow = _cached_bow(tokens, context.centroids, context.word_table,
-                                 context.temperature, context._bow_rows)
+        bundle.bow = bow_histogram(tokens, context.centroids, context.word_table,
+                                   context.temperature, context._bow_rows)
     for field_name in TAG_FIELDS:
         if field_name in selected:
             bundle.tags[field_name] = tag_vector(profile, field_name, context.tag_vocab)

@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import net
 from .corpus import open_text
 
 LR_FLOOR_FRACTION = 1e-4
@@ -32,6 +33,7 @@ NOISE_POWER = 0.75
 # Most targets summed per id by an equality-matrix product (targets^2 cells);
 # past it np.add.at is faster at dims 40 and 100.
 DENSE_SCATTER_MAX = 128
+TABLE_KIND = "cb2cf-vectors"  # the ``kind`` meta of a vector-table checkpoint
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
@@ -94,7 +96,7 @@ class CooccurrenceSets:
 
 
 class EmbeddingTable:
-    """Ids mapped one-to-one onto rows of a dense float64 vector matrix."""
+    """Ids mapped one-to-one onto rows of a float64 matrix, kept as a checkpoint."""
 
     def __init__(self, ids: Sequence[str], vectors: np.ndarray) -> None:
         vectors = np.ascontiguousarray(np.asarray(vectors, dtype=np.float64))
@@ -126,52 +128,56 @@ class EmbeddingTable:
         return self.vectors[self.index[item_id]]
 
     def save(self, path: str | Path) -> None:
-        """Vector file: a ``count dim`` header line, then one id per line
-        followed by its components. Floats are written with repr so a read
-        back returns bit-identical values.
-        """
+        """One ``net`` checkpoint: a ``vectors`` tensor, the kind and the ids as
+        meta. Ids must be nonempty and free of whitespace, as in word2vec text."""
         for item_id in self.ids:
             if not item_id or any(c.isspace() for c in item_id):
                 raise ValueError(f"id not writable to a vector file: {item_id!r}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{len(self.ids)} {self.dim}\n")
-            for item_id, row in zip(self.ids, self.vectors):
-                fh.write(item_id + " " + " ".join(map(repr, row.tolist())) + "\n")
+        net.save_checkpoint(path, {"vectors": self.vectors}, {"kind": TABLE_KIND, "ids": self.ids})
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingTable":
-        """Read a vector file written by ``save``. Nothing is sized by the
-        header: rows are collected as they are read and stacked at the end,
-        so a corrupt count fails on the row check instead of allocating."""
-        with open_text(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise ValueError(f"{path}:1: expected 'count dim' header")
-            count = _header_int(path, "count", header[0], 0)
-            dim = _header_int(path, "dim", header[1], 1)
-            ids: list[str] = []
-            rows: list[np.ndarray] = []
-            for lineno, line in enumerate(fh, 2):
-                parts = line.split()
-                if not parts:
-                    continue
-                if len(parts) != dim + 1:
-                    raise ValueError(f"{path}:{lineno}: expected id and {dim} floats")
-                if len(ids) >= count:
-                    raise ValueError(f"{path}:{lineno}: more rows than the header declares")
-                try:
-                    row = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                if not np.isfinite(row).all():
-                    raise ValueError(f"{path}:{lineno}: vector components must be finite")
-                rows.append(row)
-                ids.append(parts[0])
-        if len(ids) != count:
-            raise ValueError(f"{path}: header declares {count} rows, found {len(ids)}")
+        """A checkpoint written by ``save`` if the first byte is ``{``, else
+        word2vec text: a ``count dim`` header line, then an id and its floats
+        per line. Rows are stacked at the end: a bad count allocates nothing."""
+        with open(path, "rb") as fh:
+            checkpoint = fh.read(1) == b"{"
+        if checkpoint:
+            tensors, meta = net.load_checkpoint(path)
+            ids, vectors = meta.get("ids"), tensors.get("vectors")
+            if meta.get("kind") != TABLE_KIND or tensors.keys() != {"vectors"} \
+                    or not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+                raise ValueError(f"{path}: not a {TABLE_KIND} file of 'vectors' and string 'ids'")
+        else:
+            with open_text(path) as fh:
+                header = fh.readline().split()
+                if len(header) != 2:
+                    raise ValueError(f"{path}:1: expected 'count dim' header")
+                count = _header_int(path, "count", header[0], 0)
+                dim = _header_int(path, "dim", header[1], 1)
+                ids, rows = [], []
+                for lineno, line in enumerate(fh, 2):
+                    parts = line.split()
+                    if not parts:
+                        continue
+                    if len(parts) != dim + 1:
+                        raise ValueError(f"{path}:{lineno}: expected id and {dim} floats")
+                    if len(ids) >= count:
+                        raise ValueError(f"{path}:{lineno}: more rows than the header declares")
+                    try:
+                        row = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from None
+                    if not np.isfinite(row).all():
+                        raise ValueError(f"{path}:{lineno}: vector components must be finite")
+                    rows.append(row)
+                    ids.append(parts[0])
+            if len(ids) != count:
+                raise ValueError(f"{path}: header declares {count} rows, found {len(ids)}")
+            vectors = np.array(rows, dtype=np.float64).reshape(count, dim)
         try:
-            return cls(ids, np.array(rows, dtype=np.float64).reshape(count, dim))
-        except ValueError as exc:  # a repeated id
+            return cls(ids, vectors)
+        except ValueError as exc:  # e.g. a repeated id
             raise ValueError(f"{path}: {exc}") from None
 
     @cached_property

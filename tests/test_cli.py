@@ -93,6 +93,36 @@ def test_train_item2vec_from_sets(tmp_path, workspace, capsys):
     assert len(table) == 12
 
 
+def test_train_item2vec_rejects_a_whitespace_item_id_before_training(tmp_path, capsys):
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text("userId,movieId,rating,timestamp\n"
+                       "1,m0,4.0,1\n1,m 1,4.0,2\n2,m0,5.0,3\n2,m 1,4.5,4\n")
+    out = tmp_path / "items.vec"
+    assert main(["train-item2vec", "--ratings", str(ratings), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cb2cf train-item2vec: error: {ratings}:3: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-model", "evaluate"])
+@pytest.mark.parametrize("checkpoint", ["model.ckpt", "ctx.ckpt"])
+def test_a_checkpoint_that_is_no_vector_table_fails_as_targets(workspace, tmp_path, capsys,
+                                                               command, checkpoint):
+    targets = workspace / checkpoint
+    out = tmp_path / "out"
+    argv = {"train-model": ["--system", "Genres", "--features", str(workspace / "ctx.ckpt"),
+                            "--out", str(out)],
+            "evaluate": ["--systems", "Genres", "--report", str(out)]}[command]
+    capsys.readouterr()
+    assert main([command, "--metadata", str(workspace / "data" / "metadata.jsonl"),
+                 "--targets", str(targets), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cb2cf {command}: error: {targets}: not a cb2cf-vectors file")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_train_item2vec_needs_exactly_one_source(tmp_path, capsys):
     rc = main(["train-item2vec", "--out", str(tmp_path / "x.vec")])
     err = capsys.readouterr().err

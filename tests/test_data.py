@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,18 @@ def test_load_ratings_rejects_malformed_rows(tmp_path, row, fragment):
         load_ratings(path)
     except ValueError as exc:
         assert fragment in str(exc)
+
+
+@pytest.mark.parametrize("item", ["m 1", '"m\t1"', '" m1"', '"m1\u00a0"'])
+def test_load_ratings_rejects_an_item_id_a_vector_table_cannot_hold(tmp_path, item):
+    path = _write_ratings(tmp_path, "u1,m0,4.0,100\nu1," + item + ",4.0,100\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:3: item id ")):
+        load_ratings(path)
+
+
+def test_load_ratings_keeps_user_ids_as_written(tmp_path):
+    path = _write_ratings(tmp_path, "user one,m1,4.0,100\n")
+    assert [h.user for h in load_ratings(path)] == ["user one"]
 
 
 def test_load_ratings_names_the_line_of_an_oversized_field(tmp_path):

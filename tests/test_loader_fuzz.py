@@ -122,6 +122,40 @@ def test_vector_files(tmp_path, word_table, data):
 
 @FUZZ
 @given(data=st.data())
+def test_word2vec_text_vector_files(tmp_path, data):
+    path = tmp_path / "table.txt"
+    path.write_bytes(_mutate_bytes(data, b"3 2\nw0 0.5 -1.25\nw1 1e-300 3.0\nw2 -0.0 7.5e12\n"))
+    _loads_or_names(lambda: EmbeddingTable.load(path), path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_vector_table_meta(tmp_path, word_table, data):
+    path = tmp_path / "table.vec"
+    word_table.save(path)
+    tensors, meta = net.load_checkpoint(path)
+    edit = data.draw(st.sampled_from(["json", "ids", "count", "kind", "tensor"]))
+    if edit == "json":
+        meta = _mutate_json(data, meta)
+    elif edit == "ids":
+        meta["ids"][data.draw(st.integers(0, 5))] = data.draw(JSON_VALUES)
+    elif edit == "count":
+        meta["ids"] = meta["ids"][:data.draw(st.integers(0, 5))] + \
+            data.draw(st.lists(st.text(max_size=3), max_size=2))
+    elif edit == "kind":
+        kind = data.draw(st.sampled_from([None, "cb2cf-model", "cb2cf-feature-context"]))
+        if kind is None:
+            del meta["kind"]
+        else:
+            meta["kind"] = kind
+    else:
+        tensors[data.draw(st.sampled_from(["extra", "vectors2"]))] = np.zeros((1, 3))
+    net.save_checkpoint(path, tensors, meta)
+    _loads_or_names(lambda: EmbeddingTable.load(path), path)
+
+
+@FUZZ
+@given(data=st.data())
 def test_ratings_files(tmp_path, data):
     path = tmp_path / "ratings.csv"
     path.write_bytes(_mutate_bytes(data, b"userId,movieId,rating,timestamp\n"

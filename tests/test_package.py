@@ -1,4 +1,7 @@
+import ast
 import inspect
+import sys
+from pathlib import Path
 
 import cb2cf
 
@@ -10,3 +13,19 @@ def test_every_public_name_imports_and_is_callable_or_a_class():
     for name in cb2cf.__all__:
         obj = namespace[name]
         assert inspect.isclass(obj) or callable(obj), name
+
+
+def test_the_package_imports_only_the_stdlib_and_numpy():
+    """The runtime needs numpy and nothing else outside the standard library."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    package = Path(cb2cf.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.append((path.name, node.module))
+    assert ("sgns.py", "numpy") in found
+    assert [(name, module) for name, module in found
+            if module.partition(".")[0] not in allowed] == []

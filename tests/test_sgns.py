@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from cb2cf import sgns
+from cb2cf import net, sgns
 from cb2cf.cli import build_parser
 from cb2cf.sgns import (CooccurrenceSets, EmbeddingTable, NoiseSampler,
                         SgnsConfig, SgnsTrainer, cosine_scores, discard_probabilities,
@@ -86,21 +86,32 @@ class TestEmbeddingTable:
         loaded = EmbeddingTable.load(path)
         assert loaded.ids == table.ids
         assert np.array_equal(loaded.vectors, table.vectors)
-        assert path.read_text().splitlines()[0] == "5 3"
 
-    def test_save_writes_the_per_scalar_repr_byte_for_byte(self, tmp_path):
+    @staticmethod
+    def _extreme_table():
         rng = np.random.default_rng(3)
         vectors = rng.standard_normal((4, 6)) * np.array([1e-300, 1e-17, 1.0, 1e12, 1e300, 1.0])
         vectors[0, :3] = [-0.0, 5e-324, -2.2250738585072e-310]  # signed zero, subnormals
         vectors[1, :2] = [1e300, -1e300]
-        table = EmbeddingTable([f"i{k}" for k in range(4)], vectors)
+        return EmbeddingTable([f"i{k}" for k in range(4)], vectors)
+
+    def test_checkpoint_round_trip_of_extreme_values_is_bit_exact(self, tmp_path):
+        table = self._extreme_table()
         path = tmp_path / "table.vec"
         table.save(path)
-        expected = "4 6\n" + "".join(
-            item_id + " " + " ".join(repr(float(x)) for x in row) + "\n"
-            for item_id, row in zip(table.ids, table.vectors))
-        assert path.read_bytes() == expected.encode("utf-8")
+        assert path.read_bytes()[:1] == b"{"
         loaded = EmbeddingTable.load(path)
+        assert loaded.ids == table.ids
+        assert loaded.vectors.tobytes() == table.vectors.tobytes()
+
+    def test_word2vec_text_of_extreme_value_reprs_loads_bit_exact(self, tmp_path):
+        table = self._extreme_table()
+        path = tmp_path / "table.txt"
+        path.write_text("4 6\n" + "".join(
+            item_id + " " + " ".join(repr(float(x)) for x in row) + "\n"
+            for item_id, row in zip(table.ids, table.vectors)))
+        loaded = EmbeddingTable.load(path)
+        assert loaded.ids == table.ids
         assert loaded.vectors.tobytes() == table.vectors.tobytes()
 
     def test_save_rejects_whitespace_ids(self, tmp_path):
@@ -148,6 +159,42 @@ class TestEmbeddingTable:
         path.write_text("99999999999999 40\na " + " ".join(["0.5"] * 40) + "\n")
         with pytest.raises(ValueError, match="header declares 99999999999999 rows, found 1"):
             EmbeddingTable.load(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t, m: m["ids"].__setitem__(1, 7), "not a cb2cf-vectors file"),
+        (lambda t, m: m.__setitem__("ids", "a b c"), "not a cb2cf-vectors file"),
+        (lambda t, m: m.__delitem__("ids"), "not a cb2cf-vectors file"),
+        (lambda t, m: m["ids"].pop(), "ids and vectors differ in length"),
+        (lambda t, m: m["ids"].__setitem__(1, "a"), "duplicate id"),
+        (lambda t, m: m.__delitem__("kind"), "not a cb2cf-vectors file"),
+        (lambda t, m: m.__setitem__("kind", "cb2cf-model"), "not a cb2cf-vectors file"),
+        (lambda t, m: t.__setitem__("extra", np.zeros(2)), "not a cb2cf-vectors file"),
+        (lambda t, m: t.__setitem__("vectors", np.zeros(3)), "vectors must be a 2-D array"),
+        (lambda t, m: t.__setitem__("vectors", np.zeros((3, 0))), "dimension must be >= 1"),
+        (lambda t, m: t["vectors"].__setitem__((0, 1), np.inf), "vectors must be finite"),
+    ], ids=["int-id", "ids-string", "no-ids", "short-ids", "repeated-id", "no-kind",
+            "model-kind", "extra-tensor", "1-d", "0-dim", "infinite"])
+    def test_load_rejects_a_checkpoint_that_is_not_a_table(self, tmp_path, edit, message):
+        path = tmp_path / "table.vec"
+        EmbeddingTable(["a", "b", "c"], np.arange(6.0).reshape(3, 2)).save(path)
+        tensors, meta = net.load_checkpoint(path)
+        edit(tensors, meta)
+        net.save_checkpoint(path, tensors, meta)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ") + ".*" + message):
+            EmbeddingTable.load(path)
+
+    def test_load_reads_the_format_from_the_first_byte(self, tmp_path):
+        table = EmbeddingTable(["a", "b"], np.array([[0.5, -1.0], [2.0, 1e-300]]))
+        binary, text = tmp_path / "table.vec", tmp_path / "table.txt"
+        table.save(binary)
+        text.write_text("2 2\na 0.5 -1.0\nb 2.0 1e-300\n")
+        for path in (binary, text):
+            loaded = EmbeddingTable.load(path)
+            assert loaded.ids == table.ids
+            assert loaded.vectors.tobytes() == table.vectors.tobytes()
+        text.write_text("{2 2\na 0.5 -1.0\n")  # a brace opens a manifest, not a header
+        with pytest.raises(ValueError, match="^" + re.escape(f"checkpoint {text}: unreadable")):
+            EmbeddingTable.load(text)
 
 
 def _cos(u, v):
