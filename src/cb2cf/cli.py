@@ -49,10 +49,7 @@ def _cmd_train_word2vec(args: argparse.Namespace) -> None:
     vocab = build_vocabulary(sentences, cap=args.vocab_cap)
     kept = [[t for t in s if t in vocab] for s in sentences]
     kept = [s for s in kept if s]
-    config = SgnsConfig(dim=args.dim, epochs=args.epochs, negatives=args.neg,
-                        subsample=args.subsample, window=args.window,
-                        learning_rate=args.lr, seed=args.seed)
-    table = train_sgns(kept, config)
+    table = train_sgns(kept, _from_args(SgnsConfig, _WORD_SGNS_FLAGS, args))
     table.save(args.out)
     if args.save_vocab:
         save_vocabulary(vocab, args.save_vocab)
@@ -70,9 +67,7 @@ def _cmd_train_item2vec(args: argparse.Namespace) -> None:
         sets = data.load_sets(args.sets)
     if not sets.sets:
         raise CliError("no co-occurrence sets of size >= 2")
-    config = SgnsConfig(dim=args.dim, epochs=args.epochs, negatives=args.neg,
-                        subsample=args.subsample, learning_rate=args.lr, seed=args.seed)
-    table = train_sgns(sets, config)
+    table = train_sgns(sets, _from_args(SgnsConfig, _SGNS_FLAGS, args))
     table.save(args.out)
     print(f"trained {len(table)} item vectors of dim {table.dim} from "
           f"{len(sets.sets)} sets ({sets.dropped} dropped) -> {args.out}")
@@ -107,14 +102,6 @@ def _usable_profiles(profiles: list, targets: EmbeddingTable) -> list:
     return usable
 
 
-def _train_config(args: argparse.Namespace) -> model_mod.TrainConfig:
-    return model_mod.TrainConfig(
-        batch_size=args.batch, word_dropout=args.word_dropout,
-        dropout=args.dropout, l2=args.l2, learning_rate=args.lr,
-        max_epochs=args.max_epochs, patience=args.patience,
-        val_fraction=args.val_fraction, seed=args.seed)
-
-
 def _cmd_train_model(args: argparse.Namespace) -> None:
     _require(args, "system", "features", "metadata", "targets", "out")
     context = features.load_feature_context(args.features)
@@ -127,7 +114,8 @@ def _cmd_train_model(args: argparse.Namespace) -> None:
     parts = model_mod.bundle_parts(spec)
     bundles = [features.featurize_item(p, context, parts) for p in usable]
     net_model = model_mod.build_model(spec, context, seed=args.seed)
-    report = model_mod.train(net_model, bundles, targets, _train_config(args))
+    report = model_mod.train(net_model, bundles, targets,
+                             _from_args(model_mod.TrainConfig, _TRAIN_FLAGS, args))
     if report.stop_reason == "diverged":
         raise CliError(f"training diverged at epoch {report.epochs - 1} "
                        f"(non-finite loss or weights); no model written")
@@ -184,8 +172,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
 
     dataset = evaluation.EvalDataset(usable, targets, word_table, centroids)
     report = evaluation.run_evaluation(
-        systems, dataset, _train_config(args), folds=args.folds, seed=args.seed,
-        ndcg_ks=usable_ks, min_tag_count=args.min_tag_count,
+        systems, dataset, _from_args(model_mod.TrainConfig, _TRAIN_FLAGS, args),
+        folds=args.folds, seed=args.seed, ndcg_ks=usable_ks, min_tag_count=args.min_tag_count,
         temperature=args.temperature,
         spec_overrides={"text_length": args.max_words,
                         "cnn_variant": args.cnn_variant})
@@ -226,10 +214,7 @@ def _cmd_analogy(args: argparse.Namespace) -> None:
 
 def _cmd_synth(args: argparse.Namespace) -> None:
     _require(args, "out")
-    spec = synthetic.SyntheticSpec(
-        items=args.items, clusters=args.clusters, dim=args.dim,
-        vocab_size=args.vocab_size, noise=args.noise,
-        year_weight=args.year_weight, set_count=args.set_count, seed=args.seed)
+    spec = _from_args(synthetic.SyntheticSpec, _SYNTH_FLAGS, args)
     sets, profiles, vectors = synthetic.generate_synthetic(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -258,28 +243,46 @@ def _cmd_export(args: argparse.Namespace) -> None:
     print(f"exported {len(table)} labeled vectors -> {args.out}")
 
 
-def _add_sgns_flags(sub: argparse.ArgumentParser, dim: int, subsample: float) -> None:
-    sub.add_argument("--dim", type=int, default=dim)
-    sub.add_argument("--neg", type=int, default=15)
-    sub.add_argument("--subsample", type=float, default=subsample)
-    sub.add_argument("--epochs", type=int, default=100)
-    sub.add_argument("--lr", type=float, default=0.025)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out")
+# Flag -> field of the config object the flag fills. Each flag takes its
+# type and default from the field, so a default lives only on the class.
+_SGNS_FLAGS = {"dim": "dim", "neg": "negatives", "subsample": "subsample",
+               "epochs": "epochs", "lr": "learning_rate", "seed": "seed"}
+_WORD_SGNS_FLAGS = {**_SGNS_FLAGS, "window": "window"}
+_TRAIN_FLAGS = {"batch": "batch_size", "l2": "l2", "dropout": "dropout",
+                "word-dropout": "word_dropout", "lr": "learning_rate",
+                "max-epochs": "max_epochs", "patience": "patience",
+                "val-fraction": "val_fraction", "seed": "seed"}
+_SYNTH_FLAGS = {"items": "items", "clusters": "clusters", "dim": "dim",
+                "vocab-size": "vocab_size", "noise": "noise",
+                "year-weight": "year_weight", "set-count": "set_count", "seed": "seed"}
+
+
+def _add_fields(sub: argparse.ArgumentParser, cls: type, flags: dict[str, str],
+                **defaults) -> None:
+    """A flag per ``flags`` entry, typed and defaulted by its field of ``cls`` or ``defaults``."""
+    for flag, name in flags.items():
+        default = defaults.get(name, getattr(cls, name))
+        sub.add_argument(f"--{flag}", type=int if default is None else type(default),
+                         default=default)
+
+
+def _from_args(cls: type, flags: dict[str, str], args: argparse.Namespace):
+    return cls(**{name: getattr(args, flag.replace("-", "_")) for flag, name in flags.items()})
 
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--batch", type=int, default=32)
-    sub.add_argument("--l2", type=float, default=1e-4)
-    sub.add_argument("--dropout", type=float, default=0.2)
-    sub.add_argument("--word-dropout", type=float, default=0.2)
-    sub.add_argument("--lr", type=float, default=1e-3)
-    sub.add_argument("--max-epochs", type=int, default=100)
-    sub.add_argument("--patience", type=int, default=5)
-    sub.add_argument("--val-fraction", type=float, default=0.1)
+    _add_fields(sub, model_mod.TrainConfig, _TRAIN_FLAGS)
     sub.add_argument("--cnn-variant", choices=model_mod.CNN_VARIANTS,
-                     default="non-static")
-    sub.add_argument("--seed", type=int, default=0)
+                     default=model_mod.SystemSpec.cnn_variant)
+
+
+def _add_feature_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--metadata")
+    sub.add_argument("--word-vectors")
+    sub.add_argument("--bow-centroids", type=int, default=250)
+    sub.add_argument("--max-words", type=int, default=features.DEFAULT_MAX_WORDS)
+    sub.add_argument("--min-tag-count", type=int, default=features.DEFAULT_MIN_TAG_COUNT)
+    sub.add_argument("--temperature", type=float, default=features.DEFAULT_TEMPERATURE)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -300,26 +303,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub("train-word2vec", _cmd_train_word2vec,
             "train word vectors on a text corpus")
     p.add_argument("--corpus")
-    p.add_argument("--window", type=int, default=4)
     p.add_argument("--vocab-cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--save-vocab")
-    _add_sgns_flags(p, dim=100, subsample=1e-5)
+    _add_fields(p, SgnsConfig, _WORD_SGNS_FLAGS, dim=100, subsample=1e-5)  # word-mode defaults
+    p.add_argument("--out")
 
     p = sub("train-item2vec", _cmd_train_item2vec,
             "train CF item vectors from co-occurrence sets")
     p.add_argument("--ratings")
     p.add_argument("--sets")
     p.add_argument("--threshold", type=float, default=3.5)
-    _add_sgns_flags(p, dim=40, subsample=1e-4)
+    _add_fields(p, SgnsConfig, _SGNS_FLAGS)
+    p.add_argument("--out")
 
     p = sub("fit-features", _cmd_fit_features,
             "fit tag/year statistics and write the feature context file")
-    p.add_argument("--metadata")
-    p.add_argument("--word-vectors")
-    p.add_argument("--bow-centroids", type=int, default=250)
-    p.add_argument("--max-words", type=int, default=500)
-    p.add_argument("--min-tag-count", type=int, default=5)
-    p.add_argument("--temperature", type=float, default=0.1)
+    _add_feature_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
@@ -336,15 +335,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub("evaluate", _cmd_evaluate,
             "k-fold evaluation of one or more systems")
     p.add_argument("--systems")
-    p.add_argument("--metadata")
+    _add_feature_flags(p)
     p.add_argument("--targets")
-    p.add_argument("--word-vectors")
-    p.add_argument("--bow-centroids", type=int, default=250)
-    p.add_argument("--max-words", type=int, default=500)
-    p.add_argument("--min-tag-count", type=int, default=5)
-    p.add_argument("--temperature", type=float, default=0.1)
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--ndcg-k", default="10,30,50,100,200,500,1000")
+    p.add_argument("--ndcg-k", default=",".join(map(str, evaluation.DEFAULT_NDCG_KS)))
     p.add_argument("--report")
     p.add_argument("--report-json")
     _add_train_flags(p)
@@ -368,14 +362,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--topk", type=int, default=1)
 
     p = sub("synth", _cmd_synth, "generate a seeded synthetic dataset")
-    p.add_argument("--items", type=int, default=500)
-    p.add_argument("--clusters", type=int, default=8)
-    p.add_argument("--dim", type=int, default=40)
-    p.add_argument("--vocab-size", type=int, default=200)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--year-weight", type=float, default=0.0)
-    p.add_argument("--set-count", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    _add_fields(p, synthetic.SyntheticSpec, _SYNTH_FLAGS)
     p.add_argument("--out")
 
     p = sub("export", _cmd_export, "export labeled vectors for visualization")

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .corpus import open_text
-from .sgns import CooccurrenceSets, EmbeddingTable
+from .sgns import CooccurrenceSets, EmbeddingTable, writable_id
 
 logger = logging.getLogger(__name__)
 
@@ -74,7 +74,7 @@ def load_ratings(path: str | Path) -> list[UserHistory]:
                 user, item = row[0], row[1]
                 if not user or not item:
                     raise ValueError(f"{path}:{lineno}: empty user or item id")
-                if any(c.isspace() for c in item):  # a vector table could not hold it
+                if not writable_id(item):  # a vector table could not hold it
                     raise ValueError(f"{path}:{lineno}: item id {item!r} holds whitespace")
                 try:
                     rating = float(row[2])
@@ -197,10 +197,14 @@ def export_labeled_vectors(table: EmbeddingTable, labels: Mapping[str, str],
                            path: str | Path) -> None:
     """Write ``id<TAB>label<TAB>components...`` rows in table order. Every
     id must have a label. Floats use repr, so reading the file back yields
-    identical vectors."""
+    identical vectors. A label may hold no tab or line break."""
     missing = [i for i in table.ids if i not in labels]
     if missing:
         raise ValueError(f"{len(missing)} ids have no label (first: {missing[0]!r})")
+    for item_id in table.ids:
+        label = str(labels[item_id])
+        if "\t" in label or "".join(label.splitlines()) != label:
+            raise ValueError(f"label of item {item_id!r} holds a tab or line break: {label!r}")
     with open(path, "w", encoding="utf-8") as fh:
         for item_id in table.ids:
             row = table.get(item_id)

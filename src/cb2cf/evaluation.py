@@ -21,7 +21,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .features import Centroids, fit_feature_context, featurize_item
+from .features import (DEFAULT_MIN_TAG_COUNT, DEFAULT_TEMPERATURE, Centroids,
+                       fit_feature_context, featurize_item)
 from .model import (Cb2cfModel, SystemSpec, TrainConfig, _target_vector,
                     build_model, bundle_parts, predict, train)
 from .sgns import EmbeddingTable, cosine_scores, top_rows
@@ -194,7 +195,8 @@ def _fold_seed(base: int, fold: int) -> int:
 def run_system(system: str | SystemSpec, dataset: EvalDataset,
                folds: FoldAssignment, config: TrainConfig, *,
                ndcg_ks: Sequence[int] = DEFAULT_NDCG_KS,
-               min_tag_count: int = 5, temperature: float = 0.1,
+               min_tag_count: int = DEFAULT_MIN_TAG_COUNT,
+               temperature: float = DEFAULT_TEMPERATURE,
                spec_overrides: Mapping | None = None,
                predictor: Predictor | None = None) -> SystemReport:
     """Train and score one system across all folds.
@@ -259,7 +261,8 @@ def run_system(system: str | SystemSpec, dataset: EvalDataset,
 def run_evaluation(systems: Sequence[str], dataset: EvalDataset,
                    config: TrainConfig, *, folds: int = 10, seed: int = 0,
                    ndcg_ks: Sequence[int] = DEFAULT_NDCG_KS,
-                   min_tag_count: int = 5, temperature: float = 0.1,
+                   min_tag_count: int = DEFAULT_MIN_TAG_COUNT,
+                   temperature: float = DEFAULT_TEMPERATURE,
                    spec_overrides: Mapping | None = None) -> EvalReport:
     """Run every named system over one shared fold assignment."""
     ids = [p.id for p in dataset.profiles]

@@ -113,16 +113,14 @@ def fit_kmeans(vectors: np.ndarray, clusters: int, seed: int = 0) -> Centroids:
         d2 = sq[:, None] + (centroids ** 2).sum(axis=1)[None, :] - 2.0 * points @ centroids.T
         assign = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(len(points)), assign].copy()
-        updated = centroids.copy()
-        for c in range(clusters):
-            members = assign == c
-            if members.any():
-                updated[c] = points[members].mean(axis=0)
-        for c in range(clusters):
-            if not (assign == c).any():
-                pick = int(np.argmax(point_d2))
-                updated[c] = points[pick]
-                point_d2[pick] = -np.inf  # a second empty cluster takes the next-farthest
+        sizes = np.bincount(assign, minlength=clusters)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, points)  # row order per cluster, as a mean's sum
+        updated = sums / np.maximum(sizes, 1)[:, None]
+        for c in np.flatnonzero(sizes == 0):
+            pick = int(np.argmax(point_d2))
+            updated[c] = points[pick]
+            point_d2[pick] = -np.inf  # a second empty cluster takes the next-farthest
         shift = float(np.max(np.linalg.norm(updated - centroids, axis=1)))
         centroids = updated
         if shift < KMEANS_TOL:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import net
-from .features import (FeatureBundle, FeatureContext, TAG_FIELDS,
+from .features import (DEFAULT_MAX_WORDS, FeatureBundle, FeatureContext, TAG_FIELDS,
                        load_feature_context)
 from .sgns import EmbeddingTable, similarity_search
 
@@ -82,7 +82,7 @@ class SystemSpec:
     cnn_filters: int = 300
     cnn_width: int = 3
     cnn_variant: str = "non-static"
-    text_length: int = 500
+    text_length: int = DEFAULT_MAX_WORDS
     name: str | None = None
 
     def __post_init__(self) -> None:
@@ -534,13 +534,6 @@ def _tag_reps(model: Cb2cfModel, field_name: str, tags: Sequence[str]):
             weight, bias = model.params[f"{layer}.weight"], model.params[f"{layer}.bias"]
             return fname, np.maximum(weight + bias[:, None], 0.0).T, [index[t] for t in tags]
     raise ValueError(f"unknown tag field {field_name!r}")
-
-
-def tag_representation(model: Cb2cfModel, field_name: str, tag: str) -> np.ndarray:
-    """Hidden activation of the field's component for the tag's one-hot
-    input: relu(W[:, tag] + b)."""
-    _, reps, (row,) = _tag_reps(model, field_name, [tag])
-    return reps[row]
 
 
 def analogy(model: Cb2cfModel, field_name: str, a: str, b: str, c: str,

@@ -129,9 +129,9 @@ class EmbeddingTable:
 
     def save(self, path: str | Path) -> None:
         """One ``net`` checkpoint: a ``vectors`` tensor, the kind and the ids as
-        meta. Ids must be nonempty and free of whitespace, as in word2vec text."""
+        meta. Each id must pass ``writable_id``, as in word2vec text."""
         for item_id in self.ids:
-            if not item_id or any(c.isspace() for c in item_id):
+            if not writable_id(item_id):
                 raise ValueError(f"id not writable to a vector file: {item_id!r}")
         net.save_checkpoint(path, {"vectors": self.vectors}, {"kind": TABLE_KIND, "ids": self.ids})
 
@@ -146,8 +146,8 @@ class EmbeddingTable:
             tensors, meta = net.load_checkpoint(path)
             ids, vectors = meta.get("ids"), tensors.get("vectors")
             if meta.get("kind") != TABLE_KIND or tensors.keys() != {"vectors"} \
-                    or not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-                raise ValueError(f"{path}: not a {TABLE_KIND} file of 'vectors' and string 'ids'")
+                    or not isinstance(ids, list) or not all(map(writable_id, ids)):
+                raise ValueError(f"{path}: not a {TABLE_KIND} file of 'vectors' and writable 'ids'")
         else:
             with open_text(path) as fh:
                 header = fh.readline().split()
@@ -185,6 +185,11 @@ class EmbeddingTable:
         """Each row's position in ascending id order: the tie break of every
         ranking. Built on first use, so unsearched tables never pay for it."""
         return np.argsort(np.argsort(np.array(self.ids, dtype=object)))
+
+
+def writable_id(item_id: object) -> bool:
+    """A nonempty string free of whitespace: an id a vector file can hold."""
+    return isinstance(item_id, str) and item_id.split() == [item_id]
 
 
 def _header_int(path: str | Path, name: str, token: str, minimum: int) -> int:

@@ -152,8 +152,3 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[CooccurrenceSets, list[Cont
         sets.append(tuple(sorted(pool[j] for j in chosen)))
 
     return CooccurrenceSets(sets, 0), profiles, EmbeddingTable(ids, vectors)
-
-
-def cluster_labels(spec: SyntheticSpec) -> dict[str, int]:
-    """Item id -> planted cluster index, matching generate_synthetic."""
-    return {f"m{i:05d}": i % spec.clusters for i in range(spec.items)}

@@ -1,7 +1,8 @@
 """One-example passes through the batched model, for tests that check a
-single example or compare a batch against its examples."""
+single example or compare a batch against its examples, and one tag's
+hidden representation."""
 
-from cb2cf.model import backward_batch, forward_batch
+from cb2cf.model import _tag_reps, backward_batch, forward_batch
 
 
 def forward(model, bundle, **kwargs):
@@ -16,3 +17,10 @@ def backward(model, cache, grad_prediction):
     repeated words accumulated."""
     grads, (rows, row_grads) = backward_batch(model, cache, grad_prediction[None, :])
     return grads, dict(zip(rows.tolist(), row_grads))
+
+
+def tag_representation(model, field_name, tag):
+    """Hidden activation of the field's component for the tag's one-hot
+    input: relu(W[:, tag] + b)."""
+    _, reps, (row,) = _tag_reps(model, field_name, [tag])
+    return reps[row]

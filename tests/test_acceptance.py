@@ -27,8 +27,9 @@ from cb2cf.features import (Centroids, bow_histogram, fit_feature_context,
 from cb2cf.model import (SystemSpec, TrainConfig, analogy, backward_batch,
                          build_model, bundle_parts, forward_batch, train)
 from cb2cf.sgns import EmbeddingTable, SgnsConfig, similarity_search, train_sgns
-from cb2cf.synthetic import SyntheticSpec, cluster_labels, generate_synthetic
+from cb2cf.synthetic import SyntheticSpec, generate_synthetic
 from gradcheck import grad_check
+from synthetic_helpers import cluster_labels
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

@@ -1,13 +1,16 @@
 import json
+import typing
 
 import numpy as np
 import pytest
 
+from cb2cf import cli, evaluation, features
 from cb2cf.cli import main
 from cb2cf.data import load_metadata, load_ratings, load_sets
 from cb2cf.features import load_feature_context
-from cb2cf.model import load_model
-from cb2cf.sgns import EmbeddingTable
+from cb2cf.model import SystemSpec, TrainConfig, load_model
+from cb2cf.sgns import EmbeddingTable, SgnsConfig
+from cb2cf.synthetic import SyntheticSpec
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +38,41 @@ def workspace(tmp_path_factory):
 def test_no_command_prints_help_and_fails(capsys):
     assert main([]) == 1
     assert "COMMAND" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, cls, flags, overrides", [
+    ("train-word2vec", SgnsConfig, cli._WORD_SGNS_FLAGS, {"dim": 100, "subsample": 1e-5}),
+    ("train-item2vec", SgnsConfig, cli._SGNS_FLAGS, {}),
+    ("train-model", TrainConfig, cli._TRAIN_FLAGS, {}),
+    ("evaluate", TrainConfig, cli._TRAIN_FLAGS, {}),
+    ("synth", SyntheticSpec, cli._SYNTH_FLAGS, {}),
+])
+def test_table_flags_take_type_and_default_from_their_config_field(command, cls, flags,
+                                                                   overrides):
+    parser, registry = cli.build_parser()
+    actions = {a.dest: a for a in registry[command]._actions}
+    hints = typing.get_type_hints(cls)
+    for flag, name in flags.items():
+        action = actions[flag.replace("-", "_")]
+        default = overrides.get(name, getattr(cls, name))
+        assert action.default == default and type(action.default) is type(default), flag
+        assert action.type is (int if hints[name] == int | None else hints[name]), flag
+    args = parser.parse_args([command])
+    assert cli._from_args(cls, flags, args) == cls(**overrides)
+
+
+def test_shared_flags_take_their_defaults_from_the_library():
+    _, registry = cli.build_parser()
+    for command in ("fit-features", "evaluate"):
+        defaults = {a.dest: a.default for a in registry[command]._actions}
+        assert (defaults["max_words"], defaults["min_tag_count"], defaults["temperature"]) \
+            == (features.DEFAULT_MAX_WORDS, features.DEFAULT_MIN_TAG_COUNT,
+                features.DEFAULT_TEMPERATURE)
+    for command in ("train-model", "evaluate"):
+        cnn_variant = next(a for a in registry[command]._actions if a.dest == "cnn_variant")
+        assert cnn_variant.default == SystemSpec.cnn_variant
+    ndcg_k = next(a for a in registry["evaluate"]._actions if a.dest == "ndcg_k")
+    assert tuple(int(k) for k in ndcg_k.default.split(",")) == evaluation.DEFAULT_NDCG_KS
 
 
 def test_synth_writes_a_loadable_dataset(workspace):
@@ -209,6 +247,20 @@ def test_export_genre_labels(workspace, tmp_path, capsys):
     assert len(rows) == 12
     assert {r[1] for r in rows} == {"genre_aaa", "genre_aab"}
     assert len(rows[0]) == 2 + 6
+
+
+def test_export_rejects_a_label_that_would_split_a_row(tmp_path, capsys):
+    table = EmbeddingTable(["a", "b"], np.array([[1.0, 0.0], [0.0, 1.0]]))
+    table.save(tmp_path / "v.vec")
+    meta = tmp_path / "meta.jsonl"
+    meta.write_text('{"id": "a", "genres": ["sci\\tfi\\nx"]}\n{"id": "b"}\n')
+    out = tmp_path / "labeled.tsv"
+    assert main(["export", "--vectors", str(tmp_path / "v.vec"), "--labels", "genre",
+                 "--metadata", str(meta), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cb2cf export: error: label of item 'a' ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_export_year_labels_fall_back_to_the_sentinel(tmp_path):

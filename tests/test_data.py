@@ -260,6 +260,14 @@ class TestExportLabeledVectors:
             assert np.array_equal(parsed, table.get(item_id))
         assert lines[0].split("\t")[1] == "drama"
 
+    @pytest.mark.parametrize("label", ["sci\tfi", "sci\nfi", "scifi\r", "sci\u2028fi"])
+    def test_a_label_that_would_split_a_row_is_rejected_before_writing(self, tmp_path, label):
+        table = EmbeddingTable(["m1", "m2"], np.eye(2))
+        path = tmp_path / "out.tsv"
+        with pytest.raises(ValueError, match="label of item 'm2'"):
+            export_labeled_vectors(table, {"m1": "x", "m2": label}, path)
+        assert not path.exists()
+
     def test_missing_label_is_rejected(self, tmp_path):
         table = EmbeddingTable(["m1", "m2"], np.eye(2))
         with pytest.raises(ValueError, match="m2"):

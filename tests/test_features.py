@@ -68,7 +68,60 @@ def test_text_matrix_pads_with_exact_zeros(tokens, max_words):
     assert out.tolist() == [table.index[t] for t in in_table]
 
 
+def _loop_kmeans(points, clusters, seed):
+    """The per-cluster Lloyd loop that ``fit_kmeans`` replaced: the reference."""
+    rng = np.random.default_rng(seed)
+    centroids = features._kmeans_pp_init(points, clusters, rng)
+    sq = (points ** 2).sum(axis=1)
+    for _ in range(features.KMEANS_MAX_ITER):
+        d2 = sq[:, None] + (centroids ** 2).sum(axis=1)[None, :] - 2.0 * points @ centroids.T
+        assign = np.argmin(d2, axis=1)
+        point_d2 = d2[np.arange(len(points)), assign].copy()
+        updated = centroids.copy()
+        for c in range(clusters):
+            members = assign == c
+            if members.any():
+                updated[c] = points[members].mean(axis=0)
+        for c in range(clusters):
+            if not (assign == c).any():
+                pick = int(np.argmax(point_d2))
+                updated[c] = points[pick]
+                point_d2[pick] = -np.inf
+        shift = float(np.max(np.linalg.norm(updated - centroids, axis=1)))
+        centroids = updated
+        if shift < features.KMEANS_TOL:
+            break
+    return centroids
+
+
 class TestKmeans:
+    @pytest.mark.parametrize("n, dim, clusters", [(40, 1, 3), (60, 2, 4), (200, 7, 9),
+                                                  (300, 32, 25), (90, 129, 6)])
+    def test_array_update_equals_the_per_cluster_loop(self, n, dim, clusters):
+        points = np.random.default_rng(n + dim).standard_normal((n, dim))
+        got, want = fit_kmeans(points, clusters, seed=dim).vectors, _loop_kmeans(
+            points, clusters, dim)
+        if dim == 1:  # a one-column mean sums pairwise, np.add.at in row order
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        else:
+            assert np.array_equal(got, want)
+
+    def test_empty_clusters_reseed_in_ascending_order_as_the_loop_does(self, monkeypatch):
+        points = np.random.default_rng(5).standard_normal((50, 3))
+        far = np.array([[40.0, 0.0, 0.0], [0.0, 0.0, -40.0]])  # nearest to no point
+        init = lambda pts, k, rng: np.concatenate([pts[:k - 2], far])  # noqa: E731
+        monkeypatch.setattr(features, "_kmeans_pp_init", init)
+        monkeypatch.setattr(features, "KMEANS_MAX_ITER", 1)
+        got, want = fit_kmeans(points, 6, seed=0).vectors, _loop_kmeans(points, 6, 0)
+        assert np.array_equal(got, want)
+        # The point farthest from its centroid takes cluster 4, the next-farthest cluster 5.
+        d2 = ((points[:, None] - init(points, 6, None)[None]) ** 2).sum(axis=2).min(axis=1)
+        farthest, next_farthest = np.argsort(-d2)[:2]
+        assert np.array_equal(got[4], points[farthest])
+        assert np.array_equal(got[5], points[next_farthest])
+        monkeypatch.setattr(features, "KMEANS_MAX_ITER", 100)
+        assert np.array_equal(fit_kmeans(points, 6, seed=0).vectors, _loop_kmeans(points, 6, 0))
+
     def test_separated_blobs_get_one_centroid_each(self):
         rng = np.random.default_rng(0)
         blobs = [np.array([0.0, 0.0]), np.array([10.0, 0.0]),

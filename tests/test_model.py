@@ -13,10 +13,9 @@ from cb2cf.model import (COMPONENT_ORDER, Cb2cfModel, SystemSpec, TrainConfig,
                          analogy, backward_batch, build_model,
                          bundle_parts, component_output_dims,
                          forward_batch, load_model,
-                         parse_system, predict, save_model, tag_representation,
-                         train)
+                         parse_system, predict, save_model, train)
 from gradcheck import grad_check
-from model_helpers import backward, forward
+from model_helpers import backward, forward, tag_representation
 
 
 class TestParseSystem:

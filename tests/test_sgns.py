@@ -166,13 +166,16 @@ class TestEmbeddingTable:
         (lambda t, m: m.__delitem__("ids"), "not a cb2cf-vectors file"),
         (lambda t, m: m["ids"].pop(), "ids and vectors differ in length"),
         (lambda t, m: m["ids"].__setitem__(1, "a"), "duplicate id"),
+        (lambda t, m: m["ids"].__setitem__(1, "a\tb"), "not a cb2cf-vectors file"),
+        (lambda t, m: m["ids"].__setitem__(2, ""), "not a cb2cf-vectors file"),
         (lambda t, m: m.__delitem__("kind"), "not a cb2cf-vectors file"),
         (lambda t, m: m.__setitem__("kind", "cb2cf-model"), "not a cb2cf-vectors file"),
         (lambda t, m: t.__setitem__("extra", np.zeros(2)), "not a cb2cf-vectors file"),
         (lambda t, m: t.__setitem__("vectors", np.zeros(3)), "vectors must be a 2-D array"),
         (lambda t, m: t.__setitem__("vectors", np.zeros((3, 0))), "dimension must be >= 1"),
         (lambda t, m: t["vectors"].__setitem__((0, 1), np.inf), "vectors must be finite"),
-    ], ids=["int-id", "ids-string", "no-ids", "short-ids", "repeated-id", "no-kind",
+    ], ids=["int-id", "ids-string", "no-ids", "short-ids", "repeated-id", "tab-id", "empty-id",
+         "no-kind",
             "model-kind", "extra-tensor", "1-d", "0-dim", "infinite"])
     def test_load_rejects_a_checkpoint_that_is_not_a_table(self, tmp_path, edit, message):
         path = tmp_path / "table.vec"

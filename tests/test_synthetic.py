@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cb2cf.corpus import tokenize
-from cb2cf.synthetic import SyntheticSpec, cluster_labels, generate_synthetic
+from cb2cf.synthetic import SyntheticSpec, generate_synthetic
+from synthetic_helpers import cluster_labels
 
 
 def _small_spec(**overrides):
