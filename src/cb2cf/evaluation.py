@@ -15,6 +15,7 @@ and NDCG 0.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
@@ -192,6 +193,40 @@ def _fold_seed(base: int, fold: int) -> int:
     return base + 1_000_003 * (fold + 1)
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+_worker_task: dict = {}  # a forked worker's fold task, set by the pool initializer
+
+
+def _fold_workers(folds: int) -> int:
+    """Processes for ``folds`` independent folds: the usable CPUs divided by
+    the first BLAS thread count set. With none set, BLAS is taken to use
+    every CPU, which leaves one process."""
+    import multiprocessing  # here and below: commands that never evaluate skip ~1.4 MB
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    blas = next((int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS)
+                 if v and v.strip().isdecimal() and int(v) > 0), cpus)
+    return max(1, min(folds, cpus // blas))
+
+
+def _run_fold(fold: int) -> FoldMetrics:
+    return _worker_task["fold"](fold)
+
+
+def _map_folds(task: Callable[[int], FoldMetrics], folds: int) -> list[FoldMetrics]:
+    """``task`` over folds 0..folds-1, in-process or in a pool forked up front.
+    Workers inherit ``task`` by the fork: only indices and metrics are sent."""
+    workers = _fold_workers(folds)
+    if workers == 1:
+        return [task(fold) for fold in range(folds)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             _worker_task.update, ({"fold": task},)) as pool:
+        return list(pool.map(_run_fold, range(folds)))  # raises the first failed fold's error
+
+
 def run_system(system: str | SystemSpec, dataset: EvalDataset,
                folds: FoldAssignment, config: TrainConfig, *,
                ndcg_ks: Sequence[int] = DEFAULT_NDCG_KS,
@@ -204,7 +239,8 @@ def run_system(system: str | SystemSpec, dataset: EvalDataset,
     Every fold refits the item-dependent feature statistics on its training
     items only; predictions for the held-out items are ranked against the
     full catalog. ``predictor`` replaces the model entirely (a testing hook
-    mapping test ids to predicted vectors).
+    mapping test ids to predicted vectors). Folds run in forked processes
+    when BLAS leaves CPUs idle (``_fold_workers``).
     """
     catalog = dataset.targets
     for k in ndcg_ks:
@@ -223,8 +259,8 @@ def run_system(system: str | SystemSpec, dataset: EvalDataset,
             raise ValueError(f"fold item {item_id!r} has no profile")
 
     parts = bundle_parts(spec)
-    fold_rows: list[FoldMetrics] = []
-    for fold in range(folds.folds):
+
+    def fold_metrics(fold: int) -> FoldMetrics:
         test_ids = folds.items_in(fold)
         if predictor is not None:
             predicted = predictor(test_ids)
@@ -242,12 +278,15 @@ def run_system(system: str | SystemSpec, dataset: EvalDataset,
             train(model, train_bundles, catalog, replace(config, seed=seed))
             predicted = predict(model, test_bundles)
         predictions = {item_id: predicted[i] for i, item_id in enumerate(test_ids)}
-        fold_rows.append(FoldMetrics(
+        return FoldMetrics(
             fold=fold,
             mse=mse_metric(catalog, predictions),
             mpr=mpr(predictions, catalog),
             ndcg=mean_ndcg_at(predictions, catalog, ndcg_ks),
-        ))
+        )
+
+    _ = catalog._id_rank, catalog._cosine_rows  # cached once, before any fork
+    fold_rows = _map_folds(fold_metrics, folds.folds)
     mean_row = FoldMetrics(
         fold=None,
         mse=float(np.mean([r.mse for r in fold_rows])),

@@ -112,7 +112,8 @@ class EmbeddingTable:
         self.index: dict[str, int] = {t: i for i, t in enumerate(self.ids)}
         if len(self.index) != len(self.ids):
             raise ValueError("duplicate id")
-        self.vectors = vectors
+        self.vectors = vectors.view()
+        self.vectors.flags.writeable = False  # keeps the cached ranks and norms valid
 
     @property
     def dim(self) -> int:
@@ -186,6 +187,20 @@ class EmbeddingTable:
         ranking. Built on first use, so unsearched tables never pay for it."""
         return np.argsort(np.argsort(np.array(self.ids, dtype=object)))
 
+    @cached_property
+    def _cosine_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows ``cosine_scores`` multiplies, each row of extreme norm scaled
+        by a power of two, and their norms."""
+        rows = self.vectors
+        with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
+            norms = _row_norms(rows)
+        unsafe = (norms < _SAFE_NORMS[0]) | (norms > _SAFE_NORMS[1])
+        if unsafe.any():
+            rows = rows.copy()
+            rows[unsafe] = _power_of_two_scaled(rows[unsafe])
+            norms[unsafe] = _row_norms(rows[unsafe])
+        return rows, norms
+
 
 def writable_id(item_id: object) -> bool:
     """A nonempty string free of whitespace: an id a vector file can hold."""
@@ -209,6 +224,7 @@ def cosine_scores(query: np.ndarray, table: EmbeddingTable) -> np.ndarray | None
     or query whose norm lies outside [2**-500, 2**500], where squares lose
     precision to underflow or overflow to inf, is first divided exactly by
     a power of two near its largest component; cosines ignore the scale.
+    Each table scales and measures its rows once (``_cosine_rows``).
     """
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (table.dim,):
@@ -217,18 +233,12 @@ def cosine_scores(query: np.ndarray, table: EmbeddingTable) -> np.ndarray | None
         return None
     with np.errstate(over="ignore"):  # an overflowing norm is rescaled below
         qnorm = float(np.linalg.norm(query))
-        norms = _row_norms(table.vectors)
     if not _SAFE_NORMS[0] <= qnorm <= _SAFE_NORMS[1]:
         query = _power_of_two_scaled(query)
         qnorm = float(np.linalg.norm(query))
     if qnorm == 0.0:
         return None
-    rows = table.vectors
-    unsafe = (norms < _SAFE_NORMS[0]) | (norms > _SAFE_NORMS[1])
-    if unsafe.any():
-        rows = rows.copy()
-        rows[unsafe] = _power_of_two_scaled(rows[unsafe])
-        norms[unsafe] = _row_norms(rows[unsafe])
+    rows, norms = table._cosine_rows
     dots = np.matmul(rows[:, None, :], query[:, None])[:, 0, 0]
     zero = norms == 0.0
     return np.where(zero, -1.0, dots / np.where(zero, 1.0, norms * qnorm))

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +325,23 @@ def test_evaluate_reruns_byte_identically(workspace, tmp_path):
     assert first_tsv.read_bytes() == second_tsv.read_bytes()
     assert (tmp_path / "a.json").read_bytes() == \
         (tmp_path / "b.json").read_bytes()
+
+
+def test_evaluate_report_is_the_same_with_blas_pinned_or_unset(workspace, tmp_path):
+    """Pinned to one BLAS thread on a machine of two or more CPUs, the folds
+    run in forked workers; unset, they run in-process."""
+    env = {k: v for k, v in os.environ.items() if k not in evaluation._BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(evaluation.__file__).parents[1]), env.get("PYTHONPATH")]))
+    reports = []
+    for tag, blas in (("unset", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+        report_json = tmp_path / f"{tag}.json"
+        args = _evaluate_args(workspace, tmp_path / f"{tag}.tsv", report_json)
+        proc = subprocess.run([sys.executable, "-m", "cb2cf.cli", *args],
+                              env={**env, **blas}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(report_json.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_evaluate_with_no_usable_cutoff_fails(workspace, tmp_path, capsys):

@@ -1,8 +1,15 @@
+import json
 import math
+import multiprocessing
+import os
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from cb2cf import evaluation
 from cb2cf.data import ContentProfile
 from cb2cf.evaluation import (DEFAULT_NDCG_KS, EvalDataset, make_folds,
                               mean_ndcg_at, mpr, mse_metric, ndcg_at_k,
@@ -387,6 +394,148 @@ class TestRunEvaluationReports:
         with pytest.raises(ValueError, match="no target"):
             run_evaluation(["Year"], broken, _quick_config(), folds=3,
                            ndcg_ks=(2,))
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets how many CPUs this process may use, with no BLAS thread count
+    set; the test sets one with ``monkeypatch.setenv``."""
+    for name in evaluation._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+    return use
+
+
+class TestFoldWorkers:
+    def test_unset_blas_threads_leave_one_worker(self, cpus):
+        cpus(2)
+        assert evaluation._fold_workers(10) == 1
+
+    def test_one_blas_thread_per_cpu(self, cpus, monkeypatch):
+        cpus(2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert evaluation._fold_workers(10) == 2
+
+    def test_fewer_folds_than_cpus(self, cpus, monkeypatch):
+        cpus(8)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert evaluation._fold_workers(3) == 3
+
+    @pytest.mark.parametrize("env, workers", [
+        ({"MKL_NUM_THREADS": "2"}, 4),
+        ({"OMP_NUM_THREADS": "4"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 8),
+        ({"OPENBLAS_NUM_THREADS": "auto", "MKL_NUM_THREADS": " 8 "}, 1),
+        ({"OMP_NUM_THREADS": "4,2"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "16"}, 1),
+    ])
+    def test_the_first_positive_blas_thread_count_divides_the_cpus(
+            self, cpus, monkeypatch, env, workers):
+        cpus(8)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert evaluation._fold_workers(10) == workers
+
+    def test_cpu_count_stands_in_for_a_missing_affinity_call(self, cpus, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert evaluation._fold_workers(10) == 4
+
+    def test_no_fork_start_method_runs_serially(self, cpus, monkeypatch):
+        cpus(8)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert evaluation._fold_workers(10) == 1
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="folds fork only where fork is a start method")
+class TestFoldPool:
+    """The serial path (1 CPU) against the pool (3 CPUs, 3 workers)."""
+
+    @pytest.fixture(params=[1, 3], ids=["serial", "pool"])
+    def workers(self, request, cpus, monkeypatch):
+        cpus(request.param)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert evaluation._fold_workers(3) == request.param
+        threads = threading.active_count()
+        yield request.param
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads  # the next fork is as safe as this one
+
+    @staticmethod
+    def _report_bytes():
+        report = run_evaluation(["Genres+Year", "Year"], _tagged_dataset(),
+                                _quick_config(), folds=3, seed=4,
+                                ndcg_ks=(2, 4), min_tag_count=1)
+        return json.dumps(report_json_dict(report)), report_tsv(report)
+
+    def test_pool_reports_equal_serial_reports(self, cpus, monkeypatch):
+        cpus(1)
+        serial = self._report_bytes()
+        cpus(3)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert evaluation._fold_workers(3) == 3
+        assert self._report_bytes() == serial
+        assert multiprocessing.active_children() == []
+
+    def test_each_fold_runs_in_a_worker_process(self, workers, tmp_path):
+        dataset = _tagged_dataset()
+        folds = make_folds([p.id for p in dataset.profiles], folds=3, seed=0)
+
+        def oracle(test_ids):
+            (tmp_path / test_ids[0]).write_text(str(os.getpid()))
+            return np.stack([dataset.targets.get(i) for i in test_ids])
+
+        report = run_system("Year", dataset, folds, _quick_config(), ndcg_ks=(2,),
+                            predictor=oracle)
+        assert [r.mpr for r in report.folds] == [0.0, 0.0, 0.0]
+        pids = {p.read_text() for p in tmp_path.iterdir()}
+        assert len(list(tmp_path.iterdir())) == 3
+        if workers == 1:
+            assert pids == {str(os.getpid())}
+        else:
+            assert str(os.getpid()) not in pids
+
+    def test_a_fold_that_fails_in_training_raises_its_error(self, workers):
+        dataset = _tagged_dataset()  # no word table, so a text system cannot featurize
+        folds = make_folds([p.id for p in dataset.profiles], folds=3, seed=0)
+        with pytest.raises(ValueError, match="^text features requested but the context "
+                                             "has no word table$"):
+            run_system("CNN+Year", dataset, folds, _quick_config(), ndcg_ks=(2,),
+                       min_tag_count=1)
+
+    def test_the_lowest_failing_fold_raises_even_when_it_fails_last(self, workers):
+        dataset = _tagged_dataset()
+        folds = make_folds([p.id for p in dataset.profiles], folds=3, seed=0)
+        first = folds.items_in(0)[0]
+
+        def predictor(test_ids):
+            if test_ids[0] == first:
+                time.sleep(0.3)
+            raise ValueError(f"no prediction for {test_ids[0]}")
+
+        with pytest.raises(ValueError, match=f"^no prediction for {first}$"):
+            run_system("Year", dataset, folds, _quick_config(), ndcg_ks=(2,),
+                       predictor=predictor)
+
+    def test_a_worker_that_dies_fails_the_call(self, cpus, monkeypatch):
+        cpus(3)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        dataset = _tagged_dataset()
+        folds = make_folds([p.id for p in dataset.profiles], folds=3, seed=0)
+        with pytest.raises(BrokenProcessPool):
+            run_system("Year", dataset, folds, _quick_config(), ndcg_ks=(2,),
+                       predictor=lambda test_ids: os._exit(3))
+        assert multiprocessing.active_children() == []
+
+    def test_missing_targets_fail_before_any_fold(self, workers):
+        TestRunEvaluationReports().test_missing_targets_are_rejected()
 
 
 def test_default_ndcg_cutoffs():

@@ -279,6 +279,24 @@ def test_cosine_scores_equal_the_scalar_formula_bit_for_bit(dim):
         assert cosine_scores(query, table).tolist() == expected
 
 
+def test_cached_row_norms_serve_every_query_of_a_read_only_table():
+    rng = np.random.default_rng(11)
+    vectors = rng.standard_normal((40, 5))
+    vectors[[3, 7]] *= [[1e-170], [1e200]]  # rows that cosine_scores rescales
+    vectors[9] = 0.0
+    table = EmbeddingTable([f"r{i}" for i in range(40)], vectors)
+    for _ in range(4):
+        query = rng.standard_normal(5)
+        fresh = EmbeddingTable(table.ids, vectors.copy())
+        assert cosine_scores(query, table).tolist() == cosine_scores(query, fresh).tolist()
+    assert np.array_equal(table.vectors, vectors)
+    with pytest.raises(ValueError, match="read-only"):
+        table.vectors[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        table.get("r1")[:] = 0.0
+    assert vectors.flags.writeable  # the caller's array is left as it was
+
+
 def _reference_word_pairs(sentence, spans):
     """(center, context) pairs of every position within its own span."""
     return [(sentence[i], sentence[j]) for i in range(len(sentence))
