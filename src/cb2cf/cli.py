@@ -135,19 +135,26 @@ def _load_model(args: argparse.Namespace) -> model_mod.Cb2cfModel:
     return model_mod.load_model(args.model, features=context)
 
 
+def _listed(flag: str, raw: str, what: str, convert=str) -> list:
+    """The comma-separated entries of a flag: at least one, none twice."""
+    values = [convert(entry.strip()) for entry in raw.split(",") if entry.strip()]
+    if not values:
+        raise CliError(f"{flag} lists no {what}")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise CliError(f"{flag} lists {value} more than once")
+    return values
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> None:
     _require(args, "systems", "metadata", "targets", "report")
-    systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-    if not systems:
-        raise CliError("--systems lists no system names")
+    systems = _listed("--systems", args.systems, "system names")
     profiles = data.load_metadata(args.metadata)
     targets = EmbeddingTable.load(args.targets)
     usable = _usable_profiles(profiles, targets)
 
-    needed = set()
-    for name in systems:
-        needed |= model_mod.bundle_parts(
-            model_mod.SystemSpec.named(name, output_dim=targets.dim))
+    needed = set().union(*(model_mod.bundle_parts(model_mod.SystemSpec.named(
+        name, output_dim=targets.dim)) for name in systems))
     word_table = centroids = None
     if args.word_vectors:
         word_table = EmbeddingTable.load(args.word_vectors)
@@ -159,9 +166,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     elif needed & {"text", "bow"}:
         raise CliError("these systems need --word-vectors")
 
-    ks = [int(raw) for raw in args.ndcg_k.split(",") if raw.strip()]
-    if not ks:
-        raise CliError("--ndcg-k lists no cutoffs")
+    ks = _listed("--ndcg-k", args.ndcg_k, "cutoffs", int)
     limit = len(targets) - 1
     usable_ks = tuple(k for k in ks if 1 <= k <= limit)
     if len(usable_ks) < len(ks):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -63,7 +64,8 @@ class Vocabulary:
         if len(self.tokens) > self.cap:
             raise ValueError("vocabulary exceeds its cap")
         for token in self.tokens:
-            if not token or any(_is_punct(c) for c in token):
+            # The tokenizer's table deletes punctuation and maps any other character to one.
+            if not token or len(token.translate(_TOKEN_CHARS)) < len(token):
                 raise ValueError(f"invalid vocabulary token: {token!r}")
         for count in self.counts:
             if count < 1:
@@ -87,14 +89,9 @@ def build_vocabulary(streams: Iterable[Iterable[str]],
     """Count tokens across all streams and keep the ``cap`` most frequent."""
     if cap < 1:
         raise ValueError("vocabulary cap must be >= 1")
-    counter: Counter[str] = Counter()
-    total = 0
-    for stream in streams:
-        for token in stream:
-            counter[token] += 1
-            total += 1
+    counter = Counter(chain.from_iterable(streams))
     ranked = sorted(counter, key=lambda t: (-counter[t], t))[:cap]
-    return Vocabulary(ranked, [counter[t] for t in ranked], total, cap)
+    return Vocabulary(ranked, [counter[t] for t in ranked], counter.total(), cap)
 
 
 @contextmanager

@@ -24,8 +24,8 @@ import numpy as np
 
 from .features import (DEFAULT_MIN_TAG_COUNT, DEFAULT_TEMPERATURE, Centroids,
                        fit_feature_context, featurize_item)
-from .model import (Cb2cfModel, SystemSpec, TrainConfig, _target_vector,
-                    build_model, bundle_parts, predict, train)
+from .model import (SystemSpec, TrainConfig, _target_vector, build_model, bundle_parts,
+                    predict, train)
 from .sgns import EmbeddingTable, cosine_scores, top_rows
 
 DEFAULT_NDCG_KS = (10, 30, 50, 100, 200, 500, 1000)
@@ -210,11 +210,11 @@ def _fold_workers(folds: int) -> int:
     return max(1, min(folds, cpus // blas))
 
 
-def _run_fold(fold: int) -> FoldMetrics:
+def _run_fold(fold: int) -> list[FoldMetrics]:
     return _worker_task["fold"](fold)
 
 
-def _map_folds(task: Callable[[int], FoldMetrics], folds: int) -> list[FoldMetrics]:
+def _map_folds(task: Callable[[int], list[FoldMetrics]], folds: int) -> list[list[FoldMetrics]]:
     """``task`` over folds 0..folds-1, in-process or in a pool forked up front.
     Workers inherit ``task`` by the fork: only indices and metrics are sent."""
     workers = _fold_workers(folds)
@@ -227,74 +227,76 @@ def _map_folds(task: Callable[[int], FoldMetrics], folds: int) -> list[FoldMetri
         return list(pool.map(_run_fold, range(folds)))  # raises the first failed fold's error
 
 
-def run_system(system: str | SystemSpec, dataset: EvalDataset,
-               folds: FoldAssignment, config: TrainConfig, *,
-               ndcg_ks: Sequence[int] = DEFAULT_NDCG_KS,
-               min_tag_count: int = DEFAULT_MIN_TAG_COUNT,
-               temperature: float = DEFAULT_TEMPERATURE,
-               spec_overrides: Mapping | None = None,
-               predictor: Predictor | None = None) -> SystemReport:
-    """Train and score one system across all folds.
-
-    Every fold refits the item-dependent feature statistics on its training
-    items only; predictions for the held-out items are ranked against the
-    full catalog. ``predictor`` replaces the model entirely (a testing hook
-    mapping test ids to predicted vectors). Folds run in forked processes
-    when BLAS leaves CPUs idle (``_fold_workers``).
-    """
+def _run_systems(systems: Sequence[str], dataset: EvalDataset, folds: FoldAssignment,
+                 config: TrainConfig, ndcg_ks: Sequence[int], min_tag_count: int,
+                 temperature: float, spec_overrides: Mapping | None,
+                 predictor: Predictor | None = None) -> list[SystemReport]:
+    """Every system, fold by fold. A fold fits its feature statistics on its
+    training items only and featurizes each item once, with the parts of all
+    systems; each system then trains from the fold's seed, and its held-out
+    predictions are ranked against the full catalog."""
     catalog = dataset.targets
     for k in ndcg_ks:
         if not 1 <= k <= len(catalog) - 1:
             raise ValueError(f"ndcg cutoff {k} invalid for catalog of {len(catalog)}")
-    if isinstance(system, SystemSpec):
-        spec = system
-    else:
-        spec = SystemSpec.named(system, output_dim=catalog.dim,
-                                **(spec_overrides or {}))
+    specs = [SystemSpec.named(name, output_dim=catalog.dim, **(spec_overrides or {}))
+             for name in systems]
     by_id = {p.id: p for p in dataset.profiles}
     for item_id in folds.assignment:
         if item_id not in catalog:
             raise ValueError(f"fold item {item_id!r} has no target vector")
         if predictor is None and item_id not in by_id:
             raise ValueError(f"fold item {item_id!r} has no profile")
+    if not specs:
+        return []
+    parts = set().union(*map(bundle_parts, specs))
 
-    parts = bundle_parts(spec)
-
-    def fold_metrics(fold: int) -> FoldMetrics:
+    def fold_metrics(fold: int) -> list[FoldMetrics]:
         test_ids = folds.items_in(fold)
         if predictor is not None:
-            predicted = predictor(test_ids)
+            predicted = [predictor(test_ids) for _ in specs]
         else:
             train_ids = folds.items_not_in(fold)
             context = fit_feature_context(
                 [by_id[i] for i in train_ids],
                 word_table=dataset.word_table, centroids=dataset.centroids,
-                max_words=spec.text_length, min_tag_count=min_tag_count,
-                temperature=temperature)
+                max_words=specs[0].text_length, min_tag_count=min_tag_count,
+                temperature=temperature)  # every spec has spec_overrides' text_length
             train_bundles = [featurize_item(by_id[i], context, parts) for i in train_ids]
             test_bundles = [featurize_item(by_id[i], context, parts) for i in test_ids]
-            seed = _fold_seed(config.seed, fold)
-            model = build_model(spec, context, seed=seed)
-            train(model, train_bundles, catalog, replace(config, seed=seed))
-            predicted = predict(model, test_bundles)
-        predictions = {item_id: predicted[i] for i, item_id in enumerate(test_ids)}
-        return FoldMetrics(
-            fold=fold,
-            mse=mse_metric(catalog, predictions),
-            mpr=mpr(predictions, catalog),
-            ndcg=mean_ndcg_at(predictions, catalog, ndcg_ks),
-        )
+            seed, predicted = _fold_seed(config.seed, fold), []
+            for spec in specs:
+                model = build_model(spec, context, seed=seed)
+                train(model, train_bundles, catalog, replace(config, seed=seed))
+                predicted.append(predict(model, test_bundles))
+        by_system = [{item_id: vectors[i] for i, item_id in enumerate(test_ids)}
+                     for vectors in predicted]
+        return [FoldMetrics(fold, mse_metric(catalog, p), mpr(p, catalog),
+                            mean_ndcg_at(p, catalog, ndcg_ks)) for p in by_system]
 
     _ = catalog._id_rank, catalog._cosine_rows  # cached once, before any fork
-    fold_rows = _map_folds(fold_metrics, folds.folds)
-    mean_row = FoldMetrics(
-        fold=None,
-        mse=float(np.mean([r.mse for r in fold_rows])),
-        mpr=float(np.mean([r.mpr for r in fold_rows])),
-        ndcg={k: float(np.mean([r.ndcg[k] for r in fold_rows])) for k in ndcg_ks},
-    )
-    name = spec.name if isinstance(system, SystemSpec) else system
-    return SystemReport(name, fold_rows, mean_row)
+    reports = []
+    for name, rows in zip(systems, zip(*_map_folds(fold_metrics, folds.folds))):
+        mean_row = FoldMetrics(None, float(np.mean([r.mse for r in rows])),
+                               float(np.mean([r.mpr for r in rows])),
+                               {k: float(np.mean([r.ndcg[k] for r in rows])) for k in ndcg_ks})
+        reports.append(SystemReport(name, list(rows), mean_row))
+    return reports
+
+
+def run_system(system: str, dataset: EvalDataset,
+               folds: FoldAssignment, config: TrainConfig, *,
+               ndcg_ks: Sequence[int] = DEFAULT_NDCG_KS,
+               min_tag_count: int = DEFAULT_MIN_TAG_COUNT,
+               temperature: float = DEFAULT_TEMPERATURE,
+               spec_overrides: Mapping | None = None,
+               predictor: Predictor | None = None) -> SystemReport:
+    """Train and score the named system across all folds, in one pool of
+    forked fold workers when BLAS leaves CPUs idle (``_fold_workers``).
+    ``predictor`` replaces the model entirely (a testing hook mapping test
+    ids to predicted vectors)."""
+    return _run_systems([system], dataset, folds, config, ndcg_ks, min_tag_count,
+                        temperature, spec_overrides, predictor)[0]
 
 
 def run_evaluation(systems: Sequence[str], dataset: EvalDataset,
@@ -303,19 +305,14 @@ def run_evaluation(systems: Sequence[str], dataset: EvalDataset,
                    min_tag_count: int = DEFAULT_MIN_TAG_COUNT,
                    temperature: float = DEFAULT_TEMPERATURE,
                    spec_overrides: Mapping | None = None) -> EvalReport:
-    """Run every named system over one shared fold assignment."""
-    ids = [p.id for p in dataset.profiles]
-    missing = [i for i in ids if i not in dataset.targets]
-    if missing:
-        raise ValueError(f"{len(missing)} profiles have no target vector "
-                         f"(first: {missing[0]!r})")
-    assignment = make_folds(ids, folds=folds, seed=seed)
+    """Run every named system over one shared fold assignment of the
+    profiles, with one pool of fold workers for all of them. Each fold fits
+    its feature context and featurizes its items once, and every system
+    scores what it would score through ``run_system`` alone."""
+    assignment = make_folds([p.id for p in dataset.profiles], folds=folds, seed=seed)
     ks = tuple(ndcg_ks)
-    reports = [run_system(name, dataset, assignment, config, ndcg_ks=ks,
-                          min_tag_count=min_tag_count, temperature=temperature,
-                          spec_overrides=spec_overrides)
-               for name in systems]
-    return EvalReport(reports, ks, folds, seed)
+    return EvalReport(_run_systems(systems, dataset, assignment, config, ks, min_tag_count,
+                                   temperature, spec_overrides), ks, folds, seed)
 
 
 def report_tsv(report: EvalReport) -> str:

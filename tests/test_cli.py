@@ -351,6 +351,23 @@ def test_evaluate_with_no_usable_cutoff_fails(workspace, tmp_path, capsys):
     assert "no ndcg cutoff" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, repeated", [
+    ("--systems", "Year,Genres+Year,Year", "Year"),
+    ("--ndcg-k", "2,999,02", "2"),
+])
+def test_evaluate_rejects_a_repeated_entry(workspace, tmp_path, capsys, monkeypatch,
+                                           flag, value, repeated):
+    monkeypatch.setattr(evaluation, "run_evaluation",
+                        lambda *args, **kwargs: pytest.fail("evaluation ran"))
+    report, report_json = tmp_path / "r.tsv", tmp_path / "r.json"
+    args = _evaluate_args(workspace, report, report_json)
+    args[args.index(flag) + 1] = value
+    assert main(args) == 1
+    assert capsys.readouterr().err == \
+        f"cb2cf evaluate: error: {flag} lists {repeated} more than once\n"
+    assert not report.exists() and not report_json.exists()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path):
         config = tmp_path / "synth.json"

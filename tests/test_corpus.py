@@ -114,6 +114,22 @@ def test_vocabulary_rejects_bad_construction():
         Vocabulary(["a"], [0], 0)
 
 
+@given(st.text(min_size=1, max_size=20))
+@example("x2016")  # decimal digits map to one character each
+@example("٣x")
+@example("a+b")  # an ASCII symbol stripped with the punctuation
+@example("«x»")  # Unicode P* punctuation
+@example("café")
+def test_vocabulary_rejects_exactly_the_tokens_holding_punctuation(token):
+    holds_punct = any(c in "~^|<>=+" or unicodedata.category(c).startswith("P")
+                      for c in token)
+    if holds_punct:
+        with pytest.raises(ValueError, match="invalid vocabulary token"):
+            Vocabulary([token], [1], 1)
+    else:
+        assert Vocabulary([token], [1], 1).tokens == [token]
+
+
 @given(st.lists(st.lists(st.sampled_from(list(string.ascii_lowercase)),
                           max_size=20), max_size=10),
        st.integers(min_value=1, max_value=8))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import multiprocessing
@@ -11,10 +12,11 @@ import pytest
 
 from cb2cf import evaluation
 from cb2cf.data import ContentProfile
-from cb2cf.evaluation import (DEFAULT_NDCG_KS, EvalDataset, make_folds,
+from cb2cf.evaluation import (DEFAULT_NDCG_KS, EvalDataset, EvalReport, make_folds,
                               mean_ndcg_at, mpr, mse_metric, ndcg_at_k,
                               percentile_rank, report_json_dict, report_tsv,
                               run_evaluation, run_system)
+from cb2cf.features import fit_kmeans
 from cb2cf.model import TrainConfig
 from cb2cf.sgns import EmbeddingTable
 
@@ -278,6 +280,19 @@ def _tagged_dataset(n=9, dim=3, seed=0):
     return EvalDataset(profiles=profiles, targets=targets)
 
 
+def _text_dataset(n=9, dim=3):
+    """``_tagged_dataset`` with plots over a small word table and its
+    centroids, so text and BOW systems can featurize."""
+    dataset = _tagged_dataset(n, dim)
+    rng = np.random.default_rng(5)
+    words = ["alpha", "beta", "gamma", "delta", "omega", "sigma"]
+    dataset.word_table = EmbeddingTable(words, rng.standard_normal((len(words), 4)))
+    dataset.centroids = fit_kmeans(dataset.word_table.vectors, 2, seed=0)
+    for i, profile in enumerate(dataset.profiles):
+        profile.plot = " ".join(words[(i + j) % len(words)] for j in range(3 + i % 4))
+    return dataset
+
+
 def _quick_config():
     return TrainConfig(batch_size=4, word_dropout=0.0, dropout=0.0, l2=0.0,
                        learning_rate=0.01, max_epochs=2, patience=5,
@@ -536,6 +551,78 @@ class TestFoldPool:
 
     def test_missing_targets_fail_before_any_fold(self, workers):
         TestRunEvaluationReports().test_missing_targets_are_rejected()
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Records every fold pool started."""
+        started = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        return started
+
+    def test_shared_folds_report_what_separate_system_runs_report(self, workers, pools):
+        dataset, systems, ks = _text_dataset(), ["CNN+BOW+Year", "Genres"], (2, 4)
+        report = run_evaluation(systems, dataset, _quick_config(), folds=3, seed=4,
+                                ndcg_ks=ks, min_tag_count=1)
+        assert len(pools) == (0 if workers == 1 else 1)
+        folds = make_folds([p.id for p in dataset.profiles], folds=3, seed=4)
+        separate = EvalReport([run_system(name, dataset, folds, _quick_config(), ndcg_ks=ks,
+                                          min_tag_count=1) for name in systems], ks, 3, 4)
+        assert report_json_dict(report) == report_json_dict(separate)
+        assert report_tsv(report) == report_tsv(separate)
+
+    def test_a_fold_fits_and_featurizes_once_for_every_system(self, cpus, monkeypatch):
+        cpus(1)
+        fits, featurized = [], []
+
+        def counted(calls, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args[0])
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(evaluation, "fit_feature_context",
+                            counted(fits, evaluation.fit_feature_context))
+        monkeypatch.setattr(evaluation, "featurize_item",
+                            counted(featurized, evaluation.featurize_item))
+        dataset = _text_dataset()
+        run_evaluation(["CNN+BOW+Year", "Genres"], dataset, _quick_config(), folds=3,
+                       seed=4, ndcg_ks=(2,), min_tag_count=1)
+        assert len(fits) == 3
+        assert sorted(p.id for p in featurized) == \
+            sorted(p.id for p in dataset.profiles for _ in range(3))
+
+    def test_no_systems_report_nothing_and_start_no_pool(self, workers, pools):
+        report = run_evaluation([], _tagged_dataset(), _quick_config(), folds=3,
+                                ndcg_ks=(2,))
+        assert report.systems == [] and pools == []
+        assert report_tsv(report) == "system\tfold\tmse\tmpr\tndcg@2\n"
+
+    def test_a_text_system_without_a_word_table_fails_from_the_lowest_fold(
+            self, workers, monkeypatch):
+        dataset = _tagged_dataset()
+        folds = make_folds([p.id for p in dataset.profiles], folds=3, seed=0)
+        fit = evaluation.fit_feature_context
+
+        def fit_slow_fold_0_and_fail_the_rest(profiles, **kwargs):
+            held_out = set(folds.assignment) - {p.id for p in profiles}
+            fold = folds.assignment[held_out.pop()]
+            if fold > 0:
+                raise ValueError(f"fold {fold} failed first")
+            time.sleep(0.3)
+            return fit(profiles, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fit_feature_context",
+                            fit_slow_fold_0_and_fail_the_rest)
+        with pytest.raises(ValueError, match="^text features requested but the context "
+                                             "has no word table$"):
+            run_evaluation(["Year", "CNN+Year"], dataset, _quick_config(), folds=3,
+                           seed=0, ndcg_ks=(2,), min_tag_count=1)
 
 
 def test_default_ndcg_cutoffs():
