@@ -136,8 +136,11 @@ def _load_model(args: argparse.Namespace) -> model_mod.Cb2cfModel:
 
 
 def _listed(flag: str, raw: str, what: str, convert=str) -> list:
-    """The comma-separated entries of a flag: at least one, none twice."""
-    values = [convert(entry.strip()) for entry in raw.split(",") if entry.strip()]
+    """The comma-separated entries of a flag through ``convert``: at least one, none twice."""
+    try:
+        values = [convert(entry.strip()) for entry in raw.split(",") if entry.strip()]
+    except ValueError as exc:  # names the entry, e.g. int()'s "invalid literal ... 'x'"
+        raise CliError(f"{flag}: {exc}") from None
     if not values:
         raise CliError(f"{flag} lists no {what}")
     for i, value in enumerate(values):
@@ -149,12 +152,12 @@ def _listed(flag: str, raw: str, what: str, convert=str) -> list:
 def _cmd_evaluate(args: argparse.Namespace) -> None:
     _require(args, "systems", "metadata", "targets", "report")
     systems = _listed("--systems", args.systems, "system names")
+    ks = _listed("--ndcg-k", args.ndcg_k, "cutoffs", int)
+    needed = set().union(*(model_mod.bundle_parts(model_mod.SystemSpec.named(name))
+                           for name in systems))
     profiles = data.load_metadata(args.metadata)
     targets = EmbeddingTable.load(args.targets)
     usable = _usable_profiles(profiles, targets)
-
-    needed = set().union(*(model_mod.bundle_parts(model_mod.SystemSpec.named(
-        name, output_dim=targets.dim)) for name in systems))
     word_table = centroids = None
     if args.word_vectors:
         word_table = EmbeddingTable.load(args.word_vectors)
@@ -166,7 +169,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     elif needed & {"text", "bow"}:
         raise CliError("these systems need --word-vectors")
 
-    ks = _listed("--ndcg-k", args.ndcg_k, "cutoffs", int)
     limit = len(targets) - 1
     usable_ks = tuple(k for k in ks if 1 <= k <= limit)
     if len(usable_ks) < len(ks):

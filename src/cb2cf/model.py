@@ -131,8 +131,22 @@ def component_output_dims(spec: SystemSpec) -> dict[str, int]:
     return {comp: widths[comp] for comp in spec.components}
 
 
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Named views into ``flat``, back to back in the order and shapes of ``like``."""
+    views, offset = {}, 0
+    for name, tensor in like.items():
+        views[name] = flat[offset:offset + tensor.size].reshape(tensor.shape)
+        offset += tensor.size
+    return views
+
+
 class Cb2cfModel:
     """Parameters plus the feature context they were built against.
+
+    The constructor packs the given tensors, in order, into one float64 vector
+    ``flat``, and ``params`` maps each name to a view into it. Write through
+    ``params[name]``, never rebind it: a rebound tensor is no longer in ``flat``,
+    which is what Adam steps and training snapshots, restores and checks.
 
     ``embedding`` is the model's private copy of the word table, present only
     when the CNN component is enabled; it is trainable unless the variant is
@@ -142,7 +156,8 @@ class Cb2cfModel:
     def __init__(self, spec: SystemSpec, params: dict[str, np.ndarray],
                  features: FeatureContext, embedding: np.ndarray | None) -> None:
         self.spec = spec
-        self.params = params
+        self.flat = np.concatenate([np.ravel(t) for t in params.values()])
+        self.params = _views(self.flat, params)
         self.features = features
         self.embedding = embedding
 
@@ -245,21 +260,21 @@ def _text_forward(model: Cb2cfModel, texts: list, word_masks: list) -> tuple:
 
 def _text_backward(model: Cb2cfModel, text_cache: tuple, grad_act: np.ndarray,
                    grads: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``_text_forward`` given the gradient of relu(pooled);
-    returns the touched word-table rows and their summed gradients, built
-    only for a trainable embedding."""
+    """Gradients of ``_text_forward`` given the gradient of relu(pooled),
+    written into ``grads``; returns the touched word-table rows and their
+    summed gradients, built only for a trainable embedding."""
     indices, mask, conv_caches, pooled = text_cache
     grad_pooled = net.relu_backward(pooled, grad_act)
     trainable = model.embedding_trainable and len(indices) > 0
-    grad_filters = np.zeros_like(model.params["cnn.filters"])
+    grad_filters = grads["cnn.filters"]
+    grad_filters[...] = 0.0
     text_grads = []
     for (k, conv_cache), grad_row in zip(conv_caches, grad_pooled):
         grad_matrix, grad_f, _ = net.conv1d_maxpool_backward(conv_cache, grad_row, trainable)
         grad_filters += grad_f
         if trainable:
             text_grads.append(grad_matrix[:k])
-    grads["cnn.filters"] = grad_filters
-    grads["cnn.conv_bias"] = grad_pooled.sum(axis=0)
+    np.sum(grad_pooled, axis=0, out=grads["cnn.conv_bias"])
     if not trainable:
         return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
     text_rows = np.concatenate(text_grads)
@@ -321,17 +336,20 @@ def forward_batch(model: Cb2cfModel, bundles: Sequence[FeatureBundle], *,
     return predictions, cache
 
 
-def backward_batch(model: Cb2cfModel, cache: dict, grad_predictions: np.ndarray):
-    """Gradients of a cached ``forward_batch``, summed over the batch.
-    Returns (grads, (rows, row_grads)): the distinct touched word-table rows
-    in ascending order with their summed gradients (both empty unless the
-    embedding is trainable); repeated words accumulate."""
-    grads: dict[str, np.ndarray] = {}
-    grad_combined, grads["output.weight"], grads["output.bias"] = \
-        net.dense_backward(cache["out_cache"], grad_predictions)
+def backward_batch(model: Cb2cfModel, cache: dict, grad_predictions: np.ndarray,
+                   grad: np.ndarray | None = None):
+    """Gradients of a cached ``forward_batch``, summed over the batch into
+    ``grad`` (laid out like ``model.flat``; a new vector by default).
+    Returns (grads, (rows, row_grads)): the named views into ``grad``, and
+    the distinct touched word-table rows in ascending order with their summed
+    gradients (both empty unless the embedding is trainable; repeated words
+    accumulate)."""
+    grads = _views(np.zeros_like(model.flat) if grad is None else grad, model.params)
+    grad_combined, _, _ = net.dense_backward(
+        cache["out_cache"], grad_predictions, (grads["output.weight"], grads["output.bias"]))
     grad_pre_comb = net.relu_backward(cache["pre_comb"], grad_combined)
-    grad_concat, grads["combiner.weight"], grads["combiner.bias"] = \
-        net.dense_backward(cache["comb_cache"], grad_pre_comb)
+    grad_concat, _, _ = net.dense_backward(
+        cache["comb_cache"], grad_pre_comb, (grads["combiner.weight"], grads["combiner.bias"]))
 
     rows, row_grads = np.zeros(0, dtype=np.int64), np.zeros((0, 0))
     offset = 0
@@ -341,8 +359,9 @@ def backward_batch(model: Cb2cfModel, cache: dict, grad_predictions: np.ndarray)
         layers = COMPONENTS[comp][1]
         for j in reversed(range(len(layers))):
             dense_cache, pre = cache["components"][comp][j]
-            grad, grads[f"{layers[j]}.weight"], grads[f"{layers[j]}.bias"] = \
-                net.dense_backward(dense_cache, net.relu_backward(pre, grad))
+            grad, _, _ = net.dense_backward(dense_cache, net.relu_backward(pre, grad),
+                                            (grads[f"{layers[j]}.weight"],
+                                             grads[f"{layers[j]}.bias"]))
             if j:
                 grad = net.dropout_backward(cache["unit_mask"], grad)
         if comp == "CNN":
@@ -412,13 +431,7 @@ def _target_vector(targets, item_id: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _snapshot(model: Cb2cfModel) -> tuple:
-    return ({k: v.copy() for k, v in model.params.items()},
-            None if model.embedding is None else model.embedding.copy())
-
-
-def _all_finite(model: Cb2cfModel) -> bool:
-    tensors = [*model.params.values(), model.embedding]
-    return all(np.isfinite(t).all() for t in tensors if t is not None)
+    return model.flat.copy(), None if model.embedding is None else model.embedding.copy()
 
 
 # Overflow and NaN show up as divergence below instead of as warnings.
@@ -452,6 +465,7 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
     val_bundles = [bundles[i] for i in val_idx]
 
     adam = net.Adam(lr=config.learning_rate)
+    grad = np.zeros_like(model.flat)
     best = np.inf
     best_epoch: int | None = None
     snapshot = _snapshot(model)
@@ -473,18 +487,18 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
             epoch_loss = sum(losses.tolist(), epoch_loss)
             if not np.isfinite(epoch_loss):
                 break  # diverged; no update from a non-finite loss
-            grads, (rows, row_grads) = backward_batch(model, cache, grad_preds / len(batch))
+            grads, (rows, row_grads) = backward_batch(model, cache, grad_preds / len(batch), grad)
             if config.l2 > 0:
                 for name in model.l2_weight_names():  # one 2*l2*W temporary at a time
                     grads[name] += net.l2_penalty({name: model.params[name]}, config.l2)[1][name]
-            adam.step(model.params, grads)
-            if model.embedding_trainable and len(rows):
-                adam.step_rows("embedding", model.embedding, rows, row_grads)
+            adam.step(model.flat, grad)
+            adam.step_rows("embedding", model.embedding, rows, row_grads)
         train_losses.append(epoch_loss / len(train_idx))
         if n_val:
             losses, _ = net.mse_loss(predict(model, val_bundles), target_rows[val_idx])
             val_losses.append(sum(losses.tolist()) / n_val)
-        if not (np.isfinite(epoch_loss) and _all_finite(model)
+        if not (np.isfinite(epoch_loss) and np.isfinite(model.flat).all()
+                and (model.embedding is None or np.isfinite(model.embedding).all())
                 and (not n_val or np.isfinite(val_losses[-1]))):
             stop_reason = "diverged"
             break
@@ -502,9 +516,7 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
                     break
 
     if best_epoch is not None or stop_reason == "diverged":
-        model.params = snapshot[0]
-        if snapshot[1] is not None:
-            model.embedding = snapshot[1]
+        model.flat[:], model.embedding = snapshot  # in place: the views stay valid
     return TrainReport(train_losses, val_losses, best_epoch, stop_reason,
                        [bundles[int(i)].item_id for i in val_idx])
 

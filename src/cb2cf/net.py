@@ -5,9 +5,9 @@ are batch-first: a dense layer maps a (batch, features) matrix (or one
 example's vector) with one GEMM and sums its parameter gradients over the
 batch. The convolution takes one example's (length, dim) text matrix; its
 input gradient is one ``np.bincount``, bit for bit ``np.add.at``. Adam takes
-Kingma & Ba's efficient form (arXiv:1412.6980, section 2) on dense tensors and
-embedding rows alike. Every backward function is checked against central
-finite differences in the test suite.
+Kingma & Ba's efficient form (arXiv:1412.6980, section 2) on a flat parameter
+vector and embedding rows alike. Every backward function is checked against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -43,15 +43,16 @@ def dense_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
     return x @ weight.T + bias, (x, weight)
 
 
-def dense_backward(cache, grad_out: np.ndarray):
-    """Returns (grad_in, grad_weight, grad_bias); the parameter gradients
-    are summed over the batch."""
+def dense_backward(cache, grad_out: np.ndarray, out=(None, None)):
+    """Returns (grad_in, grad_weight, grad_bias); the parameter gradients are
+    summed over the batch, into ``out = (grad_weight, grad_bias)`` if given."""
     x, weight = cache
     out_dim, in_dim = weight.shape
     if grad_out.shape != x.shape[:-1] + (out_dim,):
         raise ValueError("dense grad shape mismatch")
     rows = grad_out.reshape(-1, out_dim)
-    return grad_out @ weight, rows.T @ x.reshape(-1, in_dim), rows.sum(axis=0)
+    return (grad_out @ weight, np.matmul(rows.T, x.reshape(-1, in_dim), out=out[0]),
+            np.sum(rows, axis=0, out=out[1]))
 
 
 def relu_forward(x: np.ndarray):
@@ -143,7 +144,7 @@ def l2_penalty(weights: Mapping[str, np.ndarray], lam: float):
 @dataclass
 class AdamState:
     """Adam moments of one tensor. ``t`` counts its steps: an int for a dense
-    tensor, an int64 array with one count per row for a row-sparse table."""
+    vector, an int64 array with one count per row for a row-sparse table."""
 
     m: np.ndarray
     v: np.ndarray
@@ -196,21 +197,18 @@ def adam_update(param: np.ndarray, grad: np.ndarray, state: AdamState,
 
 
 class Adam:
-    """Adam over a dict of named tensors, plus a row-sparse path for
-    embedding tables where only rows touched by the batch may move."""
+    """Adam over one flat parameter vector (elementwise: bit for bit a step per
+    tensor packed into it), plus a row-sparse path for an embedding table's touched rows."""
 
     def __init__(self, lr: float = 1e-3) -> None:
         self.lr = lr
-        self.states: dict[str, AdamState] = {}
+        self.state: AdamState | None = None  # the flat vector's
+        self.states: dict[str, AdamState] = {}  # each row-sparse table's, by name
 
-    def step(self, params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
-        for name, grad in grads.items():
-            if name not in params:
-                raise KeyError(f"gradient for unknown parameter {name!r}")
-            state = self.states.get(name)
-            if state is None:
-                state = self.states[name] = AdamState.zeros_like(params[name])
-            adam_update(params[name], grad, state, self.lr)
+    def step(self, param: np.ndarray, grad: np.ndarray) -> None:
+        if self.state is None:
+            self.state = AdamState.zeros_like(param)
+        adam_update(param, grad, self.state, self.lr)
 
     def step_rows(self, name: str, param: np.ndarray, rows: np.ndarray,
                   grads: np.ndarray) -> None:

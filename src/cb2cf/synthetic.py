@@ -110,35 +110,23 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[CooccurrenceSets, list[Cont
     counts = spec.tag_counts()
 
     ids = [f"m{i:05d}" for i in range(spec.items)]
-    cluster_of = {item_id: i % spec.clusters for i, item_id in enumerate(ids)}
+    members = [ids[c::spec.clusters] for c in range(spec.clusters)]
 
     profiles: list[ContentProfile] = []
     vectors = np.empty((spec.items, spec.dim))
     for i, item_id in enumerate(ids):
-        c = cluster_of[item_id]
+        c = i % spec.clusters
         slice_words = words[c * per_cluster: (c + 1) * per_cluster] or [words[c % spec.vocab_size]]
         plot = " ".join(rng.choice(slice_words, size=_WORDS_PER_PLOT, replace=True))
         year = _YEAR_BASE + (c % 5) + int(rng.integers(0, _YEAR_SPAN))
-        tags = _cluster_tags(c, counts)
-        profiles.append(ContentProfile(
-            id=item_id,
-            plot=plot,
-            genres=[tags["genres"]],
-            actors=[tags["actors"]],
-            directors=[tags["directors"]],
-            languages=[tags["languages"]],
-            year=year,
-        ))
+        profiles.append(ContentProfile(id=item_id, plot=plot, year=year, **{
+            field: [tag] for field, tag in _cluster_tags(c, counts).items()}))
         vector = directions[c].copy()
         if spec.year_weight:
             vector += spec.year_weight * ((year - _YEAR_CENTER) / _YEAR_SCALE) * year_direction
         if spec.noise:
             vector += spec.noise * rng.standard_normal(spec.dim)
         vectors[i] = vector
-
-    members: list[list[str]] = [[] for _ in range(spec.clusters)]
-    for item_id in ids:
-        members[cluster_of[item_id]].append(item_id)
 
     set_count = 4 * spec.items if spec.set_count is None else spec.set_count
     sets: list[tuple[str, ...]] = []

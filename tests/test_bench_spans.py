@@ -2,7 +2,15 @@
 would silently zero its metrics."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # Targets that no longer exist in the package; repairing them is a bench change.
 KNOWN_STALE = {"cb2cf.model.forward", "cb2cf.model.backward", "cb2cf.evaluation.mean_ndcg",
@@ -18,3 +26,32 @@ def test_every_bench_span_target_resolves_but_the_known_stale_ones():
     plan = tracer._build_plan()
     assert set(tracer.missing) <= KNOWN_STALE
     assert len(plan) + len(tracer.missing) == len(spans._SPANS) + len(spans._COUNTED)
+
+
+# Per-layer metrics each workload's code path reaches, and that read non-zero
+# in a traced run; the stale targets above are left out.
+REACHED = {
+    "crossval": ["net.adam_s", "net.conv_forward_s", "net.conv_backward_s", "model.train_s",
+                 "model.predict_ms_per_item", "evaluation.mpr_s", "evaluation.mse_s",
+                 "features.ms_per_item"],
+    "embed": ["sgns.item_s", "sgns.word_s", "sgns.table_io_s", "corpus.tokenize_s",
+              "data.load_ratings_s"],
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.parametrize("workload", sorted(REACHED))
+def test_a_traced_run_on_one_cpu_reads_every_reached_metric(workload):
+    """Pinned to one CPU, crossval trains its folds in-process, where the
+    spans are recorded; forked fold workers would take them along."""
+    cpu = min(os.sched_getaffinity(0))
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--trace", "1",
+         "--seconds", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0
+    zero = [m for m in REACHED[workload] if not summary["metrics"][m]["value"] > 0]
+    assert not zero, zero

@@ -368,6 +368,19 @@ def test_evaluate_rejects_a_repeated_entry(workspace, tmp_path, capsys, monkeypa
     assert not report.exists() and not report_json.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--ndcg-k", "2,x", "--ndcg-k: invalid literal for int() with base 10: 'x'"),
+    ("--systems", "Tags,Foo", "unknown system component 'Foo'"),
+])
+def test_evaluate_checks_its_lists_before_reading_any_file(tmp_path, capsys, flag, value,
+                                                           message):
+    args = _evaluate_args(tmp_path, tmp_path / "r.tsv", tmp_path / "r.json")
+    assert not Path(args[args.index("--metadata") + 1]).exists()
+    args[args.index(flag) + 1] = value
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"cb2cf evaluate: error: {message}\n"
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path):
         config = tmp_path / "synth.json"

@@ -370,6 +370,26 @@ def test_train_restores_the_best_validation_epoch():
         assert report.epochs < config.max_epochs
 
 
+@pytest.mark.parametrize("target_scale, stop_reason", [(1.0, "early_stop"),
+                                                      (1e200, "diverged")])
+def test_restored_parameters_stay_views_into_the_flat_vector(target_scale, stop_reason):
+    profiles = _tag_year_profiles(20)
+    context = _context(profiles)
+    spec = SystemSpec.named("Genres+Year", output_dim=4)
+    rng = np.random.default_rng(8)
+    targets = {p.id: target_scale * rng.standard_normal(4) for p in profiles}
+    bundles = [featurize_item(p, context, bundle_parts(spec)) for p in profiles]
+    model = build_model(spec, context, seed=1)
+    flat = model.flat
+    report = train(model, bundles, targets,
+                   TrainConfig(batch_size=4, learning_rate=0.05, max_epochs=60, patience=2,
+                               val_fraction=0.3, seed=2))
+    assert report.stop_reason == stop_reason and report.epochs < 60
+    assert model.flat is flat
+    for name, param in model.params.items():
+        assert np.shares_memory(param, model.flat), name
+
+
 def test_train_rejects_missing_or_misshaped_targets():
     profiles = _tag_year_profiles()
     context = _context(profiles)
@@ -442,6 +462,16 @@ class TestModelPersistence:
         assert loaded.spec == model.spec
         assert loaded.embedding_trainable == model.embedding_trainable
         assert np.array_equal(predict(loaded, bundles), predict(model, bundles))
+
+    def test_a_save_load_round_trip_keeps_the_checkpoint_bytes(self, tmp_path, word_table):
+        model, context, _ = self._trained(word_table)
+        save_model(model, tmp_path / "a.ckpt")
+        loaded = load_model(tmp_path / "a.ckpt", features=context)
+        save_model(loaded, tmp_path / "b.ckpt")
+        assert (tmp_path / "b.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
+        assert np.array_equal(loaded.flat, model.flat)
+        for name, param in loaded.params.items():
+            assert np.shares_memory(param, loaded.flat), name
 
     def test_round_trip_via_stored_reference(self, tmp_path, word_table):
         model, context, bundles = self._trained(word_table)
@@ -708,7 +738,8 @@ def test_word_gradient_is_built_only_for_a_trainable_embedding(word_table, monke
 
 def _reference_train(model, bundles, targets, config):
     """Per-example minibatch loop: forward/backward one example at a time,
-    gradients summed into dicts, then the same Adam steps as ``train``."""
+    gradients summed into dicts, then the same Adam steps as ``train``: one
+    over the flat parameter vector, one over the touched embedding rows."""
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(bundles))
     n_val = min(len(bundles) - 1, max(1, int(round(config.val_fraction * len(bundles)))))
@@ -735,7 +766,7 @@ def _reference_train(model, bundles, targets, config):
                 acc[name] /= len(batch)
                 if name in model.l2_weight_names():
                     acc[name] += 2.0 * config.l2 * model.params[name]
-            adam.step(model.params, acc)
+            adam.step(model.flat, np.concatenate([acc[name].ravel() for name in model.params]))
             keys = sorted(emb)
             adam.step_rows("embedding", model.embedding, np.array(keys, dtype=np.int64),
                            np.array([emb[r] / len(batch) for r in keys]))
@@ -743,9 +774,8 @@ def _reference_train(model, bundles, targets, config):
                             for b in val])
         if val_loss < best:
             best = val_loss
-            snapshot = ({k: v.copy() for k, v in model.params.items()},
-                        model.embedding.copy())
-    model.params, model.embedding = snapshot
+            snapshot = model.flat.copy(), model.embedding.copy()
+    model.flat[:], model.embedding = snapshot
 
 
 def test_train_matches_a_per_example_reference_loop(word_table):
@@ -837,11 +867,11 @@ def test_train_divergence_after_a_finite_epoch_restores_the_best_epoch(monkeypat
     real_step = net.Adam.step
     calls = []
 
-    def poisoning_step(self, params, grads):
-        real_step(self, params, grads)
+    def poisoning_step(self, param, grad):
+        real_step(self, param, grad)
         calls.append(1)
         if len(calls) == 6:  # 9 training items, batch 4: last step of epoch 1
-            params["combiner.bias"][0] = np.nan
+            model.params["combiner.bias"][0] = np.nan  # through the view into model.flat
 
     monkeypatch.setattr(net.Adam, "step", poisoning_step)
     report = train(model, bundles, targets, config)

@@ -278,6 +278,39 @@ def test_adam_walks_a_tensor_larger_than_one_block():
     assert state.scratch.shape == (5, 3000)
 
 
+# The bench crossval full system's parameter shapes (CNN+BOW+Tags+Year over
+# 32-dim words and 250 centroids), in ``parameter_shapes`` order.
+FULL_SYSTEM_SHAPES = [(300, 3, 32), (300,), (256, 300), (256,), (256, 250), (256,), (256, 256),
+                      (256,), (100, 3), (100,), (100, 3), (100,), (40, 3), (40,), (20, 2), (20,),
+                      (8, 1), (8,), (256, 780), (256,), (40, 256), (40,)]
+
+
+def test_one_step_over_the_flat_vector_is_bit_for_bit_one_step_per_tensor():
+    rng = np.random.default_rng(14)
+    tensors = [rng.standard_normal(shape) for shape in FULL_SYSTEM_SHAPES]
+    ends = np.cumsum([t.size for t in tensors])
+    # The first tensor outgrows a block, and the second block ends it, holds
+    # all of the next one and starts the third.
+    assert net.ADAM_BLOCK < ends[0] < ends[1] < 2 * net.ADAM_BLOCK < ends[2]
+
+    def packed(arrays):
+        return np.concatenate([a.ravel() for a in arrays])
+
+    flat = packed(tensors)
+    states = [net.AdamState.zeros_like(t) for t in tensors]
+    adam = net.Adam(lr=3e-3)
+    for _ in range(6):
+        grads = [rng.standard_normal(t.shape) * 10.0 ** rng.integers(-6, 3, t.shape)
+                 for t in tensors]
+        for tensor, grad, state in zip(tensors, grads, states):
+            net.adam_update(tensor, grad, state, lr=3e-3)
+        adam.step(flat, packed(grads))
+    assert flat.tobytes() == packed(tensors).tobytes()
+    assert adam.state.m.tobytes() == packed(s.m for s in states).tobytes()
+    assert adam.state.v.tobytes() == packed(s.v for s in states).tobytes()
+    assert adam.state.t == 6
+
+
 def test_adam_zero_gradient_leaves_parameters_unchanged():
     param = np.array([3.0])
     state = net.AdamState.zeros_like(param)
@@ -294,10 +327,10 @@ def test_adam_drives_a_quadratic_near_zero():
     assert float(np.linalg.norm(param)) < 1e-3
 
 
-def test_adam_optimizer_rejects_unknown_params():
+def test_adam_step_rejects_a_gradient_of_another_shape():
     adam = net.Adam()
-    with pytest.raises(KeyError):
-        adam.step({"a": np.zeros(2)}, {"b": np.zeros(2)})
+    with pytest.raises(ValueError, match="shape mismatch"):
+        adam.step(np.zeros(3), np.zeros(2))
 
 
 def test_adam_row_steps_match_dense_updates_when_all_rows_move():
