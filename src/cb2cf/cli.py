@@ -14,8 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data, evaluation, features, model as model_mod, synthetic
 from .corpus import DEFAULT_CAP, build_vocabulary, open_text, save_vocabulary, tokenize
 from .sgns import EmbeddingTable, SgnsConfig, similarity_search, train_sgns
@@ -151,7 +149,8 @@ def _listed(flag: str, raw: str, what: str, convert=str) -> list:
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
     _require(args, "systems", "metadata", "targets", "report")
-    systems = _listed("--systems", args.systems, "system names")
+    systems = _listed("--systems", args.systems, "system names",
+                      lambda name: model_mod.SystemSpec.named(name).name)  # checks the name
     ks = _listed("--ndcg-k", args.ndcg_k, "cutoffs", int)
     needed = set().union(*(model_mod.bundle_parts(model_mod.SystemSpec.named(name))
                            for name in systems))

@@ -168,8 +168,6 @@ class TagVocabulary:
     sentinel; real tags follow by descending count, ties lexicographic."""
 
     tags: dict[str, list[str]]
-    counts: dict[str, dict[str, int]]
-    min_count: int = DEFAULT_MIN_TAG_COUNT
 
     def __post_init__(self) -> None:
         self.index: dict[str, dict[str, int]] = {}
@@ -188,27 +186,19 @@ def build_tag_vocab(profiles: Sequence["ContentProfile"],
                     min_count: int = DEFAULT_MIN_TAG_COUNT) -> TagVocabulary:
     """Keep tags appearing in at least ``min_count`` profiles per field.
 
-    A tag repeated inside one profile counts once. The sentinel's stored
-    count is the number of profiles with no data in that field.
+    A tag repeated inside one profile counts once.
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     tags: dict[str, list[str]] = {}
-    counts: dict[str, dict[str, int]] = {}
     for field_name in TAG_FIELDS:
         counter: Counter[str] = Counter()
-        empty = 0
         for profile in profiles:
-            values = set(getattr(profile, field_name) or ())
-            values.discard(NA_TOKEN)
-            if not values:
-                empty += 1
-            counter.update(values)
+            counter.update(set(getattr(profile, field_name) or ()) - {NA_TOKEN})
         retained = sorted((t for t, c in counter.items() if c >= min_count),
                           key=lambda t: (-counter[t], t))
         tags[field_name] = [NA_TOKEN] + retained
-        counts[field_name] = {NA_TOKEN: empty, **{t: counter[t] for t in retained}}
-    return TagVocabulary(tags, counts, min_count)
+    return TagVocabulary(tags)
 
 
 def tag_vector(profile: "ContentProfile", field_name: str,
@@ -340,7 +330,6 @@ def save_feature_context(context: FeatureContext, path: str | Path) -> None:
         tensors["word_vectors"] = context.word_table.vectors
     if context.centroids is not None:
         tensors["centroids"] = context.centroids.vectors
-    vocab = context.tag_vocab
     net.save_checkpoint(path, tensors, {
         "kind": CONTEXT_KIND,
         "max_words": context.max_words,
@@ -348,7 +337,7 @@ def save_feature_context(context: FeatureContext, path: str | Path) -> None:
         "year_mean": context.year_stats.mean,
         "year_std": context.year_stats.std,
         "word_ids": None if context.word_table is None else context.word_table.ids,
-        "tag_vocab": {"min_count": vocab.min_count, "tags": vocab.tags, "counts": vocab.counts},
+        "tag_vocab": {"tags": context.tag_vocab.tags},
     })
 
 
@@ -387,8 +376,7 @@ def load_feature_context(path: str | Path) -> FeatureContext:
     for name in (*TAG_FIELDS, *tags):
         if not all(isinstance(t, str) for t in _field(tags, name, path, list)):
             raise ValueError(f"{path}: key {name!r} must list strings")
-    vocab = _build(path, "tags", TagVocabulary, tags, _field(raw, "counts", path, dict),
-                   _field(raw, "min_count", path, int))
+    vocab = _build(path, "tags", TagVocabulary, tags)
     ids = _field(meta, "word_ids", path, (list, type(None)))
     if (ids is None) != ("word_vectors" not in tensors) \
             or not all(isinstance(i, str) for i in ids or ()):

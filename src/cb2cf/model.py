@@ -59,8 +59,6 @@ def parse_system(name: str) -> tuple[str, ...]:
             expanded.add(part)
         else:
             raise ValueError(f"unknown system component {part!r}")
-    if not expanded:
-        raise ValueError("empty system name")
     return tuple(c for c in COMPONENT_ORDER if c in expanded)
 
 
@@ -222,40 +220,44 @@ def build_model(spec: SystemSpec, features: FeatureContext, seed: int = 0) -> Cb
     return Cb2cfModel(spec, params, features, embedding)
 
 
-def _batch_input(bundles: Sequence[FeatureBundle], comp: str):
-    """Each bundle's input to the component, which must be present: the
-    word-index arrays for the CNN, else one row per bundle."""
-    part = COMPONENTS[comp][0]
-    values = [b.text_indices if part == "text" else
-              b.tags.get(part) if part in TAG_FIELDS else getattr(b, part)
-              for b in bundles]
-    if any(v is None for v in values):
-        raise ValueError(f"bundle has no {part} input for the enabled {comp} component")
-    return values if part == "text" else np.vstack(values)
+def stack_bundles(spec: SystemSpec, bundles: Sequence[FeatureBundle]) -> dict:
+    """Every bundle's input to each enabled component, which must be present,
+    checked and stacked once: a (bundles, width) matrix, or for the CNN the
+    texts' word indices back to back with their (bundles + 1,) offsets."""
+    stack = {}
+    for comp in spec.components:
+        part = COMPONENTS[comp][0]
+        values = [b.text_indices if part == "text" else
+                  b.tags.get(part) if part in TAG_FIELDS else getattr(b, part)
+                  for b in bundles]
+        if any(v is None for v in values):
+            raise ValueError(f"bundle has no {part} input for the enabled {comp} component")
+        if part == "text" and max(map(len, values)) > spec.text_length:
+            raise ValueError("bundle text exceeds the model's text length")
+        stack[comp] = np.vstack(values) if part != "text" else \
+            (np.concatenate(values).astype(np.int64, copy=False), np.cumsum([0, *map(len, values)]))
+    return stack
 
 
-def _text_forward(model: Cb2cfModel, texts: list, word_masks: list) -> tuple:
-    """Convolution and max-pool over each text's word rows. The rows stop
-    one padding window past the words: every later window is all padding
-    and scores exactly the conv bias, so keeping one of them leaves the
-    first-occurrence max where the full-length matrix has it."""
-    spec = model.spec
-    pooled = np.empty((len(texts), spec.cnn_filters))
-    conv_caches = []
-    for i, indices in enumerate(texts):
-        k = len(indices)
-        matrix = np.zeros((min(spec.text_length, k + spec.cnn_width),
-                           model.embedding.shape[1]))
-        if k:
-            matrix[:k] = model.embedding[indices]
-        if word_masks:
-            matrix[:k] *= word_masks[i][:, None]
-        pooled[i], conv_cache = net.conv1d_maxpool_forward(
-            matrix, model.params["cnn.filters"], model.params["cnn.conv_bias"])
-        conv_caches.append((k, conv_cache))
-    indices = np.concatenate([np.asarray(t, dtype=np.int64) for t in texts])
-    mask = np.concatenate(word_masks) if word_masks else None
-    return indices, mask, conv_caches, pooled
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[i] + j`` for each ``j < lengths[i]``, example by example."""
+    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+
+
+def _text_forward(model: Cb2cfModel, indices: np.ndarray, lengths: np.ndarray,
+                  word_mask: np.ndarray | None) -> tuple:
+    """Convolution and max-pool over each text's words, as segments of one
+    stacked matrix. A segment stops one padding window past its words: every
+    later window is all padding and scores exactly the conv bias, so keeping
+    one leaves the first-occurrence max where the full-length matrix has it."""
+    offsets = np.cumsum([0, *np.minimum(model.spec.text_length, lengths + model.spec.cnn_width)])
+    word_rows = _spans(offsets[:-1], lengths)
+    matrix = np.zeros((offsets[-1], model.embedding.shape[1]))
+    matrix[word_rows] = (model.embedding[indices] if word_mask is None
+                         else model.embedding[indices] * word_mask[:, None])
+    pooled, conv_cache = net.conv1d_maxpool_forward(
+        matrix, model.params["cnn.filters"], model.params["cnn.conv_bias"], offsets)
+    return indices, word_mask, word_rows, conv_cache, pooled
 
 
 def _text_backward(model: Cb2cfModel, text_cache: tuple, grad_act: np.ndarray,
@@ -263,59 +265,55 @@ def _text_backward(model: Cb2cfModel, text_cache: tuple, grad_act: np.ndarray,
     """Gradients of ``_text_forward`` given the gradient of relu(pooled),
     written into ``grads``; returns the touched word-table rows and their
     summed gradients, built only for a trainable embedding."""
-    indices, mask, conv_caches, pooled = text_cache
-    grad_pooled = net.relu_backward(pooled, grad_act)
+    indices, mask, word_rows, conv_cache, pooled = text_cache
     trainable = model.embedding_trainable and len(indices) > 0
-    grad_filters = grads["cnn.filters"]
-    grad_filters[...] = 0.0
-    text_grads = []
-    for (k, conv_cache), grad_row in zip(conv_caches, grad_pooled):
-        grad_matrix, grad_f, _ = net.conv1d_maxpool_backward(conv_cache, grad_row, trainable)
-        grad_filters += grad_f
-        if trainable:
-            text_grads.append(grad_matrix[:k])
-    np.sum(grad_pooled, axis=0, out=grads["cnn.conv_bias"])
+    grad_matrix, _, _ = net.conv1d_maxpool_backward(
+        conv_cache, net.relu_backward(pooled, grad_act), trainable,
+        out=(grads["cnn.filters"], grads["cnn.conv_bias"]))
     if not trainable:
         return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
-    text_rows = np.concatenate(text_grads)
+    text_rows = grad_matrix[word_rows]
     if mask is not None:
         text_rows = text_rows * mask[:, None]
     rows, inverse = np.unique(indices, return_inverse=True)
     return rows, net.scatter_rows(inverse, text_rows, len(rows))
 
 
-def forward_batch(model: Cb2cfModel, bundles: Sequence[FeatureBundle], *,
+def forward_batch(model: Cb2cfModel, stack: dict, rows: np.ndarray | slice = slice(None), *,
                   train: bool = False, rng=None, word_dropout: float = 0.0,
                   unit_dropout: float = 0.0):
-    """Forward pass over a minibatch. Returns (predictions, cache) with one
-    prediction row per bundle. Every dense layer is one GEMM over the batch;
-    the text convolution runs per example. Dropout draws happen only in
-    train mode; evaluation is deterministic and rng-free."""
-    spec = model.spec
-    params = model.params
+    """Forward pass over the minibatch ``rows`` (all by default) of a
+    ``stack_bundles`` stack. Returns (predictions, cache) with one prediction
+    row per example. Every layer runs once over the batch. Dropout draws
+    happen only in train mode; evaluation is deterministic and rng-free."""
+    spec, params = model.spec, model.params
     if train and (word_dropout > 0 or unit_dropout > 0) and rng is None:
         raise ValueError("train-mode dropout needs an rng")
-    inputs = {comp: _batch_input(bundles, comp) for comp in spec.components}
-    texts = inputs.get("CNN", [])
-    if any(len(indices) > spec.text_length for indices in texts):
-        raise ValueError("bundle text exceeds the model's text length")
-    # For each example in batch order: its word mask, then its BOW unit mask.
-    # Kept units scale by 1/(1-p), so evaluation needs no compensation.
-    word_masks, unit_masks = [], []
-    for i in range(len(bundles) if train else 0):
-        if texts and word_dropout > 0:
-            word_masks.append(net.dropout_mask(rng, len(texts[i]), word_dropout))
-        if "BOW" in inputs and unit_dropout > 0:
-            unit_masks.append(net.dropout_mask(rng, spec.bow_hidden, unit_dropout))
-    unit_mask = np.stack(unit_masks) if unit_masks else None
+    inputs = {comp: stack[comp][rows] for comp in spec.components if comp != "CNN"}
+    if "CNN" in spec.components:
+        words, offsets = stack["CNN"]
+        lengths = np.diff(offsets)[rows]
+        inputs["CNN"] = words[_spans(offsets[:-1][rows], lengths)]
+    word_p = word_dropout if train and "CNN" in inputs else 0.0
+    unit_p = unit_dropout if train and "BOW" in inputs else 0.0
+    word_mask = unit_mask = None
+    if word_p > 0 or unit_p > 0:
+        # One draw: the stream of each example's word mask, then its unit mask, in turn.
+        n = len(lengths) if "CNN" in inputs else len(inputs["BOW"])
+        sizes = np.column_stack([lengths if word_p > 0 else np.zeros(n, dtype=np.int64),
+                                 np.full(n, spec.bow_hidden if unit_p > 0 else 0)])
+        is_word = np.repeat(np.tile([True, False], n), sizes.ravel())
+        draws = rng.random(len(is_word))
+        word_mask = net.dropout_mask(draws[is_word], word_p) if word_p > 0 else None
+        unit_mask = net.dropout_mask(draws[~is_word], unit_p).reshape(n, -1) if unit_p > 0 else None
     cache: dict = {"components": {}, "unit_mask": unit_mask}
     outputs: list[np.ndarray] = []
 
     for comp in spec.components:
         x = inputs[comp]
         if comp == "CNN":
-            cache["text"] = _text_forward(model, x, word_masks)
-            x, _ = net.relu_forward(cache["text"][3])
+            cache["text"] = _text_forward(model, x, lengths, word_mask)
+            x, _ = net.relu_forward(cache["text"][-1])
         layer_caches = []
         for j, name in enumerate(COMPONENTS[comp][1]):
             if j and unit_mask is not None:
@@ -440,9 +438,10 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
           config: TrainConfig) -> TrainReport:
     """Minibatch Adam with early stopping on a held-out validation split.
 
-    Each minibatch is one ``forward_batch``/``backward_batch`` pass over the
-    batch-mean loss. The split, batch order, and dropout draws all come from
-    one generator seeded by the config, so a fixed seed reproduces training
+    The bundles are stacked once; each minibatch is one
+    ``forward_batch``/``backward_batch`` pass over its rows' batch-mean
+    loss. The split, batch order, and dropout draws all come from one
+    generator seeded by the config, so a fixed seed reproduces training
     exactly. Stops once validation loss has not improved for ``patience``
     epochs and restores the best epoch's parameters. A non-finite batch
     loss, validation loss or parameter stops training with
@@ -454,6 +453,8 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
         raise ValueError("no training items")
     shape = (model.spec.output_dim,)
     target_rows = np.stack([_target_vector(targets, b.item_id, shape) for b in bundles])
+    stack = stack_bundles(model.spec, bundles)
+    l2_names = model.l2_weight_names() if config.l2 > 0 else []
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(bundles))
@@ -479,8 +480,7 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
         epoch_loss = 0.0
         for start in range(0, len(perm), config.batch_size):
             batch = perm[start:start + config.batch_size]
-            preds, cache = forward_batch(model, [bundles[int(i)] for i in batch],
-                                         train=True, rng=rng,
+            preds, cache = forward_batch(model, stack, batch, train=True, rng=rng,
                                          word_dropout=config.word_dropout,
                                          unit_dropout=config.dropout)
             losses, grad_preds = net.mse_loss(preds, target_rows[batch])
@@ -488,9 +488,8 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
             if not np.isfinite(epoch_loss):
                 break  # diverged; no update from a non-finite loss
             grads, (rows, row_grads) = backward_batch(model, cache, grad_preds / len(batch), grad)
-            if config.l2 > 0:
-                for name in model.l2_weight_names():  # one 2*l2*W temporary at a time
-                    grads[name] += net.l2_penalty({name: model.params[name]}, config.l2)[1][name]
+            for name in l2_names:  # the gradient of net.l2_penalty, one tensor at a time
+                grads[name] += (2.0 * config.l2) * model.params[name]
             adam.step(model.flat, grad)
             adam.step_rows("embedding", model.embedding, rows, row_grads)
         train_losses.append(epoch_loss / len(train_idx))
@@ -522,12 +521,14 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
 
 
 def predict(model: Cb2cfModel, bundles: Sequence[FeatureBundle]) -> np.ndarray:
-    """Eval-mode predictions, one row per bundle, order preserved; one
-    ``forward_batch`` per ``PREDICT_CHUNK`` bundles."""
+    """Eval-mode predictions, one row per bundle, order preserved; the
+    bundles are stacked once, then one ``forward_batch`` runs per
+    ``PREDICT_CHUNK`` rows."""
     out = np.zeros((len(bundles), model.spec.output_dim))
+    stack = stack_bundles(model.spec, bundles) if len(bundles) else {}
     for start in range(0, len(bundles), PREDICT_CHUNK):
-        out[start:start + PREDICT_CHUNK], _ = forward_batch(
-            model, bundles[start:start + PREDICT_CHUNK])
+        chunk = slice(start, start + PREDICT_CHUNK)
+        out[chunk], _ = forward_batch(model, stack, chunk)
     return out
 
 

@@ -3,8 +3,9 @@
 Everything operates on float64 numpy arrays. Dense, ReLU, dropout and MSE
 are batch-first: a dense layer maps a (batch, features) matrix (or one
 example's vector) with one GEMM and sums its parameter gradients over the
-batch. The convolution takes one example's (length, dim) text matrix; its
-input gradient is one ``np.bincount``, bit for bit ``np.add.at``. Adam takes
+batch. The convolution takes a batch's texts as segments of one stacked
+(rows, dim) matrix, with one GEMM and max per segment; its input gradient
+is one ``np.bincount`` over the stack, bit for bit ``np.add.at``. Adam takes
 Kingma & Ba's efficient form (arXiv:1412.6980, section 2) on a flat parameter
 vector and embedding rows alike. Every backward function is checked against
 central finite differences in the test suite.
@@ -64,28 +65,31 @@ def relu_backward(cache, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * (cache > 0)
 
 
-def conv1d_maxpool_forward(matrix: np.ndarray, filters: np.ndarray, bias: np.ndarray):
-    """Valid 1-D convolution over the time axis followed by a global max.
+def conv1d_maxpool_forward(matrix: np.ndarray, filters: np.ndarray, bias: np.ndarray,
+                           offsets: np.ndarray | None = None):
+    """Valid 1-D convolution over the time axis, then a global max per filter.
 
-    matrix is (length, dim), filters (count, width, dim), bias (count,).
-    Each filter slides over length-width+1 positions; the output keeps only
-    the per-filter maximum, with the first position winning ties.
-    """
+    matrix is (rows, dim): one example's text or, given ``offsets``, segment i
+    = rows ``offsets[i]:offsets[i + 1]`` of each example. filters are (count,
+    width, dim), bias (count,). One GEMM per segment scores its windows; the
+    first window wins ties. Returns pooled, (count,) or (segments, count), and
+    a cache holding the start row of each maximum's window."""
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    length, dim = matrix.shape
-    count, width, fdim = filters.shape
-    if fdim != dim:
-        raise ValueError(f"filter dim {fdim} != input dim {dim}")
-    if width > length:
-        raise ValueError(f"filter width {width} exceeds input length {length}")
-    if bias.shape != (count,):
-        raise ValueError("conv bias shape mismatch")
-    windows = as_strided(matrix, (length - width + 1, width * dim), matrix.strides,
-                         writeable=False)  # row p: the width*dim values from row p on
-    activations = filters.reshape(count, width * dim) @ windows.T + bias[:, None]
-    best = np.argmax(activations, axis=1)  # first occurrence on ties
-    pooled = activations[np.arange(count), best]
-    return pooled, (matrix, filters, best)
+    count, width, dim = filters.shape
+    bounds = np.array([0, len(matrix)]) if offsets is None else np.asarray(offsets)
+    if matrix.shape[1] != dim or bias.shape != (count,) or (np.diff(bounds) < width).any():
+        raise ValueError(f"conv shape mismatch: input {matrix.shape}, segment lengths "
+                         f"{np.diff(bounds).tolist()}, filters {filters.shape}, bias {bias.shape}")
+    pooled, best = np.empty((len(bounds) - 1, count)), np.empty((len(bounds) - 1, count), np.int64)
+    for i, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        windows = as_strided(matrix[lo:], (hi - lo - width + 1, width * dim), matrix.strides,
+                             writeable=False)  # row p: the width*dim values from row lo+p on
+        activations = filters.reshape(count, width * dim) @ windows.T + bias[:, None]
+        best[i] = np.argmax(activations, axis=1)  # first occurrence on ties
+        pooled[i] = activations[np.arange(count), best[i]]
+    best += bounds[:-1, None]
+    return (pooled[0], (matrix, filters, best[0])) if offsets is None else \
+        (pooled, (matrix, filters, best))
 
 
 def scatter_rows(rows: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
@@ -95,24 +99,30 @@ def scatter_rows(rows: np.ndarray, values: np.ndarray, count: int) -> np.ndarray
     return np.bincount(cells, values.ravel(), minlength=count * dim).reshape(count, dim)
 
 
-def conv1d_maxpool_backward(cache, grad_pooled: np.ndarray, input_grad: bool = True):
-    """(grad_matrix, grad_filters, grad_bias); grad_matrix only if ``input_grad``."""
+def conv1d_maxpool_backward(cache, grad_pooled: np.ndarray, input_grad: bool = True,
+                            out=(None, None)):
+    """(grad_matrix, grad_filters, grad_bias); the parameter gradients are summed
+    over the segments in order, into ``out = (grad_filters, grad_bias)`` if given.
+    grad_matrix only if ``input_grad``."""
     matrix, filters, best = cache
     count, width, dim = filters.shape
-    if grad_pooled.shape != (count,):
+    if grad_pooled.shape != best.shape:
         raise ValueError("pooled grad shape mismatch")
-    offsets = best[:, None] + np.arange(width)[None, :]          # (count, width)
-    grad_filters = grad_pooled[:, None, None] * matrix[offsets]  # (count, width, dim)
-    if not input_grad:
-        return None, grad_filters, grad_pooled.copy()
-    contributions = grad_pooled[:, None, None] * filters
-    grad_matrix = scatter_rows(offsets.reshape(-1), contributions.reshape(-1, dim), len(matrix))
-    return grad_matrix, grad_filters, grad_pooled.copy()
+    grad_pooled, rows = grad_pooled.reshape(-1, count), best.reshape(-1, count, 1) + np.arange(width)
+    grad_filters = np.zeros(filters.shape) if out[0] is None else out[0]
+    grad_filters[...] = 0.0
+    for grad_row, window_rows in zip(grad_pooled, rows):  # rows: (segments, count, width)
+        grad_filters += grad_row[:, None, None] * matrix[window_rows]
+    # Segments are disjoint, so each input row sums its own segment's terms in order.
+    grad_matrix = scatter_rows(rows.reshape(-1), (grad_pooled[:, :, None, None] * filters)
+                               .reshape(-1, dim), len(matrix)) if input_grad else None
+    return grad_matrix, grad_filters, np.sum(grad_pooled, axis=0, out=out[1])
 
 
-def dropout_mask(rng, shape, p: float) -> np.ndarray:
-    """Inverted-dropout mask: 0 with probability p, else 1/(1-p)."""
-    return (rng.random(shape) >= p) / (1.0 - p)
+def dropout_mask(uniform: np.ndarray, p: float) -> np.ndarray:
+    """Inverted-dropout mask from uniform [0, 1) draws: 0 with probability p,
+    else 1/(1-p)."""
+    return (uniform >= p) / (1.0 - p)
 
 
 def dropout_backward(mask, grad_out: np.ndarray) -> np.ndarray:

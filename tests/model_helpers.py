@@ -2,12 +2,12 @@
 single example or compare a batch against its examples, and one tag's
 hidden representation."""
 
-from cb2cf.model import _tag_reps, backward_batch, forward_batch
+from cb2cf.model import _tag_reps, backward_batch, forward_batch, stack_bundles
 
 
 def forward(model, bundle, **kwargs):
     """A batch of one through ``forward_batch``; returns (prediction, cache)."""
-    predictions, cache = forward_batch(model, [bundle], **kwargs)
+    predictions, cache = forward_batch(model, stack_bundles(model.spec, [bundle]), **kwargs)
     return predictions[0], cache
 
 

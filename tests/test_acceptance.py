@@ -25,7 +25,7 @@ from cb2cf.evaluation import (EvalDataset, make_folds, mean_ndcg_at, mpr,
 from cb2cf.features import (Centroids, bow_histogram, fit_feature_context,
                             featurize_item)
 from cb2cf.model import (SystemSpec, TrainConfig, analogy, backward_batch,
-                         build_model, bundle_parts, forward_batch, train)
+                         build_model, bundle_parts, forward_batch, stack_bundles, train)
 from cb2cf.sgns import EmbeddingTable, SgnsConfig, similarity_search, train_sgns
 from cb2cf.synthetic import SyntheticSpec, generate_synthetic
 from gradcheck import grad_check
@@ -109,7 +109,7 @@ def test_criterion_1_gradient_correctness():
             model.params[name] = tensors[name]
         for r in rows:
             model.embedding[r] = tensors[f"embedding_row_{r}"]
-        preds, cache = forward_batch(model, [bundle])
+        preds, cache = forward_batch(model, stack_bundles(spec, [bundle]))
         loss, grad_pred = net.mse_loss(preds[0], target)
         grads, (touched, touched_grads) = backward_batch(model, cache, grad_pred[None, :])
         emb_rows = dict(zip(touched.tolist(), touched_grads))
@@ -364,9 +364,9 @@ def test_criterion_7_featurization_invariants():
         context = fit_feature_context([profile], word_table=table, max_words=8)
         text_model = build_model(text_spec, context)
         bundle = featurize_item(profile, context, bundle_parts(text_spec))
-        _, cache = forward_batch(text_model, [bundle])
-        (effective_length, (rows, _, _)), = cache["text"][2]
-        if not np.all(rows[effective_length:] == 0.0):
+        _, cache = forward_batch(text_model, stack_bundles(text_spec, [bundle]))
+        _, _, _, (rows, _, _), _ = cache["text"]
+        if not np.all(rows[len(bundle.text_indices):] == 0.0):
             failures.append(f"padding not zero on trial {trial}")
             break
 

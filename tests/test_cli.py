@@ -370,7 +370,8 @@ def test_evaluate_rejects_a_repeated_entry(workspace, tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--ndcg-k", "2,x", "--ndcg-k: invalid literal for int() with base 10: 'x'"),
-    ("--systems", "Tags,Foo", "unknown system component 'Foo'"),
+    ("--systems", "Tags,Foo", "--systems: unknown system component 'Foo'"),
+    ("--systems", "Year,Genres+", "--systems: unknown system component ''"),
 ])
 def test_evaluate_checks_its_lists_before_reading_any_file(tmp_path, capsys, flag, value,
                                                            message):

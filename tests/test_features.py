@@ -259,20 +259,23 @@ class TestTagVocabulary:
         dropped = build_tag_vocab(_tagged(4), min_count=5)
         assert dropped.tags["genres"] == [NA_TOKEN]
 
-    def test_sentinel_counts_profiles_with_empty_field(self):
+    def test_profiles_with_an_empty_field_count_for_no_tag(self):
         profiles = _tagged(3) + [ContentProfile(id="e1"),
                                  ContentProfile(id="e2")]
-        vocab = build_tag_vocab(profiles, min_count=1)
-        assert vocab.counts["genres"][NA_TOKEN] == 2
-        assert vocab.counts["genres"]["x"] == 3
+        assert build_tag_vocab(profiles, min_count=3).tags["genres"] == [NA_TOKEN, "x"]
+        vocab = build_tag_vocab(profiles, min_count=4)
+        assert vocab.tags["genres"] == [NA_TOKEN]
         # Fields with no data anywhere keep only the sentinel.
         assert vocab.tags["actors"] == [NA_TOKEN]
-        assert vocab.counts["actors"][NA_TOKEN] == 5
+        assert build_tag_vocab(profiles, min_count=1).tags["actors"] == [NA_TOKEN]
 
     def test_repeated_tag_in_one_profile_counts_once(self):
         profiles = [ContentProfile(id="p", genres=["x", "x", "x"])]
-        vocab = build_tag_vocab(profiles, min_count=1)
-        assert vocab.counts["genres"]["x"] == 1
+        assert build_tag_vocab(profiles, min_count=1).tags["genres"] == [NA_TOKEN, "x"]
+        assert build_tag_vocab(profiles, min_count=2).tags["genres"] == [NA_TOKEN]
+        twice = profiles + [ContentProfile(id="q", genres=["x"])]
+        assert build_tag_vocab(twice, min_count=2).tags["genres"] == [NA_TOKEN, "x"]
+        assert build_tag_vocab(twice, min_count=3).tags["genres"] == [NA_TOKEN]
 
     def test_ordering_by_count_then_lexicographic(self):
         tags = ["zed"] * 3 + ["ant"] * 3 + ["mid"] * 5
@@ -285,7 +288,6 @@ class TestTagVocabulary:
         vocab = build_tag_vocab([ContentProfile(id="p", genres=[NA_TOKEN])],
                                 min_count=1)
         assert vocab.tags["genres"] == [NA_TOKEN]
-        assert vocab.counts["genres"][NA_TOKEN] == 1
 
     def test_rejects_min_count_below_one(self):
         with pytest.raises(ValueError):
@@ -456,8 +458,6 @@ class TestPersistence:
         assert loaded.temperature == 0.25
         assert loaded.year_stats == context.year_stats
         assert loaded.tag_vocab.tags == context.tag_vocab.tags
-        assert loaded.tag_vocab.counts == context.tag_vocab.counts
-        assert loaded.tag_vocab.min_count == context.tag_vocab.min_count
         assert loaded.word_table.ids == word_table.ids
         assert np.array_equal(loaded.word_table.vectors, word_table.vectors)
         assert np.array_equal(loaded.centroids.vectors, centroids.vectors)
@@ -504,12 +504,31 @@ class TestPersistence:
         with pytest.raises(ValueError, match="not a feature context"):
             load_feature_context(path)
 
-    @pytest.mark.parametrize("key", ["year_mean", "counts", "word_ids"])
+    def test_a_context_with_tag_counts_still_loads(self, tmp_path, word_table, profiles):
+        # Older files also store each kept tag's count and the minimum count.
+        context = fit_feature_context(profiles, word_table=word_table, min_tag_count=1)
+        path = tmp_path / "ctx.ckpt"
+        save_feature_context(context, path)
+        _rewrite(path, lambda tensors, meta: meta["tag_vocab"].update(
+            min_count=1, counts={f: {t: 1 for t in tags}
+                                 for f, tags in meta["tag_vocab"]["tags"].items()}))
+        loaded = load_feature_context(path)
+        assert loaded.tag_vocab.tags == context.tag_vocab.tags
+        assert not hasattr(loaded.tag_vocab, "counts")
+        parts = ("text", "year") + TAG_FIELDS
+        for profile in profiles:
+            a = featurize_item(profile, context, parts)
+            b = featurize_item(profile, loaded, parts)
+            assert np.array_equal(a.text_indices, b.text_indices) and a.year == b.year
+            for field in TAG_FIELDS:
+                assert np.array_equal(a.tags[field], b.tags[field])
+
+    @pytest.mark.parametrize("key", ["year_mean", "tags", "word_ids"])
     def test_missing_key_names_the_file_and_the_key(self, tmp_path, profiles, key):
         path = tmp_path / "ctx.ckpt"
         save_feature_context(fit_feature_context(profiles, min_tag_count=1), path)
         _rewrite(path, lambda tensors, meta:
-                 (meta["tag_vocab"] if key == "counts" else meta).pop(key))
+                 (meta["tag_vocab"] if key == "tags" else meta).pop(key))
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: missing key '{key}'"):
             load_feature_context(path)
 

@@ -13,7 +13,7 @@ from cb2cf.model import (COMPONENT_ORDER, Cb2cfModel, SystemSpec, TrainConfig,
                          analogy, backward_batch, build_model,
                          bundle_parts, component_output_dims,
                          forward_batch, load_model,
-                         parse_system, predict, save_model, train)
+                         parse_system, predict, save_model, stack_bundles, train)
 from gradcheck import grad_check
 from model_helpers import backward, forward, tag_representation
 
@@ -658,7 +658,7 @@ def test_full_system_parameters_and_l2_names(word_table):
 def test_predict_in_chunks_matches_one_forward_batch(word_table, monkeypatch):
     model, bundles = _full_system(word_table)
     assert len(bundles) == 5
-    whole, _ = forward_batch(model, bundles)
+    whole, _ = forward_batch(model, stack_bundles(model.spec, bundles))
     monkeypatch.setattr(model_module, "PREDICT_CHUNK", 2)
     assert np.allclose(predict(model, bundles), whole, rtol=0, atol=1e-12)
 
@@ -671,7 +671,8 @@ def test_batched_step_sums_the_per_example_gradients(word_table):
     targets = np.random.default_rng(1).standard_normal((4, 3))
     dropout = {"train": True, "word_dropout": 0.3, "unit_dropout": 0.3}
 
-    preds, cache = forward_batch(model, batch, rng=np.random.default_rng(7), **dropout)
+    preds, cache = forward_batch(model, stack_bundles(model.spec, batch),
+                                 rng=np.random.default_rng(7), **dropout)
     _, grad_preds = net.mse_loss(preds, targets)
     grads, (rows, row_grads) = backward_batch(model, cache, grad_preds)
 
@@ -696,6 +697,107 @@ def test_batched_step_sums_the_per_example_gradients(word_table):
         assert np.allclose(g, ref_rows[row], rtol=0, atol=1e-12)
 
 
+def test_batch_gradients_with_dropout_on_match_finite_differences(word_table):
+    model, bundles = _full_system(word_table)
+    stack = stack_bundles(model.spec, bundles)
+    targets = np.random.default_rng(4).standard_normal((5, 3))
+    words = np.unique(stack["CNN"][0])
+    model.flat[:] += np.random.default_rng(5).uniform(-0.1, 0.1, model.flat.shape)  # off the kinks
+    tensors = {**model.params, "embedding": model.embedding[words].copy()}
+    masks = []
+
+    def loss_fn(tensors):
+        model.embedding[words] = tensors["embedding"]
+        preds, cache = forward_batch(model, stack, train=True, rng=np.random.default_rng(7),
+                                     word_dropout=0.4, unit_dropout=0.4)
+        masks.append((cache["text"][1], cache["unit_mask"]))
+        losses, grad_preds = net.mse_loss(preds, targets)
+        grads, (rows, row_grads) = backward_batch(model, cache, grad_preds)
+        assert np.array_equal(rows, words)
+        return float(losses.sum()), {**grads, "embedding": row_grads}
+
+    assert grad_check(loss_fn, tensors) < 1e-5
+    word_mask, unit_mask = masks[0]
+    assert 0.0 in word_mask and 0.0 in unit_mask  # both masks drop something
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(text_indices=np.zeros(9, dtype=np.int64)), "text exceeds the model's text length"),
+    (dict(bow=None), "bundle has no bow input for the enabled BOW component"),
+], ids=["text-too-long", "no-bow"])
+def test_every_bundle_is_checked_once_before_any_pass(word_table, monkeypatch, bad, message):
+    model, bundles = _full_system(word_table)
+    bundles.append(replace(bundles[0], item_id="bad", **bad))
+    targets = {b.item_id: np.zeros(3) for b in bundles}
+    monkeypatch.setattr(model_module, "forward_batch",
+                        lambda *args, **kwargs: pytest.fail("a pass ran"))
+    for call in (lambda: stack_bundles(model.spec, bundles), lambda: predict(model, bundles),
+                 lambda: train(model, bundles, targets, TrainConfig(max_epochs=1))):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("word_p, unit_p", [(0.3, 0.4), (0.3, 0.0), (0.0, 0.4)])
+def test_batch_dropout_masks_are_the_per_example_draws_in_order(word_table, word_p, unit_p):
+    model, bundles = _full_system(word_table)
+    stack = stack_bundles(model.spec, bundles)
+    rows = np.array([3, 1, 0, 4, 1])  # the textless item, twice
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        _, cache = forward_batch(model, stack, rows, train=True, rng=rng,
+                                 word_dropout=word_p, unit_dropout=unit_p)
+        # The old per-example draws: each example's word mask, then its unit mask.
+        ref_rng = np.random.default_rng(seed)
+        words, units = [], []
+        for i in rows:
+            if word_p:
+                words.append(net.dropout_mask(ref_rng.random(len(bundles[i].text_indices)),
+                                              word_p))
+            if unit_p:
+                units.append(net.dropout_mask(ref_rng.random(model.spec.bow_hidden), unit_p))
+        assert rng.random() == ref_rng.random()  # the same number of draws
+
+        indices, word_mask, word_rows, (matrix, _, _), _ = cache["text"]
+        assert np.array_equal(indices, np.concatenate([bundles[i].text_indices for i in rows]))
+        embedded = model.embedding[indices]
+        if word_p:
+            assert word_mask.tobytes() == np.concatenate(words).tobytes()
+            embedded = embedded * word_mask[:, None]
+        else:
+            assert word_mask is None
+        assert matrix[word_rows].tobytes() == embedded.tobytes()
+        # BOW layer caches: ((x, W), pre) of bow.fc1, then of bow.fc2.
+        (_, below), ((masked_units, _), _) = cache["components"]["BOW"]
+        if unit_p:
+            assert cache["unit_mask"].tobytes() == np.stack(units).tobytes()
+            assert masked_units.tobytes() == (np.maximum(below, 0.0)
+                                              * cache["unit_mask"]).tobytes()
+        else:
+            assert cache["unit_mask"] is None
+            assert masked_units.tobytes() == np.maximum(below, 0.0).tobytes()
+
+
+def test_a_train_step_adds_the_gradient_of_l2_penalty_bit_for_bit(word_table, monkeypatch):
+    steps = []
+    step = net.Adam.step
+    monkeypatch.setattr(net.Adam, "step", lambda self, param, grad: (
+        steps.append((param.copy(), grad.copy())), step(self, param, grad)))
+    targets = np.random.default_rng(2).standard_normal((5, 3))
+    for l2 in (0.0, 0.01):  # one step over all five items, dropout on
+        model, bundles = _full_system(word_table)
+        train(model, bundles, {b.item_id: t for b, t in zip(bundles, targets)},
+              TrainConfig(batch_size=5, max_epochs=1, val_fraction=0.0, l2=l2, seed=3))
+    (params, data_grad), (same_params, grad) = steps
+    assert params.tobytes() == same_params.tobytes()
+    params, data_grad, grad = (model_module._views(v, model.params)
+                               for v in (params, data_grad, grad))
+    names = model.l2_weight_names()
+    _, l2_grads = net.l2_penalty({name: params[name] for name in names}, 0.01)
+    for name in model.params:
+        expected = data_grad[name] + l2_grads[name] if name in names else data_grad[name]
+        assert grad[name].tobytes() == expected.tobytes(), name
+
+
 def _add_at_scatter(rows, values, count):
     out = np.zeros((count, values.shape[1]))
     np.add.at(out, rows, values)
@@ -705,8 +807,9 @@ def _add_at_scatter(rows, values, count):
 def test_word_row_gradients_match_add_at_bit_for_bit(word_table, monkeypatch):
     model, bundles = _full_system(word_table)
     assert sorted(len(b.text_indices) for b in bundles)[:2] == [0, 1]
-    preds, cache = forward_batch(model, bundles, train=True, rng=np.random.default_rng(7),
-                                 word_dropout=0.3, unit_dropout=0.3)
+    preds, cache = forward_batch(model, stack_bundles(model.spec, bundles), train=True,
+                                 rng=np.random.default_rng(7), word_dropout=0.3,
+                                 unit_dropout=0.3)
     assert 0.0 in cache["text"][1]  # a dropped word
     grad_preds = np.random.default_rng(1).standard_normal(preds.shape)
     grads, (rows, row_grads) = backward_batch(model, cache, grad_preds)
@@ -727,7 +830,7 @@ def test_word_gradient_is_built_only_for_a_trainable_embedding(word_table, monke
     scatter = net.scatter_rows
     monkeypatch.setattr(net, "scatter_rows",
                         lambda *args: calls.append(args) or scatter(*args))
-    preds, cache = forward_batch(model, bundles)
+    preds, cache = forward_batch(model, stack_bundles(model.spec, bundles))
     grads, (rows, _) = backward_batch(model, cache, np.ones_like(preds))
     assert np.any(grads["cnn.filters"] != 0.0)
     if variant == "static":
@@ -815,14 +918,18 @@ def test_trimmed_text_matrix_pools_like_the_full_one(word_table, text_length,
     # Filter 0 scores every real window below its bias: its max is the bias.
     model.embedding = np.abs(model.embedding) + 0.1
     model.params["cnn.filters"][0] = -np.abs(model.params["cnn.filters"][0]) - 0.1
-    bundle = featurize_item(profiles[0], context, bundle_parts(spec))
+    # m1 comes first, so m0's segment starts past m1's one word and its window.
+    other, bundle = [featurize_item(p, context, bundle_parts(spec)) for p in profiles[::-1]]
     k = len(bundle.text_indices)
+    start = min(text_length, len(other.text_indices) + cnn_width)
 
-    _, cache = forward(model, bundle)
-    (cached_k, (matrix, _, best)), = cache["text"][2]
-    pooled = cache["text"][3][0]
-    assert cached_k == k
-    assert len(matrix) == min(text_length, k + cnn_width)
+    _, cache = forward_batch(model, stack_bundles(spec, [other, bundle]))
+    indices, _, word_rows, (matrix, _, best), pooled = cache["text"]
+    assert np.array_equal(indices[len(other.text_indices):], bundle.text_indices)
+    assert np.array_equal(word_rows[len(other.text_indices):], start + np.arange(k))
+    assert len(matrix) - start == min(text_length, k + cnn_width)
+    assert np.all(matrix[start + k:] == 0.0)
+    pooled, best = pooled[1], best[1] - start
 
     full = np.zeros((text_length, model.embedding.shape[1]))
     full[:k] = model.embedding[bundle.text_indices]

@@ -146,6 +146,47 @@ def test_conv_input_gradient_matches_add_at_bit_for_bit(length, width, zero_inpu
     assert np.array_equal(same_filters, grad_filters) and np.array_equal(same_bias, grad_bias)
 
 
+def test_stacked_conv_is_bit_for_bit_one_call_per_segment():
+    rng = np.random.default_rng(11)
+    dim, width, text_length = 4, 3, 8
+    padding = np.zeros((width, dim))
+    segments = [
+        rng.standard_normal((text_length, dim)),  # a text at the length cap: no padding
+        padding,                                  # no words: one all-padding window
+        np.vstack([np.full((4, dim), 5.0), padding]),  # its first two windows tie
+        np.vstack([rng.standard_normal((2, dim)), padding]),
+    ]
+    offsets = np.cumsum([0] + [len(segment) for segment in segments])
+    filters = rng.standard_normal((6, width, dim))
+    filters[:3] = np.abs(filters[:3])  # these score the tied windows highest
+    bias = rng.standard_normal(6)
+    pooled, cache = net.conv1d_maxpool_forward(np.vstack(segments), filters, bias, offsets)
+    grad_pooled = rng.standard_normal(pooled.shape) * 10.0 ** rng.integers(-6, 3, pooled.shape)
+    grad_matrix, grad_filters, grad_bias = net.conv1d_maxpool_backward(cache, grad_pooled)
+    best = cache[2]
+    assert best[1].tolist() == [offsets[1]] * 6  # the padding window scores the bias
+    assert best[2, :3].tolist() == [offsets[2]] * 3  # the first tied window wins
+
+    ref_filters = np.zeros_like(filters)
+    for i, segment in enumerate(segments):
+        one_pooled, one_cache = net.conv1d_maxpool_forward(segment, filters, bias)
+        assert pooled[i].tobytes() == one_pooled.tobytes()
+        assert np.array_equal(best[i], one_cache[2] + offsets[i])
+        one_matrix, one_filters, one_bias = net.conv1d_maxpool_backward(one_cache, grad_pooled[i])
+        assert grad_matrix[offsets[i]:offsets[i + 1]].tobytes() == one_matrix.tobytes()
+        assert one_bias.tobytes() == grad_pooled[i].tobytes()
+        ref_filters += one_filters
+    assert grad_filters.tobytes() == ref_filters.tobytes()
+    assert grad_bias.tobytes() == np.sum(grad_pooled, axis=0).tobytes()
+
+    out = (np.full_like(filters, np.nan), np.full(6, np.nan))
+    skipped, into_filters, into_bias = net.conv1d_maxpool_backward(
+        cache, grad_pooled, input_grad=False, out=out)
+    assert skipped is None and into_filters is out[0] and into_bias is out[1]
+    assert into_filters.tobytes() == grad_filters.tobytes()
+    assert into_bias.tobytes() == grad_bias.tobytes()
+
+
 def test_conv_shape_validation():
     with pytest.raises(ValueError):
         net.conv1d_maxpool_forward(np.zeros((2, 3)), np.zeros((1, 4, 3)),
@@ -153,16 +194,25 @@ def test_conv_shape_validation():
     with pytest.raises(ValueError):
         net.conv1d_maxpool_forward(np.zeros((4, 3)), np.zeros((1, 2, 2)),
                                    np.zeros(1))
+    with pytest.raises(ValueError, match=r"segment lengths \[4, 1\]"):
+        net.conv1d_maxpool_forward(np.zeros((5, 2)), np.zeros((1, 2, 2)),
+                                   np.zeros(1), np.array([0, 4, 5]))
+    _, cache = net.conv1d_maxpool_forward(np.zeros((5, 2)), np.zeros((1, 2, 2)),
+                                          np.zeros(1), np.array([0, 2, 5]))
+    with pytest.raises(ValueError, match="pooled grad shape"):
+        net.conv1d_maxpool_backward(cache, np.zeros(1))
 
 
-def test_conv_stack_gradients_against_finite_differences():
+@pytest.mark.parametrize("offsets", [None, np.array([0, 3, 9, 13])],
+                         ids=["one-text", "three-segments"])
+def test_conv_stack_gradients_against_finite_differences(offsets):
     rng = np.random.default_rng(3)
-    target = rng.standard_normal(3)
-    x0 = rng.standard_normal((6, 2))
+    target = rng.standard_normal(3 if offsets is None else (len(offsets) - 1, 3))
+    x0 = rng.standard_normal((6 if offsets is None else offsets[-1], 2))
 
     def loss_fn(tensors):
         pooled, conv_cache = net.conv1d_maxpool_forward(
-            tensors["m"], tensors["f"], tensors["cb"])
+            tensors["m"], tensors["f"], tensors["cb"], offsets)
         act, relu_cache = net.relu_forward(pooled)
         y, dense_cache = net.dense_forward(act, tensors["w"], tensors["b"])
         loss, grad_y = net.mse_loss(y, target)
@@ -170,8 +220,8 @@ def test_conv_stack_gradients_against_finite_differences():
         grad_pooled = net.relu_backward(relu_cache, grad_act)
         grad_m, grad_f, grad_cb = net.conv1d_maxpool_backward(conv_cache,
                                                               grad_pooled)
-        return loss, {"m": grad_m, "f": grad_f, "cb": grad_cb,
-                      "w": grad_w, "b": grad_b}
+        return float(np.sum(loss)), {"m": grad_m, "f": grad_f, "cb": grad_cb,
+                                     "w": grad_w, "b": grad_b}
 
     tensors = {"m": x0, "f": rng.standard_normal((4, 3, 2)),
                "cb": rng.standard_normal(4),
@@ -182,7 +232,7 @@ def test_conv_stack_gradients_against_finite_differences():
 def test_dropout_scales_kept_units_and_masks_gradient():
     rng = np.random.default_rng(0)
     x = np.ones(100_000)
-    mask = net.dropout_mask(rng, x.shape, 0.3)
+    mask = net.dropout_mask(rng.random(x.shape), 0.3)
     y = x * mask
     kept = y > 0
     assert np.all(np.isin(np.round(y[kept], 12), np.round(1.0 / 0.7, 12)))
