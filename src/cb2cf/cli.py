@@ -82,8 +82,7 @@ def _cmd_fit_features(args: argparse.Namespace) -> None:
                                             seed=args.seed)
     context = features.fit_feature_context(
         profiles, word_table=word_table, centroids=centroids,
-        max_words=args.max_words, min_tag_count=args.min_tag_count,
-        temperature=args.temperature)
+        min_tag_count=args.min_tag_count, temperature=args.temperature)
     features.save_feature_context(context, args.out)
     sizes = ", ".join(f"{f}={context.tag_vocab.size(f)}" for f in features.TAG_FIELDS)
     print(f"feature context over {len(profiles)} profiles ({sizes}) -> {args.out}")
@@ -107,7 +106,7 @@ def _cmd_train_model(args: argparse.Namespace) -> None:
     targets = EmbeddingTable.load(args.targets)
     spec = model_mod.SystemSpec.named(
         args.system, output_dim=targets.dim, cnn_variant=args.cnn_variant,
-        text_length=context.max_words)
+        text_length=args.max_words)
     usable = _usable_profiles(profiles, targets)
     parts = model_mod.bundle_parts(spec)
     bundles = [features.featurize_item(p, context, parts) for p in usable]
@@ -280,13 +279,13 @@ def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     _add_fields(sub, model_mod.TrainConfig, _TRAIN_FLAGS)
     sub.add_argument("--cnn-variant", choices=model_mod.CNN_VARIANTS,
                      default=model_mod.SystemSpec.cnn_variant)
+    sub.add_argument("--max-words", type=int, default=model_mod.SystemSpec.text_length)
 
 
 def _add_feature_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--metadata")
     sub.add_argument("--word-vectors")
     sub.add_argument("--bow-centroids", type=int, default=250)
-    sub.add_argument("--max-words", type=int, default=features.DEFAULT_MAX_WORDS)
     sub.add_argument("--min-tag-count", type=int, default=features.DEFAULT_MIN_TAG_COUNT)
     sub.add_argument("--temperature", type=float, default=features.DEFAULT_TEMPERATURE)
 

@@ -116,7 +116,7 @@ def ndcg_at_cutoffs(item_id: str, predicted: np.ndarray, catalog: EmbeddingTable
     """NDCG at every cutoff in ``ks`` from one ranking to the largest: a
     cutoff's DCG is the running gain sum at that rank. Relevance of a
     retrieved item is its cosine to the original vector, clamped at zero;
-    the ideal ranking orders the catalog by the original vector itself. A
+    the ideal DCG sums every other item's gain in descending order. A
     zero-norm or non-finite prediction, or ideal gain below 1e-12, scores 0."""
     if item_id not in catalog:
         raise ValueError(f"item {item_id!r} not in catalog")
@@ -127,15 +127,17 @@ def ndcg_at_cutoffs(item_id: str, predicted: np.ndarray, catalog: EmbeddingTable
     if scores is None or relevance is None:
         return [0.0] * len(ks)
 
-    def dcgs(query_scores: np.ndarray) -> list[float]:
-        gains = relevance[top_rows(query_scores, catalog, max(ks, default=0),
-                                   exclude={item_id})]
+    def dcgs(gains: np.ndarray) -> list[float]:
         # np.cumsum adds left to right: the same bits as a running float sum.
         prefix = np.cumsum(np.where(gains > 0.0, gains, 0.0) / _discounts(len(gains)))
         return [float(prefix[k - 1]) for k in ks]
 
+    top = max(ks, default=0)
+    retrieved = relevance[top_rows(scores, catalog, top, exclude={item_id})]
+    # Equal gains add the same terms in any order, so no tie-break is needed.
+    ideal = np.sort(np.delete(relevance, catalog.index[item_id]))[::-1][:top]
     return [0.0 if idcg < 1e-12 else dcg / idcg
-            for dcg, idcg in zip(dcgs(scores), dcgs(relevance))]
+            for dcg, idcg in zip(dcgs(retrieved), dcgs(ideal))]
 
 
 def ndcg_at_k(item_id: str, predicted: np.ndarray, catalog: EmbeddingTable,
@@ -143,8 +145,8 @@ def ndcg_at_k(item_id: str, predicted: np.ndarray, catalog: EmbeddingTable,
     return ndcg_at_cutoffs(item_id, predicted, catalog, (k,))[0]
 
 
-def mean_ndcg_at(predictions: Mapping[str, np.ndarray], catalog: EmbeddingTable,
-                 ks: Sequence[int]) -> dict[int, float]:
+def mean_ndcg(predictions: Mapping[str, np.ndarray], catalog: EmbeddingTable,
+              ks: Sequence[int]) -> dict[int, float]:
     """Mean NDCG over the predictions for every cutoff in ``ks``."""
     if not predictions:
         raise ValueError("no predictions")
@@ -260,8 +262,7 @@ def _run_systems(systems: Sequence[str], dataset: EvalDataset, folds: FoldAssign
             context = fit_feature_context(
                 [by_id[i] for i in train_ids],
                 word_table=dataset.word_table, centroids=dataset.centroids,
-                max_words=specs[0].text_length, min_tag_count=min_tag_count,
-                temperature=temperature)  # every spec has spec_overrides' text_length
+                min_tag_count=min_tag_count, temperature=temperature)
             train_bundles = [featurize_item(by_id[i], context, parts) for i in train_ids]
             test_bundles = [featurize_item(by_id[i], context, parts) for i in test_ids]
             seed, predicted = _fold_seed(config.seed, fold), []
@@ -272,7 +273,7 @@ def _run_systems(systems: Sequence[str], dataset: EvalDataset, folds: FoldAssign
         by_system = [{item_id: vectors[i] for i, item_id in enumerate(test_ids)}
                      for vectors in predicted]
         return [FoldMetrics(fold, mse_metric(catalog, p), mpr(p, catalog),
-                            mean_ndcg_at(p, catalog, ndcg_ks)) for p in by_system]
+                            mean_ndcg(p, catalog, ndcg_ks)) for p in by_system]
 
     _ = catalog._id_rank, catalog._cosine_rows  # cached once, before any fork
     reports = []

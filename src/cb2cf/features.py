@@ -27,7 +27,6 @@ if TYPE_CHECKING:
 
 NA_TOKEN = "n/a"
 TAG_FIELDS = ("genres", "actors", "directors", "languages")
-DEFAULT_MAX_WORDS = 500
 DEFAULT_TEMPERATURE = 0.1
 DEFAULT_MIN_TAG_COUNT = 5
 KMEANS_TOL = 1e-6  # Lloyd rounds stop once no centroid moves this far
@@ -43,19 +42,11 @@ def text_tokens(text: str | None) -> list[str]:
     return tokens if tokens else [NA_TOKEN]
 
 
-def text_word_indices(tokens: Sequence[str], table: EmbeddingTable,
-                      max_words: int) -> np.ndarray:
-    """Row indices of the first ``max_words`` tokens that have a vector."""
-    if max_words < 1:
-        raise ValueError("max_words must be >= 1")
+def text_word_indices(tokens: Sequence[str], table: EmbeddingTable) -> np.ndarray:
+    """Row indices of every token that has a vector, in text order; the model
+    reads the first ``SystemSpec.text_length`` of them."""
     index = table.index
-    out: list[int] = []
-    for token in tokens:
-        if token in index:
-            out.append(index[token])
-            if len(out) == max_words:
-                break
-    return np.array(out, dtype=np.int64)
+    return np.array([index[t] for t in tokens if t in index], dtype=np.int64)
 
 
 @dataclass
@@ -244,18 +235,18 @@ def numeric_feature(year: int | None, stats: YearStats) -> float:
 
 @dataclass
 class FeatureContext:
+    """Fitted featurization statistics. Texts keep every in-table word; the
+    model, not the context, reads the first ``SystemSpec.text_length``."""
+
     tag_vocab: TagVocabulary
     year_stats: YearStats
     word_table: EmbeddingTable | None = None
     centroids: Centroids | None = None
-    max_words: int = DEFAULT_MAX_WORDS
     temperature: float = DEFAULT_TEMPERATURE
     # Word -> its BOW row; valid while table, centroids and temperature stay.
     _bow_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.max_words < 1:
-            raise ValueError("max_words must be >= 1")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
 
@@ -263,7 +254,6 @@ class FeatureContext:
 def fit_feature_context(profiles: Sequence["ContentProfile"], *,
                         word_table: EmbeddingTable | None = None,
                         centroids: Centroids | None = None,
-                        max_words: int = DEFAULT_MAX_WORDS,
                         min_tag_count: int = DEFAULT_MIN_TAG_COUNT,
                         temperature: float = DEFAULT_TEMPERATURE) -> FeatureContext:
     """Fit the item-dependent statistics (tag vocabulary, year stats) on the
@@ -276,7 +266,6 @@ def fit_feature_context(profiles: Sequence["ContentProfile"], *,
         year_stats=fit_year_stats(profiles),
         word_table=word_table,
         centroids=centroids,
-        max_words=max_words,
         temperature=temperature,
     )
 
@@ -308,7 +297,7 @@ def featurize_item(profile: "ContentProfile", context: FeatureContext,
             raise ValueError("text features requested but the context has no word table")
         tokens = text_tokens(profile.plot)
     if "text" in selected:
-        bundle.text_indices = text_word_indices(tokens, context.word_table, context.max_words)
+        bundle.text_indices = text_word_indices(tokens, context.word_table)
     if "bow" in selected:
         if context.centroids is None:
             raise ValueError("bow features requested but the context has no centroids")
@@ -332,7 +321,6 @@ def save_feature_context(context: FeatureContext, path: str | Path) -> None:
         tensors["centroids"] = context.centroids.vectors
     net.save_checkpoint(path, tensors, {
         "kind": CONTEXT_KIND,
-        "max_words": context.max_words,
         "temperature": context.temperature,
         "year_mean": context.year_stats.mean,
         "year_std": context.year_stats.std,
@@ -396,6 +384,5 @@ def load_feature_context(path: str | Path) -> FeatureContext:
                              float(_field(meta, "year_std", path, (int, float), positive=True))),
         word_table=word_table,
         centroids=centroids,
-        max_words=_field(meta, "max_words", path, int, positive=True),
         temperature=float(_field(meta, "temperature", path, (int, float), positive=True)),
     )

@@ -23,8 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import net
-from .features import (DEFAULT_MAX_WORDS, FeatureBundle, FeatureContext, TAG_FIELDS,
-                       load_feature_context)
+from .features import FeatureBundle, FeatureContext, TAG_FIELDS, load_feature_context
 from .sgns import EmbeddingTable, similarity_search
 
 # Component -> (the feature-bundle part it reads, its dense layers bottom
@@ -80,7 +79,7 @@ class SystemSpec:
     cnn_filters: int = 300
     cnn_width: int = 3
     cnn_variant: str = "non-static"
-    text_length: int = DEFAULT_MAX_WORDS
+    text_length: int = 500  # in-table words the CNN reads from the start of a text
     name: str | None = None
 
     def __post_init__(self) -> None:
@@ -222,8 +221,9 @@ def build_model(spec: SystemSpec, features: FeatureContext, seed: int = 0) -> Cb
 
 def stack_bundles(spec: SystemSpec, bundles: Sequence[FeatureBundle]) -> dict:
     """Every bundle's input to each enabled component, which must be present,
-    checked and stacked once: a (bundles, width) matrix, or for the CNN the
-    texts' word indices back to back with their (bundles + 1,) offsets."""
+    checked and stacked once: a (bundles, width) matrix, or for the CNN each
+    text's first ``spec.text_length`` word indices, back to back with their
+    (bundles + 1,) offsets."""
     stack = {}
     for comp in spec.components:
         part = COMPONENTS[comp][0]
@@ -232,8 +232,8 @@ def stack_bundles(spec: SystemSpec, bundles: Sequence[FeatureBundle]) -> dict:
                   for b in bundles]
         if any(v is None for v in values):
             raise ValueError(f"bundle has no {part} input for the enabled {comp} component")
-        if part == "text" and max(map(len, values)) > spec.text_length:
-            raise ValueError("bundle text exceeds the model's text length")
+        if part == "text":
+            values = [v[:spec.text_length] for v in values]
         stack[comp] = np.vstack(values) if part != "text" else \
             (np.concatenate(values).astype(np.int64, copy=False), np.cumsum([0, *map(len, values)]))
     return stack
@@ -440,7 +440,8 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
 
     The bundles are stacked once; each minibatch is one
     ``forward_batch``/``backward_batch`` pass over its rows' batch-mean
-    loss. The split, batch order, and dropout draws all come from one
+    loss, and each epoch's validation rows are predicted from the same
+    stack. The split, batch order, and dropout draws all come from one
     generator seeded by the config, so a fixed seed reproduces training
     exactly. Stops once validation loss has not improved for ``patience``
     epochs and restores the best epoch's parameters. A non-finite batch
@@ -463,7 +464,6 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
         n_val = min(len(bundles) - 1, max(1, int(round(config.val_fraction * len(bundles)))))
     val_idx = order[:n_val]
     train_idx = order[n_val:]
-    val_bundles = [bundles[i] for i in val_idx]
 
     adam = net.Adam(lr=config.learning_rate)
     grad = np.zeros_like(model.flat)
@@ -494,7 +494,7 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
             adam.step_rows("embedding", model.embedding, rows, row_grads)
         train_losses.append(epoch_loss / len(train_idx))
         if n_val:
-            losses, _ = net.mse_loss(predict(model, val_bundles), target_rows[val_idx])
+            losses, _ = net.mse_loss(_predict_rows(model, stack, val_idx), target_rows[val_idx])
             val_losses.append(sum(losses.tolist()) / n_val)
         if not (np.isfinite(epoch_loss) and np.isfinite(model.flat).all()
                 and (model.embedding is None or np.isfinite(model.embedding).all())
@@ -520,16 +520,21 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
                        [bundles[int(i)].item_id for i in val_idx])
 
 
+def _predict_rows(model: Cb2cfModel, stack: dict, rows: np.ndarray) -> np.ndarray:
+    """Eval-mode predictions for the ``rows`` of a ``stack_bundles`` stack, in
+    order: one ``forward_batch`` per ``PREDICT_CHUNK`` rows."""
+    out = np.zeros((len(rows), model.spec.output_dim))
+    for start in range(0, len(rows), PREDICT_CHUNK):
+        out[start:start + PREDICT_CHUNK], _ = forward_batch(
+            model, stack, rows[start:start + PREDICT_CHUNK])
+    return out
+
+
 def predict(model: Cb2cfModel, bundles: Sequence[FeatureBundle]) -> np.ndarray:
     """Eval-mode predictions, one row per bundle, order preserved; the
-    bundles are stacked once, then one ``forward_batch`` runs per
-    ``PREDICT_CHUNK`` rows."""
-    out = np.zeros((len(bundles), model.spec.output_dim))
+    bundles are stacked once."""
     stack = stack_bundles(model.spec, bundles) if len(bundles) else {}
-    for start in range(0, len(bundles), PREDICT_CHUNK):
-        chunk = slice(start, start + PREDICT_CHUNK)
-        out[chunk], _ = forward_batch(model, stack, chunk)
-    return out
+    return _predict_rows(model, stack, np.arange(len(bundles)))
 
 
 def _tag_reps(model: Cb2cfModel, field_name: str, tags: Sequence[str]):

@@ -5,10 +5,10 @@ are batch-first: a dense layer maps a (batch, features) matrix (or one
 example's vector) with one GEMM and sums its parameter gradients over the
 batch. The convolution takes a batch's texts as segments of one stacked
 (rows, dim) matrix, with one GEMM and max per segment; its input gradient
-is one ``np.bincount`` over the stack, bit for bit ``np.add.at``. Adam takes
-Kingma & Ba's efficient form (arXiv:1412.6980, section 2) on a flat parameter
-vector and embedding rows alike. Every backward function is checked against
-central finite differences in the test suite.
+is one ``np.bincount`` per run of whole segments, bit for bit ``np.add.at``.
+Adam takes Kingma & Ba's efficient form (arXiv:1412.6980, section 2) on a
+flat parameter vector and embedding rows alike. Every backward function is
+checked against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from numpy.lib.stride_tricks import as_strided
 CHECKPOINT_VERSION = 1
 ADAM_BLOCK = 16384  # elements: a block's ~4 arrays of <= 128 KiB stay in L2 across its passes
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+SCATTER_BUDGET = 1 << 17  # input-gradient terms per conv scatter: ~1 MiB of float64
 
 
 def glorot_uniform(rng, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -113,9 +114,15 @@ def conv1d_maxpool_backward(cache, grad_pooled: np.ndarray, input_grad: bool = T
     grad_filters[...] = 0.0
     for grad_row, window_rows in zip(grad_pooled, rows):  # rows: (segments, count, width)
         grad_filters += grad_row[:, None, None] * matrix[window_rows]
-    # Segments are disjoint, so each input row sums its own segment's terms in order.
-    grad_matrix = scatter_rows(rows.reshape(-1), (grad_pooled[:, :, None, None] * filters)
-                               .reshape(-1, dim), len(matrix)) if input_grad else None
+    grad_matrix = np.zeros(matrix.shape) if input_grad else None
+    step = max(1, SCATTER_BUDGET // (count * width * dim))  # whole segments per scatter
+    for lo in range(0, len(rows) if input_grad else 0, step):
+        part = rows[lo:lo + step]
+        first, last = int(part.min()), int(part.max()) + 1
+        # Segments are disjoint, so each input row sums its own segment's terms in order.
+        grad_matrix[first:last] = scatter_rows(
+            (part - first).reshape(-1), (grad_pooled[lo:lo + step, :, None, None] * filters)
+            .reshape(-1, dim), last - first)
     return grad_matrix, grad_filters, np.sum(grad_pooled, axis=0, out=out[1])
 
 

@@ -19,7 +19,7 @@ from cb2cf import net
 from cb2cf.cli import main as cli_main
 from cb2cf.data import (ContentProfile, UserHistory, cooccurrence_from_ratings,
                         load_sets)
-from cb2cf.evaluation import (EvalDataset, make_folds, mean_ndcg_at, mpr,
+from cb2cf.evaluation import (EvalDataset, make_folds, mean_ndcg, mpr,
                               mse_metric, ndcg_at_k, percentile_rank,
                               run_system)
 from cb2cf.features import (Centroids, bow_histogram, fit_feature_context,
@@ -87,8 +87,7 @@ def test_criterion_1_gradient_correctness():
                                actors=[f"a{i % 3}"], directors=["d0"],
                                languages=["en" if i % 2 else "fr"],
                                year=1980 + i) for i in range(6)]
-    context = fit_feature_context(profiles, word_table=table, max_words=12,
-                                  min_tag_count=1)
+    context = fit_feature_context(profiles, word_table=table, min_tag_count=1)
     spec = SystemSpec.named(
         "CNN+Tags+Year", output_dim=5, cnn_filters=4, cnn_width=3,
         cnn_hidden=5, year_hidden=3, combiner_hidden=6,
@@ -186,7 +185,7 @@ def test_criterion_2_metric_oracles():
     identity_ok = (mse_metric(pos_catalog, identity) == 0.0
                    and mpr(identity, pos_catalog) == 0.0
                    and all(v == 1.0 for v in
-                           mean_ndcg_at(identity, pos_catalog, (1, 3, 5)).values()))
+                           mean_ndcg(identity, pos_catalog, (1, 3, 5)).values()))
 
     rng = np.random.default_rng(0)
     big = rng.standard_normal((1000, 40))
@@ -280,8 +279,7 @@ def test_criterion_4_ablation_ordering():
 def test_criterion_5_text_variant_contract(word_table):
     profiles = [ContentProfile(id=f"m{i}", plot="alpha beta gamma delta",
                                year=1990 + i) for i in range(6)]
-    context = fit_feature_context(profiles, word_table=word_table,
-                                  max_words=6, min_tag_count=1)
+    context = fit_feature_context(profiles, word_table=word_table, min_tag_count=1)
     targets = {p.id: np.arange(3, dtype=np.float64) for p in profiles}
     config = TrainConfig(batch_size=2, word_dropout=0.0, dropout=0.0, l2=0.0,
                          learning_rate=0.01, max_epochs=1, patience=1,
@@ -361,7 +359,7 @@ def test_criterion_7_featurization_invariants():
         n_words = int(rng.integers(0, 5))
         text = " ".join(rng.choice(words, size=n_words)) if n_words else None
         profile = ContentProfile(id="t", plot=text)
-        context = fit_feature_context([profile], word_table=table, max_words=8)
+        context = fit_feature_context([profile], word_table=table)
         text_model = build_model(text_spec, context)
         bundle = featurize_item(profile, context, bundle_parts(text_spec))
         _, cache = forward_batch(text_model, stack_bundles(text_spec, [bundle]))

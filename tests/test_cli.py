@@ -26,14 +26,13 @@ def workspace(tmp_path_factory):
                  "--vocab-size", "12", "--set-count", "30", "--seed", "2",
                  "--out", str(data_dir)]) == 0
     assert main(["fit-features", "--metadata", str(data_dir / "metadata.jsonl"),
-                 "--min-tag-count", "1", "--max-words", "8",
-                 "--out", str(root / "ctx.ckpt")]) == 0
+                 "--min-tag-count", "1", "--out", str(root / "ctx.ckpt")]) == 0
     assert main(["train-model", "--system", "Genres+Year",
                  "--features", str(root / "ctx.ckpt"),
                  "--metadata", str(data_dir / "metadata.jsonl"),
                  "--targets", str(data_dir / "vectors.vec"),
                  "--batch", "4", "--max-epochs", "2", "--val-fraction", "0",
-                 "--word-dropout", "0", "--dropout", "0",
+                 "--word-dropout", "0", "--dropout", "0", "--max-words", "8",
                  "--log", str(root / "train.log"),
                  "--out", str(root / "model.ckpt")]) == 0
     return root
@@ -69,12 +68,14 @@ def test_shared_flags_take_their_defaults_from_the_library():
     _, registry = cli.build_parser()
     for command in ("fit-features", "evaluate"):
         defaults = {a.dest: a.default for a in registry[command]._actions}
-        assert (defaults["max_words"], defaults["min_tag_count"], defaults["temperature"]) \
-            == (features.DEFAULT_MAX_WORDS, features.DEFAULT_MIN_TAG_COUNT,
-                features.DEFAULT_TEMPERATURE)
+        assert (defaults["min_tag_count"], defaults["temperature"]) \
+            == (features.DEFAULT_MIN_TAG_COUNT, features.DEFAULT_TEMPERATURE)
     for command in ("train-model", "evaluate"):
-        cnn_variant = next(a for a in registry[command]._actions if a.dest == "cnn_variant")
-        assert cnn_variant.default == SystemSpec.cnn_variant
+        defaults = {a.dest: a.default for a in registry[command]._actions}
+        assert (defaults["cnn_variant"], defaults["max_words"]) \
+            == (SystemSpec.cnn_variant, SystemSpec.text_length)
+    # The text length belongs to the model, so featurization takes no cap.
+    assert "max_words" not in {a.dest for a in registry["fit-features"]._actions}
     ndcg_k = next(a for a in registry["evaluate"]._actions if a.dest == "ndcg_k")
     assert tuple(int(k) for k in ndcg_k.default.split(",")) == evaluation.DEFAULT_NDCG_KS
 
@@ -101,6 +102,7 @@ def test_train_model_checkpoint_reloads_by_reference(workspace):
     model = load_model(workspace / "model.ckpt")
     assert model.spec.name == "Genres+Year"
     assert model.spec.output_dim == 6
+    assert model.spec.text_length == 8  # from train-model --max-words
     log = (workspace / "train.log").read_text()
     assert len(log.strip().splitlines()) == 2
 

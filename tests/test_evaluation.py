@@ -13,12 +13,12 @@ import pytest
 from cb2cf import evaluation
 from cb2cf.data import ContentProfile
 from cb2cf.evaluation import (DEFAULT_NDCG_KS, EvalDataset, EvalReport, make_folds,
-                              mean_ndcg_at, mpr, mse_metric, ndcg_at_k,
+                              mean_ndcg, mpr, mse_metric, ndcg_at_k,
                               percentile_rank, report_json_dict, report_tsv,
                               run_evaluation, run_system)
 from cb2cf.features import fit_kmeans
 from cb2cf.model import TrainConfig
-from cb2cf.sgns import EmbeddingTable
+from cb2cf.sgns import EmbeddingTable, cosine_scores, top_rows
 
 
 class TestMakeFolds:
@@ -205,6 +205,31 @@ class TestNdcg:
                 assert ndcg_at_k(item_id, predicted, catalog, k) == \
                     pytest.approx(expected, abs=1e-12)
 
+    def test_sorted_ideal_gains_match_a_tie_broken_ideal_ranking_bit_for_bit(self):
+        def two_rankings(item_id, predicted, catalog, ks):
+            """NDCG with the ideal DCG taken from a second, tie-broken ranking."""
+            relevance = cosine_scores(catalog.get(item_id), catalog)
+            scores = cosine_scores(predicted, catalog)
+            if scores is None or relevance is None:
+                return [0.0] * len(ks)
+
+            def dcgs(query):
+                gains = relevance[top_rows(query, catalog, max(ks), exclude={item_id})]
+                gains = np.where(gains > 0.0, gains, 0.0)
+                return np.cumsum(gains / evaluation._discounts(len(gains)))[np.array(ks) - 1]
+
+            return [0.0 if i < 1e-12 else float(d / i)
+                    for d, i in zip(dcgs(scores), dcgs(relevance))]
+
+        rng = np.random.default_rng(12)
+        ids = [f"m{i:02d}" for i in range(40)]
+        catalog = EmbeddingTable(ids, np.round(rng.standard_normal((40, 3))))  # many ties
+        ks = (1, 2, 5, 17, 39)
+        for item_id in ids:
+            predicted = np.round(rng.standard_normal(3))
+            assert evaluation.ndcg_at_cutoffs(item_id, predicted, catalog, ks) == \
+                two_rankings(item_id, predicted, catalog, ks)
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(9)
         ids = [f"m{i}" for i in range(6)]
@@ -228,7 +253,7 @@ class TestNdcg:
         predictions = {"a": np.array([1.0, 0.2]), "b": np.array([0.1, 1.0])}
         expected = (ndcg_at_k("a", predictions["a"], catalog, 2)
                     + ndcg_at_k("b", predictions["b"], catalog, 2)) / 2
-        assert mean_ndcg_at(predictions, catalog, (2,))[2] == pytest.approx(expected)
+        assert mean_ndcg(predictions, catalog, (2,))[2] == pytest.approx(expected)
 
 
 def test_non_finite_predictions_rank_worst():
@@ -237,7 +262,7 @@ def test_non_finite_predictions_rank_worst():
     catalog = EmbeddingTable(ids, rng.standard_normal((50, 8)))
     all_nan = {i: np.full(8, np.nan) for i in ids}
     assert mpr(all_nan, catalog) == 1.0
-    assert mean_ndcg_at(all_nan, catalog, (5,))[5] == 0.0
+    assert mean_ndcg(all_nan, catalog, (5,))[5] == 0.0
     infinite = np.array([np.inf] + [1.0] * 7)
     assert percentile_rank("m00", infinite, catalog) == 49
     assert ndcg_at_k("m00", infinite, catalog, 5) == 0.0

@@ -33,38 +33,37 @@ def test_text_tokens_falls_back_to_sentinel():
     assert text_tokens("Alpha beta") == ["alpha", "beta"]
 
 
-def _text_indices(text, table, max_words):
-    return text_word_indices(text_tokens(text), table, max_words)
+def _text_indices(text, table):
+    return text_word_indices(text_tokens(text), table)
 
 
 def test_text_matrix_stacks_and_zero_pads(word_table):
-    out = _text_indices("alpha beta gamma", word_table, max_words=6)
+    out = _text_indices("alpha beta gamma", word_table)
     assert out.dtype == np.int64
     assert out.tolist() == [word_table.index[w] for w in ("alpha", "beta", "gamma")]
 
 
 def test_text_matrix_keeps_first_in_table_words(word_table):
-    # OOV words do not consume slots; the cap counts in-table words only.
-    out = _text_indices("qqq alpha zzz beta gamma", word_table, max_words=2)
-    assert out.tolist() == [word_table.index["alpha"], word_table.index["beta"]]
+    # OOV words are skipped; the model's text_length cap is tested on the stack.
+    out = _text_indices("qqq alpha zzz beta gamma", word_table)
+    assert out.tolist() == [word_table.index[w] for w in ("alpha", "beta", "gamma")]
 
 
 def test_text_matrix_missing_text_is_all_zero(word_table):
-    assert len(_text_indices(None, word_table, max_words=4)) == 0
+    assert len(_text_indices(None, word_table)) == 0
 
 
 def test_text_matrix_sentinel_with_vector_is_used():
     table = _table(words=[NA_TOKEN, "alpha"])
-    assert _text_indices(None, table, max_words=3).tolist() == [table.index[NA_TOKEN]]
+    assert _text_indices(None, table).tolist() == [table.index[NA_TOKEN]]
 
 
 @settings(max_examples=50)
-@given(st.lists(st.sampled_from(WORDS + ["oov1", "oov2"]), max_size=12),
-       st.integers(min_value=1, max_value=8))
-def test_text_matrix_pads_with_exact_zeros(tokens, max_words):
+@given(st.lists(st.sampled_from(WORDS + ["oov1", "oov2"]), max_size=12))
+def test_text_matrix_pads_with_exact_zeros(tokens):
     table = _table()
-    out = _text_indices(" ".join(tokens), table, max_words=max_words)
-    in_table = [t for t in tokens if t in table.index][:max_words]
+    out = _text_indices(" ".join(tokens), table)
+    in_table = [t for t in tokens if t in table.index]
     assert out.tolist() == [table.index[t] for t in in_table]
 
 
@@ -363,8 +362,7 @@ class TestFeaturizeItem:
     def _context(self, word_table, profiles):
         centroids = Centroids(word_table.vectors[:3].copy())
         return fit_feature_context(profiles, word_table=word_table,
-                                   centroids=centroids, max_words=5,
-                                   min_tag_count=1)
+                                   centroids=centroids, min_tag_count=1)
 
     def test_full_bundle(self, word_table, profiles):
         context = self._context(word_table, profiles)
@@ -448,13 +446,12 @@ class TestPersistence:
     def test_context_round_trip(self, tmp_path, word_table, profiles):
         centroids = Centroids(word_table.vectors[:2].copy())
         context = fit_feature_context(profiles, word_table=word_table,
-                                      centroids=centroids, max_words=7,
-                                      min_tag_count=1, temperature=0.25)
+                                      centroids=centroids, min_tag_count=1,
+                                      temperature=0.25)
         path = tmp_path / "ctx.ckpt"
         save_feature_context(context, path)
         assert path.is_file()
         loaded = load_feature_context(path)
-        assert loaded.max_words == 7
         assert loaded.temperature == 0.25
         assert loaded.year_stats == context.year_stats
         assert loaded.tag_vocab.tags == context.tag_vocab.tags
@@ -504,6 +501,22 @@ class TestPersistence:
         with pytest.raises(ValueError, match="not a feature context"):
             load_feature_context(path)
 
+    def test_a_context_with_max_words_still_loads(self, tmp_path, word_table, profiles):
+        # Older files also store the text cap, which the model's text_length now owns.
+        context = fit_feature_context(profiles, word_table=word_table, min_tag_count=1)
+        path = tmp_path / "ctx.ckpt"
+        save_feature_context(context, path)
+        plain = path.read_bytes()
+        _rewrite(path, lambda tensors, meta: meta.update(max_words=2))
+        assert b'"max_words": 2' in path.read_bytes()
+        loaded = load_feature_context(path)
+        assert not hasattr(loaded, "max_words")
+        save_feature_context(loaded, path)
+        assert path.read_bytes() == plain
+        long_text = featurize_item(ContentProfile(id="x", plot="alpha beta gamma delta"),
+                                   loaded, ("text",))
+        assert len(long_text.text_indices) == 4  # the old cap of 2 no longer applies
+
     def test_a_context_with_tag_counts_still_loads(self, tmp_path, word_table, profiles):
         # Older files also store each kept tag's count and the minimum count.
         context = fit_feature_context(profiles, word_table=word_table, min_tag_count=1)
@@ -534,7 +547,6 @@ class TestPersistence:
 
 
 @pytest.mark.parametrize("mutate, message", [
-    (lambda t, m: m.update(max_words=[1]), "max_words"),
     (lambda t, m: m.update(tag_vocab=5), "tag_vocab"),
     (lambda t, m: m.update(year_mean="abc"), "year_mean"),
     (lambda t, m: m.update(year_std=0.0), "year_std"),
@@ -547,7 +559,7 @@ class TestPersistence:
     (lambda t, m: t.pop("word_vectors"), "word_ids"),
     (lambda t, m: t.update(centroids=np.eye(2, 3)), "centroids"),
     (lambda t, m: t.update(extra=np.ones(1)), "unexpected tensors"),
-], ids=["max-words-list", "tag-vocab-number", "year-mean-string", "year-std-zero",
+], ids=["tag-vocab-number", "year-mean-string", "year-std-zero",
         "huge-temperature", "tags-number", "no-sentinel", "missing-field",
         "word-ids-short", "word-ids-null", "no-word-vectors", "centroid-dim",
         "extra-tensor"])
@@ -565,7 +577,5 @@ def test_bad_context_values_name_the_file_and_the_key(tmp_path, word_table, prof
 def test_feature_context_validation():
     vocab = build_tag_vocab([ContentProfile(id="p")], min_count=1)
     stats = YearStats(0.0, 1.0)
-    with pytest.raises(ValueError):
-        FeatureContext(vocab, stats, max_words=0)
     with pytest.raises(ValueError):
         FeatureContext(vocab, stats, temperature=0.0)

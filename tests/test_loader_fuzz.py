@@ -108,7 +108,7 @@ def context(word_table):
                                year=1990 + i) for i in range(4)]
     return fit_feature_context(profiles, word_table=word_table,
                                centroids=Centroids(word_table.vectors[:2].copy()),
-                               max_words=4, min_tag_count=1)
+                               min_tag_count=1)
 
 
 @FUZZ

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cb2cf import model as model_module
 from cb2cf import net
@@ -14,6 +15,7 @@ from cb2cf.model import (COMPONENT_ORDER, Cb2cfModel, SystemSpec, TrainConfig,
                          bundle_parts, component_output_dims,
                          forward_batch, load_model,
                          parse_system, predict, save_model, stack_bundles, train)
+from cb2cf.sgns import EmbeddingTable
 from gradcheck import grad_check
 from model_helpers import backward, forward, tag_representation
 
@@ -76,6 +78,8 @@ class TestSystemSpec:
             SystemSpec(components=("CNN",), cnn_variant="frozen")
         with pytest.raises(ValueError):
             SystemSpec(components=("CNN",), cnn_width=9, text_length=8)
+        with pytest.raises(ValueError, match="text_length must be an integer >= 1"):
+            SystemSpec(components=("CNN",), text_length=0)
         with pytest.raises(ValueError):
             SystemSpec(components=("Genres",), tag_hidden={"Genres": 0})
 
@@ -141,7 +145,7 @@ class TestCnnVariants:
     def _setup(self, word_table, variant):
         profiles = [ContentProfile(id=f"m{i}", plot="alpha beta gamma delta",
                                    year=1990 + i) for i in range(6)]
-        context = _context(profiles, word_table=word_table, max_words=6)
+        context = _context(profiles, word_table=word_table)
         spec = SystemSpec.named("CNN", output_dim=3, cnn_variant=variant,
                                 cnn_filters=3, cnn_width=2, cnn_hidden=4,
                                 combiner_hidden=5, text_length=6)
@@ -264,7 +268,7 @@ def test_backward_gradients_match_finite_differences():
 
 def test_word_dropout_masks_have_unit_mean(word_table):
     profiles = [ContentProfile(id="m0", plot="alpha beta gamma delta epsilon")]
-    context = _context(profiles, word_table=word_table, max_words=5)
+    context = _context(profiles, word_table=word_table)
     spec = SystemSpec.named("CNN", output_dim=2, cnn_filters=2, cnn_width=2,
                             cnn_hidden=3, combiner_hidden=3, text_length=5)
     model = build_model(spec, context, seed=0)
@@ -440,7 +444,7 @@ class TestModelPersistence:
         profiles = _tag_year_profiles()
         for p in profiles:
             p.plot = "alpha beta gamma"
-        context = _context(profiles, word_table=word_table, max_words=4)
+        context = _context(profiles, word_table=word_table)
         spec = SystemSpec.named("CNN+Genres+Year", output_dim=3,
                                 cnn_filters=2, cnn_width=2, cnn_hidden=3,
                                 combiner_hidden=4, text_length=4)
@@ -621,8 +625,7 @@ def _full_system(word_table, cnn_variant="non-static"):
                                year=1990 + 3 * i)
                 for i, plot in enumerate(plots)]
     centroids = Centroids(np.random.default_rng(4).standard_normal((3, 4)))
-    context = _context(profiles, word_table=word_table, centroids=centroids,
-                       max_words=8)
+    context = _context(profiles, word_table=word_table, centroids=centroids)
     spec = SystemSpec.named("CNN+BOW+Tags+Year", output_dim=3, cnn_filters=4,
                             cnn_width=3, cnn_hidden=5, bow_hidden=6,
                             year_hidden=2, combiner_hidden=7, text_length=8,
@@ -722,9 +725,8 @@ def test_batch_gradients_with_dropout_on_match_finite_differences(word_table):
 
 
 @pytest.mark.parametrize("bad, message", [
-    (dict(text_indices=np.zeros(9, dtype=np.int64)), "text exceeds the model's text length"),
     (dict(bow=None), "bundle has no bow input for the enabled BOW component"),
-], ids=["text-too-long", "no-bow"])
+], ids=["no-bow"])
 def test_every_bundle_is_checked_once_before_any_pass(word_table, monkeypatch, bad, message):
     model, bundles = _full_system(word_table)
     bundles.append(replace(bundles[0], item_id="bad", **bad))
@@ -735,6 +737,47 @@ def test_every_bundle_is_checked_once_before_any_pass(word_table, monkeypatch, b
                  lambda: train(model, bundles, targets, TrainConfig(max_epochs=1))):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["alpha", "beta", "gamma", "oov1", "oov2"]),
+                         max_size=12), min_size=1, max_size=4),
+       st.integers(min_value=1, max_value=8))
+@example([["qqq", "alpha", "zzz", "beta", "gamma"]], 2)
+def test_the_stack_keeps_each_text_first_text_length_in_table_words(texts, text_length):
+    # Featurization keeps every in-table word; OOV words take no slot of the model's cap.
+    table = EmbeddingTable(["alpha", "beta", "gamma"], np.eye(3))
+    context = fit_feature_context([ContentProfile(id="m")], word_table=table)
+    spec = SystemSpec.named("CNN", cnn_width=1, text_length=text_length)
+    bundles = [featurize_item(ContentProfile(id=f"m{i}", plot=" ".join(tokens)), context,
+                              ("text",)) for i, tokens in enumerate(texts)]
+    kept = [[table.index[t] for t in tokens if t in table.index][:text_length]
+            for tokens in texts]
+    words, offsets = stack_bundles(spec, bundles)["CNN"]
+    assert words.dtype == np.int64 and words.tolist() == sum(kept, [])
+    assert offsets.tolist() == np.cumsum([0, *map(len, kept)]).tolist()
+
+
+def test_a_long_text_stacks_predicts_and_trains_like_its_cut_copy(word_table):
+    extra = np.array([0, 5, 1, 1, 4, 2], dtype=np.int64)
+    runs = []
+    for cut in (False, True):
+        model, bundles = _full_system(word_table)  # text_length 8
+        texts = [np.concatenate([b.text_indices, extra[:i + 4]]) for i, b in enumerate(bundles)]
+        bundles = [replace(b, text_indices=t[:8] if cut else t) for b, t in zip(bundles, texts)]
+        targets = {b.item_id: np.full(3, 0.5) for b in bundles}
+        stack = stack_bundles(model.spec, bundles)
+        before = predict(model, bundles)
+        report = train(model, bundles, targets, TrainConfig(batch_size=2, max_epochs=3, seed=4))
+        runs.append((stack, before, report, model))
+    (stack, before, report, model), (cut_stack, cut_before, cut_report, cut_model) = runs
+    assert max(map(len, texts)) > 8 and any(8 > len(t) for t in texts)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(stack["CNN"], cut_stack["CNN"]))
+    assert before.tobytes() == cut_before.tobytes()
+    assert (report.train_losses, report.val_losses) == (cut_report.train_losses,
+                                                        cut_report.val_losses)
+    assert model.flat.tobytes() == cut_model.flat.tobytes()
+    assert model.embedding.tobytes() == cut_model.embedding.tobytes()
 
 
 @pytest.mark.parametrize("word_p, unit_p", [(0.3, 0.4), (0.3, 0.0), (0.0, 0.4)])
@@ -910,7 +953,7 @@ def test_train_matches_a_per_example_reference_loop(word_table):
 def test_trimmed_text_matrix_pools_like_the_full_one(word_table, text_length,
                                                      cnn_width, plot):
     profiles = [ContentProfile(id="m0", plot=plot), ContentProfile(id="m1", plot="alpha")]
-    context = _context(profiles, word_table=word_table, max_words=text_length)
+    context = _context(profiles, word_table=word_table)
     spec = SystemSpec.named("CNN", output_dim=2, cnn_filters=5, cnn_width=cnn_width,
                             cnn_hidden=3, combiner_hidden=3, text_length=text_length)
     model = build_model(spec, context, seed=2)

@@ -187,6 +187,23 @@ def test_stacked_conv_is_bit_for_bit_one_call_per_segment():
     assert into_bias.tobytes() == grad_bias.tobytes()
 
 
+@pytest.mark.parametrize("budget", [1, 72 * 2, 72 * 3])  # 1, 2 and 3 segments of 6 * 3 * 4
+def test_a_chunked_input_gradient_scatter_is_the_one_shot_scatter(monkeypatch, budget):
+    rng = np.random.default_rng(13)
+    offsets = np.cumsum([0, 8, 3, 7, 4, 5])
+    matrix = rng.standard_normal((offsets[-1], 4))
+    matrix[8:11] = 0.0  # a text with no words: one all-padding window
+    filters = rng.standard_normal((6, 3, 4))
+    pooled, cache = net.conv1d_maxpool_forward(matrix, filters, rng.standard_normal(6), offsets)
+    grad_pooled = rng.standard_normal(pooled.shape) * 10.0 ** rng.integers(-6, 3, pooled.shape)
+    rows = cache[2][:, :, None] + np.arange(3)
+    one_shot = net.scatter_rows(rows.reshape(-1), (grad_pooled[:, :, None, None] * filters)
+                                .reshape(-1, 4), len(matrix))
+    monkeypatch.setattr(net, "SCATTER_BUDGET", budget)
+    grad_matrix, _, _ = net.conv1d_maxpool_backward(cache, grad_pooled)
+    assert grad_matrix.tobytes() == one_shot.tobytes()
+
+
 def test_conv_shape_validation():
     with pytest.raises(ValueError):
         net.conv1d_maxpool_forward(np.zeros((2, 3)), np.zeros((1, 4, 3)),
