@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -43,11 +44,12 @@ def _read_corpus(path: str) -> list[list[str]]:
 
 def _cmd_train_word2vec(args: argparse.Namespace) -> None:
     _require(args, "corpus", "out")
+    config = _from_args(SgnsConfig, _WORD_SGNS_FLAGS, args)
     sentences = _read_corpus(args.corpus)
     vocab = build_vocabulary(sentences, cap=args.vocab_cap)
     kept = [[t for t in s if t in vocab] for s in sentences]
     kept = [s for s in kept if s]
-    table = train_sgns(kept, _from_args(SgnsConfig, _WORD_SGNS_FLAGS, args))
+    table = train_sgns(kept, config)
     table.save(args.out)
     if args.save_vocab:
         save_vocabulary(vocab, args.save_vocab)
@@ -58,6 +60,7 @@ def _cmd_train_item2vec(args: argparse.Namespace) -> None:
     _require(args, "out")
     if (args.ratings is None) == (args.sets is None):
         raise CliError("pass exactly one of --ratings / --sets")
+    config = _from_args(SgnsConfig, _SGNS_FLAGS, args)
     if args.ratings:
         histories = data.load_ratings(args.ratings)
         sets = data.cooccurrence_from_ratings(histories, threshold=args.threshold)
@@ -65,7 +68,7 @@ def _cmd_train_item2vec(args: argparse.Namespace) -> None:
         sets = data.load_sets(args.sets)
     if not sets.sets:
         raise CliError("no co-occurrence sets of size >= 2")
-    table = train_sgns(sets, _from_args(SgnsConfig, _SGNS_FLAGS, args))
+    table = train_sgns(sets, config)
     table.save(args.out)
     print(f"trained {len(table)} item vectors of dim {table.dim} from "
           f"{len(sets.sets)} sets ({sets.dropped} dropped) -> {args.out}")
@@ -101,18 +104,17 @@ def _usable_profiles(profiles: list, targets: EmbeddingTable) -> list:
 
 def _cmd_train_model(args: argparse.Namespace) -> None:
     _require(args, "system", "features", "metadata", "targets", "out")
+    spec = model_mod.SystemSpec.named(args.system, **_spec_overrides(args))
+    config = _from_args(model_mod.TrainConfig, _TRAIN_FLAGS, args)
     context = features.load_feature_context(args.features)
     profiles = data.load_metadata(args.metadata)
     targets = EmbeddingTable.load(args.targets)
-    spec = model_mod.SystemSpec.named(
-        args.system, output_dim=targets.dim, cnn_variant=args.cnn_variant,
-        text_length=args.max_words)
+    spec = dataclasses.replace(spec, output_dim=targets.dim)
     usable = _usable_profiles(profiles, targets)
     parts = model_mod.bundle_parts(spec)
     bundles = [features.featurize_item(p, context, parts) for p in usable]
     net_model = model_mod.build_model(spec, context, seed=args.seed)
-    report = model_mod.train(net_model, bundles, targets,
-                             _from_args(model_mod.TrainConfig, _TRAIN_FLAGS, args))
+    report = model_mod.train(net_model, bundles, targets, config)
     if report.stop_reason == "diverged":
         raise CliError(f"training diverged at epoch {report.epochs - 1} "
                        f"(non-finite loss or weights); no model written")
@@ -130,6 +132,16 @@ def _cmd_train_model(args: argparse.Namespace) -> None:
 def _load_model(args: argparse.Namespace) -> model_mod.Cb2cfModel:
     context = features.load_feature_context(args.features) if args.features else None
     return model_mod.load_model(args.model, features=context)
+
+
+def _spec_overrides(args: argparse.Namespace) -> dict:
+    """The ``SystemSpec`` fields the train flags set, checked before any file is read."""
+    overrides = {"cnn_variant": args.cnn_variant, "text_length": args.max_words}
+    try:  # the variant is a flag choice; these rules hold for every system
+        model_mod.SystemSpec(("Year",), **overrides)
+    except ValueError as exc:  # text_length < 1 or below cnn_width
+        raise CliError(f"--max-words: {exc}") from None
+    return overrides
 
 
 def _listed(flag: str, raw: str, what: str, convert=str) -> list:
@@ -153,6 +165,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     ks = _listed("--ndcg-k", args.ndcg_k, "cutoffs", int)
     needed = set().union(*(model_mod.bundle_parts(model_mod.SystemSpec.named(name))
                            for name in systems))
+    overrides = _spec_overrides(args)
+    if needed & {"text", "bow"} and not args.word_vectors:
+        raise CliError("these systems need --word-vectors")
+    if "bow" in needed and args.bow_centroids < 1:
+        raise CliError("a BOW system needs --bow-centroids >= 1")
+    config = _from_args(model_mod.TrainConfig, _TRAIN_FLAGS, args)
     profiles = data.load_metadata(args.metadata)
     targets = EmbeddingTable.load(args.targets)
     usable = _usable_profiles(profiles, targets)
@@ -160,12 +178,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     if args.word_vectors:
         word_table = EmbeddingTable.load(args.word_vectors)
         if "bow" in needed:
-            if args.bow_centroids < 1:
-                raise CliError("a BOW system needs --bow-centroids >= 1")
             centroids = features.fit_kmeans(word_table.vectors, args.bow_centroids,
                                             seed=args.seed)
-    elif needed & {"text", "bow"}:
-        raise CliError("these systems need --word-vectors")
 
     limit = len(targets) - 1
     usable_ks = tuple(k for k in ks if 1 <= k <= limit)
@@ -177,11 +191,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
 
     dataset = evaluation.EvalDataset(usable, targets, word_table, centroids)
     report = evaluation.run_evaluation(
-        systems, dataset, _from_args(model_mod.TrainConfig, _TRAIN_FLAGS, args),
-        folds=args.folds, seed=args.seed, ndcg_ks=usable_ks, min_tag_count=args.min_tag_count,
-        temperature=args.temperature,
-        spec_overrides={"text_length": args.max_words,
-                        "cnn_variant": args.cnn_variant})
+        systems, dataset, config, folds=args.folds, seed=args.seed, ndcg_ks=usable_ks,
+        min_tag_count=args.min_tag_count, temperature=args.temperature,
+        spec_overrides=overrides)
     tsv = evaluation.report_tsv(report)
     with open(args.report, "w", encoding="utf-8") as fh:
         fh.write(tsv)

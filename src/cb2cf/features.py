@@ -31,6 +31,7 @@ DEFAULT_TEMPERATURE = 0.1
 DEFAULT_MIN_TAG_COUNT = 5
 KMEANS_TOL = 1e-6  # Lloyd rounds stop once no centroid moves this far
 KMEANS_MAX_ITER = 100
+KMEANS_BLOCK = 1 << 15  # elements of sq + cc per block of distance rows: 256 KiB of float64
 ALL_PARTS = ("text", "bow", "year") + TAG_FIELDS
 
 CONTEXT_KIND = "cb2cf-feature-context"  # the ``kind`` meta of a context checkpoint
@@ -68,8 +69,14 @@ class Centroids:
 
 def _kmeans_pp_init(points: np.ndarray, clusters: int, rng) -> np.ndarray:
     n = len(points)
+    diff, dist = np.empty_like(points), np.empty(n)
+
+    def sq_dist(row: int) -> np.ndarray:  # ((points - points[row]) ** 2).sum(axis=1), in place
+        np.subtract(points, points[row], out=diff)
+        return np.sum(np.square(diff, out=diff), axis=1, out=dist)
+
     chosen = [int(rng.integers(n))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    d2 = sq_dist(chosen[0]).copy()
     for _ in range(1, clusters):
         total = d2.sum()
         if total <= 0:
@@ -77,7 +84,7 @@ def _kmeans_pp_init(points: np.ndarray, clusters: int, rng) -> np.ndarray:
         else:
             pick = int(rng.choice(n, p=d2 / total))
         chosen.append(pick)
-        d2 = np.minimum(d2, ((points - points[pick]) ** 2).sum(axis=1))
+        np.minimum(d2, sq_dist(pick), out=d2)
     return points[chosen].copy()
 
 
@@ -88,6 +95,11 @@ def fit_kmeans(vectors: np.ndarray, clusters: int, seed: int = 0) -> Centroids:
     ``KMEANS_MAX_ITER`` rounds. A cluster left empty is reseeded to the point
     farthest from its assigned centroid. Requires at least ``clusters``
     distinct input vectors.
+
+    Memory: one (points × clusters) distance matrix for the whole fit, one
+    (points × dim) buffer for the seeding, and blocks of at most
+    ``KMEANS_BLOCK`` elements besides; the squared distances are
+    ``sq + cc - 2 * points @ centroids.T`` element for element.
     """
     points = np.asarray(vectors, dtype=np.float64)
     if points.ndim != 2 or len(points) == 0:
@@ -100,10 +112,16 @@ def fit_kmeans(vectors: np.ndarray, clusters: int, seed: int = 0) -> Centroids:
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, clusters, rng)
     sq = (points ** 2).sum(axis=1)
+    d2, step = np.empty((len(points), clusters)), max(1, KMEANS_BLOCK // clusters)
+    block = np.empty((min(step, len(points)), clusters))
     for _ in range(KMEANS_MAX_ITER):
-        d2 = sq[:, None] + (centroids ** 2).sum(axis=1)[None, :] - 2.0 * points @ centroids.T
+        cc = (centroids ** 2).sum(axis=1)
+        np.multiply(np.matmul(points, centroids.T, out=d2), 2.0, out=d2)
+        for lo in range(0, len(points), step):  # d2 = (sq + cc) - 2 * points @ centroids.T
+            rows = d2[lo:lo + step]
+            np.subtract(np.add(sq[lo:lo + step, None], cc, out=block[:len(rows)]), rows, out=rows)
         assign = np.argmin(d2, axis=1)
-        point_d2 = d2[np.arange(len(points)), assign].copy()
+        point_d2 = d2[np.arange(len(points)), assign]
         sizes = np.bincount(assign, minlength=clusters)
         sums = np.zeros_like(centroids)
         np.add.at(sums, assign, points)  # row order per cluster, as a mean's sum

@@ -295,6 +295,10 @@ def load_checkpoint(path: str | Path):
             kind = "truncated" if declared > left else "has trailing bytes"
             raise bad(f"{kind}: the manifest declares {declared} tensor bytes, "
                       f"{left} follow it")
-        tensors = {name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8")
-                   .reshape(shape).copy() for name, shape in shapes}
+        tensors = {}
+        for name, shape in shapes:  # read straight into each array: no second copy
+            tensor = tensors[name] = np.empty(shape, dtype="<f8")
+            if fh.readinto(tensor) != tensor.nbytes:
+                raise bad(f"truncated: tensor {name!r} ends before its "
+                          f"{tensor.nbytes} declared bytes")
     return tensors, meta

@@ -33,7 +33,7 @@ def test_every_bench_span_target_resolves_but_the_known_stale_ones():
 REACHED = {
     "crossval": ["net.adam_s", "net.conv_forward_s", "net.conv_backward_s", "model.train_s",
                  "model.predict_ms_per_item", "evaluation.mpr_s", "evaluation.ndcg_s",
-                 "evaluation.mse_s", "features.ms_per_item"],
+                 "evaluation.mse_s", "features.ms_per_item", "features.fit_kmeans_s"],
     "embed": ["sgns.item_s", "sgns.word_s", "sgns.table_io_s", "corpus.tokenize_s",
               "data.load_ratings_s"],
 }

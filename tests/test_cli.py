@@ -384,6 +384,41 @@ def test_evaluate_checks_its_lists_before_reading_any_file(tmp_path, capsys, fla
     assert capsys.readouterr().err == f"cb2cf evaluate: error: {message}\n"
 
 
+_ABSENT = "absent.input"  # a relative path under tmp_path that is never written
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("evaluate", ["--max-words", "0"], "--max-words: text_length must be an integer >= 1"),
+    ("evaluate", ["--max-words", "2"], "--max-words: cnn_width exceeds text_length"),
+    ("evaluate", ["--batch", "0"], "batch_size must be >= 1"),
+    ("evaluate", ["--val-fraction", "1"], "val_fraction must be in [0, 1)"),
+    ("evaluate", ["--lr", "0"], "learning_rate must be positive"),
+    ("evaluate", ["--systems", "CNN+Year"], "these systems need --word-vectors"),
+    ("evaluate", ["--systems", "BOW", "--word-vectors", _ABSENT, "--bow-centroids", "0"],
+     "a BOW system needs --bow-centroids >= 1"),
+    ("train-model", ["--max-words", "0"], "--max-words: text_length must be an integer >= 1"),
+    ("train-model", ["--patience", "0"], "patience must be >= 1"),
+    ("train-model", ["--system", "Year+Foo"], "unknown system component 'Foo'"),
+    ("train-item2vec", ["--dim", "0"], "dim must be >= 1"),
+    ("train-item2vec", ["--lr", "0"], "learning rate must be positive"),
+    ("train-word2vec", ["--window", "0"], "window must be >= 1"),
+])
+def test_flag_values_are_checked_before_any_file_is_read(tmp_path, capsys, monkeypatch,
+                                                         command, flags, message):
+    monkeypatch.chdir(tmp_path)
+    given = {"evaluate": {"--systems": "Year", "--metadata": _ABSENT, "--targets": _ABSENT,
+                          "--report": "r.tsv"},
+             "train-model": {"--system": "Year", "--features": _ABSENT,
+                             "--metadata": _ABSENT, "--targets": _ABSENT, "--out": "m"},
+             "train-item2vec": {"--sets": _ABSENT, "--out": "v"},
+             "train-word2vec": {"--corpus": _ABSENT, "--out": "v"}}[command]
+    given.update(zip(flags[::2], flags[1::2]))
+    argv = [command] + [a for pair in given.items() for a in pair]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"cb2cf {command}: error: {message}\n"
+    assert not (tmp_path / _ABSENT).exists() and os.listdir(tmp_path) == []
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path):
         config = tmp_path / "synth.json"

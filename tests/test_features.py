@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,7 +94,77 @@ def _loop_kmeans(points, clusters, seed):
     return centroids
 
 
+class _WeightRecorder:
+    """A seeded Generator for k-means++ that records each pick's weights."""
+
+    def __init__(self, seed):
+        self.rng, self.weights = np.random.default_rng(seed), []
+
+    def integers(self, n):
+        return self.rng.integers(n)
+
+    def choice(self, n, p):
+        self.weights.append(p.tobytes())
+        return self.rng.choice(n, p=p)
+
+
+def _loop_pp_init(points, clusters, rng):
+    """k-means++ seeding with fresh arrays per pick, as ``_kmeans_pp_init`` did: the reference."""
+    n = len(points)
+    chosen = [int(rng.integers(n))]
+    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(1, clusters):
+        total = d2.sum()
+        pick = int(rng.integers(n)) if total <= 0 else int(rng.choice(n, p=d2 / total))
+        chosen.append(pick)
+        d2 = np.minimum(d2, ((points - points[pick]) ** 2).sum(axis=1))
+    return points[chosen].copy()
+
+
 class TestKmeans:
+    @pytest.mark.parametrize("points, clusters", [
+        (np.random.default_rng(0).standard_normal((300, 32)), 25),
+        (np.random.default_rng(1).standard_normal((90, 129)), 6),
+        (np.repeat(np.random.default_rng(2).standard_normal((5, 3)), 40, axis=0), 9),
+        (np.repeat(np.random.default_rng(3).standard_normal((7, 4)), 6, axis=0), 7),
+    ], ids=["random", "wide", "duplicate-heavy", "clusters-equal-distinct-rows"])
+    def test_seeding_equals_the_fresh_array_reference(self, points, clusters):
+        for seed in range(3):
+            got_rng, want_rng = _WeightRecorder(seed), _WeightRecorder(seed)
+            got = features._kmeans_pp_init(points, clusters, got_rng)
+            want = _loop_pp_init(points, clusters, want_rng)
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.weights == want_rng.weights
+
+    def test_a_round_sees_the_one_expression_distances(self, monkeypatch):
+        points, clusters = np.random.default_rng(8).standard_normal((301, 5)), 9
+        monkeypatch.setattr(features, "KMEANS_MAX_ITER", 1)
+        monkeypatch.setattr(features, "KMEANS_BLOCK", 4 * clusters + 1)  # 4 rows, then 1
+        seen, argmin = [], np.argmin
+
+        def spy(d2, axis=None):
+            seen.append(d2.copy())
+            return argmin(d2, axis=axis)
+
+        monkeypatch.setattr(np, "argmin", spy)
+        fit_kmeans(points, clusters, seed=2)
+        monkeypatch.undo()
+        centroids = features._kmeans_pp_init(points, clusters, np.random.default_rng(2))
+        want = (points ** 2).sum(axis=1)[:, None] + (centroids ** 2).sum(axis=1)[None, :] \
+            - 2.0 * points @ centroids.T
+        assert [d2.tobytes() for d2 in seen] == [want.tobytes()]
+
+    def test_fit_holds_one_points_by_clusters_matrix(self):
+        points = np.random.default_rng(6).standard_normal((2000, 16))
+        fit_kmeans(points[:50], 4)  # numpy's lazy imports are not the fit's memory
+        tracemalloc.start()
+        try:
+            fit_kmeans(points, 250, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2000 * 250 * 8
+
     @pytest.mark.parametrize("n, dim, clusters", [(40, 1, 3), (60, 2, 4), (200, 7, 9),
                                                   (300, 32, 25), (90, 129, 6)])
     def test_array_update_equals_the_per_cluster_loop(self, n, dim, clusters):

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -510,6 +511,19 @@ class TestCheckpoint:
                     "tensors": [{"name": "w", "shape": shape}]}
         path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
         with pytest.raises(ValueError, match="tensor 'w' has invalid shape"):
+            net.load_checkpoint(path)
+
+    def test_a_read_that_ends_early_names_the_path(self, tmp_path, monkeypatch):
+        # The size check passes, then the file is shorter than it said.
+        path = tmp_path / "shrunk.ckpt"
+        net.save_checkpoint(path, {"a": np.ones(2), "b": np.ones(3)})
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        real_fstat = os.fstat
+        monkeypatch.setattr(net.os, "fstat", lambda fd: os.stat_result(
+            real_fstat(fd)[:6] + (size,) + real_fstat(fd)[7:]))
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: truncated: "
+                                                       "tensor 'b'")):
             net.load_checkpoint(path)
 
     def test_rejects_trailing_bytes(self, tmp_path):
