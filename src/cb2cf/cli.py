@@ -76,6 +76,7 @@ def _cmd_train_item2vec(args: argparse.Namespace) -> None:
 
 def _cmd_fit_features(args: argparse.Namespace) -> None:
     _require(args, "metadata", "out")
+    _check_feature_flags(args)
     profiles = data.load_metadata(args.metadata)
     word_table = centroids = None
     if args.word_vectors:
@@ -134,14 +135,28 @@ def _load_model(args: argparse.Namespace) -> model_mod.Cb2cfModel:
     return model_mod.load_model(args.model, features=context)
 
 
+def _probe(flag: str, make, *args, **kwargs) -> None:
+    """``make(*args, **kwargs)`` on a flag's value, its ValueError named by the flag:
+    checks the value by the library's own rule before any file is read."""
+    try:
+        make(*args, **kwargs)
+    except ValueError as exc:
+        raise CliError(f"{flag}: {exc}") from None
+
+
 def _spec_overrides(args: argparse.Namespace) -> dict:
     """The ``SystemSpec`` fields the train flags set, checked before any file is read."""
     overrides = {"cnn_variant": args.cnn_variant, "text_length": args.max_words}
-    try:  # the variant is a flag choice; these rules hold for every system
-        model_mod.SystemSpec(("Year",), **overrides)
-    except ValueError as exc:  # text_length < 1 or below cnn_width
-        raise CliError(f"--max-words: {exc}") from None
+    # The variant is a flag choice; text_length >= 1 and >= cnn_width hold for every system.
+    _probe("--max-words", model_mod.SystemSpec, ("Year",), **overrides)
     return overrides
+
+
+def _check_feature_flags(args: argparse.Namespace) -> None:
+    """--min-tag-count and --temperature, checked before any file is read."""
+    _probe("--min-tag-count", features.build_tag_vocab, [], args.min_tag_count)
+    _probe("--temperature", features.FeatureContext, features.TagVocabulary({}),
+           features.YearStats(0.0, 1.0), temperature=args.temperature)
 
 
 def _listed(flag: str, raw: str, what: str, convert=str) -> list:
@@ -166,6 +181,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     needed = set().union(*(model_mod.bundle_parts(model_mod.SystemSpec.named(name))
                            for name in systems))
     overrides = _spec_overrides(args)
+    _check_feature_flags(args)
+    _probe("--folds", evaluation.make_folds, ["a", "b"], min(args.folds, 2))  # only folds < 2 fails
     if needed & {"text", "bow"} and not args.word_vectors:
         raise CliError("these systems need --word-vectors")
     if "bow" in needed and args.bow_centroids < 1:

@@ -60,23 +60,50 @@ class Centroids:
             raise ValueError("centroids must be a nonempty 2-D array")
         if not np.all(np.isfinite(self.vectors)):
             raise ValueError("centroids must be finite")
-        if len(np.unique(self.vectors, axis=0)) != len(self.vectors):
+        if _distinct_rows(self.vectors, len(self.vectors)) != len(self.vectors):
             raise ValueError("centroids must be pairwise distinct")
 
     def __len__(self) -> int:
         return len(self.vectors)
 
 
+def _row_buffer(points: np.ndarray) -> np.ndarray:
+    """A buffer for blocks of rows of ``points``: one row at least, else at most
+    ``KMEANS_BLOCK`` elements."""
+    rows = max(1, KMEANS_BLOCK // max(1, points.shape[1]))
+    return np.empty((min(len(points), rows), points.shape[1]))
+
+
+def _distinct_rows(points: np.ndarray, limit: int) -> int:
+    """How many distinct rows the nonempty ``points`` holds, counted up to ``limit``;
+    -0.0 equals 0.0. Reads a block of rows at a time and never copies the table."""
+    seen: set[bytes] = set()
+    buf = _row_buffer(points)
+    for lo in range(0, len(points), len(buf)):
+        rows = points[lo:lo + len(buf)]
+        for row in np.add(rows, 0.0, out=buf[:len(rows)]):  # -0.0 + 0.0 is 0.0
+            seen.add(row.tobytes())
+            if len(seen) >= limit:
+                return len(seen)
+    return len(seen)
+
+
+def _sq_dists(points: np.ndarray, origin, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``((points - origin) ** 2).sum(axis=1)`` into ``out``, a block of ``buf`` rows at a
+    time: the same per-row sums, without a (points × dim) temporary."""
+    step = len(buf)
+    for lo in range(0, len(points), step):
+        rows = points[lo:lo + step]
+        diff = np.subtract(rows, origin, out=buf[:len(rows)])
+        np.sum(np.square(diff, out=diff), axis=1, out=out[lo:lo + step])
+    return out
+
+
 def _kmeans_pp_init(points: np.ndarray, clusters: int, rng) -> np.ndarray:
     n = len(points)
-    diff, dist = np.empty_like(points), np.empty(n)
-
-    def sq_dist(row: int) -> np.ndarray:  # ((points - points[row]) ** 2).sum(axis=1), in place
-        np.subtract(points, points[row], out=diff)
-        return np.sum(np.square(diff, out=diff), axis=1, out=dist)
-
+    buf, dist = _row_buffer(points), np.empty(n)
     chosen = [int(rng.integers(n))]
-    d2 = sq_dist(chosen[0]).copy()
+    d2 = _sq_dists(points, points[chosen[0]], buf, np.empty(n))
     for _ in range(1, clusters):
         total = d2.sum()
         if total <= 0:
@@ -84,7 +111,7 @@ def _kmeans_pp_init(points: np.ndarray, clusters: int, rng) -> np.ndarray:
         else:
             pick = int(rng.choice(n, p=d2 / total))
         chosen.append(pick)
-        np.minimum(d2, sq_dist(pick), out=d2)
+        np.minimum(d2, _sq_dists(points, points[pick], buf, dist), out=d2)
     return points[chosen].copy()
 
 
@@ -93,25 +120,28 @@ def fit_kmeans(vectors: np.ndarray, clusters: int, seed: int = 0) -> Centroids:
 
     Stops when the largest centroid shift falls below ``KMEANS_TOL`` or after
     ``KMEANS_MAX_ITER`` rounds. A cluster left empty is reseeded to the point
-    farthest from its assigned centroid. Requires at least ``clusters``
-    distinct input vectors.
+    farthest from its assigned centroid. Requires finite input and at least
+    ``clusters`` distinct input vectors.
 
-    Memory: one (points × clusters) distance matrix for the whole fit, one
-    (points × dim) buffer for the seeding, and blocks of at most
-    ``KMEANS_BLOCK`` elements besides; the squared distances are
-    ``sq + cc - 2 * points @ centroids.T`` element for element.
+    Memory: one (points × clusters) distance matrix for the whole fit, and
+    blocks of at most ``KMEANS_BLOCK`` elements besides; no (points × dim)
+    temporary. The squared distances are ``sq + cc - 2 * points @ centroids.T``
+    element for element.
     """
     points = np.asarray(vectors, dtype=np.float64)
     if points.ndim != 2 or len(points) == 0:
         raise ValueError("vectors must be a nonempty 2-D array")
     if clusters < 1:
         raise ValueError("clusters must be >= 1")
-    if len(np.unique(points, axis=0)) < clusters:
+    # min and max are finite exactly when every entry is, and need no (points × dim) mask
+    if not np.all(np.isfinite([points.min(initial=0.0), points.max(initial=0.0)])):
+        raise ValueError("vectors must be finite")
+    if _distinct_rows(points, clusters) < clusters:
         raise ValueError("fewer distinct vectors than requested clusters")
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, clusters, rng)
-    sq = (points ** 2).sum(axis=1)
+    sq = _sq_dists(points, 0.0, _row_buffer(points), np.empty(len(points)))  # (points ** 2).sum(1)
     d2, step = np.empty((len(points), clusters)), max(1, KMEANS_BLOCK // clusters)
     block = np.empty((min(step, len(points)), clusters))
     for _ in range(KMEANS_MAX_ITER):
@@ -123,8 +153,9 @@ def fit_kmeans(vectors: np.ndarray, clusters: int, seed: int = 0) -> Centroids:
         assign = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(len(points)), assign]
         sizes = np.bincount(assign, minlength=clusters)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, points)  # row order per cluster, as a mean's sum
+        sums = np.empty_like(centroids)
+        for j in range(points.shape[1]):  # adds each cluster's rows in order, as a mean's sum
+            sums[:, j] = np.bincount(assign, points[:, j], clusters)
         updated = sums / np.maximum(sizes, 1)[:, None]
         for c in np.flatnonzero(sizes == 0):
             pick = int(np.argmax(point_d2))

@@ -402,6 +402,12 @@ _ABSENT = "absent.input"  # a relative path under tmp_path that is never written
     ("train-item2vec", ["--dim", "0"], "dim must be >= 1"),
     ("train-item2vec", ["--lr", "0"], "learning rate must be positive"),
     ("train-word2vec", ["--window", "0"], "window must be >= 1"),
+    ("evaluate", ["--folds", "1"], "--folds: folds must be >= 2"),
+    ("evaluate", ["--folds", "0"], "--folds: folds must be >= 2"),
+    ("evaluate", ["--temperature", "0"], "--temperature: temperature must be positive"),
+    ("evaluate", ["--min-tag-count", "0"], "--min-tag-count: min_count must be >= 1"),
+    ("fit-features", ["--temperature", "0"], "--temperature: temperature must be positive"),
+    ("fit-features", ["--min-tag-count", "0"], "--min-tag-count: min_count must be >= 1"),
 ])
 def test_flag_values_are_checked_before_any_file_is_read(tmp_path, capsys, monkeypatch,
                                                          command, flags, message):
@@ -411,7 +417,8 @@ def test_flag_values_are_checked_before_any_file_is_read(tmp_path, capsys, monke
              "train-model": {"--system": "Year", "--features": _ABSENT,
                              "--metadata": _ABSENT, "--targets": _ABSENT, "--out": "m"},
              "train-item2vec": {"--sets": _ABSENT, "--out": "v"},
-             "train-word2vec": {"--corpus": _ABSENT, "--out": "v"}}[command]
+             "train-word2vec": {"--corpus": _ABSENT, "--out": "v"},
+             "fit-features": {"--metadata": _ABSENT, "--out": "ctx"}}[command]
     given.update(zip(flags[::2], flags[1::2]))
     argv = [command] + [a for pair in given.items() for a in pair]
     assert main(argv) == 1

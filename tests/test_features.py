@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +253,78 @@ class TestKmeans:
             Centroids(np.array([[1.0], [1.0]]))
         with pytest.raises(ValueError):
             Centroids(np.empty((0, 3)))
+
+    _SIGNED_ZEROS = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [2.0, -0.0]])
+
+    @pytest.mark.parametrize("points", [
+        np.random.default_rng(0).standard_normal((300, 5)),
+        np.repeat(np.random.default_rng(1).standard_normal((7, 3)), 50, axis=0)[::-1],
+        np.random.default_rng(2).integers(0, 2, (400, 4)).astype(np.float64),
+        _SIGNED_ZEROS,
+        np.tile(_SIGNED_ZEROS, (3, 1)),
+    ], ids=["random", "duplicate-heavy", "few-patterns", "signed-zeros", "signed-zeros-repeated"])
+    def test_distinct_rows_count_as_unique_does(self, monkeypatch, points):
+        want = len(np.unique(points, axis=0))
+        for block in (features.KMEANS_BLOCK, 2 * points.shape[1] + 1):  # one block; 2 rows each
+            monkeypatch.setattr(features, "KMEANS_BLOCK", block)
+            assert features._distinct_rows(points, len(points)) == want  # limit not reached
+            assert features._distinct_rows(points, want + 1) == want
+            for limit in (1, max(1, want // 2), want):  # reached: stops at the limit
+                assert features._distinct_rows(points, limit) == limit
+
+    def test_blocked_reductions_keep_the_bits(self, monkeypatch):
+        points = np.random.default_rng(12).standard_normal((203, 37))
+        monkeypatch.setattr(features, "KMEANS_BLOCK", 3 * 37 + 2)  # 3 rows a block, then 2
+        for seed in range(2):
+            got_rng, want_rng = _WeightRecorder(seed), _WeightRecorder(seed)
+            got = features._kmeans_pp_init(points, 17, got_rng)
+            assert got.tobytes() == _loop_pp_init(points, 17, want_rng).tobytes()
+            assert got_rng.weights == want_rng.weights
+        assert fit_kmeans(points, 17, seed=4).vectors.tobytes() == \
+            _loop_kmeans(points, 17, 4).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_vectors(self, bad):
+        points = np.random.default_rng(13).standard_normal((20, 3))
+        points[7, 1] = bad
+        with pytest.raises(ValueError, match="^vectors must be finite$"):
+            fit_kmeans(points, 4)
+
+    def test_a_wide_fit_makes_no_points_by_dim_array(self):
+        points = np.random.default_rng(14).standard_normal((4000, 256))
+        fit_kmeans(points[:50], 4)  # numpy's lazy imports are not the fit's memory
+        tracemalloc.start()
+        try:
+            fit_kmeans(points, 8, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < points.nbytes / 4
+
+
+def test_fitting_and_loading_centroids_leave_numpy_ma_unimported(tmp_path):
+    """``np.unique`` imports ``numpy.ma``, which a run's peak memory would then carry."""
+    script = f"""
+import sys
+import numpy as np
+import cb2cf
+from cb2cf import features
+assert "numpy.ma" not in sys.modules, "imported by cb2cf itself"
+centroids = features.fit_kmeans(np.random.default_rng(0).standard_normal((300, 8)), 20)
+features.Centroids(centroids.vectors)
+context = features.FeatureContext(features.build_tag_vocab([]), features.YearStats(0.0, 1.0),
+                                  centroids=centroids)
+features.save_feature_context(context, {str(tmp_path / "ctx.ckpt")!r})
+features.load_feature_context({str(tmp_path / "ctx.ckpt")!r})
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(features.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestBowHistogram:
