@@ -11,7 +11,7 @@ generator used by the verification suite.
 from .corpus import Vocabulary, build_vocabulary, tokenize
 from .data import (ContentProfile, UserHistory, cooccurrence_from_ratings,
                    load_metadata, load_ratings, load_sets)
-from .evaluation import (EvalDataset, make_folds, mpr, ndcg_at_k,
+from .evaluation import (EvalDataset, EvalSettings, make_folds, mpr, ndcg_at_k,
                          percentile_rank, run_evaluation, run_system)
 from .features import (FeatureContext, featurize_item, fit_feature_context,
                        fit_kmeans)
@@ -29,6 +29,7 @@ __all__ = [
     "CooccurrenceSets",
     "EmbeddingTable",
     "EvalDataset",
+    "EvalSettings",
     "FeatureContext",
     "SgnsConfig",
     "SyntheticSpec",

@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -74,16 +75,23 @@ def _cmd_train_item2vec(args: argparse.Namespace) -> None:
           f"{len(sets.sets)} sets ({sets.dropped} dropped) -> {args.out}")
 
 
+def _text_assets(args: argparse.Namespace, fit_centroids: bool) -> tuple:
+    """The --word-vectors table and, if ``fit_centroids``, its --bow-centroids
+    k-means centroids; None for each one that is not there."""
+    table = EmbeddingTable.load(args.word_vectors) if args.word_vectors else None
+    if table is None or not fit_centroids:
+        return table, None
+    return table, features.fit_kmeans(table.vectors, args.bow_centroids, seed=args.seed)
+
+
 def _cmd_fit_features(args: argparse.Namespace) -> None:
     _require(args, "metadata", "out")
-    _check_feature_flags(args)
+    with _flag("--min-tag-count"):
+        features.check_min_tag_count(args.min_tag_count)
+    with _flag("--temperature"):
+        features.check_temperature(args.temperature)
     profiles = data.load_metadata(args.metadata)
-    word_table = centroids = None
-    if args.word_vectors:
-        word_table = EmbeddingTable.load(args.word_vectors)
-        if args.bow_centroids > 0:
-            centroids = features.fit_kmeans(word_table.vectors, args.bow_centroids,
-                                            seed=args.seed)
+    word_table, centroids = _text_assets(args, args.bow_centroids > 0)
     context = features.fit_feature_context(
         profiles, word_table=word_table, centroids=centroids,
         min_tag_count=args.min_tag_count, temperature=args.temperature)
@@ -105,7 +113,9 @@ def _usable_profiles(profiles: list, targets: EmbeddingTable) -> list:
 
 def _cmd_train_model(args: argparse.Namespace) -> None:
     _require(args, "system", "features", "metadata", "targets", "out")
-    spec = model_mod.SystemSpec.named(args.system, **_spec_overrides(args))
+    spec = model_mod.SystemSpec.named(args.system)
+    with _flag("--max-words"):
+        spec = dataclasses.replace(spec, cnn_variant=args.cnn_variant, text_length=args.max_words)
     config = _from_args(model_mod.TrainConfig, _TRAIN_FLAGS, args)
     context = features.load_feature_context(args.features)
     profiles = data.load_metadata(args.metadata)
@@ -135,36 +145,19 @@ def _load_model(args: argparse.Namespace) -> model_mod.Cb2cfModel:
     return model_mod.load_model(args.model, features=context)
 
 
-def _probe(flag: str, make, *args, **kwargs) -> None:
-    """``make(*args, **kwargs)`` on a flag's value, its ValueError named by the flag:
-    checks the value by the library's own rule before any file is read."""
+@contextlib.contextmanager
+def _flag(name: str):
+    """A ValueError raised inside becomes a CliError that names the flag ``name``."""
     try:
-        make(*args, **kwargs)
+        yield
     except ValueError as exc:
-        raise CliError(f"{flag}: {exc}") from None
-
-
-def _spec_overrides(args: argparse.Namespace) -> dict:
-    """The ``SystemSpec`` fields the train flags set, checked before any file is read."""
-    overrides = {"cnn_variant": args.cnn_variant, "text_length": args.max_words}
-    # The variant is a flag choice; text_length >= 1 and >= cnn_width hold for every system.
-    _probe("--max-words", model_mod.SystemSpec, ("Year",), **overrides)
-    return overrides
-
-
-def _check_feature_flags(args: argparse.Namespace) -> None:
-    """--min-tag-count and --temperature, checked before any file is read."""
-    _probe("--min-tag-count", features.build_tag_vocab, [], args.min_tag_count)
-    _probe("--temperature", features.FeatureContext, features.TagVocabulary({}),
-           features.YearStats(0.0, 1.0), temperature=args.temperature)
+        raise CliError(f"{name}: {exc}") from None
 
 
 def _listed(flag: str, raw: str, what: str, convert=str) -> list:
     """The comma-separated entries of a flag through ``convert``: at least one, none twice."""
-    try:
+    with _flag(flag):  # the error names the entry, e.g. int()'s "invalid literal ... 'x'"
         values = [convert(entry.strip()) for entry in raw.split(",") if entry.strip()]
-    except ValueError as exc:  # names the entry, e.g. int()'s "invalid literal ... 'x'"
-        raise CliError(f"{flag}: {exc}") from None
     if not values:
         raise CliError(f"{flag} lists no {what}")
     for i, value in enumerate(values):
@@ -180,23 +173,25 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     ks = _listed("--ndcg-k", args.ndcg_k, "cutoffs", int)
     needed = set().union(*(model_mod.bundle_parts(model_mod.SystemSpec.named(name))
                            for name in systems))
-    overrides = _spec_overrides(args)
-    _check_feature_flags(args)
-    _probe("--folds", evaluation.make_folds, ["a", "b"], min(args.folds, 2))  # only folds < 2 fails
+    settings = evaluation.EvalSettings(_from_args(model_mod.TrainConfig, _TRAIN_FLAGS, args),
+                                       seed=args.seed, ndcg_ks=ks)
+    # One flag at a time, so that the flag whose value the settings reject is named.
+    for flag, field, value in [
+            ("--folds", "folds", args.folds),
+            ("--min-tag-count", "min_tag_count", args.min_tag_count),
+            ("--temperature", "temperature", args.temperature),
+            ("--max-words", "spec_overrides",
+             {"cnn_variant": args.cnn_variant, "text_length": args.max_words})]:
+        with _flag(flag):
+            settings = dataclasses.replace(settings, **{field: value})
     if needed & {"text", "bow"} and not args.word_vectors:
         raise CliError("these systems need --word-vectors")
     if "bow" in needed and args.bow_centroids < 1:
         raise CliError("a BOW system needs --bow-centroids >= 1")
-    config = _from_args(model_mod.TrainConfig, _TRAIN_FLAGS, args)
     profiles = data.load_metadata(args.metadata)
     targets = EmbeddingTable.load(args.targets)
     usable = _usable_profiles(profiles, targets)
-    word_table = centroids = None
-    if args.word_vectors:
-        word_table = EmbeddingTable.load(args.word_vectors)
-        if "bow" in needed:
-            centroids = features.fit_kmeans(word_table.vectors, args.bow_centroids,
-                                            seed=args.seed)
+    word_table, centroids = _text_assets(args, "bow" in needed)
 
     limit = len(targets) - 1
     usable_ks = tuple(k for k in ks if 1 <= k <= limit)
@@ -207,10 +202,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
         raise CliError(f"no ndcg cutoff fits a catalog of {len(targets)} items")
 
     dataset = evaluation.EvalDataset(usable, targets, word_table, centroids)
-    report = evaluation.run_evaluation(
-        systems, dataset, config, folds=args.folds, seed=args.seed, ndcg_ks=usable_ks,
-        min_tag_count=args.min_tag_count, temperature=args.temperature,
-        spec_overrides=overrides)
+    report = evaluation.run_evaluation(systems, dataset,
+                                       dataclasses.replace(settings, ndcg_ks=usable_ks))
     tsv = evaluation.report_tsv(report)
     with open(args.report, "w", encoding="utf-8") as fh:
         fh.write(tsv)
@@ -371,7 +364,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--systems")
     _add_feature_flags(p)
     p.add_argument("--targets")
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=int, default=evaluation.EvalSettings.folds)
     p.add_argument("--ndcg-k", default=",".join(map(str, evaluation.DEFAULT_NDCG_KS)))
     p.add_argument("--report")
     p.add_argument("--report-json")

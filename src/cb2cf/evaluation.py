@@ -23,7 +23,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .features import (DEFAULT_MIN_TAG_COUNT, DEFAULT_TEMPERATURE, Centroids,
-                       fit_feature_context, featurize_item)
+                       check_min_tag_count, check_temperature, fit_feature_context,
+                       featurize_item)
 from .model import (SystemSpec, TrainConfig, _target_vector, build_model, bundle_parts,
                     predict, train)
 from .sgns import EmbeddingTable, cosine_scores, top_rows
@@ -44,9 +45,13 @@ class FoldAssignment:
         return sorted(i for i, f in self.assignment.items() if f == fold)
 
     def items_not_in(self, fold: int) -> list[str]:
-        if not 0 <= fold < self.folds:
-            raise ValueError(f"fold {fold} outside 0..{self.folds - 1}")
-        return sorted(i for i, f in self.assignment.items() if f != fold)
+        held_out = set(self.items_in(fold))
+        return sorted(i for i in self.assignment if i not in held_out)
+
+
+def _check_folds(folds: int) -> None:
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
 
 
 def make_folds(ids: Sequence[str], folds: int = 10, seed: int = 0) -> FoldAssignment:
@@ -55,8 +60,7 @@ def make_folds(ids: Sequence[str], folds: int = 10, seed: int = 0) -> FoldAssign
     unique = sorted(set(ids))
     if len(unique) != len(ids):
         raise ValueError("duplicate ids")
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
+    _check_folds(folds)
     if len(unique) < folds:
         raise ValueError("fewer items than folds")
     shuffled = list(unique)
@@ -180,6 +184,28 @@ class EvalDataset:
     centroids: Centroids | None = None
 
 
+@dataclass(frozen=True)
+class EvalSettings:
+    """How an evaluation runs, besides its systems and data. Construction checks
+    each value by the rule of the code that uses it, except the cutoffs: they
+    depend on the catalog, and are checked against it when the systems run."""
+
+    config: TrainConfig
+    folds: int = 10
+    seed: int = 0
+    ndcg_ks: tuple[int, ...] = DEFAULT_NDCG_KS
+    min_tag_count: int = DEFAULT_MIN_TAG_COUNT
+    temperature: float = DEFAULT_TEMPERATURE
+    spec_overrides: Mapping | None = None
+
+    def __post_init__(self) -> None:
+        _check_folds(self.folds)
+        check_min_tag_count(self.min_tag_count)
+        check_temperature(self.temperature)
+        SystemSpec(("Year",), **(self.spec_overrides or {}))  # rules that hold for every system
+        object.__setattr__(self, "ndcg_ks", tuple(self.ndcg_ks))
+
+
 @dataclass
 class EvalReport:
     systems: list[SystemReport]
@@ -230,18 +256,16 @@ def _map_folds(task: Callable[[int], list[FoldMetrics]], folds: int) -> list[lis
 
 
 def _run_systems(systems: Sequence[str], dataset: EvalDataset, folds: FoldAssignment,
-                 config: TrainConfig, ndcg_ks: Sequence[int], min_tag_count: int,
-                 temperature: float, spec_overrides: Mapping | None,
-                 predictor: Predictor | None = None) -> list[SystemReport]:
+                 settings: EvalSettings, predictor: Predictor | None = None) -> list[SystemReport]:
     """Every system, fold by fold. A fold fits its feature statistics on its
     training items only and featurizes each item once, with the parts of all
     systems; each system then trains from the fold's seed, and its held-out
     predictions are ranked against the full catalog."""
-    catalog = dataset.targets
+    catalog, config, ndcg_ks = dataset.targets, settings.config, settings.ndcg_ks
     for k in ndcg_ks:
         if not 1 <= k <= len(catalog) - 1:
             raise ValueError(f"ndcg cutoff {k} invalid for catalog of {len(catalog)}")
-    specs = [SystemSpec.named(name, output_dim=catalog.dim, **(spec_overrides or {}))
+    specs = [SystemSpec.named(name, output_dim=catalog.dim, **(settings.spec_overrides or {}))
              for name in systems]
     by_id = {p.id: p for p in dataset.profiles}
     for item_id in folds.assignment:
@@ -262,7 +286,7 @@ def _run_systems(systems: Sequence[str], dataset: EvalDataset, folds: FoldAssign
             context = fit_feature_context(
                 [by_id[i] for i in train_ids],
                 word_table=dataset.word_table, centroids=dataset.centroids,
-                min_tag_count=min_tag_count, temperature=temperature)
+                min_tag_count=settings.min_tag_count, temperature=settings.temperature)
             train_bundles = [featurize_item(by_id[i], context, parts) for i in train_ids]
             test_bundles = [featurize_item(by_id[i], context, parts) for i in test_ids]
             seed, predicted = _fold_seed(config.seed, fold), []
@@ -285,35 +309,29 @@ def _run_systems(systems: Sequence[str], dataset: EvalDataset, folds: FoldAssign
     return reports
 
 
-def run_system(system: str, dataset: EvalDataset,
-               folds: FoldAssignment, config: TrainConfig, *,
-               ndcg_ks: Sequence[int] = DEFAULT_NDCG_KS,
-               min_tag_count: int = DEFAULT_MIN_TAG_COUNT,
-               temperature: float = DEFAULT_TEMPERATURE,
-               spec_overrides: Mapping | None = None,
-               predictor: Predictor | None = None) -> SystemReport:
+def run_system(system: str, dataset: EvalDataset, folds: FoldAssignment,
+               config: TrainConfig, *, predictor: Predictor | None = None,
+               **settings) -> SystemReport:
     """Train and score the named system across all folds, in one pool of
     forked fold workers when BLAS leaves CPUs idle (``_fold_workers``).
+    ``settings`` are the other fields of ``EvalSettings(config, **settings)``;
+    the folds come drawn, so its ``seed`` goes unused.
     ``predictor`` replaces the model entirely (a testing hook mapping test
     ids to predicted vectors)."""
-    return _run_systems([system], dataset, folds, config, ndcg_ks, min_tag_count,
-                        temperature, spec_overrides, predictor)[0]
+    return _run_systems([system], dataset, folds, EvalSettings(config, **settings),
+                        predictor)[0]
 
 
 def run_evaluation(systems: Sequence[str], dataset: EvalDataset,
-                   config: TrainConfig, *, folds: int = 10, seed: int = 0,
-                   ndcg_ks: Sequence[int] = DEFAULT_NDCG_KS,
-                   min_tag_count: int = DEFAULT_MIN_TAG_COUNT,
-                   temperature: float = DEFAULT_TEMPERATURE,
-                   spec_overrides: Mapping | None = None) -> EvalReport:
+                   settings: EvalSettings) -> EvalReport:
     """Run every named system over one shared fold assignment of the
-    profiles, with one pool of fold workers for all of them. Each fold fits
-    its feature context and featurizes its items once, and every system
-    scores what it would score through ``run_system`` alone."""
-    assignment = make_folds([p.id for p in dataset.profiles], folds=folds, seed=seed)
-    ks = tuple(ndcg_ks)
-    return EvalReport(_run_systems(systems, dataset, assignment, config, ks, min_tag_count,
-                                   temperature, spec_overrides), ks, folds, seed)
+    profiles, drawn by the settings' folds and seed, with one pool of fold
+    workers for all of them. Each fold fits its feature context and
+    featurizes its items once, and every system scores what it would score
+    through ``run_system`` alone."""
+    assignment = make_folds([p.id for p in dataset.profiles], settings.folds, settings.seed)
+    return EvalReport(_run_systems(systems, dataset, assignment, settings),
+                      settings.ndcg_ks, settings.folds, settings.seed)
 
 
 def report_tsv(report: EvalReport) -> str:

@@ -168,6 +168,12 @@ def fit_kmeans(vectors: np.ndarray, clusters: int, seed: int = 0) -> Centroids:
     return Centroids(centroids)
 
 
+def check_temperature(temperature: float) -> None:
+    """The BOW softmax temperature rule, the context loader's too: 0 < t <= max float."""
+    if not 0 < temperature <= sys.float_info.max:
+        raise ValueError("temperature must be positive and finite")
+
+
 def bow_histogram(tokens: Iterable[str], centroids: Centroids, table: EmbeddingTable,
                   temperature: float = DEFAULT_TEMPERATURE,
                   cache: dict | None = None) -> np.ndarray:
@@ -178,8 +184,7 @@ def bow_histogram(tokens: Iterable[str], centroids: Centroids, table: EmbeddingT
     with no in-table words fall back to the uniform histogram. Word rows are
     read from ``cache``, adding the missing ones: a context passes its own.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    check_temperature(temperature)
     bins = len(centroids)
     known = [t for t in tokens if t in table.index]
     if not known:
@@ -222,14 +227,18 @@ class TagVocabulary:
         return len(self.tags[field_name])
 
 
+def check_min_tag_count(min_count: int) -> None:
+    if min_count < 1:
+        raise ValueError("min_count must be >= 1")
+
+
 def build_tag_vocab(profiles: Sequence["ContentProfile"],
                     min_count: int = DEFAULT_MIN_TAG_COUNT) -> TagVocabulary:
     """Keep tags appearing in at least ``min_count`` profiles per field.
 
     A tag repeated inside one profile counts once.
     """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
+    check_min_tag_count(min_count)
     tags: dict[str, list[str]] = {}
     for field_name in TAG_FIELDS:
         counter: Counter[str] = Counter()
@@ -296,8 +305,7 @@ class FeatureContext:
     _bow_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        check_temperature(self.temperature)
 
 
 def fit_feature_context(profiles: Sequence["ContentProfile"], *,

@@ -16,6 +16,7 @@ weights.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -384,10 +385,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.word_dropout < 1.0 or not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout probabilities must be in [0, 1)")
-        if self.l2 < 0:
-            raise ValueError("l2 must be non-negative")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 <= self.l2 <= sys.float_info.max:
+            raise ValueError("l2 must be non-negative and finite")
+        if not 0 < self.learning_rate <= sys.float_info.max:
+            raise ValueError("learning_rate must be positive and finite")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
         if self.patience < 1:

@@ -17,6 +17,7 @@ the scores, and two more products give the updates.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,8 +66,8 @@ class SgnsConfig:
             raise ValueError("subsample threshold must be in (0, 1]")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate <= sys.float_info.max:
+            raise ValueError("learning rate must be positive and finite")
 
 
 @dataclass

@@ -80,6 +80,30 @@ def test_shared_flags_take_their_defaults_from_the_library():
     assert tuple(int(k) for k in ndcg_k.default.split(",")) == evaluation.DEFAULT_NDCG_KS
 
 
+CLI_SURFACE = Path(__file__).with_name("cli_surface.txt")
+
+
+def _cli_surface() -> str:
+    """One line per ``build_parser()`` action: parser, option strings, dest, type,
+    default and choices."""
+    parser, registry = cli.build_parser()
+    lines = []
+    for name, sub in [("cb2cf", parser), *registry.items()]:
+        for action in sub._actions:
+            choices = action.choices if action.choices is None else list(action.choices)
+            kind = getattr(action.type, "__name__", action.type)
+            lines.append(f"{name} {','.join(action.option_strings) or '-'} "
+                         f"dest={action.dest} type={kind} default={action.default!r} "
+                         f"choices={choices!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_surface_matches_its_snapshot():
+    """No flag, dest, type, default or choice changes unless the snapshot,
+    ``tests/cli_surface.txt``, changes with it."""
+    assert _cli_surface() == CLI_SURFACE.read_text(encoding="utf-8")
+
+
 def test_synth_writes_a_loadable_dataset(workspace):
     data_dir = workspace / "data"
     sets = load_sets(data_dir / "sets.txt")
@@ -392,7 +416,7 @@ _ABSENT = "absent.input"  # a relative path under tmp_path that is never written
     ("evaluate", ["--max-words", "2"], "--max-words: cnn_width exceeds text_length"),
     ("evaluate", ["--batch", "0"], "batch_size must be >= 1"),
     ("evaluate", ["--val-fraction", "1"], "val_fraction must be in [0, 1)"),
-    ("evaluate", ["--lr", "0"], "learning_rate must be positive"),
+    ("evaluate", ["--lr", "0"], "learning_rate must be positive and finite"),
     ("evaluate", ["--systems", "CNN+Year"], "these systems need --word-vectors"),
     ("evaluate", ["--systems", "BOW", "--word-vectors", _ABSENT, "--bow-centroids", "0"],
      "a BOW system needs --bow-centroids >= 1"),
@@ -400,14 +424,27 @@ _ABSENT = "absent.input"  # a relative path under tmp_path that is never written
     ("train-model", ["--patience", "0"], "patience must be >= 1"),
     ("train-model", ["--system", "Year+Foo"], "unknown system component 'Foo'"),
     ("train-item2vec", ["--dim", "0"], "dim must be >= 1"),
-    ("train-item2vec", ["--lr", "0"], "learning rate must be positive"),
+    ("train-item2vec", ["--lr", "0"], "learning rate must be positive and finite"),
     ("train-word2vec", ["--window", "0"], "window must be >= 1"),
     ("evaluate", ["--folds", "1"], "--folds: folds must be >= 2"),
     ("evaluate", ["--folds", "0"], "--folds: folds must be >= 2"),
-    ("evaluate", ["--temperature", "0"], "--temperature: temperature must be positive"),
+    ("evaluate", ["--temperature", "0"],
+     "--temperature: temperature must be positive and finite"),
     ("evaluate", ["--min-tag-count", "0"], "--min-tag-count: min_count must be >= 1"),
-    ("fit-features", ["--temperature", "0"], "--temperature: temperature must be positive"),
+    ("fit-features", ["--temperature", "0"],
+     "--temperature: temperature must be positive and finite"),
     ("fit-features", ["--min-tag-count", "0"], "--min-tag-count: min_count must be >= 1"),
+    *[(command, [flag, value], message) for value in ("nan", "inf")
+      for command, flag, message in [
+          ("evaluate", "--temperature", "--temperature: temperature must be positive and finite"),
+          ("fit-features", "--temperature",
+           "--temperature: temperature must be positive and finite"),
+          ("evaluate", "--lr", "learning_rate must be positive and finite"),
+          ("train-model", "--lr", "learning_rate must be positive and finite"),
+          ("train-item2vec", "--lr", "learning rate must be positive and finite"),
+          ("train-word2vec", "--lr", "learning rate must be positive and finite"),
+          ("evaluate", "--l2", "l2 must be non-negative and finite"),
+          ("train-model", "--l2", "l2 must be non-negative and finite")]],
 ])
 def test_flag_values_are_checked_before_any_file_is_read(tmp_path, capsys, monkeypatch,
                                                          command, flags, message):
@@ -484,6 +521,17 @@ class TestConfigFile:
         assert main([command, "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert f"{config}: bad value {value!r} for key {key!r}" in err
+
+    def test_a_nan_config_value_is_checked_before_any_file_is_read(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "evaluate.json"
+        config.write_text('{"systems": "Year", "metadata": "%s", "targets": "%s", '
+                          '"report": "r.tsv", "temperature": NaN}' % (_ABSENT, _ABSENT))
+        assert main(["evaluate", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == \
+            "cb2cf evaluate: error: --temperature: temperature must be positive and finite\n"
+        assert os.listdir(tmp_path) == ["evaluate.json"]
 
     def test_config_values_obey_the_option_choices(self, workspace, tmp_path, capsys):
         out = tmp_path / "labeled.tsv"

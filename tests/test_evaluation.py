@@ -1,8 +1,10 @@
 import concurrent.futures
+import dataclasses
 import json
 import math
 import multiprocessing
 import os
+import re
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -12,8 +14,8 @@ import pytest
 
 from cb2cf import evaluation
 from cb2cf.data import ContentProfile
-from cb2cf.evaluation import (DEFAULT_NDCG_KS, EvalDataset, EvalReport, make_folds,
-                              mean_ndcg, mpr, mse_metric, ndcg_at_k,
+from cb2cf.evaluation import (DEFAULT_NDCG_KS, EvalDataset, EvalReport, EvalSettings,
+                              make_folds, mean_ndcg, mpr, mse_metric, ndcg_at_k,
                               percentile_rank, report_json_dict, report_tsv,
                               run_evaluation, run_system)
 from cb2cf.features import fit_kmeans
@@ -324,6 +326,45 @@ def _quick_config():
                        val_fraction=0.0, seed=0)
 
 
+def _settings(**fields):
+    return EvalSettings(_quick_config(), **fields)
+
+
+class TestEvalSettings:
+    def test_defaults_are_those_the_evaluation_signatures_had(self):
+        settings = EvalSettings(_quick_config())
+        assert (settings.folds, settings.seed, settings.ndcg_ks, settings.min_tag_count,
+                settings.temperature, settings.spec_overrides) \
+            == (10, 0, (10, 30, 50, 100, 200, 500, 1000), 5, 0.1, None)
+        assert EvalSettings(_quick_config(), ndcg_ks=[2, 4]).ndcg_ks == (2, 4)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("folds", 1, "folds must be >= 2"),
+        ("folds", 0, "folds must be >= 2"),
+        ("min_tag_count", 0, "min_count must be >= 1"),
+        ("temperature", 0.0, "temperature must be positive and finite"),
+        ("temperature", math.nan, "temperature must be positive and finite"),
+        ("temperature", math.inf, "temperature must be positive and finite"),
+        ("spec_overrides", {"text_length": 0}, "text_length must be an integer >= 1"),
+        ("spec_overrides", {"text_length": 2}, "cnn_width exceeds text_length"),
+        ("spec_overrides", {"cnn_variant": "dynamic"}, "cnn_variant must be one of"),
+    ])
+    def test_each_bad_field_raises(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            EvalSettings(_quick_config(), **{field: value})
+        if field == "folds":  # run_system takes its folds drawn
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            run_system("Year", _tagged_dataset(), make_folds(["a", "b"], 2), _quick_config(),
+                       predictor=lambda ids: pytest.fail("a fold ran"), **{field: value})
+
+    def test_is_frozen(self):
+        settings = EvalSettings(_quick_config())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            settings.temperature = 1.0
+        assert settings == EvalSettings(_quick_config())
+
+
 class TestRunSystem:
     def test_perfect_predictor_hits_the_metric_optima(self):
         dataset = _tagged_dataset()
@@ -386,8 +427,7 @@ class TestRunEvaluationReports:
     def _report(self):
         dataset = _tagged_dataset()
         return run_evaluation(["Genres+Year", "Year"], dataset,
-                              _quick_config(), folds=3, seed=4,
-                              ndcg_ks=(2, 4), min_tag_count=1)
+                              _settings(folds=3, seed=4, ndcg_ks=(2, 4), min_tag_count=1))
 
     def test_rerun_serializes_byte_identically(self):
         first = report_tsv(self._report())
@@ -432,8 +472,7 @@ class TestRunEvaluationReports:
                                  dataset.targets.vectors[:-1])
         broken = EvalDataset(profiles=dataset.profiles, targets=trimmed)
         with pytest.raises(ValueError, match="no target"):
-            run_evaluation(["Year"], broken, _quick_config(), folds=3,
-                           ndcg_ks=(2,))
+            run_evaluation(["Year"], broken, _settings(folds=3, ndcg_ks=(2,)))
 
 
 @pytest.fixture
@@ -511,8 +550,7 @@ class TestFoldPool:
     @staticmethod
     def _report_bytes():
         report = run_evaluation(["Genres+Year", "Year"], _tagged_dataset(),
-                                _quick_config(), folds=3, seed=4,
-                                ndcg_ks=(2, 4), min_tag_count=1)
+                                _settings(folds=3, seed=4, ndcg_ks=(2, 4), min_tag_count=1))
         return json.dumps(report_json_dict(report)), report_tsv(report)
 
     def test_pool_reports_equal_serial_reports(self, cpus, monkeypatch):
@@ -592,8 +630,8 @@ class TestFoldPool:
 
     def test_shared_folds_report_what_separate_system_runs_report(self, workers, pools):
         dataset, systems, ks = _text_dataset(), ["CNN+BOW+Year", "Genres"], (2, 4)
-        report = run_evaluation(systems, dataset, _quick_config(), folds=3, seed=4,
-                                ndcg_ks=ks, min_tag_count=1)
+        report = run_evaluation(systems, dataset,
+                                _settings(folds=3, seed=4, ndcg_ks=ks, min_tag_count=1))
         assert len(pools) == (0 if workers == 1 else 1)
         folds = make_folds([p.id for p in dataset.profiles], folds=3, seed=4)
         separate = EvalReport([run_system(name, dataset, folds, _quick_config(), ndcg_ks=ks,
@@ -616,15 +654,14 @@ class TestFoldPool:
         monkeypatch.setattr(evaluation, "featurize_item",
                             counted(featurized, evaluation.featurize_item))
         dataset = _text_dataset()
-        run_evaluation(["CNN+BOW+Year", "Genres"], dataset, _quick_config(), folds=3,
-                       seed=4, ndcg_ks=(2,), min_tag_count=1)
+        run_evaluation(["CNN+BOW+Year", "Genres"], dataset,
+                       _settings(folds=3, seed=4, ndcg_ks=(2,), min_tag_count=1))
         assert len(fits) == 3
         assert sorted(p.id for p in featurized) == \
             sorted(p.id for p in dataset.profiles for _ in range(3))
 
     def test_no_systems_report_nothing_and_start_no_pool(self, workers, pools):
-        report = run_evaluation([], _tagged_dataset(), _quick_config(), folds=3,
-                                ndcg_ks=(2,))
+        report = run_evaluation([], _tagged_dataset(), _settings(folds=3, ndcg_ks=(2,)))
         assert report.systems == [] and pools == []
         assert report_tsv(report) == "system\tfold\tmse\tmpr\tndcg@2\n"
 
@@ -646,8 +683,8 @@ class TestFoldPool:
                             fit_slow_fold_0_and_fail_the_rest)
         with pytest.raises(ValueError, match="^text features requested but the context "
                                              "has no word table$"):
-            run_evaluation(["Year", "CNN+Year"], dataset, _quick_config(), folds=3,
-                           seed=0, ndcg_ks=(2,), min_tag_count=1)
+            run_evaluation(["Year", "CNN+Year"], dataset,
+                           _settings(folds=3, seed=0, ndcg_ks=(2,), min_tag_count=1))
 
 
 def test_default_ndcg_cutoffs():

@@ -359,9 +359,10 @@ class TestBowHistogram:
 
     def test_rejects_bad_temperature(self):
         table = _table()
-        with pytest.raises(ValueError):
-            bow_histogram(["alpha"], Centroids(np.eye(2, 4)), table,
-                          temperature=0.0)
+        for temperature in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^temperature must be positive and finite$"):
+                bow_histogram(["alpha"], Centroids(np.eye(2, 4)), table,
+                              temperature=temperature)
 
     @settings(max_examples=50)
     @given(st.lists(st.sampled_from(WORDS + ["oov"]), max_size=10),
@@ -724,5 +725,6 @@ def test_bad_context_values_name_the_file_and_the_key(tmp_path, word_table, prof
 def test_feature_context_validation():
     vocab = build_tag_vocab([ContentProfile(id="p")], min_count=1)
     stats = YearStats(0.0, 1.0)
-    with pytest.raises(ValueError):
-        FeatureContext(vocab, stats, temperature=0.0)
+    for temperature in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^temperature must be positive and finite$"):
+            FeatureContext(vocab, stats, temperature=temperature)

@@ -422,6 +422,13 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(max_epochs=-1)
+    for rate in (float("nan"), float("inf"), 10 ** 400):
+        with pytest.raises(ValueError, match="^learning_rate must be positive and finite$"):
+            TrainConfig(learning_rate=rate)
+    for l2 in (-1e-4, float("nan"), float("inf"), 10 ** 400):
+        with pytest.raises(ValueError, match="^l2 must be non-negative and finite$"):
+            TrainConfig(l2=l2)
+    TrainConfig(learning_rate=1e300, l2=0.0)
 
 
 def test_predict_matches_single_forwards_and_handles_empty():

@@ -46,6 +46,9 @@ def test_config_validation():
         SgnsConfig(window=0)
     with pytest.raises(ValueError):
         SgnsConfig(learning_rate=0.0)
+    for rate in (math.nan, math.inf, -math.inf, 10 ** 400):
+        with pytest.raises(ValueError, match="^learning rate must be positive and finite$"):
+            SgnsConfig(learning_rate=rate)
 
 
 def test_cooccurrence_sets_validation():
