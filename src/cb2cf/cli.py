@@ -116,6 +116,8 @@ def _cmd_train_model(args: argparse.Namespace) -> None:
     spec = model_mod.SystemSpec.named(args.system)
     with _flag("--max-words"):
         spec = dataclasses.replace(spec, cnn_variant=args.cnn_variant, text_length=args.max_words)
+    with _flag("--seed"):
+        model_mod.check_seed(args.seed)
     config = _from_args(model_mod.TrainConfig, _TRAIN_FLAGS, args)
     context = features.load_feature_context(args.features)
     profiles = data.load_metadata(args.metadata)
@@ -173,6 +175,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     ks = _listed("--ndcg-k", args.ndcg_k, "cutoffs", int)
     needed = set().union(*(model_mod.bundle_parts(model_mod.SystemSpec.named(name))
                            for name in systems))
+    with _flag("--seed"):  # the training and the fold seed
+        model_mod.check_seed(args.seed)
     settings = evaluation.EvalSettings(_from_args(model_mod.TrainConfig, _TRAIN_FLAGS, args),
                                        seed=args.seed, ndcg_ks=ks)
     # One flag at a time, so that the flag whose value the settings reject is named.
@@ -193,10 +197,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     usable = _usable_profiles(profiles, targets)
     word_table, centroids = _text_assets(args, "bow" in needed)
 
-    limit = len(targets) - 1
-    usable_ks = tuple(k for k in ks if 1 <= k <= limit)
+    usable_ks = evaluation.usable_cutoffs(ks, targets)
     if len(usable_ks) < len(ks):
-        print(f"dropping ndcg cutoffs outside 1..{limit}: "
+        print(f"dropping ndcg cutoffs outside 1..{len(targets) - 1}: "
               f"{[k for k in ks if k not in usable_ks]}", file=sys.stderr)
     if not usable_ks:
         raise CliError(f"no ndcg cutoff fits a catalog of {len(targets)} items")

@@ -26,7 +26,7 @@ from .features import (DEFAULT_MIN_TAG_COUNT, DEFAULT_TEMPERATURE, Centroids,
                        check_min_tag_count, check_temperature, fit_feature_context,
                        featurize_item)
 from .model import (SystemSpec, TrainConfig, _target_vector, build_model, bundle_parts,
-                    predict, train)
+                    check_seed, predict, train)
 from .sgns import EmbeddingTable, cosine_scores, top_rows
 
 DEFAULT_NDCG_KS = (10, 30, 50, 100, 200, 500, 1000)
@@ -106,6 +106,11 @@ def mpr(predictions: Mapping[str, np.ndarray], catalog: EmbeddingTable) -> float
     return total / (len(predictions) * denom)
 
 
+def usable_cutoffs(ks: Sequence[int], catalog: EmbeddingTable) -> tuple[int, ...]:
+    """The NDCG cutoffs in ``ks`` that rank within ``catalog``: 1 <= k <= len(catalog) - 1."""
+    return tuple(k for k in ks if 1 <= k < len(catalog))
+
+
 @lru_cache(maxsize=None)
 def _discounts(n: int) -> np.ndarray:
     """log2(rank + 1) for ranks 1..n, from math.log2; read-only, as every
@@ -124,7 +129,7 @@ def ndcg_at_cutoffs(item_id: str, predicted: np.ndarray, catalog: EmbeddingTable
     zero-norm or non-finite prediction, or ideal gain below 1e-12, scores 0."""
     if item_id not in catalog:
         raise ValueError(f"item {item_id!r} not in catalog")
-    if not all(1 <= k <= len(catalog) - 1 for k in ks):
+    if usable_cutoffs(ks, catalog) != tuple(ks):
         raise ValueError(f"k must be in 1..{len(catalog) - 1}")
     scores = cosine_scores(predicted, catalog)
     relevance = cosine_scores(catalog.get(item_id), catalog)
@@ -200,6 +205,7 @@ class EvalSettings:
 
     def __post_init__(self) -> None:
         _check_folds(self.folds)
+        check_seed(self.seed)
         check_min_tag_count(self.min_tag_count)
         check_temperature(self.temperature)
         SystemSpec(("Year",), **(self.spec_overrides or {}))  # rules that hold for every system
@@ -262,9 +268,8 @@ def _run_systems(systems: Sequence[str], dataset: EvalDataset, folds: FoldAssign
     systems; each system then trains from the fold's seed, and its held-out
     predictions are ranked against the full catalog."""
     catalog, config, ndcg_ks = dataset.targets, settings.config, settings.ndcg_ks
-    for k in ndcg_ks:
-        if not 1 <= k <= len(catalog) - 1:
-            raise ValueError(f"ndcg cutoff {k} invalid for catalog of {len(catalog)}")
+    if usable_cutoffs(ndcg_ks, catalog) != ndcg_ks:
+        raise ValueError(f"ndcg cutoffs {list(ndcg_ks)} invalid for catalog of {len(catalog)}")
     specs = [SystemSpec.named(name, output_dim=catalog.dim, **(settings.spec_overrides or {}))
              for name in systems]
     by_id = {p.id: p for p in dataset.profiles}

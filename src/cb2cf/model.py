@@ -45,6 +45,7 @@ CNN_VARIANTS = ("non-static", "static", "random-init")
 _GROUPS = {"Tags": tuple(TAG_COMPONENT_FIELDS)}
 MODEL_KIND = "cb2cf-model"
 PREDICT_CHUNK = 256  # bundles per forward pass in ``predict``
+PARAM_DTYPE = np.float32  # of built and loaded dense parameters; the embedding copy stays float64
 
 
 def parse_system(name: str) -> tuple[str, ...]:
@@ -141,10 +142,10 @@ def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarra
 class Cb2cfModel:
     """Parameters plus the feature context they were built against.
 
-    The constructor packs the given tensors, in order, into one float64 vector
-    ``flat``, and ``params`` maps each name to a view into it. Write through
-    ``params[name]``, never rebind it: a rebound tensor is no longer in ``flat``,
-    which is what Adam steps and training snapshots, restores and checks.
+    The constructor packs the given tensors, in order, into one vector ``flat``
+    of their dtype, and ``params`` maps each name to a view into it. Write
+    through ``params[name]``, never rebind it: a rebound tensor is no longer in
+    ``flat``, which is what Adam steps and training snapshots, restores and checks.
 
     ``embedding`` is the model's private copy of the word table, present only
     when the CNN component is enabled; it is trainable unless the variant is
@@ -201,9 +202,9 @@ def parameter_shapes(spec: SystemSpec, features: FeatureContext) -> dict[str, tu
 
 
 def build_model(spec: SystemSpec, features: FeatureContext, seed: int = 0) -> Cb2cfModel:
-    """Allocate the ``parameter_shapes`` tensors in table order. Weights and
-    filters are uniform in +-sqrt(6/(fan_in+fan_out)), biases zero; a
-    'random-init' embedding is drawn just before the filters."""
+    """Allocate the ``parameter_shapes`` tensors in table order, in ``PARAM_DTYPE``.
+    Weights and filters are uniform in +-sqrt(6/(fan_in+fan_out)), biases zero;
+    a 'random-init' (float64) embedding is drawn just before the filters."""
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     embedding = None
@@ -212,11 +213,9 @@ def build_model(spec: SystemSpec, features: FeatureContext, seed: int = 0) -> Cb
             table = features.word_table
             embedding = (rng.uniform(-0.5 / table.dim, 0.5 / table.dim, size=table.vectors.shape)
                          if spec.cnn_variant == "random-init" else table.vectors.copy())
-        if len(shape) == 1:
-            params[name] = np.zeros(shape)
-        else:
-            fan_out, fan_in = shape[0], math.prod(shape[1:])
-            params[name] = net.glorot_uniform(rng, fan_in, fan_out, shape)
+        limit = np.sqrt(6.0 / (shape[0] + math.prod(shape[1:])))  # fan_out + fan_in
+        params[name] = (np.zeros(shape) if len(shape) == 1
+                        else rng.uniform(-limit, limit, size=shape)).astype(PARAM_DTYPE)
     return Cb2cfModel(spec, params, features, embedding)
 
 
@@ -253,7 +252,7 @@ def _text_forward(model: Cb2cfModel, indices: np.ndarray, lengths: np.ndarray,
     one leaves the first-occurrence max where the full-length matrix has it."""
     offsets = np.cumsum([0, *np.minimum(model.spec.text_length, lengths + model.spec.cnn_width)])
     word_rows = _spans(offsets[:-1], lengths)
-    matrix = np.zeros((offsets[-1], model.embedding.shape[1]))
+    matrix = np.zeros((offsets[-1], model.embedding.shape[1]), model.flat.dtype)
     matrix[word_rows] = (model.embedding[indices] if word_mask is None
                          else model.embedding[indices] * word_mask[:, None])
     pooled, conv_cache = net.conv1d_maxpool_forward(
@@ -283,14 +282,14 @@ def _text_backward(model: Cb2cfModel, text_cache: tuple, grad_act: np.ndarray,
 def forward_batch(model: Cb2cfModel, stack: dict, rows: np.ndarray | slice = slice(None), *,
                   train: bool = False, rng=None, word_dropout: float = 0.0,
                   unit_dropout: float = 0.0):
-    """Forward pass over the minibatch ``rows`` (all by default) of a
-    ``stack_bundles`` stack. Returns (predictions, cache) with one prediction
-    row per example. Every layer runs once over the batch. Dropout draws
-    happen only in train mode; evaluation is deterministic and rng-free."""
-    spec, params = model.spec, model.params
+    """Forward pass over the minibatch ``rows`` (all by default) of a ``stack_bundles``
+    stack, in the parameters' dtype. Returns (predictions, cache) with one prediction
+    row per example. Every layer runs once over the batch. Dropout draws happen
+    only in train mode; evaluation is deterministic and rng-free."""
+    spec, params, dtype = model.spec, model.params, model.flat.dtype
     if train and (word_dropout > 0 or unit_dropout > 0) and rng is None:
         raise ValueError("train-mode dropout needs an rng")
-    inputs = {comp: stack[comp][rows] for comp in spec.components if comp != "CNN"}
+    inputs = {comp: stack[comp][rows].astype(dtype) for comp in spec.components if comp != "CNN"}
     if "CNN" in spec.components:
         words, offsets = stack["CNN"]
         lengths = np.diff(offsets)[rows]
@@ -305,8 +304,8 @@ def forward_batch(model: Cb2cfModel, stack: dict, rows: np.ndarray | slice = sli
                                  np.full(n, spec.bow_hidden if unit_p > 0 else 0)])
         is_word = np.repeat(np.tile([True, False], n), sizes.ravel())
         draws = rng.random(len(is_word))
-        word_mask = net.dropout_mask(draws[is_word], word_p) if word_p > 0 else None
-        unit_mask = net.dropout_mask(draws[~is_word], unit_p).reshape(n, -1) if unit_p > 0 else None
+        word_mask = net.dropout_mask(draws[is_word], word_p, dtype) if word_p else None
+        unit_mask = net.dropout_mask(draws[~is_word], unit_p, dtype).reshape(n, -1) if unit_p else None
     cache: dict = {"components": {}, "unit_mask": unit_mask}
     outputs: list[np.ndarray] = []
 
@@ -368,6 +367,11 @@ def backward_batch(model: Cb2cfModel, cache: dict, grad_predictions: np.ndarray,
     return grads, (rows, row_grads)
 
 
+def check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 32
@@ -395,6 +399,7 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -484,7 +489,7 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
             preds, cache = forward_batch(model, stack, batch, train=True, rng=rng,
                                          word_dropout=config.word_dropout,
                                          unit_dropout=config.dropout)
-            losses, grad_preds = net.mse_loss(preds, target_rows[batch])
+            losses, grad_preds = net.mse_loss(preds, target_rows[batch].astype(preds.dtype))
             epoch_loss = sum(losses.tolist(), epoch_loss)
             if not np.isfinite(epoch_loss):
                 break  # diverged; no update from a non-finite loss
@@ -582,10 +587,10 @@ def save_model(model: Cb2cfModel, path: str | Path,
 
 def load_model(path: str | Path,
                features: FeatureContext | None = None) -> Cb2cfModel:
-    """Restore a checkpoint. The feature context comes from ``features`` or,
-    failing that, from the checkpoint's stored reference resolved relative
-    to the checkpoint file. The tensors must have the names and shapes that
-    the stored system spec gives over that context."""
+    """Restore a checkpoint, its dense tensors as ``PARAM_DTYPE``. The feature context
+    comes from ``features`` or, failing that, from the checkpoint's stored reference
+    resolved relative to the checkpoint file. The tensors must have the names and
+    shapes that the stored system spec gives over that context."""
     def bad(reason: str) -> ValueError:
         return ValueError(f"checkpoint {path}: {reason}")
 
@@ -617,5 +622,5 @@ def load_model(path: str | Path,
                    if n not in tensors or tensors[n].shape != expected.get(n))
     if wrong:
         raise bad(f"tensors missing, unexpected or misshapen for the system spec: {wrong}")
-    embedding = tensors.pop("embedding", None)
-    return Cb2cfModel(spec, tensors, features, embedding)
+    params = {name: t.astype(PARAM_DTYPE) for name, t in tensors.items() if name != "embedding"}
+    return Cb2cfModel(spec, params, features, tensors.get("embedding"))

@@ -1,6 +1,6 @@
 """Minimal dense/convolutional network core with hand-derived gradients.
 
-Everything operates on float64 numpy arrays. Dense, ReLU, dropout and MSE
+Each layer computes in the dtype of its inputs. Dense, ReLU, dropout and MSE
 are batch-first: a dense layer maps a (batch, features) matrix (or one
 example's vector) with one GEMM and sums its parameter gradients over the
 batch. The convolution takes a batch's texts as segments of one stacked
@@ -29,15 +29,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 SCATTER_BUDGET = 1 << 17  # input-gradient terms per conv scatter: ~1 MiB of float64
 
 
-def glorot_uniform(rng, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def dense_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
     """y = x @ W.T + b for a batch x of shape (batch, in), or one example
     of shape (in,). Returns (y, cache)."""
-    x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or weight.ndim != 2 or weight.shape[1] != x.shape[-1]:
         raise ValueError(f"dense shape mismatch: W {weight.shape}, x {x.shape}")
     if bias.shape != (weight.shape[0],):
@@ -75,13 +69,14 @@ def conv1d_maxpool_forward(matrix: np.ndarray, filters: np.ndarray, bias: np.nda
     width, dim), bias (count,). One GEMM per segment scores its windows; the
     first window wins ties. Returns pooled, (count,) or (segments, count), and
     a cache holding the start row of each maximum's window."""
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    matrix = np.ascontiguousarray(matrix)
     count, width, dim = filters.shape
     bounds = np.array([0, len(matrix)]) if offsets is None else np.asarray(offsets)
     if matrix.shape[1] != dim or bias.shape != (count,) or (np.diff(bounds) < width).any():
         raise ValueError(f"conv shape mismatch: input {matrix.shape}, segment lengths "
                          f"{np.diff(bounds).tolist()}, filters {filters.shape}, bias {bias.shape}")
-    pooled, best = np.empty((len(bounds) - 1, count)), np.empty((len(bounds) - 1, count), np.int64)
+    pooled = np.empty((len(bounds) - 1, count), np.result_type(matrix, filters, bias))
+    best = np.empty(pooled.shape, np.int64)
     for i, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
         windows = as_strided(matrix[lo:], (hi - lo - width + 1, width * dim), matrix.strides,
                              writeable=False)  # row p: the width*dim values from row lo+p on
@@ -110,11 +105,11 @@ def conv1d_maxpool_backward(cache, grad_pooled: np.ndarray, input_grad: bool = T
     if grad_pooled.shape != best.shape:
         raise ValueError("pooled grad shape mismatch")
     grad_pooled, rows = grad_pooled.reshape(-1, count), best.reshape(-1, count, 1) + np.arange(width)
-    grad_filters = np.zeros(filters.shape) if out[0] is None else out[0]
+    grad_filters = np.zeros_like(filters) if out[0] is None else out[0]
     grad_filters[...] = 0.0
     for grad_row, window_rows in zip(grad_pooled, rows):  # rows: (segments, count, width)
         grad_filters += grad_row[:, None, None] * matrix[window_rows]
-    grad_matrix = np.zeros(matrix.shape) if input_grad else None
+    grad_matrix = np.zeros(matrix.shape, np.result_type(matrix, filters)) if input_grad else None
     step = max(1, SCATTER_BUDGET // (count * width * dim))  # whole segments per scatter
     for lo in range(0, len(rows) if input_grad else 0, step):
         part = rows[lo:lo + step]
@@ -126,10 +121,10 @@ def conv1d_maxpool_backward(cache, grad_pooled: np.ndarray, input_grad: bool = T
     return grad_matrix, grad_filters, np.sum(grad_pooled, axis=0, out=out[1])
 
 
-def dropout_mask(uniform: np.ndarray, p: float) -> np.ndarray:
-    """Inverted-dropout mask from uniform [0, 1) draws: 0 with probability p,
-    else 1/(1-p)."""
-    return (uniform >= p) / (1.0 - p)
+def dropout_mask(uniform: np.ndarray, p: float, dtype=np.float64) -> np.ndarray:
+    """Inverted-dropout mask in ``dtype`` from uniform [0, 1) draws: 0 with
+    probability p, else 1/(1-p)."""
+    return ((uniform >= p) / (1.0 - p)).astype(dtype, copy=False)
 
 
 def dropout_backward(mask, grad_out: np.ndarray) -> np.ndarray:
@@ -139,8 +134,6 @@ def dropout_backward(mask, grad_out: np.ndarray) -> np.ndarray:
 def mse_loss(prediction: np.ndarray, target: np.ndarray):
     """Mean squared error over coordinates and its gradient w.r.t. prediction.
     A (batch, dim) prediction gives one loss per row."""
-    prediction = np.asarray(prediction, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
     if prediction.shape != target.shape:
         raise ValueError(f"prediction {prediction.shape} vs target {target.shape}")
     diff = prediction - target

@@ -1,8 +1,19 @@
 """One-example passes through the batched model, for tests that check a
-single example or compare a batch against its examples, and one tag's
-hidden representation."""
+single example or compare a batch against its examples, one tag's hidden
+representation, and a float64 copy of a model."""
 
-from cb2cf.model import _tag_reps, backward_batch, forward_batch, stack_bundles
+import numpy as np
+
+from cb2cf.model import Cb2cfModel, _tag_reps, backward_batch, forward_batch, stack_bundles
+
+
+def float64_model(model):
+    """A copy of ``model`` with float64 parameters, built through the constructor,
+    so every layer computes in float64: for finite differences and bit-level
+    comparisons. The (float64) embedding is copied unchanged."""
+    embedding = None if model.embedding is None else model.embedding.copy()
+    return Cb2cfModel(model.spec, {name: p.astype(np.float64) for name, p in model.params.items()},
+                      model.features, embedding)
 
 
 def forward(model, bundle, **kwargs):

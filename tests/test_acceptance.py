@@ -29,6 +29,7 @@ from cb2cf.model import (SystemSpec, TrainConfig, analogy, backward_batch,
 from cb2cf.sgns import EmbeddingTable, SgnsConfig, similarity_search, train_sgns
 from cb2cf.synthetic import SyntheticSpec, generate_synthetic
 from gradcheck import grad_check
+from model_helpers import float64_model
 from synthetic_helpers import cluster_labels
 
 
@@ -93,7 +94,7 @@ def test_criterion_1_gradient_correctness():
         cnn_hidden=5, year_hidden=3, combiner_hidden=6,
         tag_hidden={"Genres": 4, "Actors": 4, "Director": 3, "Language": 3},
         text_length=12)
-    model = build_model(spec, context, seed=1)
+    model = float64_model(build_model(spec, context, seed=1))
     bundle = featurize_item(profiles[0], context, bundle_parts(spec))
     rows = sorted(set(int(r) for r in bundle.text_indices))
     target = rng.standard_normal(5)

@@ -445,6 +445,8 @@ _ABSENT = "absent.input"  # a relative path under tmp_path that is never written
           ("train-word2vec", "--lr", "learning rate must be positive and finite"),
           ("evaluate", "--l2", "l2 must be non-negative and finite"),
           ("train-model", "--l2", "l2 must be non-negative and finite")]],
+    ("evaluate", ["--seed", "-1"], "--seed: seed must be >= 0"),
+    ("train-model", ["--seed", "-1"], "--seed: seed must be >= 0"),
 ])
 def test_flag_values_are_checked_before_any_file_is_read(tmp_path, capsys, monkeypatch,
                                                          command, flags, message):

@@ -245,6 +245,7 @@ class TestNdcg:
 
     def test_k_bounds(self):
         catalog = _catalog()
+        assert evaluation.usable_cutoffs((0, 3, 1, 4, -1, 2), catalog) == (3, 1, 2)
         with pytest.raises(ValueError, match="k must be"):
             ndcg_at_k("a", np.ones(2), catalog, 0)
         with pytest.raises(ValueError, match="k must be"):
@@ -348,6 +349,7 @@ class TestEvalSettings:
         ("spec_overrides", {"text_length": 0}, "text_length must be an integer >= 1"),
         ("spec_overrides", {"text_length": 2}, "cnn_width exceeds text_length"),
         ("spec_overrides", {"cnn_variant": "dynamic"}, "cnn_variant must be one of"),
+        ("seed", -1, "seed must be >= 0"),
     ])
     def test_each_bad_field_raises(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):

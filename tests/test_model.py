@@ -17,7 +17,7 @@ from cb2cf.model import (COMPONENT_ORDER, Cb2cfModel, SystemSpec, TrainConfig,
                          parse_system, predict, save_model, stack_bundles, train)
 from cb2cf.sgns import EmbeddingTable
 from gradcheck import grad_check
-from model_helpers import backward, forward, tag_representation
+from model_helpers import backward, float64_model, forward, tag_representation
 
 
 class TestParseSystem:
@@ -119,6 +119,18 @@ def test_build_model_is_deterministic_per_seed():
         assert np.array_equal(a.params[name], b.params[name])
     c = build_model(spec, context, seed=5)
     assert any(not np.array_equal(a.params[n], c.params[n]) for n in a.params)
+
+
+def test_build_model_stores_its_float64_draws_rounded_to_float32(word_table):
+    model, _ = _full_system(word_table)
+    rng = np.random.default_rng(5)  # _full_system builds with seed 5
+    for name, shape in model_module.parameter_shapes(model.spec, model.features).items():
+        limit = np.sqrt(6.0 / (shape[0] + np.prod(shape[1:])))
+        drawn = np.zeros(shape) if len(shape) == 1 else rng.uniform(-limit, limit, size=shape)
+        assert model.params[name].tobytes() == drawn.astype(np.float32).tobytes(), name
+    assert model.flat.dtype == np.float32
+    assert model.embedding.dtype == np.float64
+    assert model.embedding.tobytes() == word_table.vectors.tobytes()
 
 
 def test_build_model_biases_start_at_zero():
@@ -252,7 +264,7 @@ def test_backward_gradients_match_finite_differences():
                             tag_hidden={"Genres": 5, "Actors": 4,
                                         "Director": 4, "Language": 3},
                             year_hidden=3, combiner_hidden=6)
-    model = build_model(spec, context, seed=7)
+    model = float64_model(build_model(spec, context, seed=7))
     bundle = featurize_item(profiles[1], context, bundle_parts(spec))
     target = np.random.default_rng(0).standard_normal(3)
 
@@ -357,7 +369,7 @@ def test_train_restores_the_best_validation_epoch():
     rng = np.random.default_rng(8)
     targets = {p.id: rng.standard_normal(4) for p in profiles}
     bundles = [featurize_item(p, context, bundle_parts(spec)) for p in profiles]
-    model = build_model(spec, context, seed=1)
+    model = float64_model(build_model(spec, context, seed=1))
     config = TrainConfig(batch_size=4, word_dropout=0.0, dropout=0.0, l2=0.0,
                          learning_rate=0.05, max_epochs=60, patience=3,
                          val_fraction=0.3, seed=4)
@@ -428,6 +440,8 @@ def test_train_config_validation():
     for l2 in (-1e-4, float("nan"), float("inf"), 10 ** 400):
         with pytest.raises(ValueError, match="^l2 must be non-negative and finite$"):
             TrainConfig(l2=l2)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        TrainConfig(seed=-1)
     TrainConfig(learning_rate=1e300, l2=0.0)
 
 
@@ -435,7 +449,7 @@ def test_predict_matches_single_forwards_and_handles_empty():
     profiles = _tag_year_profiles()
     context = _context(profiles)
     spec = SystemSpec.named("Tags", output_dim=3)
-    model = build_model(spec, context, seed=2)
+    model = float64_model(build_model(spec, context, seed=2))
     bundles = [featurize_item(p, context, bundle_parts(spec)) for p in profiles]
     batch = predict(model, bundles)
     assert batch.shape == (len(bundles), 3)
@@ -472,7 +486,8 @@ class TestModelPersistence:
         loaded = load_model(path, features=context)
         assert loaded.spec == model.spec
         assert loaded.embedding_trainable == model.embedding_trainable
-        assert np.array_equal(predict(loaded, bundles), predict(model, bundles))
+        assert (loaded.flat.dtype, loaded.embedding.dtype) == (np.float32, np.float64)
+        assert predict(loaded, bundles).tobytes() == predict(model, bundles).tobytes()
 
     def test_a_save_load_round_trip_keeps_the_checkpoint_bytes(self, tmp_path, word_table):
         model, context, _ = self._trained(word_table)
@@ -480,9 +495,20 @@ class TestModelPersistence:
         loaded = load_model(tmp_path / "a.ckpt", features=context)
         save_model(loaded, tmp_path / "b.ckpt")
         assert (tmp_path / "b.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
-        assert np.array_equal(loaded.flat, model.flat)
+        assert loaded.flat.tobytes() == model.flat.tobytes()
         for name, param in loaded.params.items():
             assert np.shares_memory(param, loaded.flat), name
+
+    def test_a_float64_checkpoint_loads_rounded_to_float32(self, tmp_path, word_table):
+        # A checkpoint of float64 values that float32 cannot hold, as a float64 model writes.
+        model, context, bundles = self._trained(word_table)
+        written = float64_model(model)
+        written.flat[:] = np.random.default_rng(2).uniform(-0.5, 0.5, written.flat.shape)
+        save_model(written, tmp_path / "model.ckpt")
+        loaded = load_model(tmp_path / "model.ckpt", features=context)
+        assert loaded.flat.tobytes() == written.flat.astype(np.float32).tobytes()
+        assert loaded.embedding.tobytes() == written.embedding.tobytes()
+        assert np.allclose(predict(loaded, bundles), predict(written, bundles), rtol=0, atol=1e-5)
 
     def test_round_trip_via_stored_reference(self, tmp_path, word_table):
         model, context, bundles = self._trained(word_table)
@@ -490,7 +516,7 @@ class TestModelPersistence:
         path = tmp_path / "model.ckpt"
         save_model(model, path, features_ref="ctx")
         loaded = load_model(path)
-        assert np.array_equal(predict(loaded, bundles), predict(model, bundles))
+        assert predict(loaded, bundles).tobytes() == predict(model, bundles).tobytes()
 
     def test_missing_reference_is_an_error(self, tmp_path, word_table):
         model, _, _ = self._trained(word_table)
@@ -667,6 +693,7 @@ def test_full_system_parameters_and_l2_names(word_table):
 
 def test_predict_in_chunks_matches_one_forward_batch(word_table, monkeypatch):
     model, bundles = _full_system(word_table)
+    model = float64_model(model)
     assert len(bundles) == 5
     whole, _ = forward_batch(model, stack_bundles(model.spec, bundles))
     monkeypatch.setattr(model_module, "PREDICT_CHUNK", 2)
@@ -675,6 +702,7 @@ def test_predict_in_chunks_matches_one_forward_batch(word_table, monkeypatch):
 
 def test_batched_step_sums_the_per_example_gradients(word_table):
     model, bundles = _full_system(word_table)
+    model = float64_model(model)
     batch = bundles[:4]
     assert len(batch[1].text_indices) == 0
     assert len(set(batch[0].text_indices.tolist())) < len(batch[0].text_indices)
@@ -709,6 +737,7 @@ def test_batched_step_sums_the_per_example_gradients(word_table):
 
 def test_batch_gradients_with_dropout_on_match_finite_differences(word_table):
     model, bundles = _full_system(word_table)
+    model = float64_model(model)
     stack = stack_bundles(model.spec, bundles)
     targets = np.random.default_rng(4).standard_normal((5, 3))
     words = np.unique(stack["CNN"][0])
@@ -790,6 +819,7 @@ def test_a_long_text_stacks_predicts_and_trains_like_its_cut_copy(word_table):
 @pytest.mark.parametrize("word_p, unit_p", [(0.3, 0.4), (0.3, 0.0), (0.0, 0.4)])
 def test_batch_dropout_masks_are_the_per_example_draws_in_order(word_table, word_p, unit_p):
     model, bundles = _full_system(word_table)
+    model = float64_model(model)
     stack = stack_bundles(model.spec, bundles)
     rows = np.array([3, 1, 0, 4, 1])  # the textless item, twice
     for seed in range(5):
@@ -933,6 +963,7 @@ def _reference_train(model, bundles, targets, config):
 
 def test_train_matches_a_per_example_reference_loop(word_table):
     model, bundles = _full_system(word_table)
+    model = float64_model(model)
     # Ten items, with texts repeated across batches.
     bundles = [replace(b, item_id=f"x{i}") for i, b in enumerate(bundles * 2)]
     rng = np.random.default_rng(3)
@@ -940,7 +971,7 @@ def test_train_matches_a_per_example_reference_loop(word_table):
     config = TrainConfig(batch_size=3, word_dropout=0.25, dropout=0.25, l2=1e-3,
                          learning_rate=0.01, max_epochs=4, patience=10,
                          val_fraction=0.2, seed=11)
-    reference = build_model(model.spec, model.features, seed=5)
+    reference = float64_model(build_model(model.spec, model.features, seed=5))
     report = train(model, bundles, targets, config)
     _reference_train(reference, bundles, targets, config)
     assert report.stop_reason == "max_epochs"
@@ -949,6 +980,52 @@ def test_train_matches_a_per_example_reference_loop(word_table):
                            rtol=0, atol=1e-9), name
     assert np.allclose(model.embedding, reference.embedding, rtol=0, atol=1e-9)
     assert not np.array_equal(model.embedding, word_table.vectors)
+
+
+def test_a_float32_pass_stays_float32_within_rounding_of_float64(word_table):
+    model, bundles = _full_system(word_table)
+    stack = stack_bundles(model.spec, bundles)
+
+    def one_pass(m):
+        preds, cache = forward_batch(m, stack, train=True, rng=np.random.default_rng(7),
+                                     word_dropout=0.3, unit_dropout=0.3)
+        grad_preds = np.random.default_rng(1).standard_normal(preds.shape).astype(preds.dtype)
+        grads, (rows, row_grads) = backward_batch(m, cache, grad_preds)
+        return preds, (cache["text"][1], cache["unit_mask"]), grads, rows, row_grads
+
+    preds, masks, grads, rows, row_grads = one_pass(model)
+    preds64, masks64, grads64, rows64, row_grads64 = one_pass(float64_model(model))
+    assert preds.dtype == masks[0].dtype == masks[1].dtype == np.float32
+    assert all(g.dtype == np.float32 for g in grads.values())
+    assert row_grads.dtype == np.float64  # it steps the float64 embedding copy
+    for mask, mask64 in zip(masks, masks64):  # the same draws, rounded
+        assert mask.tobytes() == mask64.astype(np.float32).tobytes()
+    # Measured over ten dropout seeds: predictions 4.5e-8, gradients 2.2e-7 apart at most.
+    assert np.allclose(preds, preds64, rtol=0, atol=2e-6)
+    for name in grads:
+        assert np.allclose(grads[name], grads64[name], rtol=0, atol=2e-6), name
+    assert np.array_equal(rows, rows64)
+    assert np.allclose(row_grads, row_grads64, rtol=0, atol=2e-6)
+
+
+def test_float32_training_tracks_float64_training(word_table):
+    model, bundles = _full_system(word_table)
+    bundles = [replace(b, item_id=f"x{i}") for i, b in enumerate(bundles * 2)]
+    rng = np.random.default_rng(3)
+    targets = {b.item_id: 0.5 + 0.1 * rng.standard_normal(3) for b in bundles}
+    config = TrainConfig(batch_size=3, l2=1e-3, learning_rate=0.002, max_epochs=8,
+                         patience=10, val_fraction=0.2, seed=5)
+    copy = float64_model(model)
+    report, report64 = (train(m, bundles, targets, config) for m in (model, copy))
+    assert (model.flat.dtype, copy.flat.dtype) == (np.float32, np.float64)
+    assert report.best_epoch == report64.best_epoch == config.max_epochs - 1
+    # Measured at training seeds 0-7: parameters at most 3.1e-7 apart, embedding
+    # rows 2.3e-8, train and validation losses 4.1e-8.
+    assert np.allclose(model.flat, copy.flat, rtol=0, atol=2e-6)
+    assert np.allclose(model.embedding, copy.embedding, rtol=0, atol=2e-7)
+    assert not np.array_equal(model.embedding, word_table.vectors)
+    assert np.allclose(report.val_losses, report64.val_losses, rtol=0, atol=3e-7)
+    assert np.allclose(report.train_losses, report64.train_losses, rtol=0, atol=3e-7)
 
 
 @pytest.mark.parametrize("text_length, cnn_width, plot", [
@@ -963,7 +1040,7 @@ def test_trimmed_text_matrix_pools_like_the_full_one(word_table, text_length,
     context = _context(profiles, word_table=word_table)
     spec = SystemSpec.named("CNN", output_dim=2, cnn_filters=5, cnn_width=cnn_width,
                             cnn_hidden=3, combiner_hidden=3, text_length=text_length)
-    model = build_model(spec, context, seed=2)
+    model = float64_model(build_model(spec, context, seed=2))
     model.params["cnn.conv_bias"][:] = np.random.default_rng(0).standard_normal(5)
     # Filter 0 scores every real window below its bias: its max is the bias.
     model.embedding = np.abs(model.embedding) + 0.1
