@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import data, evaluation, features, model as model_mod, synthetic
+from . import corpus, data, evaluation, features, model as model_mod, net, synthetic
 from .corpus import DEFAULT_CAP, build_vocabulary, open_text, save_vocabulary, tokenize
 from .sgns import EmbeddingTable, SgnsConfig, similarity_search, train_sgns
 
@@ -86,10 +86,6 @@ def _text_assets(args: argparse.Namespace, fit_centroids: bool) -> tuple:
 
 def _cmd_fit_features(args: argparse.Namespace) -> None:
     _require(args, "metadata", "out")
-    with _flag("--min-tag-count"):
-        features.check_min_tag_count(args.min_tag_count)
-    with _flag("--temperature"):
-        features.check_temperature(args.temperature)
     profiles = data.load_metadata(args.metadata)
     word_table, centroids = _text_assets(args, args.bow_centroids > 0)
     context = features.fit_feature_context(
@@ -116,8 +112,6 @@ def _cmd_train_model(args: argparse.Namespace) -> None:
     spec = model_mod.SystemSpec.named(args.system)
     with _flag("--max-words"):
         spec = dataclasses.replace(spec, cnn_variant=args.cnn_variant, text_length=args.max_words)
-    with _flag("--seed"):
-        model_mod.check_seed(args.seed)
     config = _from_args(model_mod.TrainConfig, _TRAIN_FLAGS, args)
     context = features.load_feature_context(args.features)
     profiles = data.load_metadata(args.metadata)
@@ -156,6 +150,17 @@ def _flag(name: str):
         raise CliError(f"{name}: {exc}") from None
 
 
+def _check_centroid_count(count: int) -> None:
+    if count < 0:
+        raise ValueError("centroid count must be >= 0 (0 for none)")
+
+
+# Flag dest -> its value's rule, which main applies before the command runs.
+_FLAG_RULES = {"seed": net.check_seed, "folds": evaluation.check_folds,
+               "min_tag_count": features.check_min_tag_count, "vocab_cap": corpus.check_cap,
+               "temperature": features.check_temperature, "bow_centroids": _check_centroid_count}
+
+
 def _listed(flag: str, raw: str, what: str, convert=str) -> list:
     """The comma-separated entries of a flag through ``convert``: at least one, none twice."""
     with _flag(flag):  # the error names the entry, e.g. int()'s "invalid literal ... 'x'"
@@ -175,19 +180,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     ks = _listed("--ndcg-k", args.ndcg_k, "cutoffs", int)
     needed = set().union(*(model_mod.bundle_parts(model_mod.SystemSpec.named(name))
                            for name in systems))
-    with _flag("--seed"):  # the training and the fold seed
-        model_mod.check_seed(args.seed)
-    settings = evaluation.EvalSettings(_from_args(model_mod.TrainConfig, _TRAIN_FLAGS, args),
-                                       seed=args.seed, ndcg_ks=ks)
-    # One flag at a time, so that the flag whose value the settings reject is named.
-    for flag, field, value in [
-            ("--folds", "folds", args.folds),
-            ("--min-tag-count", "min_tag_count", args.min_tag_count),
-            ("--temperature", "temperature", args.temperature),
-            ("--max-words", "spec_overrides",
-             {"cnn_variant": args.cnn_variant, "text_length": args.max_words})]:
-        with _flag(flag):
-            settings = dataclasses.replace(settings, **{field: value})
+    config = _from_args(model_mod.TrainConfig, _TRAIN_FLAGS, args)
+    with _flag("--max-words"):  # main has checked the flags of the other settings
+        settings = evaluation.EvalSettings(
+            config, folds=args.folds, seed=args.seed, ndcg_ks=ks,
+            min_tag_count=args.min_tag_count, temperature=args.temperature,
+            spec_overrides={"cnn_variant": args.cnn_variant, "text_length": args.max_words})
     if needed & {"text", "bow"} and not args.word_vectors:
         raise CliError("these systems need --word-vectors")
     if "bow" in needed and args.bow_centroids < 1:
@@ -442,6 +440,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             args = _apply_config(parser, registry, argv, args)
+        for dest, rule in _FLAG_RULES.items():
+            if hasattr(args, dest):
+                with _flag(f"--{dest.replace('_', '-')}"):
+                    rule(getattr(args, dest))
         args.func(args)
     except BrokenPipeError:
         return 1

@@ -43,6 +43,11 @@ def tokenize(text: str) -> list[str]:
     return text.lower().translate(_TOKEN_CHARS).split()
 
 
+def check_cap(cap: int) -> None:
+    if cap < 1:
+        raise ValueError("vocabulary cap must be >= 1")
+
+
 class Vocabulary:
     """Token table ranked by descending corpus frequency, capped in size.
 
@@ -53,8 +58,7 @@ class Vocabulary:
 
     def __init__(self, tokens: Iterable[str], counts: Iterable[int],
                  total_tokens: int, cap: int = DEFAULT_CAP) -> None:
-        if cap < 1:
-            raise ValueError("vocabulary cap must be >= 1")
+        check_cap(cap)
         self.tokens = [str(t) for t in tokens]
         self.counts = [int(c) for c in counts]
         self.total_tokens = int(total_tokens)
@@ -87,8 +91,6 @@ class Vocabulary:
 def build_vocabulary(streams: Iterable[Iterable[str]],
                      cap: int = DEFAULT_CAP) -> Vocabulary:
     """Count tokens across all streams and keep the ``cap`` most frequent."""
-    if cap < 1:
-        raise ValueError("vocabulary cap must be >= 1")
     counter = Counter(chain.from_iterable(streams))
     ranked = sorted(counter, key=lambda t: (-counter[t], t))[:cap]
     return Vocabulary(ranked, [counter[t] for t in ranked], counter.total(), cap)

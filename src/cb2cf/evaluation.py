@@ -26,7 +26,8 @@ from .features import (DEFAULT_MIN_TAG_COUNT, DEFAULT_TEMPERATURE, Centroids,
                        check_min_tag_count, check_temperature, fit_feature_context,
                        featurize_item)
 from .model import (SystemSpec, TrainConfig, _target_vector, build_model, bundle_parts,
-                    check_seed, predict, train)
+                    predict, train)
+from .net import check_seed, mse_loss
 from .sgns import EmbeddingTable, cosine_scores, top_rows
 
 DEFAULT_NDCG_KS = (10, 30, 50, 100, 200, 500, 1000)
@@ -49,7 +50,7 @@ class FoldAssignment:
         return sorted(i for i in self.assignment if i not in held_out)
 
 
-def _check_folds(folds: int) -> None:
+def check_folds(folds: int) -> None:
     if folds < 2:
         raise ValueError("folds must be >= 2")
 
@@ -60,7 +61,7 @@ def make_folds(ids: Sequence[str], folds: int = 10, seed: int = 0) -> FoldAssign
     unique = sorted(set(ids))
     if len(unique) != len(ids):
         raise ValueError("duplicate ids")
-    _check_folds(folds)
+    check_folds(folds)
     if len(unique) < folds:
         raise ValueError("fewer items than folds")
     shuffled = list(unique)
@@ -70,15 +71,13 @@ def make_folds(ids: Sequence[str], folds: int = 10, seed: int = 0) -> FoldAssign
 
 
 def mse_metric(originals, predictions: Mapping[str, np.ndarray]) -> float:
-    """Mean over items of the per-coordinate mean squared difference."""
+    """Mean over items of ``net.mse_loss``, each row checked against its target first."""
     if not predictions:
         raise ValueError("no predictions")
-    total = 0.0
-    for item_id, predicted in predictions.items():
-        predicted = np.asarray(predicted, dtype=np.float64)
-        diff = predicted - _target_vector(originals, item_id, predicted.shape)
-        total += float(np.sum(diff * diff) / diff.size)
-    return total / len(predictions)
+    rows = [np.asarray(predicted, dtype=np.float64) for predicted in predictions.values()]
+    targets = [_target_vector(originals, i, row.shape) for i, row in zip(predictions, rows)]
+    losses, _ = mse_loss(np.stack(rows), np.stack(targets))
+    return sum(losses.tolist()) / len(predictions)
 
 
 def percentile_rank(item_id: str, predicted: np.ndarray,
@@ -204,7 +203,7 @@ class EvalSettings:
     spec_overrides: Mapping | None = None
 
     def __post_init__(self) -> None:
-        _check_folds(self.folds)
+        check_folds(self.folds)
         check_seed(self.seed)
         check_min_tag_count(self.min_tag_count)
         check_temperature(self.temperature)

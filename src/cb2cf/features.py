@@ -133,6 +133,7 @@ def fit_kmeans(vectors: np.ndarray, clusters: int, seed: int = 0) -> Centroids:
         raise ValueError("vectors must be a nonempty 2-D array")
     if clusters < 1:
         raise ValueError("clusters must be >= 1")
+    net.check_seed(seed)
     # min and max are finite exactly when every entry is, and need no (points × dim) mask
     if not np.all(np.isfinite([points.min(initial=0.0), points.max(initial=0.0)])):
         raise ValueError("vectors must be finite")

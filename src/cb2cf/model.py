@@ -367,11 +367,6 @@ def backward_batch(model: Cb2cfModel, cache: dict, grad_predictions: np.ndarray,
     return grads, (rows, row_grads)
 
 
-def check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
-
-
 @dataclass
 class TrainConfig:
     batch_size: int = 32
@@ -399,7 +394,7 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
-        check_seed(self.seed)
+        net.check_seed(self.seed)
 
 
 @dataclass
@@ -497,7 +492,7 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
             for name in l2_names:  # the gradient of net.l2_penalty, one tensor at a time
                 grads[name] += (2.0 * config.l2) * model.params[name]
             adam.step(model.flat, grad)
-            adam.step_rows("embedding", model.embedding, rows, row_grads)
+            adam.step_rows(model.embedding, rows, row_grads)
         train_losses.append(epoch_loss / len(train_idx))
         if n_val:
             losses, _ = net.mse_loss(_predict_rows(model, stack, val_idx), target_rows[val_idx])

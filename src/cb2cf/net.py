@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -142,6 +141,11 @@ def mse_loss(prediction: np.ndarray, target: np.ndarray):
     return (float(loss) if diff.ndim == 1 else loss), (2.0 / n) * diff
 
 
+def check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+
+
 def l2_penalty(weights: Mapping[str, np.ndarray], lam: float):
     """lam * sum of squared entries over the given weight tensors, with
     gradient 2*lam*W each. Biases and embeddings are never passed here."""
@@ -149,21 +153,6 @@ def l2_penalty(weights: Mapping[str, np.ndarray], lam: float):
         raise ValueError("l2 strength must be non-negative")
     penalty = sum(float(np.vdot(w, w)) for w in weights.values())
     return lam * penalty, {name: 2.0 * lam * w for name, w in weights.items()}
-
-
-@dataclass
-class AdamState:
-    """Adam moments of one tensor. ``t`` counts its steps: an int for a dense
-    vector, an int64 array with one count per row for a row-sparse table."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int | np.ndarray = 0
-    scratch: np.ndarray | None = field(default=None, repr=False)
-
-    @classmethod
-    def zeros_like(cls, param: np.ndarray) -> "AdamState":
-        return cls(np.zeros_like(param), np.zeros_like(param))
 
 
 def _adam_rates(lr: float, t):
@@ -190,50 +179,44 @@ def _adam_block(p, g, m, v, s, lr_t, eps_t) -> None:
     p -= np.multiply(np.divide(m, s, out=s), lr_t, out=s)
 
 
-def adam_update(param: np.ndarray, grad: np.ndarray, state: AdamState,
-                lr: float = 1e-3) -> None:
-    """One bias-corrected Adam step, in place, per block of whole rows of at most
-    ``ADAM_BLOCK`` elements (or one row) through one scratch buffer kept on the state."""
-    if param.shape != grad.shape:
-        raise ValueError("param and grad shape mismatch")
-    state.t += 1
-    lr_t, eps_t = _adam_rates(lr, state.t)
-    rows = max(1, ADAM_BLOCK * len(param) // max(param.size, 1))
-    if state.scratch is None:
-        state.scratch = np.empty_like(param[:rows])
-    for lo in range(0, len(param), rows):
-        p, g, m, v = (a[lo:lo + rows] for a in (param, grad, state.m, state.v))
-        _adam_block(p, g, m, v, state.scratch[:len(p)], lr_t, eps_t)
-
-
 class Adam:
-    """Adam over one flat parameter vector (elementwise: bit for bit a step per
-    tensor packed into it), plus a row-sparse path for an embedding table's touched rows."""
+    """Kingma & Ba's Adam over one flat parameter vector (elementwise: bit for bit
+    a step per tensor packed into it), plus a row-sparse path for one embedding
+    table's touched rows, each row with its own step count."""
 
     def __init__(self, lr: float = 1e-3) -> None:
         self.lr = lr
-        self.state: AdamState | None = None  # the flat vector's
-        self.states: dict[str, AdamState] = {}  # each row-sparse table's, by name
+        self.m = self.v = self.scratch = None  # the flat vector's moments and block scratch
+        self.t = 0  # the flat vector's steps
+        self.row_m = self.row_v = self.row_t = None  # the table's moments and steps per row
 
     def step(self, param: np.ndarray, grad: np.ndarray) -> None:
-        if self.state is None:
-            self.state = AdamState.zeros_like(param)
-        adam_update(param, grad, self.state, self.lr)
+        """One bias-corrected step, in place, per block of whole rows of at most
+        ``ADAM_BLOCK`` elements (or one row) through one scratch buffer."""
+        if param.shape != grad.shape:
+            raise ValueError("param and grad shape mismatch")
+        rows = max(1, ADAM_BLOCK * len(param) // max(param.size, 1))
+        if self.m is None:
+            self.m, self.v, self.scratch = (
+                np.zeros_like(param), np.zeros_like(param), np.empty_like(param[:rows]))
+        self.t += 1
+        lr_t, eps_t = _adam_rates(self.lr, self.t)
+        for lo in range(0, len(param), rows):
+            p, g, m, v = (a[lo:lo + rows] for a in (param, grad, self.m, self.v))
+            _adam_block(p, g, m, v, self.scratch[:len(p)], lr_t, eps_t)
 
-    def step_rows(self, name: str, param: np.ndarray, rows: np.ndarray,
-                  grads: np.ndarray) -> None:
-        """Adam on the given distinct ``rows`` of ``param`` only, with one
+    def step_rows(self, param: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
+        """A step on the given distinct ``rows`` of ``param`` only, with one
         gradient row each; every row keeps its own timestep."""
         if len(rows) == 0:
             return
-        state = self.states.get(name)
-        if state is None:
-            state = self.states[name] = AdamState(
-                np.zeros_like(param), np.zeros_like(param), np.zeros(len(param), dtype=np.int64))
-        state.t[rows] += 1
-        p, m, v = param[rows], state.m[rows], state.v[rows]
-        _adam_block(p, grads, m, v, np.empty_like(p), *_adam_rates(self.lr, state.t[rows]))
-        param[rows], state.m[rows], state.v[rows] = p, m, v
+        if self.row_m is None:
+            self.row_m, self.row_v = np.zeros_like(param), np.zeros_like(param)
+            self.row_t = np.zeros(len(param), dtype=np.int64)
+        self.row_t[rows] += 1
+        p, m, v = param[rows], self.row_m[rows], self.row_v[rows]
+        _adam_block(p, grads, m, v, np.empty_like(p), *_adam_rates(self.lr, self.row_t[rows]))
+        param[rows], self.row_m[rows], self.row_v[rows] = p, m, v
 
 
 def save_checkpoint(path: str | Path, tensors: Mapping[str, np.ndarray],

@@ -68,6 +68,7 @@ class SgnsConfig:
             raise ValueError("window must be >= 1")
         if not 0 < self.learning_rate <= sys.float_info.max:
             raise ValueError("learning rate must be positive and finite")
+        net.check_seed(self.seed)
 
 
 @dataclass

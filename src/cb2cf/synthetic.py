@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ContentProfile
+from .net import check_seed
 from .sgns import CooccurrenceSets, EmbeddingTable
 
 _LETTERS = string.ascii_lowercase
@@ -80,6 +81,7 @@ class SyntheticSpec:
             raise ValueError("set_count must be >= 0")
         if not 2 <= self.min_set_size <= self.max_set_size:
             raise ValueError("set sizes must satisfy 2 <= min <= max")
+        check_seed(self.seed)
 
     def tag_counts(self) -> dict[str, int]:
         """Tags per field: the least base >= 2 whose square covers the clusters."""

@@ -409,6 +409,16 @@ def test_evaluate_checks_its_lists_before_reading_any_file(tmp_path, capsys, fla
 
 
 _ABSENT = "absent.input"  # a relative path under tmp_path that is never written
+# Each command's required flags, naming inputs that are never written.
+_GIVEN = {"evaluate": {"--systems": "Year", "--metadata": _ABSENT, "--targets": _ABSENT,
+                       "--report": "r.tsv"},
+          "train-model": {"--system": "Year", "--features": _ABSENT,
+                          "--metadata": _ABSENT, "--targets": _ABSENT, "--out": "m"},
+          "train-item2vec": {"--sets": _ABSENT, "--out": "v"},
+          "train-word2vec": {"--corpus": _ABSENT, "--out": "v"},
+          "fit-features": {"--metadata": _ABSENT, "--out": "ctx"},
+          "synth": {"--out": "s"}}
+_CENTROIDS = "--bow-centroids: centroid count must be >= 0 (0 for none)"
 
 
 @pytest.mark.parametrize("command, flags, message", [
@@ -447,22 +457,41 @@ _ABSENT = "absent.input"  # a relative path under tmp_path that is never written
           ("train-model", "--l2", "l2 must be non-negative and finite")]],
     ("evaluate", ["--seed", "-1"], "--seed: seed must be >= 0"),
     ("train-model", ["--seed", "-1"], "--seed: seed must be >= 0"),
+    *[(command, ["--seed", "-1"], "--seed: seed must be >= 0")
+      for command in ("train-word2vec", "train-item2vec", "synth", "fit-features")],
+    ("fit-features", ["--bow-centroids", "-1"], _CENTROIDS),
+    ("evaluate", ["--bow-centroids", "-1"], _CENTROIDS),
+    ("train-word2vec", ["--vocab-cap", "0"], "--vocab-cap: vocabulary cap must be >= 1"),
 ])
 def test_flag_values_are_checked_before_any_file_is_read(tmp_path, capsys, monkeypatch,
                                                          command, flags, message):
     monkeypatch.chdir(tmp_path)
-    given = {"evaluate": {"--systems": "Year", "--metadata": _ABSENT, "--targets": _ABSENT,
-                          "--report": "r.tsv"},
-             "train-model": {"--system": "Year", "--features": _ABSENT,
-                             "--metadata": _ABSENT, "--targets": _ABSENT, "--out": "m"},
-             "train-item2vec": {"--sets": _ABSENT, "--out": "v"},
-             "train-word2vec": {"--corpus": _ABSENT, "--out": "v"},
-             "fit-features": {"--metadata": _ABSENT, "--out": "ctx"}}[command]
-    given.update(zip(flags[::2], flags[1::2]))
+    given = {**_GIVEN[command], **dict(zip(flags[::2], flags[1::2]))}
     argv = [command] + [a for pair in given.items() for a in pair]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"cb2cf {command}: error: {message}\n"
     assert not (tmp_path / _ABSENT).exists() and os.listdir(tmp_path) == []
+
+
+def test_every_flag_rule_names_a_parser_dest():
+    """A misspelled key would switch its rule off: no command would have that dest."""
+    _, registry = cli.build_parser()
+    dests = {action.dest for sub in registry.values() for action in sub._actions}
+    assert set(cli._FLAG_RULES) <= dests
+
+
+def test_every_command_with_a_seed_rejects_a_negative_one_before_reading(tmp_path, capsys,
+                                                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _, registry = cli.build_parser()
+    seeded = [name for name, sub in registry.items()
+              if any(action.dest == "seed" for action in sub._actions)]
+    assert len(seeded) >= 6
+    for command in seeded:
+        argv = [command] + [a for pair in _GIVEN[command].items() for a in pair]
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == f"cb2cf {command}: error: --seed: seed must be >= 0\n"
+    assert os.listdir(tmp_path) == []
 
 
 class TestConfigFile:

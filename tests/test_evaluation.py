@@ -292,10 +292,29 @@ class TestMseMetric:
             mse_metric(catalog, {"a": np.ones(3)})
         with pytest.raises(ValueError, match="no target vector"):
             mse_metric(catalog, {"z": np.ones(2)})
+        with pytest.raises(ValueError, match=r"^target for 'b' has shape \(2,\), expected \(3,\)$"):
+            mse_metric(catalog, {"a": np.ones(2), "b": np.ones(3)})
 
     def test_plain_mapping_without_the_item_is_rejected(self):
         with pytest.raises(ValueError, match="no target vector for item 'z'"):
             mse_metric({"a": np.ones(2)}, {"z": np.ones(2)})
+
+    def test_equals_the_per_item_loop_bit_for_bit(self):
+        """The stacked ``net.mse_loss`` form against the per-item sum it replaced."""
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n, dim = int(rng.integers(1, 40)), int(rng.integers(1, 70))
+            scale = 10.0 ** rng.integers(-4, 5)
+            catalog = EmbeddingTable([f"i{j}" for j in range(n)],
+                                     scale * rng.standard_normal((n, dim)))
+            predictions = {item_id: scale * rng.standard_normal(dim)
+                           for item_id in catalog.ids if rng.random() < 0.7} or \
+                {"i0": rng.standard_normal(dim)}
+            total = 0.0
+            for item_id, predicted in predictions.items():
+                diff = predicted - catalog.get(item_id)
+                total += float(np.sum(diff * diff) / diff.size)
+            assert mse_metric(catalog, predictions) == total / len(predictions)
 
 
 def _tagged_dataset(n=9, dim=3, seed=0):

@@ -247,6 +247,8 @@ class TestKmeans:
             fit_kmeans(np.empty((0, 2)), 1)
         with pytest.raises(ValueError):
             fit_kmeans(np.ones((3, 2)), 0)
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            fit_kmeans(np.eye(3), 2, seed=-1)
 
     def test_centroids_validation(self):
         with pytest.raises(ValueError):

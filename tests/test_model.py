@@ -951,7 +951,7 @@ def _reference_train(model, bundles, targets, config):
                     acc[name] += 2.0 * config.l2 * model.params[name]
             adam.step(model.flat, np.concatenate([acc[name].ravel() for name in model.params]))
             keys = sorted(emb)
-            adam.step_rows("embedding", model.embedding, np.array(keys, dtype=np.int64),
+            adam.step_rows(model.embedding, np.array(keys, dtype=np.int64),
                            np.array([emb[r] / len(batch) for r in keys]))
         val_loss = np.mean([net.mse_loss(forward(model, b)[0], targets[b.item_id])[0]
                             for b in val])

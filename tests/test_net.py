@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -314,13 +315,18 @@ def test_l2_penalty_value_and_gradient():
 def test_adam_first_step_closed_form():
     param = np.array([1.0, -2.0])
     grad = np.array([0.5, -0.25])
-    state = net.AdamState.zeros_like(param)
-    net.adam_update(param, grad, state, lr=1e-3)
+    adam = net.Adam(lr=1e-3)
+    adam.step(param, grad)
     m_hat = grad  # bias correction cancels the (1 - beta) factor at t=1
     v_hat = grad * grad
     expected = np.array([1.0, -2.0]) - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
     assert np.allclose(param, expected, atol=1e-15)
-    assert state.t == 1
+    assert adam.t == 1
+
+
+def _zero_state(param):
+    """The moments and step count of ``_reference_adam_update``, before any step."""
+    return SimpleNamespace(m=np.zeros_like(param), v=np.zeros_like(param), t=0)
 
 
 def _reference_adam_update(param, grad, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -341,17 +347,18 @@ def test_in_place_adam_matches_the_formula():
     rng = np.random.default_rng(12)
     param = rng.standard_normal((30, 7))
     reference = param.copy()
-    state = net.AdamState.zeros_like(param)
-    ref_state = net.AdamState.zeros_like(param)
-    m_before = state.m
+    adam = net.Adam(lr=3e-3)
+    ref_state = _zero_state(param)
+    moments = []
     for _ in range(5):
         grad = rng.standard_normal(param.shape) * 10.0 ** rng.integers(-6, 3, param.shape)
-        net.adam_update(param, grad, state, lr=3e-3)
+        adam.step(param, grad)
         _reference_adam_update(reference, grad, ref_state, lr=3e-3)
         _assert_close_relative(param, reference)
-        _assert_close_relative(state.m, ref_state.m)
-        _assert_close_relative(state.v, ref_state.v)
-    assert state.m is m_before and state.t == 5
+        _assert_close_relative(adam.m, ref_state.m)
+        _assert_close_relative(adam.v, ref_state.v)
+        moments.append(adam.m)
+    assert all(m is moments[0] for m in moments) and adam.t == 5
 
 
 def test_adam_walks_a_tensor_larger_than_one_block():
@@ -359,17 +366,17 @@ def test_adam_walks_a_tensor_larger_than_one_block():
     shape = (7, 3000)  # five rows fill a block; two rows are left
     param = rng.standard_normal(shape)
     reference = param.copy()
-    state = net.AdamState.zeros_like(param)
-    ref_state = net.AdamState.zeros_like(param)
+    adam = net.Adam(lr=3e-3)
+    ref_state = _zero_state(param)
     for _ in range(3):
         grad = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3, shape)
-        net.adam_update(param, grad, state, lr=3e-3)
+        adam.step(param, grad)
         _reference_adam_update(reference, grad, ref_state, lr=3e-3)
     assert param.size % net.ADAM_BLOCK and param.size > net.ADAM_BLOCK
     _assert_close_relative(param, reference)
-    _assert_close_relative(state.m, ref_state.m)
-    _assert_close_relative(state.v, ref_state.v)
-    assert state.scratch.shape == (5, 3000)
+    _assert_close_relative(adam.m, ref_state.m)
+    _assert_close_relative(adam.v, ref_state.v)
+    assert adam.scratch.shape == (5, 3000)
 
 
 # The bench crossval full system's parameter shapes (CNN+BOW+Tags+Year over
@@ -391,33 +398,33 @@ def test_one_step_over_the_flat_vector_is_bit_for_bit_one_step_per_tensor():
         return np.concatenate([a.ravel() for a in arrays])
 
     flat = packed(tensors)
-    states = [net.AdamState.zeros_like(t) for t in tensors]
+    per_tensor = [net.Adam(lr=3e-3) for _ in tensors]
     adam = net.Adam(lr=3e-3)
     for _ in range(6):
         grads = [rng.standard_normal(t.shape) * 10.0 ** rng.integers(-6, 3, t.shape)
                  for t in tensors]
-        for tensor, grad, state in zip(tensors, grads, states):
-            net.adam_update(tensor, grad, state, lr=3e-3)
+        for tensor, grad, one in zip(tensors, grads, per_tensor):
+            one.step(tensor, grad)
         adam.step(flat, packed(grads))
     assert flat.tobytes() == packed(tensors).tobytes()
-    assert adam.state.m.tobytes() == packed(s.m for s in states).tobytes()
-    assert adam.state.v.tobytes() == packed(s.v for s in states).tobytes()
-    assert adam.state.t == 6
+    assert adam.m.tobytes() == packed(one.m for one in per_tensor).tobytes()
+    assert adam.v.tobytes() == packed(one.v for one in per_tensor).tobytes()
+    assert adam.t == 6
 
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
     param = np.array([3.0])
-    state = net.AdamState.zeros_like(param)
-    net.adam_update(param, np.zeros(1), state)
+    adam = net.Adam()
+    adam.step(param, np.zeros(1))
     assert param[0] == 3.0
-    assert state.t == 1
+    assert adam.t == 1
 
 
 def test_adam_drives_a_quadratic_near_zero():
     param = np.array([3.0, -2.0])
-    state = net.AdamState.zeros_like(param)
+    adam = net.Adam(lr=0.05)
     for _ in range(200):
-        net.adam_update(param, 2.0 * param, state, lr=0.05)
+        adam.step(param, 2.0 * param)
     assert float(np.linalg.norm(param)) < 1e-3
 
 
@@ -431,49 +438,48 @@ def test_adam_row_steps_match_dense_updates_when_all_rows_move():
     rng = np.random.default_rng(6)
     dense = rng.standard_normal((4, 3))
     sparse = dense.copy()
-    dense_state = net.AdamState.zeros_like(dense)
+    dense_adam = net.Adam(lr=0.01)
     adam = net.Adam(lr=0.01)
     for step in range(5):
         grad = rng.standard_normal((4, 3))
-        net.adam_update(dense, grad, dense_state, lr=0.01)
-        adam.step_rows("emb", sparse, np.arange(4), grad)
+        dense_adam.step(dense, grad)
+        adam.step_rows(sparse, np.arange(4), grad)
     assert np.array_equal(dense, sparse)
-    assert np.array_equal(adam.states["emb"].m, dense_state.m)
-    assert np.array_equal(adam.states["emb"].v, dense_state.v)
-    assert np.array_equal(adam.states["emb"].t, np.full(4, 5))
+    assert np.array_equal(adam.row_m, dense_adam.m)
+    assert np.array_equal(adam.row_v, dense_adam.v)
+    assert np.array_equal(adam.row_t, np.full(4, 5))
 
 
 def test_adam_rows_at_staggered_steps_match_the_formula_per_row():
     rng = np.random.default_rng(14)
     param = rng.standard_normal((6, 3))
     references = [param[r].copy() for r in range(6)]
-    ref_states = [net.AdamState.zeros_like(param[r]) for r in range(6)]
+    ref_states = [_zero_state(param[r]) for r in range(6)]
     # The moments of the per-row textbook formula, updated on the touched rows.
     m, v = np.zeros_like(param), np.zeros_like(param)
     adam = net.Adam(lr=3e-3)
     for _ in range(12):
         rows = np.flatnonzero(rng.random(6) < 0.5)
         grads = rng.standard_normal((len(rows), 3)) * 10.0 ** rng.integers(-6, 3, (len(rows), 3))
-        adam.step_rows("emb", param, rows, grads)
+        adam.step_rows(param, rows, grads)
         m[rows] = 0.9 * m[rows] + (1.0 - 0.9) * grads
         v[rows] = 0.999 * v[rows] + (1.0 - 0.999) * grads * grads
         for row, grad in zip(rows, grads):
             _reference_adam_update(references[row], grad, ref_states[row], lr=3e-3)
-    state = adam.states["emb"]
-    assert len(set(state.t.tolist())) > 3  # the rows really are at different steps
-    assert state.t.tolist() == [s.t for s in ref_states]
+    assert len(set(adam.row_t.tolist())) > 3  # the rows really are at different steps
+    assert adam.row_t.tolist() == [s.t for s in ref_states]
     _assert_close_relative(param, np.array(references))
-    assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+    assert np.array_equal(adam.row_m, m) and np.array_equal(adam.row_v, v)
 
 
 def test_adam_row_steps_touch_only_given_rows():
     param = np.zeros((3, 2))
     adam = net.Adam(lr=0.1)
-    adam.step_rows("emb", param, np.array([1]), np.array([[1.0, -1.0]]))
+    adam.step_rows(param, np.array([1]), np.array([[1.0, -1.0]]))
     assert np.all(param[0] == 0.0) and np.all(param[2] == 0.0)
     assert np.all(param[1] != 0.0)
     before = param.copy()
-    adam.step_rows("emb", param, np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+    adam.step_rows(param, np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
     assert np.array_equal(param, before)
 
 

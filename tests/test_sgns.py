@@ -49,6 +49,8 @@ def test_config_validation():
     for rate in (math.nan, math.inf, -math.inf, 10 ** 400):
         with pytest.raises(ValueError, match="^learning rate must be positive and finite$"):
             SgnsConfig(learning_rate=rate)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        SgnsConfig(seed=-1)
 
 
 def test_cooccurrence_sets_validation():

@@ -183,6 +183,8 @@ class TestSpecValidation:
             SyntheticSpec(min_set_size=1, **good)
         with pytest.raises(ValueError, match="set sizes"):
             SyntheticSpec(min_set_size=5, max_set_size=4, **good)
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            SyntheticSpec(seed=-1, **good)
 
 
 def test_cluster_labels_match_generation_order():
