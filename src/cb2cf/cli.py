@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import corpus, data, evaluation, features, model as model_mod, net, synthetic
 from .corpus import DEFAULT_CAP, build_vocabulary, open_text, save_vocabulary, tokenize
-from .sgns import EmbeddingTable, SgnsConfig, similarity_search, train_sgns
+from .sgns import EmbeddingTable, SgnsConfig, check_topk, similarity_search, train_sgns
 
 
 class CliError(Exception):
@@ -158,7 +158,8 @@ def _check_centroid_count(count: int) -> None:
 # Flag dest -> its value's rule, which main applies before the command runs.
 _FLAG_RULES = {"seed": net.check_seed, "folds": evaluation.check_folds,
                "min_tag_count": features.check_min_tag_count, "vocab_cap": corpus.check_cap,
-               "temperature": features.check_temperature, "bow_centroids": _check_centroid_count}
+               "temperature": features.check_temperature, "bow_centroids": _check_centroid_count,
+               "topk": check_topk, "threshold": data.check_threshold}
 
 
 def _listed(flag: str, raw: str, what: str, convert=str) -> list:
@@ -340,7 +341,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
             "train CF item vectors from co-occurrence sets")
     p.add_argument("--ratings")
     p.add_argument("--sets")
-    p.add_argument("--threshold", type=float, default=3.5)
+    p.add_argument("--threshold", type=float, default=data.DEFAULT_THRESHOLD)
     _add_fields(p, SgnsConfig, _SGNS_FLAGS)
     p.add_argument("--out")
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -18,6 +19,8 @@ logger = logging.getLogger(__name__)
 RATINGS_HEADER = ["userId", "movieId", "rating", "timestamp"]
 YEAR_MIN = 1850
 YEAR_MAX = 2100
+TAG_FIELDS = ("genres", "actors", "directors", "languages")  # ContentProfile's tag lists
+DEFAULT_THRESHOLD = 3.5
 
 
 @dataclass
@@ -28,8 +31,8 @@ class UserHistory:
 
 @dataclass
 class ContentProfile:
-    """Raw item metadata. Tag lists may be empty and plot/year may be None;
-    downstream featurization applies the 'n/a' and mean-year conventions."""
+    """Raw item metadata: a nonempty str id, a str or None plot, an int or None year,
+    and tag lists of str, maybe empty. Featurization applies the 'n/a' and mean-year rules."""
 
     id: str
     plot: str | None = None
@@ -40,10 +43,18 @@ class ContentProfile:
     year: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("profile id must be nonempty")
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError("profile id must be a nonempty string")
+        if self.plot is not None and not isinstance(self.plot, str):
+            raise ValueError("plot must be a string or None")
+        if self.year is not None and type(self.year) is not int:  # a bool is no year
+            raise ValueError("year must be an integer or None")
         if self.year is not None and not YEAR_MIN <= self.year <= YEAR_MAX:
             raise ValueError(f"implausible year {self.year} for item {self.id!r}")
+        for key in TAG_FIELDS:
+            tags = getattr(self, key)
+            if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+                raise ValueError(f"{key} must be a list of strings")
 
 
 def _valid_rating(value: float) -> bool:
@@ -92,12 +103,18 @@ def load_ratings(path: str | Path) -> list[UserHistory]:
     return list(histories.values())
 
 
+def check_threshold(threshold: float) -> None:
+    if not abs(threshold) <= sys.float_info.max:
+        raise ValueError("threshold must be finite")
+
+
 def cooccurrence_from_ratings(histories: Iterable[UserHistory],
-                              threshold: float = 3.5) -> CooccurrenceSets:
-    """One set per user: items the user rated strictly above the threshold.
-    Duplicate (user, item) pairs keep the rating with the latest timestamp
-    (later file position wins a timestamp tie). Sets smaller than 2 are
-    discarded and counted."""
+                              threshold: float = DEFAULT_THRESHOLD) -> CooccurrenceSets:
+    """One set per user: items the user rated strictly above the finite
+    threshold. Duplicate (user, item) pairs keep the rating with the latest
+    timestamp (later file position wins a timestamp tie). Sets smaller than
+    2 are discarded and counted."""
+    check_threshold(threshold)
     sets: list[tuple[str, ...]] = []
     dropped = 0
     for history in histories:
@@ -133,17 +150,9 @@ def load_sets(path: str | Path) -> CooccurrenceSets:
     return CooccurrenceSets(sets, dropped)
 
 
-def _string_list(value, lineno, path, key) -> list[str]:
-    if value is None:
-        return []
-    if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        raise ValueError(f"{path}:{lineno}: {key} must be a list of strings or null")
-    return value
-
-
 def load_metadata(path: str | Path) -> list[ContentProfile]:
-    """Read JSON Lines item metadata. Every record needs a unique id; any
-    other field may be null or absent."""
+    """Read JSON Lines item metadata. Every record needs a unique id; any other
+    field may be null (a null tag list reads as empty) or absent. ContentProfile checks values."""
     profiles: list[ContentProfile] = []
     seen: set[str] = set()
     with open_text(path) as fh:
@@ -162,25 +171,23 @@ def load_metadata(path: str | Path) -> list[ContentProfile]:
             if item_id in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate id {item_id!r}")
             seen.add(item_id)
-            plot = record.get("plot")
-            if plot is not None and not isinstance(plot, str):
-                raise ValueError(f"{path}:{lineno}: plot must be a string or null")
-            year = record.get("year")
-            if year is not None:
-                if isinstance(year, bool) or not isinstance(year, int):
-                    raise ValueError(f"{path}:{lineno}: year must be an integer or null")
             try:
                 profiles.append(ContentProfile(
-                    id=item_id, plot=plot, year=year,
-                    **{key: _string_list(record.get(key), lineno, path, key)
-                       for key in ("genres", "actors", "directors", "languages")}))
+                    id=item_id, plot=record.get("plot"), year=record.get("year"),
+                    **{key: [] if record.get(key) is None else record[key]
+                       for key in TAG_FIELDS}))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return profiles
 
 
 def save_sets(sets: CooccurrenceSets, path: str | Path) -> None:
-    """Inverse of load_sets: one space-joined line per set."""
+    """Inverse of load_sets: one space-joined line per set. An id that ``writable_id``
+    refuses would read back as other sets, so it raises before the file is opened."""
+    for items in sets.sets:
+        for item_id in items:
+            if not writable_id(item_id):
+                raise ValueError(f"id not writable to a set file: {item_id!r}")
     with open(path, "w", encoding="utf-8") as fh:
         for items in sets.sets:
             fh.write(" ".join(items) + "\n")

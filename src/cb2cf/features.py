@@ -20,13 +20,13 @@ import numpy as np
 
 from . import net
 from .corpus import tokenize
+from .data import TAG_FIELDS
 from .sgns import EmbeddingTable
 
 if TYPE_CHECKING:
     from .data import ContentProfile
 
 NA_TOKEN = "n/a"
-TAG_FIELDS = ("genres", "actors", "directors", "languages")
 DEFAULT_TEMPERATURE = 0.1
 DEFAULT_MIN_TAG_COUNT = 5
 KMEANS_TOL = 1e-6  # Lloyd rounds stop once no centroid moves this far
@@ -210,14 +210,16 @@ def bow_histogram(tokens: Iterable[str], centroids: Centroids, table: EmbeddingT
 
 @dataclass
 class TagVocabulary:
-    """Per-field ordered tag lists. Index 0 of every field is the 'n/a'
-    sentinel; real tags follow by descending count, ties lexicographic."""
+    """Per-field ordered lists of string tags, TAG_FIELDS among them. Index 0 of every
+    field is the 'n/a' sentinel; real tags follow by descending count, ties lexicographic."""
 
     tags: dict[str, list[str]]
 
     def __post_init__(self) -> None:
         self.index: dict[str, dict[str, int]] = {}
-        for field_name, ordered in self.tags.items():
+        for field_name, ordered in {**dict.fromkeys(TAG_FIELDS), **self.tags}.items():
+            if not isinstance(ordered, list) or not all(isinstance(t, str) for t in ordered):
+                raise ValueError(f"field {field_name!r} must be a list of strings")
             if not ordered or ordered[0] != NA_TOKEN:
                 raise ValueError(f"field {field_name!r} must start with the 'n/a' sentinel")
             if len(set(ordered)) != len(ordered):
@@ -244,7 +246,7 @@ def build_tag_vocab(profiles: Sequence["ContentProfile"],
     for field_name in TAG_FIELDS:
         counter: Counter[str] = Counter()
         for profile in profiles:
-            counter.update(set(getattr(profile, field_name) or ()) - {NA_TOKEN})
+            counter.update(set(getattr(profile, field_name)) - {NA_TOKEN})
         retained = sorted((t for t, c in counter.items() if c >= min_count),
                           key=lambda t: (-counter[t], t))
         tags[field_name] = [NA_TOKEN] + retained
@@ -259,7 +261,7 @@ def tag_vector(profile: "ContentProfile", field_name: str,
         raise ValueError(f"unknown tag field {field_name!r}")
     index = vocab.index[field_name]
     bits = np.zeros(len(index), dtype=np.float64)
-    for tag in set(getattr(profile, field_name) or ()):
+    for tag in set(getattr(profile, field_name)):
         if tag in index and tag != NA_TOKEN:
             bits[index[tag]] = 1.0
     if bits.sum() == 0:
@@ -269,8 +271,16 @@ def tag_vector(profile: "ContentProfile", field_name: str,
 
 @dataclass
 class YearStats:
+    """Year standardization: a finite mean and a positive, finite std, as floats."""
+
     mean: float
     std: float
+
+    def __post_init__(self) -> None:
+        # Compared before float(), which would overflow on an int such as 10**400.
+        if not (abs(self.mean) <= sys.float_info.max and 0 < self.std <= sys.float_info.max):
+            raise ValueError("the mean must be finite and the std positive and finite")
+        self.mean, self.std = float(self.mean), float(self.std)
 
 
 def fit_year_stats(profiles: Sequence["ContentProfile"]) -> YearStats:
@@ -294,8 +304,8 @@ def numeric_feature(year: int | None, stats: YearStats) -> float:
 
 @dataclass
 class FeatureContext:
-    """Fitted featurization statistics. Texts keep every in-table word; the
-    model, not the context, reads the first ``SystemSpec.text_length``."""
+    """Fitted featurization statistics; centroids have the word vectors' dim. Texts
+    keep every in-table word; the model reads the first ``SystemSpec.text_length``."""
 
     tag_vocab: TagVocabulary
     year_stats: YearStats
@@ -307,6 +317,10 @@ class FeatureContext:
 
     def __post_init__(self) -> None:
         check_temperature(self.temperature)
+        if self.centroids is not None and self.word_table is not None \
+                and self.centroids.vectors.shape[1] != self.word_table.dim:
+            raise ValueError(f"centroids have dim {self.centroids.vectors.shape[1]}, "
+                             f"the word vectors {self.word_table.dim}")
 
 
 def fit_feature_context(profiles: Sequence["ContentProfile"], *,
@@ -387,15 +401,13 @@ def save_feature_context(context: FeatureContext, path: str | Path) -> None:
     })
 
 
-def _field(mapping, key: str, path: Path, kinds=object, positive: bool = False):
+def _field(mapping, key: str, path: Path, kinds):
     """``mapping[key]``, or a ValueError naming the file and the key unless the
-    value is one of ``kinds`` and no bool, and a number is finite (and > 0
-    if ``positive``)."""
+    value is one of ``kinds`` and no bool."""
     if not isinstance(mapping, dict) or key not in mapping:
         raise ValueError(f"{path}: missing key {key!r}")
     value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, kinds) or isinstance(value, (int, float)) \
-            and not (abs(value) <= sys.float_info.max and (value > 0 or not positive)):
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValueError(f"{path}: bad value {value!r} for key {key!r}")
     return value
 
@@ -409,19 +421,15 @@ def _build(path: Path, key: str, make, *args):
 
 
 def load_feature_context(path: str | Path) -> FeatureContext:
-    """Read a context written by ``save_feature_context``. A malformed file
-    raises a ValueError naming the file and, for a bad meta value, the key."""
+    """Read a context written by ``save_feature_context``, checking its format; each
+    record type checks its values. Errors name the file and, for a meta value, the key."""
     tensors, meta = net.load_checkpoint(path)
     if meta.get("kind") != CONTEXT_KIND:
         raise ValueError(f"{path}: not a feature context")
     unexpected = sorted(tensors.keys() - {"word_vectors", "centroids"})
     if unexpected:
         raise ValueError(f"{path}: unexpected tensors {unexpected}")
-    raw = _field(meta, "tag_vocab", path, dict)
-    tags = _field(raw, "tags", path, dict)
-    for name in (*TAG_FIELDS, *tags):
-        if not all(isinstance(t, str) for t in _field(tags, name, path, list)):
-            raise ValueError(f"{path}: key {name!r} must list strings")
+    tags = _field(_field(meta, "tag_vocab", path, dict), "tags", path, dict)
     vocab = _build(path, "tags", TagVocabulary, tags)
     ids = _field(meta, "word_ids", path, (list, type(None)))
     if (ids is None) != ("word_vectors" not in tensors) \
@@ -432,15 +440,9 @@ def load_feature_context(path: str | Path) -> FeatureContext:
         _build(path, "word_ids", EmbeddingTable, ids, tensors["word_vectors"])
     centroids = _build(path, "centroids", Centroids, tensors["centroids"]) \
         if "centroids" in tensors else None
-    if centroids is not None and word_table is not None \
-            and centroids.vectors.shape[1] != word_table.dim:
-        raise ValueError(f"{path}: key 'centroids' has dim "
-                         f"{centroids.vectors.shape[1]}, the word vectors {word_table.dim}")
-    return FeatureContext(
-        tag_vocab=vocab,
-        year_stats=YearStats(float(_field(meta, "year_mean", path, (int, float))),
-                             float(_field(meta, "year_std", path, (int, float), positive=True))),
-        word_table=word_table,
-        centroids=centroids,
-        temperature=float(_field(meta, "temperature", path, (int, float), positive=True)),
-    )
+    mean, std, temperature = (_field(meta, key, path, (int, float))
+                              for key in ("year_mean", "year_std", "temperature"))
+    year_stats = _build(path, "year_mean/year_std", YearStats, mean, std)
+    _build(path, "temperature", check_temperature, temperature)
+    return _build(path, "centroids", FeatureContext, vocab, year_stats, word_table,
+                  centroids, float(temperature))

@@ -425,13 +425,17 @@ def train_sgns(data, config: SgnsConfig) -> EmbeddingTable:
     return EmbeddingTable(ids, trainer.input)
 
 
+def check_topk(topk: int) -> None:
+    if topk < 1:
+        raise ValueError("topk must be >= 1")
+
+
 def similarity_search(query: np.ndarray, table: EmbeddingTable, topk: int,
                       exclude: Iterable[str] = ()) -> list[tuple[str, float]]:
     """Top-k ids by cosine similarity, descending, ties broken by ascending
     id. Zero-norm table entries score -1.0 and rank last; a zero-norm or
     non-finite query is rejected."""
-    if topk < 1:
-        raise ValueError("topk must be >= 1")
+    check_topk(topk)
     scores = cosine_scores(query, table)
     if scores is None:
         raise ValueError("zero-norm or non-finite query")

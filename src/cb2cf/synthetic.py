@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 import string
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ContentProfile
+from .data import TAG_FIELDS, ContentProfile
 from .net import check_seed
 from .sgns import CooccurrenceSets, EmbeddingTable
 
@@ -73,10 +74,10 @@ class SyntheticSpec:
             raise ValueError(f"vocab_size must be in 1..{_MAX_WORDS}")
         if self.vocab_size < self.clusters:
             raise ValueError("vocab_size must cover every cluster")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
-        if self.year_weight < 0:
-            raise ValueError("year_weight must be >= 0")
+        if not 0 <= self.noise <= sys.float_info.max:
+            raise ValueError("noise must be >= 0 and finite")
+        if not 0 <= self.year_weight <= sys.float_info.max:
+            raise ValueError("year_weight must be >= 0 and finite")
         if self.set_count is not None and self.set_count < 0:
             raise ValueError("set_count must be >= 0")
         if not 2 <= self.min_set_size <= self.max_set_size:
@@ -86,7 +87,7 @@ class SyntheticSpec:
     def tag_counts(self) -> dict[str, int]:
         """Tags per field: the least base >= 2 whose square covers the clusters."""
         base = max(2, math.isqrt(self.clusters - 1) + 1)
-        return dict.fromkeys(("genres", "actors", "directors", "languages"), base)
+        return dict.fromkeys(TAG_FIELDS, base)
 
 
 def _cluster_tags(cluster: int, counts: dict[str, int]) -> dict[str, str]:

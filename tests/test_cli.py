@@ -417,7 +417,11 @@ _GIVEN = {"evaluate": {"--systems": "Year", "--metadata": _ABSENT, "--targets": 
           "train-item2vec": {"--sets": _ABSENT, "--out": "v"},
           "train-word2vec": {"--corpus": _ABSENT, "--out": "v"},
           "fit-features": {"--metadata": _ABSENT, "--out": "ctx"},
-          "synth": {"--out": "s"}}
+          "synth": {"--out": "s"},
+          "recommend": {"--model": _ABSENT, "--catalog": _ABSENT, "--metadata": _ABSENT,
+                        "--item": "m"},
+          "analogy": {"--model": _ABSENT, "--field": "genres", "--a": "x", "--b": "y",
+                      "--c": "z"}}
 _CENTROIDS = "--bow-centroids: centroid count must be >= 0 (0 for none)"
 
 
@@ -462,6 +466,12 @@ _CENTROIDS = "--bow-centroids: centroid count must be >= 0 (0 for none)"
     ("fit-features", ["--bow-centroids", "-1"], _CENTROIDS),
     ("evaluate", ["--bow-centroids", "-1"], _CENTROIDS),
     ("train-word2vec", ["--vocab-cap", "0"], "--vocab-cap: vocabulary cap must be >= 1"),
+    ("recommend", ["--topk", "0"], "--topk: topk must be >= 1"),
+    ("analogy", ["--topk", "0"], "--topk: topk must be >= 1"),
+    *[("train-item2vec", ["--threshold", value], "--threshold: threshold must be finite")
+      for value in ("nan", "inf")],
+    ("synth", ["--noise", "nan"], "noise must be >= 0 and finite"),
+    ("synth", ["--year-weight", "inf"], "year_weight must be >= 0 and finite"),
 ])
 def test_flag_values_are_checked_before_any_file_is_read(tmp_path, capsys, monkeypatch,
                                                          command, flags, message):

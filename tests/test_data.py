@@ -107,6 +107,13 @@ def test_cooccurrence_threshold_is_configurable():
     assert sets.sets == [("A", "B")]
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+def test_cooccurrence_threshold_must_be_finite(threshold):
+    history = UserHistory("u", [("A", 3.0, 1), ("B", 3.5, 2)])
+    with pytest.raises(ValueError, match="^threshold must be finite$"):
+        cooccurrence_from_ratings([history], threshold=threshold)
+
+
 def test_cooccurrence_single_liked_item_is_counted_dropped():
     histories = [UserHistory("u1", [("A", 5.0, 1), ("B", 1.0, 2)]),
                  UserHistory("u2", [("C", 1.0, 1)])]
@@ -151,6 +158,14 @@ def test_save_load_sets_round_trip(tmp_path):
     path = tmp_path / "sets.txt"
     save_sets(sets, path)
     assert load_sets(path).sets == sets.sets
+
+
+@pytest.mark.parametrize("item_id", ["a b", "a\tb", "a\u2028b", ""])
+def test_save_sets_refuses_an_id_that_would_read_back_as_other_sets(tmp_path, item_id):
+    path = tmp_path / "sets.txt"
+    with pytest.raises(ValueError, match="id not writable to a set file"):
+        save_sets(CooccurrenceSets([("m1", "m2"), ("c", item_id)]), path)
+    assert not path.exists()
 
 
 def _metadata_line(**kwargs):
@@ -242,6 +257,17 @@ def test_content_profile_validation():
         ContentProfile(id="m", year=2200)
     assert ContentProfile(id="m", year=1850).year == 1850
     assert ContentProfile(id="m", year=2100).year == 2100
+    # Each field's kind, so that save_metadata never writes a record load_metadata refuses.
+    for fields, message in [({"id": 7}, "profile id must be a nonempty string"),
+                            ({"plot": 5}, "plot must be a string or None"),
+                            ({"year": True}, "year must be an integer or None"),
+                            ({"year": 1999.0}, "year must be an integer or None"),
+                            ({"year": 10 ** 400}, "implausible year"),
+                            ({"genres": None}, "genres must be a list of strings"),
+                            ({"actors": ("ann",)}, "actors must be a list of strings"),
+                            ({"languages": ["en", 1]}, "languages must be a list of strings")]:
+        with pytest.raises(ValueError, match=message):
+            ContentProfile(**{"id": "m", **fields})
 
 
 class TestExportLabeledVectors:

@@ -709,10 +709,13 @@ class TestPersistence:
     (lambda t, m: t.pop("word_vectors"), "word_ids"),
     (lambda t, m: t.update(centroids=np.eye(2, 3)), "centroids"),
     (lambda t, m: t.update(extra=np.ones(1)), "unexpected tensors"),
+    (lambda t, m: m.update(year_mean=10 ** 400), "year_mean"),
+    (lambda t, m: m.update(year_std=math.nan), "year_std"),
+    (lambda t, m: m["tag_vocab"]["tags"]["genres"].append(7), "genres"),
 ], ids=["tag-vocab-number", "year-mean-string", "year-std-zero",
         "huge-temperature", "tags-number", "no-sentinel", "missing-field",
         "word-ids-short", "word-ids-null", "no-word-vectors", "centroid-dim",
-        "extra-tensor"])
+        "extra-tensor", "huge-year-mean", "year-std-nan", "tag-number"])
 def test_bad_context_values_name_the_file_and_the_key(tmp_path, word_table, profiles,
                                                       mutate, message):
     path = tmp_path / "ctx.ckpt"
@@ -730,3 +733,18 @@ def test_feature_context_validation():
     for temperature in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="^temperature must be positive and finite$"):
             FeatureContext(vocab, stats, temperature=temperature)
+    # Each record type owns its values' rules, so no writer saves what the loader refuses.
+    table = _table(dim=4)
+    with pytest.raises(ValueError, match="^centroids have dim 3, the word vectors 4$"):
+        FeatureContext(vocab, stats, table, Centroids(np.eye(2, 3)))
+    for mean, std in [(math.nan, 1.0), (math.inf, 1.0), (10 ** 400, 1.0), (0.0, 0.0),
+                      (0.0, -1.0), (0.0, math.nan), (0.0, math.inf), (0.0, 10 ** 400)]:
+        with pytest.raises(ValueError, match="mean must be finite and the std positive"):
+            YearStats(mean, std)
+    assert YearStats(1990, 2) == YearStats(1990.0, 2.0)
+    assert type(YearStats(1990, 2).mean) is float
+    for tags, field in [({**vocab.tags, "genres": ["n/a", 5]}, "genres"),
+                        ({**vocab.tags, "genres": ("n/a",)}, "genres"),
+                        ({f: t for f, t in vocab.tags.items() if f != "actors"}, "actors")]:
+        with pytest.raises(ValueError, match=f"field '{field}' must be a list of strings"):
+            features.TagVocabulary(tags)

@@ -7,6 +7,10 @@ swapped for an arbitrary JSON value or a key deleted. No other exception
 type (MemoryError, KeyError, TypeError, IndexError, AttributeError,
 UnicodeDecodeError, ...) may escape. Examples are derandomized so every
 run checks the same bounded set.
+
+The round-trip tests at the end go the other way: every record that the
+constructors accept either loads back equal after a save, or the writer
+refuses it before it writes anything.
 """
 
 import json
@@ -16,9 +20,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cb2cf import cli, net
-from cb2cf.data import (ContentProfile, CooccurrenceSets, load_metadata, load_ratings,
-                        load_sets, save_metadata, save_sets)
-from cb2cf.features import (Centroids, fit_feature_context, load_feature_context,
+from cb2cf.data import (YEAR_MAX, YEAR_MIN, ContentProfile, CooccurrenceSets, load_metadata,
+                        load_ratings, load_sets, save_metadata, save_sets)
+from cb2cf.features import (NA_TOKEN, TAG_FIELDS, Centroids, FeatureContext, TagVocabulary,
+                            YearStats, fit_feature_context, load_feature_context,
                             save_feature_context)
 from cb2cf.model import SystemSpec, build_model, load_model, save_model
 from cb2cf.sgns import EmbeddingTable
@@ -225,3 +230,107 @@ def test_model_checkpoints(tmp_path, context, data):
         path.write_bytes(_mutate_bytes(data, manifest + b"\n" + payload))
     _loads_or_names(lambda: load_model(path, features=context), f"checkpoint {path}")
 
+
+ROUND_TRIP = settings(max_examples=200, deadline=None, derandomize=True,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+# Strings without lone surrogates, which no UTF-8 file holds; the listed ones are
+# the empty id and ids that whitespace would split.
+TEXT = st.text(max_size=4) | st.sampled_from(["", " ", "a b", "x\ty", "u\u2028v", NA_TOKEN])
+WORDS = st.text(st.characters(exclude_categories=("Zs", "Zl", "Zp", "Cc")), min_size=1,
+                max_size=4)  # whitespace-free, nonempty
+NUMBERS = st.integers() | st.floats()  # nan, inf and ints past the float range too
+BAD_LISTS = st.lists(TEXT | st.integers(), min_size=1, max_size=2) | st.tuples(TEXT) \
+    | st.none() | TEXT
+
+
+def _mostly(valid, invalid):
+    """Three draws in four from ``valid``, so that most records reach the writer."""
+    return st.one_of(valid, valid, valid, invalid)
+
+
+PROFILE_FIELDS = st.fixed_dictionaries({}, optional={
+    "plot": _mostly(st.none() | TEXT, NUMBERS),
+    "year": _mostly(st.none() | st.integers(YEAR_MIN - 1, YEAR_MAX + 1), NUMBERS | st.booleans()),
+    **dict.fromkeys(TAG_FIELDS, _mostly(st.lists(TEXT, max_size=3), BAD_LISTS))})
+VOCAB_LISTS = st.lists(TEXT.filter(lambda tag: tag != NA_TOKEN), max_size=3, unique=True) \
+    .map(lambda tags: [NA_TOKEN, *tags])
+
+
+def _saved(save, record, path) -> bool:
+    """Whether ``save`` wrote ``record``; a refusal must leave no file behind."""
+    path.unlink(missing_ok=True)
+    try:
+        save(record, path)
+    except ValueError:
+        assert not path.exists()
+        return False
+    return True
+
+
+def _finite_rows(data, rows: int, dim: int) -> np.ndarray:
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=rows * dim, max_size=rows * dim))
+    return np.array(values, dtype=np.float64).reshape(rows, dim)
+
+
+@ROUND_TRIP
+@given(ids=st.lists(_mostly(WORDS, TEXT | st.integers()), min_size=1, max_size=3, unique=True),
+       data=st.data())
+def test_metadata_profiles_load_back_equal_or_are_refused(tmp_path, ids, data):
+    try:
+        profiles = [ContentProfile(id=i, **data.draw(PROFILE_FIELDS)) for i in ids]
+    except ValueError:
+        return  # refused when built: nothing to write
+    path = tmp_path / "metadata.jsonl"
+    if _saved(save_metadata, profiles, path):
+        assert load_metadata(path) == profiles
+
+
+@ROUND_TRIP
+@given(raw=st.lists(st.lists(_mostly(WORDS, TEXT | st.integers()), min_size=2, max_size=4,
+                             unique=True), max_size=3))
+def test_cooccurrence_sets_load_back_equal_or_are_refused(tmp_path, raw):
+    try:
+        sets = CooccurrenceSets([tuple(items) for items in raw])
+    except ValueError:
+        return
+    path = tmp_path / "sets.txt"
+    if _saved(save_sets, sets, path):  # a set file keeps each set's ids, not their order
+        assert [set(s) for s in load_sets(path).sets] == [set(s) for s in sets.sets]
+
+
+@ROUND_TRIP
+@given(data=st.data())
+def test_feature_contexts_load_back_equal_or_are_refused(tmp_path, data):
+    draw = data.draw
+    tags = {field_name: draw(VOCAB_LISTS) for field_name in TAG_FIELDS}
+    edit = draw(st.sampled_from(["none", "none", "set", "drop"]))
+    if edit == "set":
+        tags[draw(st.sampled_from(TAG_FIELDS) | TEXT)] = draw(VOCAB_LISTS | BAD_LISTS)
+    elif edit == "drop":
+        del tags[draw(st.sampled_from(TAG_FIELDS))]
+    dim = draw(st.integers(1, 3))
+    ids = draw(st.lists(TEXT, max_size=3)) if draw(st.booleans()) else None
+    k = draw(st.integers(0, 2))
+    centroid_rows = _finite_rows(data, k, draw(st.sampled_from([dim, dim + 1])))
+    try:
+        context = FeatureContext(
+            TagVocabulary(tags), YearStats(draw(_mostly(st.floats(-3000, 3000), NUMBERS)),
+                                           draw(_mostly(st.floats(1e-3, 1e3), NUMBERS))),
+            None if ids is None else EmbeddingTable(ids, _finite_rows(data, len(ids), dim)),
+            Centroids(centroid_rows) if k else None,
+            draw(_mostly(st.floats(1e-300, 1e300), st.floats())))
+    except ValueError:
+        return
+    path = tmp_path / "ctx.ckpt"
+    if not _saved(save_feature_context, context, path):
+        return
+    loaded = load_feature_context(path)
+    assert loaded.tag_vocab.tags == context.tag_vocab.tags
+    assert (loaded.year_stats, loaded.temperature) == (context.year_stats, context.temperature)
+    for table in ("word_table", "centroids"):
+        was, now = getattr(context, table), getattr(loaded, table)
+        assert (was is None) == (now is None)
+        if was is not None:
+            assert getattr(was, "ids", None) == getattr(now, "ids", None)
+            assert np.array_equal(was.vectors, now.vectors)

@@ -185,6 +185,11 @@ class TestSpecValidation:
             SyntheticSpec(min_set_size=5, max_set_size=4, **good)
         with pytest.raises(ValueError, match="^seed must be >= 0$"):
             SyntheticSpec(seed=-1, **good)
+        for value in (float("nan"), float("inf"), 10 ** 400):
+            with pytest.raises(ValueError, match="noise"):
+                SyntheticSpec(noise=value, **good)
+            with pytest.raises(ValueError, match="year_weight"):
+                SyntheticSpec(year_weight=value, **good)
 
 
 def test_cluster_labels_match_generation_order():
