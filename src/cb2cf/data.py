@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -21,6 +22,7 @@ YEAR_MIN = 1850
 YEAR_MAX = 2100
 TAG_FIELDS = ("genres", "actors", "directors", "languages")  # ContentProfile's tag lists
 DEFAULT_THRESHOLD = 3.5
+_NOT_UTF8 = re.compile("[\ud800-\udfff]")  # a lone surrogate: all a str holds that UTF-8 cannot
 
 
 @dataclass
@@ -183,10 +185,10 @@ def load_metadata(path: str | Path) -> list[ContentProfile]:
 
 def save_sets(sets: CooccurrenceSets, path: str | Path) -> None:
     """Inverse of load_sets: one space-joined line per set. An id that ``writable_id``
-    refuses would read back as other sets, so it raises before the file is opened."""
+    refuses (it would read back as other sets) or UTF-8 cannot encode raises first."""
     for items in sets.sets:
         for item_id in items:
-            if not writable_id(item_id):
+            if not writable_id(item_id) or _NOT_UTF8.search(item_id):
                 raise ValueError(f"id not writable to a set file: {item_id!r}")
     with open(path, "w", encoding="utf-8") as fh:
         for items in sets.sets:
@@ -194,7 +196,13 @@ def save_sets(sets: CooccurrenceSets, path: str | Path) -> None:
 
 
 def save_metadata(profiles: Iterable[ContentProfile], path: str | Path) -> None:
-    """Inverse of load_metadata: one JSON object per line, keys sorted."""
+    """Inverse of load_metadata: one JSON object per line, keys sorted. A repeated id,
+    which load_metadata refuses, raises before the file is opened."""
+    profiles, seen = list(profiles), set()
+    for profile in profiles:
+        if profile.id in seen:
+            raise ValueError(f"duplicate id {profile.id!r}")
+        seen.add(profile.id)
     with open(path, "w", encoding="utf-8") as fh:
         for profile in profiles:
             fh.write(json.dumps(asdict(profile), sort_keys=True) + "\n")
@@ -204,7 +212,8 @@ def export_labeled_vectors(table: EmbeddingTable, labels: Mapping[str, str],
                            path: str | Path) -> None:
     """Write ``id<TAB>label<TAB>components...`` rows in table order. Every
     id must have a label. Floats use repr, so reading the file back yields
-    identical vectors. A label may hold no tab or line break."""
+    identical vectors. A label may hold no tab or line break, and an id or
+    label that UTF-8 cannot encode raises before the file is opened."""
     missing = [i for i in table.ids if i not in labels]
     if missing:
         raise ValueError(f"{len(missing)} ids have no label (first: {missing[0]!r})")
@@ -212,6 +221,8 @@ def export_labeled_vectors(table: EmbeddingTable, labels: Mapping[str, str],
         label = str(labels[item_id])
         if "\t" in label or "".join(label.splitlines()) != label:
             raise ValueError(f"label of item {item_id!r} holds a tab or line break: {label!r}")
+        if _NOT_UTF8.search(item_id + label):
+            raise ValueError(f"item {item_id!r} or its label {label!r} is not UTF-8 encodable")
     with open(path, "w", encoding="utf-8") as fh:
         for item_id in table.ids:
             row = table.get(item_id)

@@ -67,51 +67,44 @@ class Centroids:
         return len(self.vectors)
 
 
-def _row_buffer(points: np.ndarray) -> np.ndarray:
-    """A buffer for blocks of rows of ``points``: one row at least, else at most
-    ``KMEANS_BLOCK`` elements."""
-    rows = max(1, KMEANS_BLOCK // max(1, points.shape[1]))
-    return np.empty((min(len(points), rows), points.shape[1]))
-
-
 def _distinct_rows(points: np.ndarray, limit: int) -> int:
     """How many distinct rows the nonempty ``points`` holds, counted up to ``limit``;
     -0.0 equals 0.0. Reads a block of rows at a time and never copies the table."""
     seen: set[bytes] = set()
-    buf = _row_buffer(points)
-    for lo in range(0, len(points), len(buf)):
-        rows = points[lo:lo + len(buf)]
-        for row in np.add(rows, 0.0, out=buf[:len(rows)]):  # -0.0 + 0.0 is 0.0
+    step = max(1, KMEANS_BLOCK // max(1, points.shape[1]))
+    for lo in range(0, len(points), step):
+        for row in points[lo:lo + step] + 0.0:  # -0.0 + 0.0 is 0.0
             seen.add(row.tobytes())
             if len(seen) >= limit:
                 return len(seen)
     return len(seen)
 
 
-def _sq_dists(points: np.ndarray, origin, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``((points - origin) ** 2).sum(axis=1)`` into ``out``, a block of ``buf`` rows at a
-    time: the same per-row sums, without a (points × dim) temporary."""
-    step = len(buf)
-    for lo in range(0, len(points), step):
-        rows = points[lo:lo + step]
-        diff = np.subtract(rows, origin, out=buf[:len(rows)])
-        np.sum(np.square(diff, out=diff), axis=1, out=out[lo:lo + step])
+def _sq_dists(points: np.ndarray, origin, rows: np.ndarray) -> np.ndarray:
+    """``((points[rows] - origin) ** 2).sum(axis=1)``, a block of at most ``KMEANS_BLOCK``
+    elements at a time: the same per-row sums, without a (rows × dim) temporary."""
+    step, out = max(1, KMEANS_BLOCK // max(1, points.shape[1])), np.empty(len(rows))
+    for lo in range(0, len(rows), step):
+        diff = points[rows[lo:lo + step]]  # a copy: the block is differenced and squared in place
+        np.sum(np.square(np.subtract(diff, origin, out=diff), out=diff), 1, out=out[lo:lo + step])
     return out
 
 
 def _kmeans_pp_init(points: np.ndarray, clusters: int, rng) -> np.ndarray:
-    n = len(points)
-    buf, dist = _row_buffer(points), np.empty(n)
+    """k-means++ picks, weighing rows by ``sq + sq[pick] - 2 * points @ points[pick]``.
+    Where that is within its rounding bound of 0 (a duplicate or near row), the exact
+    ``((x - c) ** 2).sum()`` replaces it: a duplicate of a chosen row weighs exactly 0."""
+    n, dim = points.shape
+    sq, d2 = _sq_dists(points, 0.0, np.arange(n)), np.full(n, np.inf)
     chosen = [int(rng.integers(n))]
-    d2 = _sq_dists(points, points[chosen[0]], buf, np.empty(n))
     for _ in range(1, clusters):
+        scale = sq + sq[chosen[-1]]
+        dist = scale - 2.0 * (points @ points[chosen[-1]])
+        near = np.flatnonzero(dist <= (dim + 2) * np.finfo(np.float64).eps * scale)
+        dist[near] = _sq_dists(points, points[chosen[-1]], near)
+        np.minimum(d2, dist, out=d2)
         total = d2.sum()
-        if total <= 0:
-            pick = int(rng.integers(n))
-        else:
-            pick = int(rng.choice(n, p=d2 / total))
-        chosen.append(pick)
-        np.minimum(d2, _sq_dists(points, points[pick], buf, dist), out=d2)
+        chosen.append(int(rng.integers(n)) if total <= 0 else int(rng.choice(n, p=d2 / total)))
     return points[chosen].copy()
 
 
@@ -126,7 +119,7 @@ def fit_kmeans(vectors: np.ndarray, clusters: int, seed: int = 0) -> Centroids:
     Memory: one (points × clusters) distance matrix for the whole fit, and
     blocks of at most ``KMEANS_BLOCK`` elements besides; no (points × dim)
     temporary. The squared distances are ``sq + cc - 2 * points @ centroids.T``
-    element for element.
+    element for element; the seeding's are the same identity, one pick at a time.
     """
     points = np.asarray(vectors, dtype=np.float64)
     if points.ndim != 2 or len(points) == 0:
@@ -142,7 +135,7 @@ def fit_kmeans(vectors: np.ndarray, clusters: int, seed: int = 0) -> Centroids:
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, clusters, rng)
-    sq = _sq_dists(points, 0.0, _row_buffer(points), np.empty(len(points)))  # (points ** 2).sum(1)
+    sq = _sq_dists(points, 0.0, np.arange(len(points)))  # (points ** 2).sum(1)
     d2, step = np.empty((len(points), clusters)), max(1, KMEANS_BLOCK // clusters)
     block = np.empty((min(step, len(points)), clusters))
     for _ in range(KMEANS_MAX_ITER):
@@ -291,8 +284,7 @@ def fit_year_stats(profiles: Sequence["ContentProfile"]) -> YearStats:
     years = [p.year for p in profiles if p.year is not None]
     if not years:
         return YearStats(0.0, 1.0)
-    mean = float(np.mean(years))
-    std = float(np.std(years))
+    mean, std = float(np.mean(years)), float(np.std(years))
     return YearStats(mean, std if std > 0 else 1.0)
 
 
@@ -333,13 +325,9 @@ def fit_feature_context(profiles: Sequence["ContentProfile"], *,
     come from a text corpus and carry no per-item leakage."""
     if not profiles:
         raise ValueError("no profiles to fit on")
-    return FeatureContext(
-        tag_vocab=build_tag_vocab(profiles, min_count=min_tag_count),
-        year_stats=fit_year_stats(profiles),
-        word_table=word_table,
-        centroids=centroids,
-        temperature=temperature,
-    )
+    return FeatureContext(build_tag_vocab(profiles, min_count=min_tag_count),
+                          fit_year_stats(profiles), word_table=word_table,
+                          centroids=centroids, temperature=temperature)
 
 
 @dataclass

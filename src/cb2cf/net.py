@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 CHECKPOINT_VERSION = 1
-ADAM_BLOCK = 16384  # elements: a block's ~4 arrays of <= 128 KiB stay in L2 across its passes
+ADAM_BLOCK = 1 << 18  # bytes per array in a block, any dtype: a step's 5 arrays stay in L2
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 SCATTER_BUDGET = 1 << 17  # input-gradient terms per conv scatter: ~1 MiB of float64
 
@@ -155,13 +155,8 @@ def l2_penalty(weights: Mapping[str, np.ndarray], lam: float):
     return lam * penalty, {name: 2.0 * lam * w for name, w in weights.items()}
 
 
-def _adam_rates(lr: float, t):
-    """``(lr_t, eps_t)`` at step ``t``; an array of row steps gives one column
-    each, every value computed in Python floats like a dense tensor's."""
-    if isinstance(t, np.ndarray):
-        steps, inverse = np.unique(t, return_inverse=True)
-        rates = np.array([_adam_rates(lr, step) for step in steps.tolist()])
-        return rates[inverse, :1], rates[inverse, 1:]
+def _adam_rates(lr: float, t: int) -> tuple[float, float]:
+    """``(lr_t, eps_t)`` at step ``t``, in Python floats."""
     c = math.sqrt(1.0 - ADAM_BETA2 ** t)
     return lr * c / (1.0 - ADAM_BETA1 ** t), ADAM_EPS * c
 
@@ -182,20 +177,22 @@ def _adam_block(p, g, m, v, s, lr_t, eps_t) -> None:
 class Adam:
     """Kingma & Ba's Adam over one flat parameter vector (elementwise: bit for bit
     a step per tensor packed into it), plus a row-sparse path for one embedding
-    table's touched rows, each row with its own step count."""
+    table's touched rows, each row with its own step count and the rates of that
+    step from ``row_rates``, a table filled by ``_adam_rates``."""
 
     def __init__(self, lr: float = 1e-3) -> None:
         self.lr = lr
         self.m = self.v = self.scratch = None  # the flat vector's moments and block scratch
         self.t = 0  # the flat vector's steps
         self.row_m = self.row_v = self.row_t = None  # the table's moments and steps per row
+        self.row_rates = np.empty((0, 2))  # row t - 1: _adam_rates(lr, t), grown on demand
 
     def step(self, param: np.ndarray, grad: np.ndarray) -> None:
         """One bias-corrected step, in place, per block of whole rows of at most
-        ``ADAM_BLOCK`` elements (or one row) through one scratch buffer."""
+        ``ADAM_BLOCK`` bytes (or one row) through one scratch buffer."""
         if param.shape != grad.shape:
             raise ValueError("param and grad shape mismatch")
-        rows = max(1, ADAM_BLOCK * len(param) // max(param.size, 1))
+        rows = max(1, ADAM_BLOCK // param.itemsize * len(param) // max(param.size, 1))
         if self.m is None:
             self.m, self.v, self.scratch = (
                 np.zeros_like(param), np.zeros_like(param), np.empty_like(param[:rows]))
@@ -213,9 +210,13 @@ class Adam:
         if self.row_m is None:
             self.row_m, self.row_v = np.zeros_like(param), np.zeros_like(param)
             self.row_t = np.zeros(len(param), dtype=np.int64)
-        self.row_t[rows] += 1
+        steps = self.row_t[rows] = self.row_t[rows] + 1
+        top = int(steps.max())
+        if top > len(self.row_rates):  # to twice the top step: O(steps) rates built in all
+            self.row_rates = np.array([_adam_rates(self.lr, t) for t in range(1, 2 * top + 1)])
+        rates = self.row_rates[steps - 1]
         p, m, v = param[rows], self.row_m[rows], self.row_v[rows]
-        _adam_block(p, grads, m, v, np.empty_like(p), *_adam_rates(self.lr, self.row_t[rows]))
+        _adam_block(p, grads, m, v, np.empty_like(p), rates[:, :1], rates[:, 1:])
         param[rows], self.row_m[rows], self.row_v[rows] = p, m, v
 
 

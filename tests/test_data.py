@@ -168,6 +168,32 @@ def test_save_sets_refuses_an_id_that_would_read_back_as_other_sets(tmp_path, it
     assert not path.exists()
 
 
+@pytest.mark.parametrize("writer, message", [
+    ("sets", "id not writable to a set file: 'c\\ud800'"),
+    ("export-id", "item 'c\\ud800' or its label 'x' is not UTF-8 encodable"),
+    ("export-label", "item 'c' or its label 'x\\udfff' is not UTF-8 encodable"),
+], ids=["sets", "export-id", "export-label"])
+def test_text_writers_refuse_what_utf8_cannot_encode_before_opening(tmp_path, writer, message):
+    path = tmp_path / "out.txt"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if writer == "sets":
+            save_sets(CooccurrenceSets([("m1", "m2"), ("c\ud800", "d")]), path)
+        else:
+            item_id = "c\ud800" if writer == "export-id" else "c"
+            label = "x" if writer == "export-id" else "x\udfff"
+            table = EmbeddingTable(["a", item_id], np.eye(2))
+            export_labeled_vectors(table, {"a": "y", item_id: label}, path)
+    assert not path.exists()
+
+
+def test_save_metadata_refuses_a_repeated_id_before_opening_the_file(tmp_path):
+    path = tmp_path / "meta.jsonl"
+    profiles = (ContentProfile(i) for i in ["a", "b", "a"])  # any iterable, read once
+    with pytest.raises(ValueError, match="^duplicate id 'a'$"):
+        save_metadata(profiles, path)
+    assert not path.exists()
+
+
 def _metadata_line(**kwargs):
     record = {"id": "m1", "plot": "a story", "genres": ["drama"],
               "actors": ["ann"], "directors": ["dee"], "languages": ["en"],

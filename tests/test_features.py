@@ -99,17 +99,20 @@ def _loop_kmeans(points, clusters, seed):
 
 
 class _WeightRecorder:
-    """A seeded Generator for k-means++ that records each pick's weights."""
+    """A seeded Generator for k-means++ that records each pick, and each weighted
+    pick's weights with the picks made before it."""
 
     def __init__(self, seed):
-        self.rng, self.weights = np.random.default_rng(seed), []
+        self.rng, self.picks, self.weights = np.random.default_rng(seed), [], []
 
     def integers(self, n):
-        return self.rng.integers(n)
+        self.picks.append(int(self.rng.integers(n)))
+        return self.picks[-1]
 
     def choice(self, n, p):
-        self.weights.append(p.tobytes())
-        return self.rng.choice(n, p=p)
+        self.weights.append((list(self.picks), p.copy()))
+        self.picks.append(int(self.rng.choice(n, p=p)))
+        return self.picks[-1]
 
 
 def _loop_pp_init(points, clusters, rng):
@@ -125,6 +128,25 @@ def _loop_pp_init(points, clusters, rng):
     return points[chosen].copy()
 
 
+# The seeding weighs rows by ``sq + sq[pick] - 2 * points @ points[pick]``, the
+# reference by ``((points - points[pick]) ** 2).sum(1)``; they round apart by at
+# most 6.9e-17 in a weight over these tests' inputs.
+WEIGHT_ATOL = 1e-15
+
+
+def _assert_seeding_matches_the_reference(points, clusters, seed):
+    got_rng, want_rng = _WeightRecorder(seed), _WeightRecorder(seed)
+    got = features._kmeans_pp_init(points, clusters, got_rng)
+    assert got.tobytes() == _loop_pp_init(points, clusters, want_rng).tobytes()
+    assert [picks for picks, _ in got_rng.weights] == [picks for picks, _ in want_rng.weights]
+    for (picks, weights), (_, want) in zip(got_rng.weights, want_rng.weights):
+        np.testing.assert_allclose(weights, want, rtol=0, atol=WEIGHT_ATOL)
+        # A row equal to a chosen one (-0.0 equals 0.0) weighs exactly 0.
+        chosen = (points[:, None, :] == points[picks][None]).all(axis=2).any(axis=1)
+        assert np.all(weights[chosen] == 0.0)
+    return got_rng
+
+
 class TestKmeans:
     @pytest.mark.parametrize("points, clusters", [
         (np.random.default_rng(0).standard_normal((300, 32)), 25),
@@ -134,11 +156,7 @@ class TestKmeans:
     ], ids=["random", "wide", "duplicate-heavy", "clusters-equal-distinct-rows"])
     def test_seeding_equals_the_fresh_array_reference(self, points, clusters):
         for seed in range(3):
-            got_rng, want_rng = _WeightRecorder(seed), _WeightRecorder(seed)
-            got = features._kmeans_pp_init(points, clusters, got_rng)
-            want = _loop_pp_init(points, clusters, want_rng)
-            assert got.tobytes() == want.tobytes()
-            assert got_rng.weights == want_rng.weights
+            _assert_seeding_matches_the_reference(points, clusters, seed)
 
     def test_a_round_sees_the_one_expression_distances(self, monkeypatch):
         points, clusters = np.random.default_rng(8).standard_normal((301, 5)), 9
@@ -275,15 +293,21 @@ class TestKmeans:
                 assert features._distinct_rows(points, limit) == limit
 
     def test_blocked_reductions_keep_the_bits(self, monkeypatch):
-        points = np.random.default_rng(12).standard_normal((203, 37))
-        monkeypatch.setattr(features, "KMEANS_BLOCK", 3 * 37 + 2)  # 3 rows a block, then 2
-        for seed in range(2):
-            got_rng, want_rng = _WeightRecorder(seed), _WeightRecorder(seed)
-            got = features._kmeans_pp_init(points, 17, got_rng)
-            assert got.tobytes() == _loop_pp_init(points, 17, want_rng).tobytes()
-            assert got_rng.weights == want_rng.weights
-        assert fit_kmeans(points, 17, seed=4).vectors.tobytes() == \
-            _loop_kmeans(points, 17, 4).tobytes()
+        random = np.random.default_rng(12).standard_normal((203, 37))
+        repeated = np.repeat(random[:29], 7, axis=0)  # 7 near rows a pick: 3 blocks
+        for points in (random, repeated):
+            whole = [_WeightRecorder(seed) for seed in range(2)]
+            for rng in whole:
+                features._kmeans_pp_init(points, 17, rng)
+            monkeypatch.setattr(features, "KMEANS_BLOCK", 3 * 37 + 2)  # 3 rows a block, then 2
+            for seed, want in enumerate(whole):
+                got = _assert_seeding_matches_the_reference(points, 17, seed)
+                assert [w.tobytes() for _, w in got.weights] == \
+                    [w.tobytes() for _, w in want.weights]
+            monkeypatch.undo()
+        monkeypatch.setattr(features, "KMEANS_BLOCK", 3 * 37 + 2)
+        assert fit_kmeans(random, 17, seed=4).vectors.tobytes() == \
+            _loop_kmeans(random, 17, 4).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_vectors(self, bad):

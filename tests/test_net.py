@@ -363,7 +363,8 @@ def test_in_place_adam_matches_the_formula():
 
 def test_adam_walks_a_tensor_larger_than_one_block():
     rng = np.random.default_rng(13)
-    shape = (7, 3000)  # five rows fill a block; two rows are left
+    per_block = net.ADAM_BLOCK // 8  # float64 elements per block
+    shape = (7, per_block * 2 // 11)  # five rows fill a block; two rows are left
     param = rng.standard_normal(shape)
     reference = param.copy()
     adam = net.Adam(lr=3e-3)
@@ -372,27 +373,32 @@ def test_adam_walks_a_tensor_larger_than_one_block():
         grad = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3, shape)
         adam.step(param, grad)
         _reference_adam_update(reference, grad, ref_state, lr=3e-3)
-    assert param.size % net.ADAM_BLOCK and param.size > net.ADAM_BLOCK
+    assert param.size % per_block and param.size > per_block
     _assert_close_relative(param, reference)
     _assert_close_relative(adam.m, ref_state.m)
     _assert_close_relative(adam.v, ref_state.v)
-    assert adam.scratch.shape == (5, 3000)
+    assert adam.scratch.shape == (5, shape[1])
 
 
-# The bench crossval full system's parameter shapes (CNN+BOW+Tags+Year over
-# 32-dim words and 250 centroids), in ``parameter_shapes`` order.
-FULL_SYSTEM_SHAPES = [(300, 3, 32), (300,), (256, 300), (256,), (256, 250), (256,), (256, 256),
-                      (256,), (100, 3), (100,), (100, 3), (100,), (40, 3), (40,), (20, 2), (20,),
-                      (8, 1), (8,), (256, 780), (256,), (40, 256), (40,)]
+def _full_system_shapes(word_dim):
+    """The bench crossval full system's parameter shapes (CNN+BOW+Tags+Year over
+    ``word_dim``-dim words, 32 there, and 250 centroids), in ``parameter_shapes`` order."""
+    return [(300, 3, word_dim), (300,), (256, 300), (256,), (256, 250), (256,), (256, 256),
+            (256,), (100, 3), (100,), (100, 3), (100,), (40, 3), (40,), (20, 2), (20,),
+            (8, 1), (8,), (256, 780), (256,), (40, 256), (40,)]
 
 
 def test_one_step_over_the_flat_vector_is_bit_for_bit_one_step_per_tensor():
     rng = np.random.default_rng(14)
-    tensors = [rng.standard_normal(shape) for shape in FULL_SYSTEM_SHAPES]
+    per_block = net.ADAM_BLOCK // 8  # float64 elements per block
+    # The word dim that makes the (300, 3, dim) filters fill 1.75 blocks, rounded
+    # up: 32, the bench's own, at 16,384 elements a block.
+    tensors = [rng.standard_normal(shape)
+               for shape in _full_system_shapes(-(-7 * per_block // (4 * 900)))]
     ends = np.cumsum([t.size for t in tensors])
     # The first tensor outgrows a block, and the second block ends it, holds
     # all of the next one and starts the third.
-    assert net.ADAM_BLOCK < ends[0] < ends[1] < 2 * net.ADAM_BLOCK < ends[2]
+    assert per_block < ends[0] < ends[1] < 2 * per_block < ends[2]
 
     def packed(arrays):
         return np.concatenate([a.ravel() for a in arrays])
@@ -470,6 +476,17 @@ def test_adam_rows_at_staggered_steps_match_the_formula_per_row():
     assert adam.row_t.tolist() == [s.t for s in ref_states]
     _assert_close_relative(param, np.array(references))
     assert np.array_equal(adam.row_m, m) and np.array_equal(adam.row_v, v)
+
+
+def test_the_row_rate_table_is_the_scalar_formula_and_grows_past_its_end():
+    param, adam = np.zeros((3, 2)), net.Adam(lr=3e-3)
+    adam.step_rows(param, np.arange(3), np.ones((3, 2)))
+    size = len(adam.row_rates)
+    for _ in range(size):  # row 1 steps one past the table's end
+        adam.step_rows(param, np.array([1]), np.ones((1, 2)))
+    assert adam.row_t.tolist() == [1, size + 1, 1] and len(adam.row_rates) > size + 1
+    want = [net._adam_rates(3e-3, t) for t in range(1, len(adam.row_rates) + 1)]
+    assert adam.row_rates.tobytes() == np.array(want).tobytes()
 
 
 def test_adam_row_steps_touch_only_given_rows():
