@@ -207,6 +207,9 @@ class EvalSettings:
         check_seed(self.seed)
         check_min_tag_count(self.min_tag_count)
         check_temperature(self.temperature)
+        for key in ("components", "output_dim", "name"):
+            if key in (self.spec_overrides or {}):
+                raise ValueError(f"spec_overrides cannot set {key!r}: each system sets its own")
         SystemSpec(("Year",), **(self.spec_overrides or {}))  # rules that hold for every system
         object.__setattr__(self, "ndcg_ks", tuple(self.ndcg_ks))
 

@@ -103,8 +103,9 @@ class SystemSpec:
                              (self.text_length, "text_length")]:
             if type(value) is not int or value < 1:
                 raise ValueError(f"{label} must be an integer >= 1")
-        if not isinstance(self.tag_hidden, dict):
-            raise ValueError("tag_hidden must map tag components to widths")
+        if not isinstance(self.tag_hidden, dict) or self.tag_hidden.keys() - TAG_COMPONENT_FIELDS:
+            raise ValueError(f"tag_hidden must map tag components {list(TAG_COMPONENT_FIELDS)} "
+                             f"to widths, not {self.tag_hidden!r}")
         for comp in TAG_COMPONENT_FIELDS:
             width = self.tag_hidden.get(comp)
             if type(width) is not int or width < 1:
@@ -313,14 +314,14 @@ def forward_batch(model: Cb2cfModel, stack: dict, rows: np.ndarray | slice = sli
         x = inputs[comp]
         if comp == "CNN":
             cache["text"] = _text_forward(model, x, lengths, word_mask)
-            x, _ = net.relu_forward(cache["text"][-1])
+            x = net.relu_forward(cache["text"][-1])
         layer_caches = []
         for j, name in enumerate(COMPONENTS[comp][1]):
             if j and unit_mask is not None:
                 x = x * unit_mask
             pre, dense_cache = net.dense_forward(x, params[f"{name}.weight"],
                                                  params[f"{name}.bias"])
-            x, _ = net.relu_forward(pre)
+            x = net.relu_forward(pre)
             layer_caches.append((dense_cache, pre))
         cache["components"][comp] = layer_caches
         outputs.append(x)
@@ -328,7 +329,7 @@ def forward_batch(model: Cb2cfModel, stack: dict, rows: np.ndarray | slice = sli
     concat = np.concatenate(outputs, axis=1)
     cache["pre_comb"], cache["comb_cache"] = net.dense_forward(
         concat, params["combiner.weight"], params["combiner.bias"])
-    combined, _ = net.relu_forward(cache["pre_comb"])
+    combined = net.relu_forward(cache["pre_comb"])
     predictions, cache["out_cache"] = net.dense_forward(
         combined, params["output.weight"], params["output.bias"])
     return predictions, cache
@@ -360,8 +361,8 @@ def backward_batch(model: Cb2cfModel, cache: dict, grad_predictions: np.ndarray,
             grad, _, _ = net.dense_backward(dense_cache, net.relu_backward(pre, grad),
                                             (grads[f"{layers[j]}.weight"],
                                              grads[f"{layers[j]}.bias"]))
-            if j:
-                grad = net.dropout_backward(cache["unit_mask"], grad)
+            if j and cache["unit_mask"] is not None:
+                grad = grad * cache["unit_mask"]
         if comp == "CNN":
             rows, row_grads = _text_backward(model, cache["text"], grad, grads)
     return grads, (rows, row_grads)
@@ -489,7 +490,7 @@ def train(model: Cb2cfModel, bundles: Sequence[FeatureBundle], targets,
             if not np.isfinite(epoch_loss):
                 break  # diverged; no update from a non-finite loss
             grads, (rows, row_grads) = backward_batch(model, cache, grad_preds / len(batch), grad)
-            for name in l2_names:  # the gradient of net.l2_penalty, one tensor at a time
+            for name in l2_names:  # the L2 penalty's gradient, 2 * l2 * W, one tensor at a time
                 grads[name] += (2.0 * config.l2) * model.params[name]
             adam.step(model.flat, grad)
             adam.step_rows(model.embedding, rows, row_grads)

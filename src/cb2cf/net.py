@@ -1,14 +1,14 @@
 """Minimal dense/convolutional network core with hand-derived gradients.
 
 Each layer computes in the dtype of its inputs. Dense, ReLU, dropout and MSE
-are batch-first: a dense layer maps a (batch, features) matrix (or one
-example's vector) with one GEMM and sums its parameter gradients over the
-batch. The convolution takes a batch's texts as segments of one stacked
-(rows, dim) matrix, with one GEMM and max per segment; its input gradient
-is one ``np.bincount`` per run of whole segments, bit for bit ``np.add.at``.
-Adam takes Kingma & Ba's efficient form (arXiv:1412.6980, section 2) on a
-flat parameter vector and embedding rows alike. Every backward function is
-checked against central finite differences in the test suite.
+are batch-first: a dense layer maps a (batch, features) matrix with one
+GEMM and sums its parameter gradients over the batch. The convolution takes
+a batch's texts as segments of one stacked (rows, dim) matrix, with one GEMM
+and max per segment; its input gradient is one ``np.bincount`` per run of
+whole segments, bit for bit ``np.add.at``. Adam takes Kingma & Ba's
+efficient form (arXiv:1412.6980, section 2) on a flat parameter vector and
+embedding rows alike. Every backward function is checked against central
+finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ SCATTER_BUDGET = 1 << 17  # input-gradient terms per conv scatter: ~1 MiB of flo
 
 
 def dense_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
-    """y = x @ W.T + b for a batch x of shape (batch, in), or one example
-    of shape (in,). Returns (y, cache)."""
-    if x.ndim not in (1, 2) or weight.ndim != 2 or weight.shape[1] != x.shape[-1]:
+    """y = x @ W.T + b for a batch x of shape (batch, in). Returns (y, cache)."""
+    if x.ndim != 2 or weight.ndim != 2 or weight.shape[1] != x.shape[1]:
         raise ValueError(f"dense shape mismatch: W {weight.shape}, x {x.shape}")
     if bias.shape != (weight.shape[0],):
         raise ValueError(f"dense bias shape {bias.shape} != ({weight.shape[0]},)")
@@ -42,16 +41,14 @@ def dense_backward(cache, grad_out: np.ndarray, out=(None, None)):
     """Returns (grad_in, grad_weight, grad_bias); the parameter gradients are
     summed over the batch, into ``out = (grad_weight, grad_bias)`` if given."""
     x, weight = cache
-    out_dim, in_dim = weight.shape
-    if grad_out.shape != x.shape[:-1] + (out_dim,):
+    if grad_out.shape != (len(x), len(weight)):
         raise ValueError("dense grad shape mismatch")
-    rows = grad_out.reshape(-1, out_dim)
-    return (grad_out @ weight, np.matmul(rows.T, x.reshape(-1, in_dim), out=out[0]),
-            np.sum(rows, axis=0, out=out[1]))
+    return (grad_out @ weight, np.matmul(grad_out.T, x, out=out[0]),
+            np.sum(grad_out, axis=0, out=out[1]))
 
 
-def relu_forward(x: np.ndarray):
-    return np.maximum(x, 0.0), x
+def relu_forward(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
 
 
 def relu_backward(cache, grad_out: np.ndarray) -> np.ndarray:
@@ -60,17 +57,17 @@ def relu_backward(cache, grad_out: np.ndarray) -> np.ndarray:
 
 
 def conv1d_maxpool_forward(matrix: np.ndarray, filters: np.ndarray, bias: np.ndarray,
-                           offsets: np.ndarray | None = None):
+                           offsets: np.ndarray):
     """Valid 1-D convolution over the time axis, then a global max per filter.
 
-    matrix is (rows, dim): one example's text or, given ``offsets``, segment i
-    = rows ``offsets[i]:offsets[i + 1]`` of each example. filters are (count,
-    width, dim), bias (count,). One GEMM per segment scores its windows; the
-    first window wins ties. Returns pooled, (count,) or (segments, count), and
-    a cache holding the start row of each maximum's window."""
+    matrix is (rows, dim), one text per segment: segment i is rows
+    ``offsets[i]:offsets[i + 1]``. filters are (count, width, dim), bias
+    (count,). One GEMM per segment scores its windows; the first window wins
+    ties. Returns pooled, (segments, count), and a cache holding the start row
+    of each maximum's window."""
     matrix = np.ascontiguousarray(matrix)
     count, width, dim = filters.shape
-    bounds = np.array([0, len(matrix)]) if offsets is None else np.asarray(offsets)
+    bounds = np.asarray(offsets)
     if matrix.shape[1] != dim or bias.shape != (count,) or (np.diff(bounds) < width).any():
         raise ValueError(f"conv shape mismatch: input {matrix.shape}, segment lengths "
                          f"{np.diff(bounds).tolist()}, filters {filters.shape}, bias {bias.shape}")
@@ -83,8 +80,7 @@ def conv1d_maxpool_forward(matrix: np.ndarray, filters: np.ndarray, bias: np.nda
         best[i] = np.argmax(activations, axis=1)  # first occurrence on ties
         pooled[i] = activations[np.arange(count), best[i]]
     best += bounds[:-1, None]
-    return (pooled[0], (matrix, filters, best[0])) if offsets is None else \
-        (pooled, (matrix, filters, best))
+    return pooled, (matrix, filters, best)
 
 
 def scatter_rows(rows: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
@@ -103,7 +99,7 @@ def conv1d_maxpool_backward(cache, grad_pooled: np.ndarray, input_grad: bool = T
     count, width, dim = filters.shape
     if grad_pooled.shape != best.shape:
         raise ValueError("pooled grad shape mismatch")
-    grad_pooled, rows = grad_pooled.reshape(-1, count), best.reshape(-1, count, 1) + np.arange(width)
+    rows = best[:, :, None] + np.arange(width)
     grad_filters = np.zeros_like(filters) if out[0] is None else out[0]
     grad_filters[...] = 0.0
     for grad_row, window_rows in zip(grad_pooled, rows):  # rows: (segments, count, width)
@@ -126,33 +122,19 @@ def dropout_mask(uniform: np.ndarray, p: float, dtype=np.float64) -> np.ndarray:
     return ((uniform >= p) / (1.0 - p)).astype(dtype, copy=False)
 
 
-def dropout_backward(mask, grad_out: np.ndarray) -> np.ndarray:
-    return grad_out if mask is None else grad_out * mask
-
-
 def mse_loss(prediction: np.ndarray, target: np.ndarray):
-    """Mean squared error over coordinates and its gradient w.r.t. prediction.
-    A (batch, dim) prediction gives one loss per row."""
+    """Mean squared error over coordinates, one loss per row, and its gradient
+    w.r.t. prediction."""
     if prediction.shape != target.shape:
         raise ValueError(f"prediction {prediction.shape} vs target {target.shape}")
     diff = prediction - target
     n = diff.shape[-1]
-    loss = np.sum(diff * diff, axis=-1) / n
-    return (float(loss) if diff.ndim == 1 else loss), (2.0 / n) * diff
+    return np.sum(diff * diff, axis=-1) / n, (2.0 / n) * diff
 
 
 def check_seed(seed: int) -> None:
     if seed < 0:
         raise ValueError("seed must be >= 0")
-
-
-def l2_penalty(weights: Mapping[str, np.ndarray], lam: float):
-    """lam * sum of squared entries over the given weight tensors, with
-    gradient 2*lam*W each. Biases and embeddings are never passed here."""
-    if lam < 0:
-        raise ValueError("l2 strength must be non-negative")
-    penalty = sum(float(np.vdot(w, w)) for w in weights.values())
-    return lam * penalty, {name: 2.0 * lam * w for name, w in weights.items()}
 
 
 def _adam_rates(lr: float, t: int) -> tuple[float, float]:

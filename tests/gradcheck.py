@@ -1,6 +1,7 @@
-"""Central finite-difference check of hand-derived gradients."""
+"""Central finite-difference check of hand-derived gradients, and the L2
+penalty that training adds to the loss, as the reference for its gradient."""
 
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -33,3 +34,12 @@ def grad_check(loss_fn: LossFn, tensors: dict[str, np.ndarray],
             err = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-8)
             worst = max(worst, err)
     return worst
+
+
+def l2_penalty(weights: Mapping[str, np.ndarray], lam: float):
+    """lam * sum of squared entries over the given weight tensors, with
+    gradient 2*lam*W each. Biases and embeddings are never passed here."""
+    if lam < 0:
+        raise ValueError("l2 strength must be non-negative")
+    penalty = sum(float(np.vdot(w, w)) for w in weights.values())
+    return lam * penalty, {name: 2.0 * lam * w for name, w in weights.items()}

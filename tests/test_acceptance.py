@@ -28,7 +28,7 @@ from cb2cf.model import (SystemSpec, TrainConfig, analogy, backward_batch,
                          build_model, bundle_parts, forward_batch, stack_bundles, train)
 from cb2cf.sgns import EmbeddingTable, SgnsConfig, similarity_search, train_sgns
 from cb2cf.synthetic import SyntheticSpec, generate_synthetic
-from gradcheck import grad_check
+from gradcheck import grad_check, l2_penalty
 from model_helpers import float64_model
 from synthetic_helpers import cluster_labels
 
@@ -44,36 +44,36 @@ def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(0)
 
     # Layer-level checks.
-    target5 = rng.standard_normal(5)
+    target5 = rng.standard_normal((1, 5))
 
     def dense_loss(tensors):
         y, cache = net.dense_forward(tensors["x"], tensors["w"], tensors["b"])
         loss, grad_y = net.mse_loss(y, target5)
         grad_x, grad_w, grad_b = net.dense_backward(cache, grad_y)
-        return loss, {"x": grad_x, "w": grad_w, "b": grad_b}
+        return loss[0], {"x": grad_x, "w": grad_w, "b": grad_b}
 
     dense_err = grad_check(dense_loss, {
-        "x": rng.standard_normal(7), "w": rng.standard_normal((5, 7)),
+        "x": rng.standard_normal((1, 7)), "w": rng.standard_normal((5, 7)),
         "b": rng.standard_normal(5)})
 
-    target4 = rng.standard_normal(4)
+    target4 = rng.standard_normal((1, 4))
 
     def conv_loss(tensors):
         pooled, conv_cache = net.conv1d_maxpool_forward(
-            tensors["m"], tensors["f"], tensors["cb"])
-        act, relu_cache = net.relu_forward(pooled)
+            tensors["m"], tensors["f"], tensors["cb"], [0, len(tensors["m"])])
+        act = net.relu_forward(pooled)
         loss, grad_act = net.mse_loss(act, target4)
-        grad_pooled = net.relu_backward(relu_cache, grad_act)
+        grad_pooled = net.relu_backward(pooled, grad_act)
         grad_m, grad_f, grad_cb = net.conv1d_maxpool_backward(conv_cache,
                                                               grad_pooled)
-        return loss, {"m": grad_m, "f": grad_f, "cb": grad_cb}
+        return loss[0], {"m": grad_m, "f": grad_f, "cb": grad_cb}
 
     conv_err = grad_check(conv_loss, {
         "m": rng.standard_normal((8, 3)), "f": rng.standard_normal((4, 3, 3)),
         "cb": rng.standard_normal(4)})
 
     def l2_loss(tensors):
-        loss, grads = net.l2_penalty({"w": tensors["w"]}, 0.01)
+        loss, grads = l2_penalty({"w": tensors["w"]}, 0.01)
         return loss, {"w": grads["w"]}
 
     l2_err = grad_check(l2_loss, {"w": rng.standard_normal((3, 4))})
@@ -113,7 +113,7 @@ def test_criterion_1_gradient_correctness():
         loss, grad_pred = net.mse_loss(preds[0], target)
         grads, (touched, touched_grads) = backward_batch(model, cache, grad_pred[None, :])
         emb_rows = dict(zip(touched.tolist(), touched_grads))
-        penalty, penalty_grads = net.l2_penalty(
+        penalty, penalty_grads = l2_penalty(
             {n: model.params[n] for n in l2_names}, lam)
         for name, g in penalty_grads.items():
             grads[name] = grads[name] + g

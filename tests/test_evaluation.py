@@ -368,6 +368,9 @@ class TestEvalSettings:
         ("spec_overrides", {"text_length": 0}, "text_length must be an integer >= 1"),
         ("spec_overrides", {"text_length": 2}, "cnn_width exceeds text_length"),
         ("spec_overrides", {"cnn_variant": "dynamic"}, "cnn_variant must be one of"),
+        ("spec_overrides", {"output_dim": 3}, "spec_overrides cannot set 'output_dim'"),
+        ("spec_overrides", {"name": "Year"}, "spec_overrides cannot set 'name'"),
+        ("spec_overrides", {"components": ("Year",)}, "spec_overrides cannot set 'components'"),
         ("seed", -1, "seed must be >= 0"),
     ])
     def test_each_bad_field_raises(self, field, value, message):

@@ -16,7 +16,7 @@ from cb2cf.model import (COMPONENT_ORDER, Cb2cfModel, SystemSpec, TrainConfig,
                          forward_batch, load_model,
                          parse_system, predict, save_model, stack_bundles, train)
 from cb2cf.sgns import EmbeddingTable
-from gradcheck import grad_check
+from gradcheck import grad_check, l2_penalty
 from model_helpers import backward, float64_model, forward, tag_representation
 
 
@@ -82,6 +82,9 @@ class TestSystemSpec:
             SystemSpec(components=("CNN",), text_length=0)
         with pytest.raises(ValueError):
             SystemSpec(components=("Genres",), tag_hidden={"Genres": 0})
+        with pytest.raises(ValueError, match="tag_hidden must map tag components"):
+            SystemSpec.named("CNN+Genres", tag_hidden={"Genres": 4, "Actors": 4, "Director": 3,
+                                                       "Language": 3, "CNN": 7})
 
     def test_bundle_parts(self):
         spec = SystemSpec.named("CNN+BOW+Genres+Year")
@@ -529,13 +532,14 @@ class TestModelPersistence:
         (lambda tensors, meta: meta.pop("system"), "no 'system' object"),
         (lambda tensors, meta: meta["system"].update(colour="red"), "bad system spec"),
         (lambda tensors, meta: meta["system"].update(cnn_filters=2.5), "bad system spec"),
+        (lambda tensors, meta: meta["system"]["tag_hidden"].update(CNN=5), "bad system spec"),
         (lambda tensors, meta: tensors.pop("output.bias"), "output.bias"),
         (lambda tensors, meta: tensors.pop("embedding"), "embedding"),
         (lambda tensors, meta: tensors.update({"genres.weight": np.ones((2, 2))}),
          "genres.weight"),
         (lambda tensors, meta: tensors.update(extra=np.ones(1)), "extra"),
-    ], ids=["no-system", "unknown-spec-key", "float-width", "missing-tensor",
-            "missing-embedding", "wrong-shape", "extra-tensor"])
+    ], ids=["no-system", "unknown-spec-key", "float-width", "cnn-width-in-tag-hidden",
+            "missing-tensor", "missing-embedding", "wrong-shape", "extra-tensor"])
     def test_bad_checkpoints_name_the_path(self, tmp_path, word_table, mutate, message):
         model, context, _ = self._trained(word_table)
         path = tmp_path / "model.ckpt"
@@ -872,7 +876,7 @@ def test_a_train_step_adds_the_gradient_of_l2_penalty_bit_for_bit(word_table, mo
     params, data_grad, grad = (model_module._views(v, model.params)
                                for v in (params, data_grad, grad))
     names = model.l2_weight_names()
-    _, l2_grads = net.l2_penalty({name: params[name] for name in names}, 0.01)
+    _, l2_grads = l2_penalty({name: params[name] for name in names}, 0.01)
     for name in model.params:
         expected = data_grad[name] + l2_grads[name] if name in names else data_grad[name]
         assert grad[name].tobytes() == expected.tobytes(), name
@@ -1061,9 +1065,9 @@ def test_trimmed_text_matrix_pools_like_the_full_one(word_table, text_length,
     full = np.zeros((text_length, model.embedding.shape[1]))
     full[:k] = model.embedding[bundle.text_indices]
     full_pooled, (_, _, full_best) = net.conv1d_maxpool_forward(
-        full, model.params["cnn.filters"], model.params["cnn.conv_bias"])
-    assert np.allclose(pooled, full_pooled, rtol=0, atol=1e-12)
-    assert np.array_equal(best, full_best)
+        full, model.params["cnn.filters"], model.params["cnn.conv_bias"], [0, text_length])
+    assert np.allclose(pooled, full_pooled[0], rtol=0, atol=1e-12)
+    assert np.array_equal(best, full_best[0])
     if k + cnn_width <= text_length:  # an all-padding window exists
         assert pooled[0] == model.params["cnn.conv_bias"][0]
         assert best[0] == k

@@ -7,30 +7,35 @@ import numpy as np
 import pytest
 
 from cb2cf import net
-from gradcheck import grad_check
+from gradcheck import grad_check, l2_penalty
 
 
 def test_dense_forward_values_and_shape_checks():
     weight = np.array([[1.0, 2.0], [0.0, -1.0]])
     bias = np.array([0.5, 0.0])
-    y, _ = net.dense_forward(np.array([3.0, 4.0]), weight, bias)
+    y, _ = net.dense_forward(np.array([[3.0, 4.0]]), weight, bias)
     assert np.allclose(y, [11.5, -4.0])
     with pytest.raises(ValueError):
-        net.dense_forward(np.ones(3), weight, bias)
+        net.dense_forward(np.ones((1, 3)), weight, bias)
     with pytest.raises(ValueError):
-        net.dense_forward(np.ones(2), weight, np.ones(3))
+        net.dense_forward(np.ones((1, 2)), weight, np.ones(3))
+    with pytest.raises(ValueError, match="dense shape mismatch"):  # no batch axis
+        net.dense_forward(np.array([3.0, 4.0]), weight, bias)
+    _, cache = net.dense_forward(np.ones((3, 2)), weight, bias)
+    with pytest.raises(ValueError, match="dense grad shape mismatch"):
+        net.dense_backward(cache, np.ones(2))
 
 
 def test_dense_gradients_against_finite_differences():
     rng = np.random.default_rng(0)
-    x0 = rng.standard_normal(3)
-    target = rng.standard_normal(4)
+    x0 = rng.standard_normal((1, 3))
+    target = rng.standard_normal((1, 4))
 
     def loss_fn(tensors):
         y, cache = net.dense_forward(tensors["x"], tensors["w"], tensors["b"])
         loss, grad_y = net.mse_loss(y, target)
         grad_x, grad_w, grad_b = net.dense_backward(cache, grad_y)
-        return loss, {"x": grad_x, "w": grad_w, "b": grad_b}
+        return loss[0], {"x": grad_x, "w": grad_w, "b": grad_b}
 
     tensors = {"x": x0, "w": rng.standard_normal((4, 3)),
                "b": rng.standard_normal(4)}
@@ -54,16 +59,17 @@ def test_batched_dense_gradients_against_finite_differences():
     y, cache = net.dense_forward(tensors["x"], tensors["w"], tensors["b"])
     grad_y = rng.standard_normal((5, 4))
     _, grad_w, grad_b = net.dense_backward(cache, grad_y)
-    singles = [net.dense_backward(net.dense_forward(x, tensors["w"], tensors["b"])[1], g)
-               for x, g in zip(tensors["x"], grad_y)]
+    singles = [net.dense_backward(net.dense_forward(x[None], tensors["w"], tensors["b"])[1],
+                                  g[None]) for x, g in zip(tensors["x"], grad_y)]
     assert np.allclose(grad_w, sum(s[1] for s in singles), rtol=0, atol=1e-12)
     assert np.allclose(grad_b, sum(s[2] for s in singles), rtol=0, atol=1e-12)
 
 
 def test_relu_values_and_subgradient():
-    y, cache = net.relu_forward(np.array([-1.0, 0.0, 2.0]))
+    x = np.array([-1.0, 0.0, 2.0])
+    y = net.relu_forward(x)
     assert np.array_equal(y, [0.0, 0.0, 2.0])
-    grad = net.relu_backward(cache, np.array([5.0, 5.0, 5.0]))
+    grad = net.relu_backward(x, np.array([5.0, 5.0, 5.0]))
     assert np.array_equal(grad, [0.0, 0.0, 5.0])  # zero at the kink
 
 
@@ -92,35 +98,36 @@ def test_conv_matches_nested_loop_reference():
     matrix = rng.standard_normal((7, 2))
     filters = rng.standard_normal((4, 3, 2))
     bias = rng.standard_normal(4)
-    pooled, (_, _, best) = net.conv1d_maxpool_forward(matrix, filters, bias)
+    pooled, (_, _, best) = net.conv1d_maxpool_forward(matrix, filters, bias, [0, len(matrix)])
     ref_pooled, ref_best = _reference_conv(matrix, filters, bias)
-    assert np.allclose(pooled, ref_pooled, atol=1e-12)
-    assert np.array_equal(best, ref_best)
+    assert np.allclose(pooled[0], ref_pooled, atol=1e-12)
+    assert np.array_equal(best[0], ref_best)
 
 
 def test_conv_filter_equal_to_window_scores_its_squared_norm():
     matrix = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
     filters = matrix[:2][None, :, :].copy()  # one filter = first window
-    pooled, _ = net.conv1d_maxpool_forward(matrix, filters, np.zeros(1))
+    pooled, _ = net.conv1d_maxpool_forward(matrix, filters, np.zeros(1), [0, len(matrix)])
     # Window 0 scores 1 + 4 = 5; window 1 scores 0*1 + 0 + 3*0 + 0 = 0.
-    assert pooled[0] == pytest.approx(5.0)
+    assert pooled[0][0] == pytest.approx(5.0)
 
 
 def test_conv_tie_routes_gradient_to_first_window():
     # All-zero input: every window activation equals the bias, a full tie.
     matrix = np.zeros((6, 3))
     filters = np.ones((2, 2, 3))
-    pooled, cache = net.conv1d_maxpool_forward(matrix, filters, np.array([1.0, 2.0]))
-    assert np.array_equal(pooled, [1.0, 2.0])
-    grad_matrix, _, grad_bias = net.conv1d_maxpool_backward(cache, np.ones(2))
+    pooled, cache = net.conv1d_maxpool_forward(matrix, filters, np.array([1.0, 2.0]),
+                                               [0, len(matrix)])
+    assert np.array_equal(pooled[0], [1.0, 2.0])
+    grad_matrix, _, grad_bias = net.conv1d_maxpool_backward(cache, np.ones((1, 2)))
     assert np.array_equal(grad_bias, [1.0, 1.0])
     assert np.any(grad_matrix[:2] != 0.0)
     assert np.all(grad_matrix[2:] == 0.0)
 
 
 def _add_at_input_grad(cache, grad_pooled):
-    """The conv input gradient as per-window ``np.add.at`` accumulation."""
-    matrix, filters, best = cache
+    """One text's conv input gradient as per-window ``np.add.at`` accumulation."""
+    matrix, filters, (best,) = cache
     count, width, dim = filters.shape
     offsets = best[:, None] + np.arange(width)[None, :]
     grad = np.zeros_like(matrix)
@@ -138,10 +145,10 @@ def test_conv_input_gradient_matches_add_at_bit_for_bit(length, width, zero_inpu
     rng = np.random.default_rng(length)
     matrix = np.zeros((length, 4)) if zero_input else rng.standard_normal((length, 4))
     filters = rng.standard_normal((24, width, 4))
-    _, cache = net.conv1d_maxpool_forward(matrix, filters, rng.standard_normal(24))
-    grad_pooled = rng.standard_normal(24) * 10.0 ** rng.integers(-6, 3, 24)
+    _, cache = net.conv1d_maxpool_forward(matrix, filters, rng.standard_normal(24), [0, length])
+    grad_pooled = (rng.standard_normal(24) * 10.0 ** rng.integers(-6, 3, 24))[None]
     grad_matrix, grad_filters, grad_bias = net.conv1d_maxpool_backward(cache, grad_pooled)
-    assert np.array_equal(grad_matrix, _add_at_input_grad(cache, grad_pooled))
+    assert np.array_equal(grad_matrix, _add_at_input_grad(cache, grad_pooled[0]))
     skipped, same_filters, same_bias = net.conv1d_maxpool_backward(
         cache, grad_pooled, input_grad=False)
     assert skipped is None
@@ -171,10 +178,12 @@ def test_stacked_conv_is_bit_for_bit_one_call_per_segment():
 
     ref_filters = np.zeros_like(filters)
     for i, segment in enumerate(segments):
-        one_pooled, one_cache = net.conv1d_maxpool_forward(segment, filters, bias)
-        assert pooled[i].tobytes() == one_pooled.tobytes()
-        assert np.array_equal(best[i], one_cache[2] + offsets[i])
-        one_matrix, one_filters, one_bias = net.conv1d_maxpool_backward(one_cache, grad_pooled[i])
+        one_pooled, one_cache = net.conv1d_maxpool_forward(segment, filters, bias,
+                                                           [0, len(segment)])
+        assert pooled[i].tobytes() == one_pooled[0].tobytes()
+        assert np.array_equal(best[i], one_cache[2][0] + offsets[i])
+        one_matrix, one_filters, one_bias = net.conv1d_maxpool_backward(
+            one_cache, grad_pooled[i:i + 1])
         assert grad_matrix[offsets[i]:offsets[i + 1]].tobytes() == one_matrix.tobytes()
         assert one_bias.tobytes() == grad_pooled[i].tobytes()
         ref_filters += one_filters
@@ -209,10 +218,10 @@ def test_a_chunked_input_gradient_scatter_is_the_one_shot_scatter(monkeypatch, b
 def test_conv_shape_validation():
     with pytest.raises(ValueError):
         net.conv1d_maxpool_forward(np.zeros((2, 3)), np.zeros((1, 4, 3)),
-                                   np.zeros(1))
+                                   np.zeros(1), [0, 2])
     with pytest.raises(ValueError):
         net.conv1d_maxpool_forward(np.zeros((4, 3)), np.zeros((1, 2, 2)),
-                                   np.zeros(1))
+                                   np.zeros(1), [0, 4])
     with pytest.raises(ValueError, match=r"segment lengths \[4, 1\]"):
         net.conv1d_maxpool_forward(np.zeros((5, 2)), np.zeros((1, 2, 2)),
                                    np.zeros(1), np.array([0, 4, 5]))
@@ -222,21 +231,21 @@ def test_conv_shape_validation():
         net.conv1d_maxpool_backward(cache, np.zeros(1))
 
 
-@pytest.mark.parametrize("offsets", [None, np.array([0, 3, 9, 13])],
+@pytest.mark.parametrize("offsets", [np.array([0, 6]), np.array([0, 3, 9, 13])],
                          ids=["one-text", "three-segments"])
 def test_conv_stack_gradients_against_finite_differences(offsets):
     rng = np.random.default_rng(3)
-    target = rng.standard_normal(3 if offsets is None else (len(offsets) - 1, 3))
-    x0 = rng.standard_normal((6 if offsets is None else offsets[-1], 2))
+    target = rng.standard_normal((len(offsets) - 1, 3))
+    x0 = rng.standard_normal((offsets[-1], 2))
 
     def loss_fn(tensors):
         pooled, conv_cache = net.conv1d_maxpool_forward(
             tensors["m"], tensors["f"], tensors["cb"], offsets)
-        act, relu_cache = net.relu_forward(pooled)
+        act = net.relu_forward(pooled)
         y, dense_cache = net.dense_forward(act, tensors["w"], tensors["b"])
         loss, grad_y = net.mse_loss(y, target)
         grad_act, grad_w, grad_b = net.dense_backward(dense_cache, grad_y)
-        grad_pooled = net.relu_backward(relu_cache, grad_act)
+        grad_pooled = net.relu_backward(pooled, grad_act)
         grad_m, grad_f, grad_cb = net.conv1d_maxpool_backward(conv_cache,
                                                               grad_pooled)
         return float(np.sum(loss)), {"m": grad_m, "f": grad_f, "cb": grad_cb,
@@ -274,7 +283,7 @@ def test_layers_keep_float32_inputs_float32_within_rounding_of_float64():
         assert np.allclose(a, b, rtol=1e-5, atol=1e-5), i
 
 
-def test_dropout_scales_kept_units_and_masks_gradient():
+def test_dropout_mask_scales_kept_units():
     rng = np.random.default_rng(0)
     x = np.ones(100_000)
     mask = net.dropout_mask(rng.random(x.shape), 0.3)
@@ -283,9 +292,6 @@ def test_dropout_scales_kept_units_and_masks_gradient():
     assert np.all(np.isin(np.round(y[kept], 12), np.round(1.0 / 0.7, 12)))
     assert np.mean(kept) == pytest.approx(0.7, abs=0.01)
     assert np.mean(y) == pytest.approx(1.0, abs=0.02)
-    grad = net.dropout_backward(mask, np.ones_like(x))
-    assert np.array_equal(grad, mask)
-    assert net.dropout_backward(None, x) is x
 
 
 def test_mse_loss_value_and_gradient():
@@ -302,14 +308,14 @@ def test_mse_loss_value_and_gradient():
 
 
 def test_l2_penalty_value_and_gradient():
-    penalty, grads = net.l2_penalty({"w": np.array([[2.0]])}, 1.0)
+    penalty, grads = l2_penalty({"w": np.array([[2.0]])}, 1.0)
     assert penalty == pytest.approx(4.0)
     assert grads["w"][0, 0] == pytest.approx(4.0)
-    penalty, grads = net.l2_penalty({"w": np.ones((2, 2))}, 0.0)
+    penalty, grads = l2_penalty({"w": np.ones((2, 2))}, 0.0)
     assert penalty == 0.0
     assert np.all(grads["w"] == 0.0)
     with pytest.raises(ValueError):
-        net.l2_penalty({}, -0.1)
+        l2_penalty({}, -0.1)
 
 
 def test_adam_first_step_closed_form():
