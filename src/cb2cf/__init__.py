@@ -8,6 +8,13 @@ rank-based evaluation harness (MPR, NDCG) and a seeded synthetic dataset
 generator used by the verification suite.
 """
 
+import os
+import sys
+
+if "numpy" not in sys.modules:  # BLAS reads these once, as numpy loads; a value set wins
+    for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")  # one thread each, so evaluate may fork its folds
+
 from .corpus import Vocabulary, build_vocabulary, tokenize
 from .data import (ContentProfile, UserHistory, cooccurrence_from_ratings,
                    load_metadata, load_ratings, load_sets)

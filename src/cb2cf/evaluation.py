@@ -38,7 +38,6 @@ REPORT_VERSION = 1
 class FoldAssignment:
     assignment: dict[str, int]
     folds: int
-    seed: int
 
     def items_in(self, fold: int) -> list[str]:
         if not 0 <= fold < self.folds:
@@ -66,8 +65,7 @@ def make_folds(ids: Sequence[str], folds: int = 10, seed: int = 0) -> FoldAssign
         raise ValueError("fewer items than folds")
     shuffled = list(unique)
     np.random.default_rng(seed).shuffle(shuffled)
-    return FoldAssignment({item: p % folds for p, item in enumerate(shuffled)},
-                          folds, seed)
+    return FoldAssignment({item: p % folds for p, item in enumerate(shuffled)}, folds)
 
 
 def mse_metric(originals, predictions: Mapping[str, np.ndarray]) -> float:
@@ -229,21 +227,21 @@ def _fold_seed(base: int, fold: int) -> int:
     return base + 1_000_003 * (fold + 1)
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 _worker_task: dict = {}  # a forked worker's fold task, set by the pool initializer
 
 
 def _fold_workers(folds: int) -> int:
-    """Processes for ``folds`` independent folds: the usable CPUs divided by
-    the first BLAS thread count set. With none set, BLAS is taken to use
-    every CPU, which leaves one process."""
+    """Processes for ``folds`` independent folds: one per usable CPU while this
+    process runs one thread, else one. A fork copies no other thread (a BLAS
+    pool, a caller's) but may copy a lock one holds, so no fold forks beside it."""
     import multiprocessing  # here and below: commands that never evaluate skip ~1.4 MB
-    if "fork" not in multiprocessing.get_all_start_methods():
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:  # no /proc: the other threads cannot be ruled out
         return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    blas = next((int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS)
-                 if v and v.strip().isdecimal() and int(v) > 0), cpus)
-    return max(1, min(folds, cpus // blas))
+    if threads > 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(folds, len(os.sched_getaffinity(0)))
 
 
 def _run_fold(fold: int) -> list[FoldMetrics]:
@@ -251,7 +249,8 @@ def _run_fold(fold: int) -> list[FoldMetrics]:
 
 
 def _map_folds(task: Callable[[int], list[FoldMetrics]], folds: int) -> list[list[FoldMetrics]]:
-    """``task`` over folds 0..folds-1, in-process or in a pool forked up front.
+    """``task`` over folds 0..folds-1: in-process, or as ``_fold_workers``
+    allows, in a pool whose workers all fork before its manager thread starts.
     Workers inherit ``task`` by the fork: only indices and metrics are sent."""
     workers = _fold_workers(folds)
     if workers == 1:
@@ -320,7 +319,7 @@ def run_system(system: str, dataset: EvalDataset, folds: FoldAssignment,
                config: TrainConfig, *, predictor: Predictor | None = None,
                **settings) -> SystemReport:
     """Train and score the named system across all folds, in one pool of
-    forked fold workers when BLAS leaves CPUs idle (``_fold_workers``).
+    forked fold workers when the process runs one thread (``_fold_workers``).
     ``settings`` are the other fields of ``EvalSettings(config, **settings)``;
     the folds come drawn, so its ``seed`` goes unused.
     ``predictor`` replaces the model entirely (a testing hook mapping test

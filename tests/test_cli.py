@@ -1,7 +1,5 @@
 import json
 import os
-import subprocess
-import sys
 import typing
 from pathlib import Path
 
@@ -10,11 +8,13 @@ import pytest
 
 from cb2cf import cli, evaluation, features
 from cb2cf.cli import main
+from cb2cf.corpus import tokenize
 from cb2cf.data import load_metadata, load_ratings, load_sets
 from cb2cf.features import load_feature_context
 from cb2cf.model import SystemSpec, TrainConfig, load_model
 from cb2cf.sgns import EmbeddingTable, SgnsConfig
 from cb2cf.synthetic import SyntheticSpec
+from process_helpers import fresh_python
 
 
 @pytest.fixture(scope="module")
@@ -353,19 +353,28 @@ def test_evaluate_reruns_byte_identically(workspace, tmp_path):
         (tmp_path / "b.json").read_bytes()
 
 
-def test_evaluate_report_is_the_same_with_blas_pinned_or_unset(workspace, tmp_path):
-    """Pinned to one BLAS thread on a machine of two or more CPUs, the folds
-    run in forked workers; unset, they run in-process."""
-    env = {k: v for k, v in os.environ.items() if k not in evaluation._BLAS_THREAD_VARS}
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(evaluation.__file__).parents[1]), env.get("PYTHONPATH")]))
+def test_evaluate_report_is_the_same_with_blas_pinned_or_unset(tmp_path):
+    """Plain ``cb2cf evaluate`` runs what a run pinned to one BLAS thread
+    runs. The full system's widest layers are large enough that a BLAS
+    thread pool sums them in another order, so the bytes show which ran."""
+    data = tmp_path / "data"
+    assert main(["synth", "--items", "60", "--dim", "40", "--vocab-size", "300",
+                 "--seed", "2", "--out", str(data)]) == 0
+    words = sorted({w for p in load_metadata(data / "metadata.jsonl")
+                    for w in tokenize(p.plot or "")})
+    EmbeddingTable(words, np.random.default_rng(0).standard_normal((len(words), 32))).save(
+        data / "words.vec")
     reports = []
     for tag, blas in (("unset", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
         report_json = tmp_path / f"{tag}.json"
-        args = _evaluate_args(workspace, tmp_path / f"{tag}.tsv", report_json)
-        proc = subprocess.run([sys.executable, "-m", "cb2cf.cli", *args],
-                              env={**env, **blas}, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        fresh_python("-m", "cb2cf.cli", "evaluate", "--systems", "CNN+BOW+Tags+Year",
+                     "--metadata", str(data / "metadata.jsonl"),
+                     "--targets", str(data / "vectors.vec"),
+                     "--word-vectors", str(data / "words.vec"),
+                     "--folds", "2", "--min-tag-count", "1", "--ndcg-k", "2",
+                     "--batch", "4", "--max-epochs", "1", "--val-fraction", "0",
+                     "--report", str(tmp_path / f"{tag}.tsv"),
+                     "--report-json", str(report_json), **blas)
         reports.append(report_json.read_bytes())
     assert reports[0] == reports[1]
 

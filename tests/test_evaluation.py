@@ -21,6 +21,7 @@ from cb2cf.evaluation import (DEFAULT_NDCG_KS, EvalDataset, EvalReport, EvalSett
 from cb2cf.features import fit_kmeans
 from cb2cf.model import TrainConfig
 from cb2cf.sgns import EmbeddingTable, cosine_scores, top_rows
+from process_helpers import fresh_python
 
 
 class TestMakeFolds:
@@ -501,57 +502,62 @@ class TestRunEvaluationReports:
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Sets how many CPUs this process may use, with no BLAS thread count
-    set; the test sets one with ``monkeypatch.setenv``."""
-    for name in evaluation._BLAS_THREAD_VARS:
-        monkeypatch.delenv(name, raising=False)
+    """Sets how many CPUs this process may use and how many threads
+    ``/proc/self/task`` lists: one, as in a process whose BLAS is pinned to
+    one thread, unless the test says otherwise (``None``: it cannot be read)."""
+    listdir = os.listdir
 
-    def use(count):
+    def use(count, threads=1):
+        def fake_listdir(path="."):
+            if path != "/proc/self/task":
+                return listdir(path)
+            if threads is None:
+                raise FileNotFoundError(path)
+            return [str(t) for t in range(threads)]
+
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
                             raising=False)
+        monkeypatch.setattr(os, "listdir", fake_listdir)
     return use
 
 
 class TestFoldWorkers:
     def test_unset_blas_threads_leave_one_worker(self, cpus):
-        cpus(2)
+        cpus(2, threads=2)  # numpy loaded unpinned: its BLAS pool runs beside the main thread
         assert evaluation._fold_workers(10) == 1
 
-    def test_one_blas_thread_per_cpu(self, cpus, monkeypatch):
+    def test_one_blas_thread_per_cpu(self, cpus):
         cpus(2)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         assert evaluation._fold_workers(10) == 2
 
-    def test_fewer_folds_than_cpus(self, cpus, monkeypatch):
+    def test_fewer_folds_than_cpus(self, cpus):
         cpus(8)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         assert evaluation._fold_workers(3) == 3
 
-    @pytest.mark.parametrize("env, workers", [
-        ({"MKL_NUM_THREADS": "2"}, 4),
-        ({"OMP_NUM_THREADS": "4"}, 2),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 8),
-        ({"OPENBLAS_NUM_THREADS": "auto", "MKL_NUM_THREADS": " 8 "}, 1),
-        ({"OMP_NUM_THREADS": "4,2"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "16"}, 1),
-    ])
-    def test_the_first_positive_blas_thread_count_divides_the_cpus(
-            self, cpus, monkeypatch, env, workers):
-        cpus(8)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        assert evaluation._fold_workers(10) == workers
+    def test_an_unreadable_proc_runs_serially(self, cpus):
+        cpus(3)
+        assert evaluation._fold_workers(2) == 2
+        cpus(3, threads=None)
+        assert evaluation._fold_workers(2) == 1
 
-    def test_cpu_count_stands_in_for_a_missing_affinity_call(self, cpus, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert evaluation._fold_workers(10) == 4
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods()
+                        or not os.path.isdir("/proc/self/task"),
+                        reason="needs fork and a /proc that lists threads")
+    def test_a_second_live_thread_leaves_one_worker(self):
+        """A fresh interpreter, whose BLAS the package pins to one thread,
+        forks a worker per CPU until a ``threading.Thread`` starts."""
+        out = fresh_python(
+            "-c",
+            "import os, threading\n"
+            "os.sched_getaffinity = lambda pid: set(range(4))\n"
+            "from cb2cf import evaluation\n"
+            "alone = evaluation._fold_workers(10)\n"
+            "threading.Thread(target=threading.Event().wait, daemon=True).start()\n"
+            "print(alone, evaluation._fold_workers(10))\n")
+        assert out.split() == ["4", "1"]
 
     def test_no_fork_start_method_runs_serially(self, cpus, monkeypatch):
         cpus(8)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert evaluation._fold_workers(10) == 1
 
@@ -562,9 +568,8 @@ class TestFoldPool:
     """The serial path (1 CPU) against the pool (3 CPUs, 3 workers)."""
 
     @pytest.fixture(params=[1, 3], ids=["serial", "pool"])
-    def workers(self, request, cpus, monkeypatch):
+    def workers(self, request, cpus):
         cpus(request.param)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         assert evaluation._fold_workers(3) == request.param
         threads = threading.active_count()
         yield request.param
@@ -577,11 +582,10 @@ class TestFoldPool:
                                 _settings(folds=3, seed=4, ndcg_ks=(2, 4), min_tag_count=1))
         return json.dumps(report_json_dict(report)), report_tsv(report)
 
-    def test_pool_reports_equal_serial_reports(self, cpus, monkeypatch):
+    def test_pool_reports_equal_serial_reports(self, cpus):
         cpus(1)
         serial = self._report_bytes()
         cpus(3)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         assert evaluation._fold_workers(3) == 3
         assert self._report_bytes() == serial
         assert multiprocessing.active_children() == []
@@ -626,9 +630,9 @@ class TestFoldPool:
             run_system("Year", dataset, folds, _quick_config(), ndcg_ks=(2,),
                        predictor=predictor)
 
-    def test_a_worker_that_dies_fails_the_call(self, cpus, monkeypatch):
+    def test_a_worker_that_dies_fails_the_call(self, cpus):
         cpus(3)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert evaluation._fold_workers(3) == 3  # in-process, the dying fold would end the run
         dataset = _tagged_dataset()
         folds = make_folds([p.id for p in dataset.profiles], folds=3, seed=0)
         with pytest.raises(BrokenProcessPool):

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import cb2cf
+from process_helpers import BLAS_THREAD_VARS, fresh_python
 
 
 def test_every_public_name_imports_and_is_callable_or_a_class():
@@ -48,3 +49,22 @@ def test_every_public_function_is_used_by_the_package_or_exported():
                                                    fn.lineno <= line <= fn.end_lineno)
                           for where, line, name in refs)]
     assert unused == []
+
+
+def test_import_pins_blas_to_one_thread_unless_set_or_numpy_came_first():
+    """Each case runs in a fresh interpreter: BLAS reads the variables once,
+    when numpy loads."""
+    show = f"; import os; print([os.environ.get(v) for v in {BLAS_THREAD_VARS!r}])"
+    assert fresh_python("-c", "import cb2cf" + show) == "['1', '1', '1']\n"
+    assert fresh_python("-c", "import cb2cf" + show, OPENBLAS_NUM_THREADS="3") == \
+        "['3', '1', '1']\n"
+    assert fresh_python("-c", "import numpy, cb2cf" + show) == "[None, None, None]\n"
+
+
+def test_only_the_package_init_names_the_blas_thread_variables():
+    """The package sets the BLAS thread count once, as it loads; no other
+    module reads or sets it."""
+    package = Path(cb2cf.__file__).parent
+    naming = [path.name for path in sorted(package.glob("*.py"))
+              if any(var in path.read_text(encoding="utf-8") for var in BLAS_THREAD_VARS)]
+    assert naming == ["__init__.py"]
