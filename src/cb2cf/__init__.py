@@ -15,7 +15,7 @@ if "numpy" not in sys.modules:  # BLAS reads these once, as numpy loads; a value
     for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         os.environ.setdefault(_var, "1")  # one thread each, so evaluate may fork its folds
 
-from .corpus import Vocabulary, build_vocabulary, tokenize
+from .corpus import build_vocabulary, tokenize
 from .data import (ContentProfile, UserHistory, cooccurrence_from_ratings,
                    load_metadata, load_ratings, load_sets)
 from .evaluation import (EvalDataset, EvalSettings, make_folds, mpr, ndcg_at_k,
@@ -43,7 +43,6 @@ __all__ = [
     "SystemSpec",
     "TrainConfig",
     "UserHistory",
-    "Vocabulary",
     "analogy",
     "build_model",
     "build_vocabulary",

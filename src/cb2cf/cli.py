@@ -48,9 +48,7 @@ def _cmd_train_word2vec(args: argparse.Namespace) -> None:
     config = _from_args(SgnsConfig, _WORD_SGNS_FLAGS, args)
     sentences = _read_corpus(args.corpus)
     vocab = build_vocabulary(sentences, cap=args.vocab_cap)
-    kept = [[t for t in s if t in vocab] for s in sentences]
-    kept = [s for s in kept if s]
-    table = train_sgns(kept, config)
+    table = train_sgns([[t for t in s if t in vocab] for s in sentences], config)
     table.save(args.out)
     if args.save_vocab:
         save_vocabulary(vocab, args.save_vocab)

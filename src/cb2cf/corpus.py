@@ -1,7 +1,8 @@
-"""Tokenization and frequency-ranked vocabularies."""
+"""Tokenization, ranked token counts, and what a text line can hold."""
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from collections import Counter
 from contextlib import contextmanager
@@ -10,6 +11,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 DEFAULT_CAP = 50_000
+_NOT_UTF8 = re.compile("[\ud800-\udfff]")  # a lone surrogate: all a str holds that UTF-8 cannot
 
 # ASCII symbol characters stripped alongside Unicode P* punctuation.
 _SYMBOL_CHARS = frozenset("~^|<>=+")
@@ -48,52 +50,13 @@ def check_cap(cap: int) -> None:
         raise ValueError("vocabulary cap must be >= 1")
 
 
-class Vocabulary:
-    """Token table ranked by descending corpus frequency, capped in size.
-
-    Ties at equal frequency break lexicographically so identical streams
-    always yield identical vocabularies. ``total_tokens`` counts the whole
-    stream, including occurrences of tokens that fell outside the cap.
-    """
-
-    def __init__(self, tokens: Iterable[str], counts: Iterable[int],
-                 total_tokens: int, cap: int = DEFAULT_CAP) -> None:
-        check_cap(cap)
-        self.tokens = [str(t) for t in tokens]
-        self.counts = [int(c) for c in counts]
-        self.total_tokens = int(total_tokens)
-        self.cap = int(cap)
-        if len(self.tokens) != len(self.counts):
-            raise ValueError("tokens and counts differ in length")
-        if len(self.tokens) > self.cap:
-            raise ValueError("vocabulary exceeds its cap")
-        for token in self.tokens:
-            # The tokenizer's table deletes punctuation and maps any other character to one.
-            if not token or len(token.translate(_TOKEN_CHARS)) < len(token):
-                raise ValueError(f"invalid vocabulary token: {token!r}")
-        for count in self.counts:
-            if count < 1:
-                raise ValueError("token counts must be positive")
-        for hi, lo in zip(self.counts, self.counts[1:]):
-            if hi < lo:
-                raise ValueError("counts must be non-increasing in rank order")
-        self.index: dict[str, int] = {t: i for i, t in enumerate(self.tokens)}
-        if len(self.index) != len(self.tokens):
-            raise ValueError("duplicate vocabulary token")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __contains__(self, token: object) -> bool:
-        return token in self.index
-
-
 def build_vocabulary(streams: Iterable[Iterable[str]],
-                     cap: int = DEFAULT_CAP) -> Vocabulary:
-    """Count tokens across all streams and keep the ``cap`` most frequent."""
+                     cap: int = DEFAULT_CAP) -> dict[str, int]:
+    """Count tokens across all streams and keep the ``cap`` most frequent,
+    as token -> count in rank order: descending count, ties lexicographic."""
+    check_cap(cap)
     counter = Counter(chain.from_iterable(streams))
-    ranked = sorted(counter, key=lambda t: (-counter[t], t))[:cap]
-    return Vocabulary(ranked, [counter[t] for t in ranked], counter.total(), cap)
+    return {t: counter[t] for t in sorted(counter, key=lambda t: (-counter[t], t))[:cap]}
 
 
 @contextmanager
@@ -119,9 +82,18 @@ def _first_bad_line(path: str | Path) -> int:
     return 1  # only if the file changed since it failed to decode
 
 
-def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    """Write one ``token<TAB>count`` line per entry, in rank order."""
+def writable_id(item_id: object) -> bool:
+    """A nonempty string free of whitespace: an id a vector file can hold."""
+    return isinstance(item_id, str) and item_id.split() == [item_id]
+
+
+def save_vocabulary(vocab: dict[str, int], path: str | Path) -> None:
+    """Write one ``token<TAB>count`` line per entry, in order. A token that
+    ``writable_id`` refuses or UTF-8 cannot encode raises before the file is opened."""
+    for token in vocab:
+        if not writable_id(token) or _NOT_UTF8.search(token):
+            raise ValueError(f"token not writable to a vocabulary file: {token!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        for token, count in zip(vocab.tokens, vocab.counts):
+        for token, count in vocab.items():
             fh.write(f"{token}\t{count}\n")
 

@@ -5,24 +5,19 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
-import re
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import open_text
-from .sgns import CooccurrenceSets, EmbeddingTable, writable_id
-
-logger = logging.getLogger(__name__)
+from .corpus import _NOT_UTF8, open_text, writable_id
+from .sgns import CooccurrenceSets, EmbeddingTable
 
 RATINGS_HEADER = ["userId", "movieId", "rating", "timestamp"]
 YEAR_MIN = 1850
 YEAR_MAX = 2100
 TAG_FIELDS = ("genres", "actors", "directors", "languages")  # ContentProfile's tag lists
 DEFAULT_THRESHOLD = 3.5
-_NOT_UTF8 = re.compile("[\ud800-\udfff]")  # a lone surrogate: all a str holds that UTF-8 cannot
 
 
 @dataclass
@@ -137,7 +132,7 @@ def cooccurrence_from_ratings(histories: Iterable[UserHistory],
 def load_sets(path: str | Path) -> CooccurrenceSets:
     """Read whitespace-separated item ids, one set per line. Ids repeated on
     a line are deduplicated; lines left with fewer than 2 ids are dropped
-    and counted with a warning."""
+    and counted."""
     sets: list[tuple[str, ...]] = []
     dropped = 0
     with open_text(path) as fh:
@@ -147,8 +142,6 @@ def load_sets(path: str | Path) -> CooccurrenceSets:
                 sets.append(tuple(items))
             else:
                 dropped += 1
-    if dropped:
-        logger.warning("%s: dropped %d lines with fewer than 2 items", path, dropped)
     return CooccurrenceSets(sets, dropped)
 
 

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import net
-from .corpus import open_text
+from .corpus import open_text, writable_id
 
 LR_FLOOR_FRACTION = 1e-4
 NOISE_POWER = 0.75
@@ -202,11 +202,6 @@ class EmbeddingTable:
             rows[unsafe] = _power_of_two_scaled(rows[unsafe])
             norms[unsafe] = _row_norms(rows[unsafe])
         return rows, norms
-
-
-def writable_id(item_id: object) -> bool:
-    """A nonempty string free of whitespace: an id a vector file can hold."""
-    return isinstance(item_id, str) and item_id.split() == [item_id]
 
 
 def _header_int(path: str | Path, name: str, token: str, minimum: int) -> int:

@@ -221,6 +221,22 @@ def test_train_word2vec_with_vocab_export(tmp_path, capsys):
     assert (tmp_path / "vocab.tsv").read_text().startswith("the\t9\n")
 
 
+def test_train_word2vec_vocab_cap_keeps_the_ranked_head_and_trains_only_it(tmp_path):
+    # Counts: alpha 4, beta 3, gamma 2, delta 2, omega 1. The cap of 3 cuts
+    # inside the gamma/delta tie, which breaks lexicographically, not by
+    # first appearance.
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("alpha beta gamma omega\nalpha gamma beta\n"
+                      "alpha delta\nbeta alpha delta\n")
+    rc = main(["train-word2vec", "--corpus", str(corpus), "--dim", "4",
+               "--epochs", "1", "--vocab-cap", "3",
+               "--save-vocab", str(tmp_path / "vocab.tsv"),
+               "--out", str(tmp_path / "words.vec")])
+    assert rc == 0
+    assert (tmp_path / "vocab.tsv").read_text() == "alpha\t4\nbeta\t3\ndelta\t2\n"
+    assert EmbeddingTable.load(tmp_path / "words.vec").ids == ["alpha", "beta", "delta"]
+
+
 def test_train_word2vec_rejects_an_empty_corpus(tmp_path, capsys):
     corpus = tmp_path / "empty.txt"
     corpus.write_text("\n\n")

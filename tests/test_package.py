@@ -32,10 +32,10 @@ def test_the_package_imports_only_the_stdlib_and_numpy():
             if module.partition(".")[0] not in allowed] == []
 
 
-def test_every_public_function_is_used_by_the_package_or_exported():
-    """A public top-level function that no module of the package refers to
-    outside its own definition, and that ``__all__`` leaves out, serves only
-    tests: it belongs in ``tests/``."""
+def test_every_public_function_and_class_is_used_by_the_package_or_exported():
+    """A public top-level function or class that no module of the package
+    refers to outside its own definition, and that ``__all__`` leaves out,
+    serves only tests: it belongs in ``tests/``."""
     package = Path(cb2cf.__file__).parent
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
@@ -43,7 +43,7 @@ def test_every_public_function_is_used_by_the_package_or_exported():
             for module, tree in trees.items() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))]
     unused = [f"{module}.{fn.name}" for module, tree in trees.items() for fn in tree.body
-              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+              if isinstance(fn, (ast.FunctionDef, ast.ClassDef)) and not fn.name.startswith("_")
               and fn.name not in cb2cf.__all__
               and not any(name == fn.name and not (where == module and
                                                    fn.lineno <= line <= fn.end_lineno)
