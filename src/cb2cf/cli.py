@@ -252,24 +252,6 @@ def _cmd_synth(args: argparse.Namespace) -> None:
           f"{len(sets.sets)} sets -> {out}")
 
 
-def _cmd_export(args: argparse.Namespace) -> None:
-    _require(args, "vectors", "labels", "metadata", "out")
-    table = EmbeddingTable.load(args.vectors)
-    profiles = {p.id: p for p in data.load_metadata(args.metadata)}
-    labels: dict[str, str] = {}
-    for item_id in table.ids:
-        profile = profiles.get(item_id)
-        if profile is None:
-            raise CliError(f"no metadata for exported item {item_id!r}")
-        if args.labels == "genre":
-            labels[item_id] = profile.genres[0] if profile.genres else features.NA_TOKEN
-        else:
-            labels[item_id] = str(profile.year) if profile.year is not None \
-                else features.NA_TOKEN
-    data.export_labeled_vectors(table, labels, args.out)
-    print(f"exported {len(table)} labeled vectors -> {args.out}")
-
-
 # Flag -> field of the config object the flag fills. Each flag takes its
 # type and default from the field, so a default lives only on the class.
 _SGNS_FLAGS = {"dim": "dim", "neg": "negatives", "subsample": "subsample",
@@ -390,12 +372,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub("synth", _cmd_synth, "generate a seeded synthetic dataset")
     _add_fields(p, synthetic.SyntheticSpec, _SYNTH_FLAGS)
-    p.add_argument("--out")
-
-    p = sub("export", _cmd_export, "export labeled vectors for visualization")
-    p.add_argument("--vectors")
-    p.add_argument("--labels", choices=("genre", "year"))
-    p.add_argument("--metadata")
     p.add_argument("--out")
 
     return parser, registry

@@ -1,5 +1,4 @@
-"""Loaders for ratings, co-occurrence sets, and item metadata, plus the
-labeled-vector export."""
+"""Loaders and writers for ratings, co-occurrence sets, and item metadata."""
 
 from __future__ import annotations
 
@@ -8,10 +7,10 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .corpus import _NOT_UTF8, open_text, writable_id
-from .sgns import CooccurrenceSets, EmbeddingTable
+from .sgns import CooccurrenceSets
 
 RATINGS_HEADER = ["userId", "movieId", "rating", "timestamp"]
 YEAR_MIN = 1850
@@ -162,6 +161,8 @@ def load_metadata(path: str | Path) -> list[ContentProfile]:
                 raise ValueError(f"{path}:{lineno}: expected a JSON object")
             if "id" not in record or record["id"] in (None, ""):
                 raise ValueError(f"{path}:{lineno}: missing id")
+            if type(record["id"]) not in (str, int):  # not isinstance: a bool is an int
+                raise ValueError(f"{path}:{lineno}: id must be a string or an integer")
             item_id = str(record["id"])
             if item_id in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate id {item_id!r}")
@@ -199,25 +200,3 @@ def save_metadata(profiles: Iterable[ContentProfile], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for profile in profiles:
             fh.write(json.dumps(asdict(profile), sort_keys=True) + "\n")
-
-
-def export_labeled_vectors(table: EmbeddingTable, labels: Mapping[str, str],
-                           path: str | Path) -> None:
-    """Write ``id<TAB>label<TAB>components...`` rows in table order. Every
-    id must have a label. Floats use repr, so reading the file back yields
-    identical vectors. A label may hold no tab or line break, and an id or
-    label that UTF-8 cannot encode raises before the file is opened."""
-    missing = [i for i in table.ids if i not in labels]
-    if missing:
-        raise ValueError(f"{len(missing)} ids have no label (first: {missing[0]!r})")
-    for item_id in table.ids:
-        label = str(labels[item_id])
-        if "\t" in label or "".join(label.splitlines()) != label:
-            raise ValueError(f"label of item {item_id!r} holds a tab or line break: {label!r}")
-        if _NOT_UTF8.search(item_id + label):
-            raise ValueError(f"item {item_id!r} or its label {label!r} is not UTF-8 encodable")
-    with open(path, "w", encoding="utf-8") as fh:
-        for item_id in table.ids:
-            row = table.get(item_id)
-            fh.write(item_id + "\t" + str(labels[item_id]) + "\t"
-                     + "\t".join(repr(float(x)) for x in row) + "\n")

@@ -282,48 +282,6 @@ def test_analogy_over_the_trained_tag_layer(workspace, capsys):
     float(score)
 
 
-def test_export_genre_labels(workspace, tmp_path, capsys):
-    out = tmp_path / "labeled.tsv"
-    rc = main(["export", "--vectors", str(workspace / "data" / "vectors.vec"),
-               "--labels", "genre",
-               "--metadata", str(workspace / "data" / "metadata.jsonl"),
-               "--out", str(out)])
-    assert rc == 0
-    rows = [line.split("\t") for line in out.read_text().strip().splitlines()]
-    assert len(rows) == 12
-    assert {r[1] for r in rows} == {"genre_aaa", "genre_aab"}
-    assert len(rows[0]) == 2 + 6
-
-
-def test_export_rejects_a_label_that_would_split_a_row(tmp_path, capsys):
-    table = EmbeddingTable(["a", "b"], np.array([[1.0, 0.0], [0.0, 1.0]]))
-    table.save(tmp_path / "v.vec")
-    meta = tmp_path / "meta.jsonl"
-    meta.write_text('{"id": "a", "genres": ["sci\\tfi\\nx"]}\n{"id": "b"}\n')
-    out = tmp_path / "labeled.tsv"
-    assert main(["export", "--vectors", str(tmp_path / "v.vec"), "--labels", "genre",
-                 "--metadata", str(meta), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("cb2cf export: error: label of item 'a' ")
-    assert len(err.strip().splitlines()) == 1
-    assert not out.exists()
-
-
-def test_export_year_labels_fall_back_to_the_sentinel(tmp_path):
-    table = EmbeddingTable(["a", "b"], np.array([[1.0, 0.0], [0.0, 1.0]]))
-    table.save(tmp_path / "v.vec")
-    meta = tmp_path / "meta.jsonl"
-    meta.write_text('{"id": "a", "year": 1990}\n{"id": "b"}\n')
-    out = tmp_path / "labeled.tsv"
-    rc = main(["export", "--vectors", str(tmp_path / "v.vec"),
-               "--labels", "year", "--metadata", str(meta),
-               "--out", str(out)])
-    assert rc == 0
-    labels = [line.split("\t")[1]
-              for line in out.read_text().strip().splitlines()]
-    assert labels == ["1990", "n/a"]
-
-
 def _evaluate_args(workspace, report, report_json):
     data_dir = workspace / "data"
     return ["evaluate", "--systems", "Genres+Year,Year",
@@ -600,13 +558,14 @@ class TestConfigFile:
         assert os.listdir(tmp_path) == ["evaluate.json"]
 
     def test_config_values_obey_the_option_choices(self, workspace, tmp_path, capsys):
-        out = tmp_path / "labeled.tsv"
-        config = tmp_path / "export.json"
+        out = tmp_path / "report.tsv"
+        config = tmp_path / "evaluate.json"
         config.write_text(json.dumps({
-            "vectors": str(workspace / "data" / "vectors.vec"), "labels": "bogus",
-            "metadata": str(workspace / "data" / "metadata.jsonl"), "out": str(out)}))
-        assert main(["export", "--config", str(config)]) == 1
-        assert f"{config}: bad value 'bogus' for key 'labels'" in capsys.readouterr().err
+            "systems": "CNN", "cnn_variant": "bogus",
+            "metadata": str(workspace / "data" / "metadata.jsonl"),
+            "targets": str(workspace / "data" / "vectors.vec"), "report": str(out)}))
+        assert main(["evaluate", "--config", str(config)]) == 1
+        assert f"{config}: bad value 'bogus' for key 'cnn_variant'" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,14 +1,13 @@
 import json
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cb2cf.data import (ContentProfile, UserHistory, cooccurrence_from_ratings,
-                        export_labeled_vectors, load_metadata, load_ratings,
-                        load_sets, save_metadata, save_sets, _valid_rating)
-from cb2cf.sgns import CooccurrenceSets, EmbeddingTable
+                        load_metadata, load_ratings, load_sets, save_metadata,
+                        save_sets, _valid_rating)
+from cb2cf.sgns import CooccurrenceSets
 
 HEADER = "userId,movieId,rating,timestamp\n"
 
@@ -168,21 +167,11 @@ def test_save_sets_refuses_an_id_that_would_read_back_as_other_sets(tmp_path, it
     assert not path.exists()
 
 
-@pytest.mark.parametrize("writer, message", [
-    ("sets", "id not writable to a set file: 'c\\ud800'"),
-    ("export-id", "item 'c\\ud800' or its label 'x' is not UTF-8 encodable"),
-    ("export-label", "item 'c' or its label 'x\\udfff' is not UTF-8 encodable"),
-], ids=["sets", "export-id", "export-label"])
-def test_text_writers_refuse_what_utf8_cannot_encode_before_opening(tmp_path, writer, message):
+@pytest.mark.parametrize("message", ["id not writable to a set file: 'c\\ud800'"], ids=["sets"])
+def test_text_writers_refuse_what_utf8_cannot_encode_before_opening(tmp_path, message):
     path = tmp_path / "out.txt"
     with pytest.raises(ValueError, match=re.escape(message)):
-        if writer == "sets":
-            save_sets(CooccurrenceSets([("m1", "m2"), ("c\ud800", "d")]), path)
-        else:
-            item_id = "c\ud800" if writer == "export-id" else "c"
-            label = "x" if writer == "export-id" else "x\udfff"
-            table = EmbeddingTable(["a", item_id], np.eye(2))
-            export_labeled_vectors(table, {"a": "y", item_id: label}, path)
+        save_sets(CooccurrenceSets([("m1", "m2"), ("c\ud800", "d")]), path)
     assert not path.exists()
 
 
@@ -230,6 +219,10 @@ class TestLoadMetadata:
     @pytest.mark.parametrize("line,fragment", [
         ('{"plot": "x"}', "missing id"),
         ('{"id": ""}', "missing id"),
+        ('{"id": true}', "id must be a string or an integer"),
+        ('{"id": 1.5}', "id must be a string or an integer"),
+        ('{"id": ["a"]}', "id must be a string or an integer"),
+        ('{"id": {"x": 1}}', "id must be a string or an integer"),
         ('{"id": "m", "plot": 5}', "plot must be"),
         ('{"id": "m", "year": "1999"}', "year must be"),
         ('{"id": "m", "year": true}', "year must be"),
@@ -294,33 +287,3 @@ def test_content_profile_validation():
                             ({"languages": ["en", 1]}, "languages must be a list of strings")]:
         with pytest.raises(ValueError, match=message):
             ContentProfile(**{"id": "m", **fields})
-
-
-class TestExportLabeledVectors:
-    def test_rows_and_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        table = EmbeddingTable(["m1", "m2"], rng.standard_normal((2, 3)))
-        path = tmp_path / "labeled.tsv"
-        export_labeled_vectors(table, {"m1": "drama", "m2": "comedy"}, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        for line, item_id in zip(lines, table.ids):
-            cells = line.split("\t")
-            assert cells[0] == item_id
-            assert len(cells) == 2 + table.dim
-            parsed = np.array([float(x) for x in cells[2:]])
-            assert np.array_equal(parsed, table.get(item_id))
-        assert lines[0].split("\t")[1] == "drama"
-
-    @pytest.mark.parametrize("label", ["sci\tfi", "sci\nfi", "scifi\r", "sci\u2028fi"])
-    def test_a_label_that_would_split_a_row_is_rejected_before_writing(self, tmp_path, label):
-        table = EmbeddingTable(["m1", "m2"], np.eye(2))
-        path = tmp_path / "out.tsv"
-        with pytest.raises(ValueError, match="label of item 'm2'"):
-            export_labeled_vectors(table, {"m1": "x", "m2": label}, path)
-        assert not path.exists()
-
-    def test_missing_label_is_rejected(self, tmp_path):
-        table = EmbeddingTable(["m1", "m2"], np.eye(2))
-        with pytest.raises(ValueError, match="m2"):
-            export_labeled_vectors(table, {"m1": "x"}, tmp_path / "out.tsv")
