@@ -189,8 +189,8 @@ class EvalDataset:
 @dataclass(frozen=True)
 class EvalSettings:
     """How an evaluation runs, besides its systems and data. Construction checks
-    each value by the rule of the code that uses it, except the cutoffs: they
-    depend on the catalog, and are checked against it when the systems run."""
+    each value by the rule of the code that uses it; the cutoffs' range depends
+    on the catalog, and is checked against it when the systems run."""
 
     config: TrainConfig
     folds: int = 10
@@ -209,7 +209,11 @@ class EvalSettings:
             if key in (self.spec_overrides or {}):
                 raise ValueError(f"spec_overrides cannot set {key!r}: each system sets its own")
         SystemSpec(("Year",), **(self.spec_overrides or {}))  # rules that hold for every system
-        object.__setattr__(self, "ndcg_ks", tuple(self.ndcg_ks))
+        ks = tuple(self.ndcg_ks)
+        integers = {k for k in ks if isinstance(k, (int, np.integer)) and not isinstance(k, bool)}
+        if len(integers) < len(ks):
+            raise ValueError(f"ndcg cutoffs must be distinct integers, got {list(ks)}")
+        object.__setattr__(self, "ndcg_ks", tuple(int(k) for k in ks))
 
 
 @dataclass

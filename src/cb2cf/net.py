@@ -4,11 +4,11 @@ Each layer computes in the dtype of its inputs. Dense, ReLU, dropout and MSE
 are batch-first: a dense layer maps a (batch, features) matrix with one
 GEMM and sums its parameter gradients over the batch. The convolution takes
 a batch's texts as segments of one stacked (rows, dim) matrix, with one GEMM
-and max per segment; its input gradient is one ``np.bincount`` per run of
-whole segments, bit for bit ``np.add.at``. Adam takes Kingma & Ba's
-efficient form (arXiv:1412.6980, section 2) on a flat parameter vector and
-embedding rows alike. Every backward function is checked against central
-finite differences in the test suite.
+and max per segment; its input gradient is one ``np.bincount`` per segment,
+bit for bit ``np.add.at``. Adam takes Kingma & Ba's efficient form
+(arXiv:1412.6980, section 2) on a flat parameter vector and embedding rows
+alike. Every backward function is checked against central finite
+differences in the test suite.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from numpy.lib.stride_tricks import as_strided
 CHECKPOINT_VERSION = 1
 ADAM_BLOCK = 1 << 18  # bytes per array in a block, any dtype: a step's 5 arrays stay in L2
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-SCATTER_BUDGET = 1 << 17  # input-gradient terms per conv scatter: ~1 MiB of float64
 
 
 def dense_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
@@ -99,20 +98,16 @@ def conv1d_maxpool_backward(cache, grad_pooled: np.ndarray, input_grad: bool = T
     count, width, dim = filters.shape
     if grad_pooled.shape != best.shape:
         raise ValueError("pooled grad shape mismatch")
-    rows = best[:, :, None] + np.arange(width)
     grad_filters = np.zeros_like(filters) if out[0] is None else out[0]
     grad_filters[...] = 0.0
-    for grad_row, window_rows in zip(grad_pooled, rows):  # rows: (segments, count, width)
-        grad_filters += grad_row[:, None, None] * matrix[window_rows]
     grad_matrix = np.zeros(matrix.shape, np.result_type(matrix, filters)) if input_grad else None
-    step = max(1, SCATTER_BUDGET // (count * width * dim))  # whole segments per scatter
-    for lo in range(0, len(rows) if input_grad else 0, step):
-        part = rows[lo:lo + step]
-        first, last = int(part.min()), int(part.max()) + 1
-        # Segments are disjoint, so each input row sums its own segment's terms in order.
-        grad_matrix[first:last] = scatter_rows(
-            (part - first).reshape(-1), (grad_pooled[lo:lo + step, :, None, None] * filters)
-            .reshape(-1, dim), last - first)
+    for grad_row, starts in zip(grad_pooled, best):  # one segment at a time, in order
+        rows = starts[:, None] + np.arange(width)  # (count, width) input rows
+        grad_filters += grad_row[:, None, None] * matrix[rows]
+        if input_grad:  # segments are disjoint: each row sums its own terms in order
+            first, last = int(starts.min()), int(starts.max()) + width
+            terms = (grad_row[:, None, None] * filters).reshape(-1, dim)
+            grad_matrix[first:last] = scatter_rows(rows.ravel() - first, terms, last - first)
     return grad_matrix, grad_filters, np.sum(grad_pooled, axis=0, out=out[1])
 
 

@@ -11,8 +11,9 @@ from cb2cf.cli import main
 from cb2cf.corpus import tokenize
 from cb2cf.data import load_metadata, load_ratings, load_sets
 from cb2cf.features import load_feature_context
-from cb2cf.model import SystemSpec, TrainConfig, load_model
-from cb2cf.sgns import EmbeddingTable, SgnsConfig
+from cb2cf.model import (SystemSpec, TrainConfig, bundle_parts, load_model, predict,
+                         save_model)
+from cb2cf.sgns import EmbeddingTable, SgnsConfig, similarity_search
 from cb2cf.synthetic import SyntheticSpec
 from process_helpers import fresh_python
 
@@ -267,6 +268,26 @@ def test_recommend_unknown_item_fails(workspace, capsys):
                "--item", "nope"])
     assert rc == 1
     assert "not in the metadata" in capsys.readouterr().err
+
+
+def test_recommend_takes_the_feature_context_from_features(workspace, tmp_path, capsys):
+    net_model = load_model(workspace / "model.ckpt")
+    save_model(net_model, tmp_path / "bare.ckpt")  # no feature-context reference
+    argv = ["recommend", "--model", str(tmp_path / "bare.ckpt"),
+            "--catalog", str(workspace / "data" / "vectors.vec"),
+            "--metadata", str(workspace / "data" / "metadata.jsonl"),
+            "--item", "m00000", "--topk", "3"]
+    assert main(argv) == 1
+    assert "no feature context reference" in capsys.readouterr().err
+    assert main(argv + ["--features", str(workspace / "ctx.ckpt")]) == 0
+    profile = next(p for p in load_metadata(workspace / "data" / "metadata.jsonl")
+                   if p.id == "m00000")
+    bundle = features.featurize_item(profile, net_model.features,
+                                     bundle_parts(net_model.spec))
+    expected = similarity_search(predict(net_model, [bundle])[0],
+                                 EmbeddingTable.load(workspace / "data" / "vectors.vec"), 3,
+                                 exclude={"m00000"})
+    assert capsys.readouterr().out == "".join(f"{i}\t{score!r}\n" for i, score in expected)
 
 
 def test_analogy_over_the_trained_tag_layer(workspace, capsys):

@@ -383,6 +383,18 @@ class TestEvalSettings:
             run_system("Year", _tagged_dataset(), make_folds(["a", "b"], 2), _quick_config(),
                        predictor=lambda ids: pytest.fail("a fold ran"), **{field: value})
 
+    @pytest.mark.parametrize("ks", [(10.0,), (True, 5), (5, 5), (np.int64(5), 5), (np.bool_(1),)])
+    def test_cutoffs_that_are_not_distinct_integers_raise(self, ks):
+        with pytest.raises(ValueError, match="^ndcg cutoffs must be distinct integers"):
+            EvalSettings(_quick_config(), ndcg_ks=ks)
+        with pytest.raises(ValueError, match="^ndcg cutoffs must be distinct integers"):
+            run_system("Year", _tagged_dataset(), make_folds(["a", "b"], 2), _quick_config(),
+                       predictor=lambda ids: pytest.fail("a fold ran"), ndcg_ks=ks)
+
+    def test_numpy_integer_cutoffs_are_stored_as_int(self):
+        ks = EvalSettings(_quick_config(), ndcg_ks=(np.int64(2), np.int32(4))).ndcg_ks
+        assert ks == (2, 4) and all(type(k) is int for k in ks)
+
     def test_is_frozen(self):
         settings = EvalSettings(_quick_config())
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -198,8 +199,7 @@ def test_stacked_conv_is_bit_for_bit_one_call_per_segment():
     assert into_bias.tobytes() == grad_bias.tobytes()
 
 
-@pytest.mark.parametrize("budget", [1, 72 * 2, 72 * 3])  # 1, 2 and 3 segments of 6 * 3 * 4
-def test_a_chunked_input_gradient_scatter_is_the_one_shot_scatter(monkeypatch, budget):
+def test_the_input_gradient_is_the_one_shot_scatter_of_every_segments_terms():
     rng = np.random.default_rng(13)
     offsets = np.cumsum([0, 8, 3, 7, 4, 5])
     matrix = rng.standard_normal((offsets[-1], 4))
@@ -210,9 +210,28 @@ def test_a_chunked_input_gradient_scatter_is_the_one_shot_scatter(monkeypatch, b
     rows = cache[2][:, :, None] + np.arange(3)
     one_shot = net.scatter_rows(rows.reshape(-1), (grad_pooled[:, :, None, None] * filters)
                                 .reshape(-1, 4), len(matrix))
-    monkeypatch.setattr(net, "SCATTER_BUDGET", budget)
     grad_matrix, _, _ = net.conv1d_maxpool_backward(cache, grad_pooled)
     assert grad_matrix.tobytes() == one_shot.tobytes()
+
+
+def test_conv_backward_temporaries_hold_about_one_segments_terms():
+    rng = np.random.default_rng(17)
+    count, width, dim, segments = 50, 3, 16, 64
+    matrix = rng.standard_normal((segments * 40, dim)).astype(np.float32)
+    filters = rng.standard_normal((count, width, dim)).astype(np.float32)
+    pooled, cache = net.conv1d_maxpool_forward(
+        matrix, filters, np.zeros(count, np.float32), np.arange(0, len(matrix) + 1, 40))
+    grad_pooled = rng.standard_normal(pooled.shape).astype(np.float32)
+    out = (np.empty_like(filters), np.empty(count, np.float32))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grad_matrix, _, _ = net.conv1d_maxpool_backward(cache, grad_pooled, out=out)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # One segment's terms as float64: the scatter's cell indices and weights.
+    assert peak - grad_matrix.nbytes < 6 * count * width * dim * 8  # 3.8x measured
 
 
 def test_conv_shape_validation():
