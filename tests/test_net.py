@@ -199,7 +199,8 @@ def test_stacked_conv_is_bit_for_bit_one_call_per_segment():
     assert into_bias.tobytes() == grad_bias.tobytes()
 
 
-def test_the_input_gradient_is_the_one_shot_scatter_of_every_segments_terms():
+@pytest.mark.parametrize("budget", [1, 72 * 2, 72 * 3])  # 1, 2 and 3 segments of 6 * 3 * 4
+def test_a_chunked_input_gradient_scatter_is_the_one_shot_scatter(budget):
     rng = np.random.default_rng(13)
     offsets = np.cumsum([0, 8, 3, 7, 4, 5])
     matrix = rng.standard_normal((offsets[-1], 4))
@@ -208,8 +209,18 @@ def test_the_input_gradient_is_the_one_shot_scatter_of_every_segments_terms():
     pooled, cache = net.conv1d_maxpool_forward(matrix, filters, rng.standard_normal(6), offsets)
     grad_pooled = rng.standard_normal(pooled.shape) * 10.0 ** rng.integers(-6, 3, pooled.shape)
     rows = cache[2][:, :, None] + np.arange(3)
-    one_shot = net.scatter_rows(rows.reshape(-1), (grad_pooled[:, :, None, None] * filters)
-                                .reshape(-1, 4), len(matrix))
+    terms = grad_pooled[:, :, None, None] * filters
+    one_shot = net.scatter_rows(rows.reshape(-1), terms.reshape(-1, 4), len(matrix))
+    # Runs of whole segments under a budget of terms: segments are disjoint, so
+    # any such chunking, the backward's one segment at a time included, keeps the bytes.
+    step = max(1, budget // filters.size)
+    chunked = np.zeros_like(one_shot)
+    for lo in range(0, len(rows), step):
+        run = rows[lo:lo + step]
+        first, last = int(run.min()), int(run.max()) + 1
+        chunked[first:last] = net.scatter_rows(run.reshape(-1) - first,
+                                               terms[lo:lo + step].reshape(-1, 4), last - first)
+    assert chunked.tobytes() == one_shot.tobytes()
     grad_matrix, _, _ = net.conv1d_maxpool_backward(cache, grad_pooled)
     assert grad_matrix.tobytes() == one_shot.tobytes()
 
