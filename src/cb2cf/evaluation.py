@@ -27,7 +27,7 @@ from .features import (DEFAULT_MIN_TAG_COUNT, DEFAULT_TEMPERATURE, Centroids,
                        featurize_item)
 from .model import (SystemSpec, TrainConfig, _target_vector, build_model, bundle_parts,
                     predict, train)
-from .net import check_seed, mse_loss
+from .net import check_count, check_seed, mse_loss
 from .sgns import EmbeddingTable, cosine_scores, top_rows
 
 DEFAULT_NDCG_KS = (10, 30, 50, 100, 200, 500, 1000)
@@ -50,8 +50,7 @@ class FoldAssignment:
 
 
 def check_folds(folds: int) -> None:
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
+    check_count(folds, "folds", 2)
 
 
 def make_folds(ids: Sequence[str], folds: int = 10, seed: int = 0) -> FoldAssignment:

@@ -28,19 +28,19 @@ from .features import FeatureBundle, FeatureContext, TAG_FIELDS, load_feature_co
 from .sgns import EmbeddingTable, similarity_search
 
 # Component -> (the feature-bundle part it reads, its dense layers bottom
-# first), in canonical order. Layer "x" owns parameters "x.weight" and
-# "x.bias"; BOW's unit dropout masks the input of its second layer.
+# first, their default width), in canonical order. Layer "x" owns parameters
+# "x.weight" and "x.bias"; BOW's unit dropout masks the input of its second layer.
 COMPONENTS = {
-    "CNN": ("text", ("cnn.fc",)),
-    "BOW": ("bow", ("bow.fc1", "bow.fc2")),
-    "Genres": ("genres", ("genres",)),
-    "Actors": ("actors", ("actors",)),
-    "Director": ("directors", ("director",)),
-    "Language": ("languages", ("language",)),
-    "Year": ("year", ("year",)),
+    "CNN": ("text", ("cnn.fc",), 256),
+    "BOW": ("bow", ("bow.fc1", "bow.fc2"), 256),
+    "Genres": ("genres", ("genres",), 100),
+    "Actors": ("actors", ("actors",), 100),
+    "Director": ("directors", ("director",), 40),
+    "Language": ("languages", ("language",), 20),
+    "Year": ("year", ("year",), 8),
 }
 COMPONENT_ORDER = tuple(COMPONENTS)
-TAG_COMPONENT_FIELDS = {c: part for c, (part, _) in COMPONENTS.items() if part in TAG_FIELDS}
+TAG_COMPONENT_FIELDS = {c: part for c, (part, *_) in COMPONENTS.items() if part in TAG_FIELDS}
 CNN_VARIANTS = ("non-static", "static", "random-init")
 _GROUPS = {"Tags": tuple(TAG_COMPONENT_FIELDS)}
 MODEL_KIND = "cb2cf-model"
@@ -63,20 +63,14 @@ def parse_system(name: str) -> tuple[str, ...]:
     return tuple(c for c in COMPONENT_ORDER if c in expanded)
 
 
-def _default_tag_hidden() -> dict[str, int]:
-    return {"Genres": 100, "Actors": 100, "Director": 40, "Language": 20}
-
-
 @dataclass
 class SystemSpec:
-    """Which components are enabled and how wide each hidden layer is."""
+    """Which components are enabled and how wide each hidden layer is. Construction
+    leaves ``hidden`` with one width per enabled component: given, else the table's."""
 
     components: tuple[str, ...]
     output_dim: int = 40
-    tag_hidden: dict[str, int] = field(default_factory=_default_tag_hidden)
-    bow_hidden: int = 256
-    cnn_hidden: int = 256
-    year_hidden: int = 8
+    hidden: dict[str, int] = field(default_factory=dict)  # component -> its dense layers' width
     combiner_hidden: int = 256
     cnn_filters: int = 300
     cnn_width: int = 3
@@ -96,20 +90,17 @@ class SystemSpec:
         self.components = tuple(c for c in COMPONENT_ORDER if c in self.components)
         if self.cnn_variant not in CNN_VARIANTS:
             raise ValueError(f"cnn_variant must be one of {CNN_VARIANTS}")
-        for value, label in [(self.output_dim, "output_dim"), (self.bow_hidden, "bow_hidden"),
-                             (self.cnn_hidden, "cnn_hidden"), (self.year_hidden, "year_hidden"),
+        if not isinstance(self.hidden, dict) or self.hidden.keys() - COMPONENTS.keys():
+            raise ValueError(f"hidden must map components {list(COMPONENT_ORDER)} "
+                             f"to widths, not {self.hidden!r}")
+        for value, label in [(self.output_dim, "output_dim"),
+                             *((w, f"hidden[{c!r}]") for c, w in self.hidden.items()),
                              (self.combiner_hidden, "combiner_hidden"),
                              (self.cnn_filters, "cnn_filters"), (self.cnn_width, "cnn_width"),
                              (self.text_length, "text_length")]:
             if type(value) is not int or value < 1:
                 raise ValueError(f"{label} must be an integer >= 1")
-        if not isinstance(self.tag_hidden, dict) or self.tag_hidden.keys() - TAG_COMPONENT_FIELDS:
-            raise ValueError(f"tag_hidden must map tag components {list(TAG_COMPONENT_FIELDS)} "
-                             f"to widths, not {self.tag_hidden!r}")
-        for comp in TAG_COMPONENT_FIELDS:
-            width = self.tag_hidden.get(comp)
-            if type(width) is not int or width < 1:
-                raise ValueError(f"tag_hidden[{comp!r}] must be an integer >= 1")
+        self.hidden = {c: self.hidden.get(c, COMPONENTS[c][2]) for c in self.components}
         if self.cnn_width > self.text_length:
             raise ValueError("cnn_width exceeds text_length")
         if self.name is None:
@@ -123,12 +114,6 @@ class SystemSpec:
 
 def bundle_parts(spec: SystemSpec) -> set[str]:
     return {COMPONENTS[comp][0] for comp in spec.components}
-
-
-def component_output_dims(spec: SystemSpec) -> dict[str, int]:
-    widths = {"CNN": spec.cnn_hidden, "BOW": spec.bow_hidden,
-              "Year": spec.year_hidden, **spec.tag_hidden}
-    return {comp: widths[comp] for comp in spec.components}
 
 
 def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -177,9 +162,8 @@ def parameter_shapes(spec: SystemSpec, features: FeatureContext) -> dict[str, tu
     from the fitted feature context. Layer "x" has "x.weight" (out, in) and
     "x.bias" (out,); the CNN adds "cnn.filters" and "cnn.conv_bias"."""
     shapes: dict[str, tuple[int, ...]] = {}
-    dims = component_output_dims(spec)
-    for comp in spec.components:
-        part, layers = COMPONENTS[comp]
+    for comp, out in spec.hidden.items():
+        part, layers, _ = COMPONENTS[comp]
         if part == "text":
             if features.word_table is None:
                 raise ValueError("CNN component needs a word table in the feature context")
@@ -193,9 +177,9 @@ def parameter_shapes(spec: SystemSpec, features: FeatureContext) -> dict[str, tu
         else:
             width = 1 if part == "year" else features.tag_vocab.size(part)
         for name in layers:
-            shapes[f"{name}.weight"], shapes[f"{name}.bias"] = (dims[comp], width), (dims[comp],)
-            width = dims[comp]
-    shapes["combiner.weight"] = (spec.combiner_hidden, sum(dims.values()))
+            shapes[f"{name}.weight"], shapes[f"{name}.bias"] = (out, width), (out,)
+            width = out
+    shapes["combiner.weight"] = (spec.combiner_hidden, sum(spec.hidden.values()))
     shapes["combiner.bias"] = (spec.combiner_hidden,)
     shapes["output.weight"] = (spec.output_dim, spec.combiner_hidden)
     shapes["output.bias"] = (spec.output_dim,)
@@ -302,7 +286,7 @@ def forward_batch(model: Cb2cfModel, stack: dict, rows: np.ndarray | slice = sli
         # One draw: the stream of each example's word mask, then its unit mask, in turn.
         n = len(lengths) if "CNN" in inputs else len(inputs["BOW"])
         sizes = np.column_stack([lengths if word_p > 0 else np.zeros(n, dtype=np.int64),
-                                 np.full(n, spec.bow_hidden if unit_p > 0 else 0)])
+                                 np.full(n, spec.hidden["BOW"] if unit_p > 0 else 0)])
         is_word = np.repeat(np.tile([True, False], n), sizes.ravel())
         draws = rng.random(len(is_word))
         word_mask = net.dropout_mask(draws[is_word], word_p, dtype) if word_p else None
@@ -352,7 +336,7 @@ def backward_batch(model: Cb2cfModel, cache: dict, grad_predictions: np.ndarray,
 
     rows, row_grads = np.zeros(0, dtype=np.int64), np.zeros((0, 0))
     offset = 0
-    for comp, width in component_output_dims(model.spec).items():
+    for comp, width in model.spec.hidden.items():
         grad = grad_concat[:, offset:offset + width]
         offset += width
         layers = COMPONENTS[comp][1]
@@ -381,18 +365,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        net.check_count(self.batch_size, "batch_size")
         if not 0.0 <= self.word_dropout < 1.0 or not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout probabilities must be in [0, 1)")
         if not 0 <= self.l2 <= sys.float_info.max:
             raise ValueError("l2 must be non-negative and finite")
         if not 0 < self.learning_rate <= sys.float_info.max:
             raise ValueError("learning_rate must be positive and finite")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        net.check_count(self.max_epochs, "max_epochs", 0)
+        net.check_count(self.patience, "patience")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
         net.check_seed(self.seed)

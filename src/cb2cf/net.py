@@ -132,6 +132,14 @@ def check_seed(seed: int) -> None:
         raise ValueError("seed must be >= 0")
 
 
+def check_count(value: int, label: str, minimum: int = 1) -> None:
+    """Refuse a ``value`` below ``minimum`` or not an integer (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{label} must be an integer, not {value!r}")
+    if value < minimum:
+        raise ValueError(f"{label} must be >= {minimum}")
+
+
 def _adam_rates(lr: float, t: int) -> tuple[float, float]:
     """``(lr_t, eps_t)`` at step ``t``, in Python floats."""
     c = math.sqrt(1.0 - ADAM_BETA2 ** t)

@@ -56,16 +56,10 @@ class SgnsConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.negatives < 1:
-            raise ValueError("negatives must be >= 1")
+        for name in ("dim", "epochs", "negatives", "window"):
+            net.check_count(getattr(self, name), name)
         if not 0.0 < self.subsample <= 1.0:
             raise ValueError("subsample threshold must be in (0, 1]")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
         if not 0 < self.learning_rate <= sys.float_info.max:
             raise ValueError("learning rate must be positive and finite")
         net.check_seed(self.seed)
@@ -421,8 +415,7 @@ def train_sgns(data, config: SgnsConfig) -> EmbeddingTable:
 
 
 def check_topk(topk: int) -> None:
-    if topk < 1:
-        raise ValueError("topk must be >= 1")
+    net.check_count(topk, "topk")
 
 
 def similarity_search(query: np.ndarray, table: EmbeddingTable, topk: int,

@@ -91,9 +91,8 @@ def test_criterion_1_gradient_correctness():
     context = fit_feature_context(profiles, word_table=table, min_tag_count=1)
     spec = SystemSpec.named(
         "CNN+Tags+Year", output_dim=5, cnn_filters=4, cnn_width=3,
-        cnn_hidden=5, year_hidden=3, combiner_hidden=6,
-        tag_hidden={"Genres": 4, "Actors": 4, "Director": 3, "Language": 3},
-        text_length=12)
+        combiner_hidden=6, text_length=12,
+        hidden={"CNN": 5, "Genres": 4, "Actors": 4, "Director": 3, "Language": 3, "Year": 3})
     model = float64_model(build_model(spec, context, seed=1))
     bundle = featurize_item(profiles[0], context, bundle_parts(spec))
     rows = sorted(set(int(r) for r in bundle.text_indices))
@@ -254,7 +253,7 @@ def test_criterion_4_ablation_ordering():
     config = TrainConfig(batch_size=32, word_dropout=0.2, dropout=0.2,
                          l2=1e-4, learning_rate=0.01, max_epochs=60,
                          patience=5, val_fraction=0.1, seed=9)
-    overrides = {"cnn_filters": 40, "cnn_hidden": 32, "combiner_hidden": 64,
+    overrides = {"cnn_filters": 40, "hidden": {"CNN": 32}, "combiner_hidden": 64,
                  "text_length": 60}
 
     results = {}
@@ -277,6 +276,52 @@ def test_criterion_4_ablation_ordering():
             f"all < 0.4: {beats_random}; {elapsed:.0f}s")
 
 
+# Each system's MPR at every seed of the chain test stays below this. Over
+# seeds 1-16 the chain read at most 0.0693 for either system; with item
+# vectors collapsed (item subsample 1e-4, seeds 1-6) the full system read
+# 0.0853-0.1050, and with untrained networks both systems read about 0.5.
+CHAIN_MPR_BOUND = 0.075
+
+
+def _chain_mprs(directory, seed: int) -> dict[str, float]:
+    """Mean MPR per system of synth -> train-item2vec -> train-word2vec ->
+    evaluate, scored against the learned item vectors."""
+    def run(*argv):
+        assert cli_main([*map(str, argv)]) == 0, argv
+
+    run("synth", "--items", 200, "--clusters", 8, "--dim", 24, "--vocab-size", 160,
+        "--set-count", 1200, "--seed", seed, "--out", directory)
+    run("train-item2vec", "--sets", directory / "sets.txt", "--dim", 24,
+        "--subsample", 1e-3, "--seed", seed, "--out", directory / "items.vec")
+    with open(directory / "metadata.jsonl", encoding="utf-8") as fh:
+        plots = [json.loads(line)["plot"] for line in fh]
+    (directory / "plots.txt").write_text("\n".join(plots) + "\n", encoding="utf-8")
+    run("train-word2vec", "--corpus", directory / "plots.txt", "--dim", 16,
+        "--subsample", 1e-3, "--epochs", 5, "--seed", seed, "--out", directory / "words.vec")
+    run("evaluate", "--systems", "CNN+Tags+Year,Tags", "--metadata", directory / "metadata.jsonl",
+        "--targets", directory / "items.vec", "--word-vectors", directory / "words.vec",
+        "--folds", 3, "--batch", 16, "--max-epochs", 15, "--max-words", 60, "--ndcg-k", 10,
+        "--seed", seed, "--report", directory / "report.tsv",
+        "--report-json", directory / "report.json")
+    report = json.loads((directory / "report.json").read_text(encoding="utf-8"))
+    return {s["system"]: s["mean"]["mpr"] for s in report["systems"]}
+
+
+def test_paper_chain_on_learned_targets(tmp_path):
+    """The paper's ordering on item vectors the chain trains itself. Both
+    systems stop near the within-cluster floor (0.0603 here), where one seed
+    can reverse the order (5 of seeds 1-16 did, by up to 3.4%), so the
+    ordering is asserted on the MPRs summed over three seeds."""
+    started = time.monotonic()
+    runs = [_chain_mprs(tmp_path / f"seed{seed}", seed) for seed in (1, 2, 3)]
+    full, tags = (sum(r[name] for r in runs) for name in ("CNN+Tags+Year", "Tags"))
+    trained = all(mpr < CHAIN_MPR_BOUND for r in runs for mpr in r.values())
+    print(f"chain mpr per seed {runs}; summed CNN+Tags+Year {full:.4f} vs Tags {tags:.4f}; "
+          f"{time.monotonic() - started:.1f}s")
+    assert trained, f"a system scored {CHAIN_MPR_BOUND} or more: {runs}"
+    assert full < tags
+
+
 def test_criterion_5_text_variant_contract(word_table):
     profiles = [ContentProfile(id=f"m{i}", plot="alpha beta gamma delta",
                                year=1990 + i) for i in range(6)]
@@ -289,7 +334,7 @@ def test_criterion_5_text_variant_contract(word_table):
     outcomes = {}
     for variant in ("static", "non-static"):
         spec = SystemSpec.named("CNN", output_dim=3, cnn_variant=variant,
-                                cnn_filters=3, cnn_width=2, cnn_hidden=4,
+                                cnn_filters=3, cnn_width=2, hidden={"CNN": 4},
                                 combiner_hidden=5, text_length=6)
         model = build_model(spec, context, seed=0)
         bundles = [featurize_item(p, context, bundle_parts(spec))
@@ -353,7 +398,7 @@ def test_criterion_7_featurization_invariants():
 
     # The CNN's text rows are exactly zero past the item's words.
     text_spec = SystemSpec.named("CNN", output_dim=2, cnn_filters=2, cnn_width=3,
-                                 cnn_hidden=2, combiner_hidden=2, text_length=8)
+                                 hidden={"CNN": 2}, combiner_hidden=2, text_length=8)
     for trial in range(20):
         words = [f"w{c}" for c in "abcdef"]
         table = EmbeddingTable(words, rng.standard_normal((6, 4)))
@@ -404,9 +449,7 @@ def test_criterion_8_planted_analogy_geometry():
     profiles = [ContentProfile(id=f"p{idx}", genres=[tag])
                 for idx, tag in enumerate(tags)]
     context = fit_feature_context(profiles, min_tag_count=1)
-    spec = SystemSpec.named("Genres", output_dim=2,
-                            tag_hidden={"Genres": 6, "Actors": 6,
-                                        "Director": 6, "Language": 6})
+    spec = SystemSpec.named("Genres", output_dim=2, hidden={"Genres": 6})
     model = build_model(spec, context, seed=0)
     weight = np.zeros((6, context.tag_vocab.size("genres")))
     for i in range(4):

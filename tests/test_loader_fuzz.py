@@ -219,7 +219,7 @@ def test_feature_context_files(tmp_path, context, data):
 def test_model_checkpoints(tmp_path, context, data):
     path = tmp_path / "model.ckpt"
     spec = SystemSpec.named("CNN+BOW+Genres+Year", output_dim=3, cnn_filters=2,
-                            cnn_width=2, cnn_hidden=3, bow_hidden=2, combiner_hidden=4,
+                            cnn_width=2, hidden={"CNN": 3, "BOW": 2}, combiner_hidden=4,
                             text_length=4)
     save_model(build_model(spec, context, seed=0), path)
     manifest, _, payload = path.read_bytes().partition(b"\n")

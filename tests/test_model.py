@@ -12,8 +12,7 @@ from cb2cf.features import (Centroids, fit_feature_context, featurize_item,
                             save_feature_context, tag_vector)
 from cb2cf.model import (COMPONENT_ORDER, Cb2cfModel, SystemSpec, TrainConfig,
                          analogy, backward_batch, build_model,
-                         bundle_parts, component_output_dims,
-                         forward_batch, load_model,
+                         bundle_parts, forward_batch, load_model,
                          parse_system, predict, save_model, stack_bundles, train)
 from cb2cf.sgns import EmbeddingTable
 from gradcheck import grad_check, l2_penalty
@@ -50,11 +49,9 @@ class TestSystemSpec:
     def test_defaults(self):
         spec = SystemSpec.named("CNN+BOW+Tags+Year")
         assert spec.output_dim == 40
-        assert spec.tag_hidden == {"Genres": 100, "Actors": 100,
-                                   "Director": 40, "Language": 20}
-        assert spec.bow_hidden == 256
-        assert spec.cnn_hidden == 256
-        assert spec.year_hidden == 8
+        assert list(spec.hidden.items()) == [("CNN", 256), ("BOW", 256), ("Genres", 100),
+                                             ("Actors", 100), ("Director", 40),
+                                             ("Language", 20), ("Year", 8)]
         assert spec.combiner_hidden == 256
         assert spec.cnn_filters == 300
         assert spec.cnn_width == 3
@@ -80,11 +77,22 @@ class TestSystemSpec:
             SystemSpec(components=("CNN",), cnn_width=9, text_length=8)
         with pytest.raises(ValueError, match="text_length must be an integer >= 1"):
             SystemSpec(components=("CNN",), text_length=0)
-        with pytest.raises(ValueError):
-            SystemSpec(components=("Genres",), tag_hidden={"Genres": 0})
-        with pytest.raises(ValueError, match="tag_hidden must map tag components"):
-            SystemSpec.named("CNN+Genres", tag_hidden={"Genres": 4, "Actors": 4, "Director": 3,
-                                                       "Language": 3, "CNN": 7})
+        with pytest.raises(ValueError, match=r"^hidden\['Genres'\] must be an integer >= 1$"):
+            SystemSpec(components=("Genres",), hidden={"Genres": 0})
+
+    def test_a_partial_width_map_keeps_the_defaults_of_the_rest(self):
+        spec = SystemSpec.named("Year+BOW+Genres", hidden={"Year": 3, "BOW": 7})
+        assert list(spec.hidden.items()) == [("BOW", 7), ("Genres", 100), ("Year", 3)]
+        # A width for a component the system does not enable is checked, then dropped.
+        assert SystemSpec.named("Year", hidden={"CNN": 5}).hidden == {"Year": 8}
+        with pytest.raises(ValueError, match=r"^hidden\['CNN'\] must be an integer >= 1$"):
+            SystemSpec.named("Year", hidden={"CNN": 2.5})
+
+    @pytest.mark.parametrize("hidden", [{"Plot": 4}, {"Tags": 4}, {"genres": 4},
+                                        {"Genres": 4, "combiner": 7}, [("Genres", 4)]])
+    def test_a_width_map_key_that_is_no_component_is_refused(self, hidden):
+        with pytest.raises(ValueError, match="^hidden must map components"):
+            SystemSpec.named("Genres", hidden=hidden)
 
     def test_bundle_parts(self):
         spec = SystemSpec.named("CNN+BOW+Genres+Year")
@@ -162,7 +170,7 @@ class TestCnnVariants:
                                    year=1990 + i) for i in range(6)]
         context = _context(profiles, word_table=word_table)
         spec = SystemSpec.named("CNN", output_dim=3, cnn_variant=variant,
-                                cnn_filters=3, cnn_width=2, cnn_hidden=4,
+                                cnn_filters=3, cnn_width=2, hidden={"CNN": 4},
                                 combiner_hidden=5, text_length=6)
         model = build_model(spec, context, seed=0)
         bundles = [featurize_item(p, context, bundle_parts(spec))
@@ -264,9 +272,7 @@ def test_backward_gradients_match_finite_differences():
     profiles = _tag_year_profiles()
     context = _context(profiles)
     spec = SystemSpec.named("Genres+Language+Year", output_dim=3,
-                            tag_hidden={"Genres": 5, "Actors": 4,
-                                        "Director": 4, "Language": 3},
-                            year_hidden=3, combiner_hidden=6)
+                            hidden={"Genres": 5, "Language": 3, "Year": 3}, combiner_hidden=6)
     model = float64_model(build_model(spec, context, seed=7))
     bundle = featurize_item(profiles[1], context, bundle_parts(spec))
     target = np.random.default_rng(0).standard_normal(3)
@@ -285,7 +291,7 @@ def test_word_dropout_masks_have_unit_mean(word_table):
     profiles = [ContentProfile(id="m0", plot="alpha beta gamma delta epsilon")]
     context = _context(profiles, word_table=word_table)
     spec = SystemSpec.named("CNN", output_dim=2, cnn_filters=2, cnn_width=2,
-                            cnn_hidden=3, combiner_hidden=3, text_length=5)
+                            hidden={"CNN": 3}, combiner_hidden=3, text_length=5)
     model = build_model(spec, context, seed=0)
     bundle = featurize_item(profiles[0], context, bundle_parts(spec))
     k = len(bundle.text_indices)
@@ -463,6 +469,15 @@ def test_predict_matches_single_forwards_and_handles_empty():
     assert predict(model, []).shape == (0, 3)
 
 
+def _widths_as_written_before_the_width_map(tensors, meta):
+    """A checkpoint's system meta from before ``hidden``: a width key for the CNN,
+    BOW and Year components each, and one for the four tag components."""
+    widths = meta["system"].pop("hidden")
+    old = {"cnn": widths["CNN"], "bow": 256, "year": widths["Year"],
+           "tag": {"Genres": widths["Genres"], "Actors": 100, "Director": 40, "Language": 20}}
+    meta["system"].update({f"{kind}_hidden": width for kind, width in old.items()})
+
+
 class TestModelPersistence:
     def _trained(self, word_table):
         profiles = _tag_year_profiles()
@@ -470,7 +485,7 @@ class TestModelPersistence:
             p.plot = "alpha beta gamma"
         context = _context(profiles, word_table=word_table)
         spec = SystemSpec.named("CNN+Genres+Year", output_dim=3,
-                                cnn_filters=2, cnn_width=2, cnn_hidden=3,
+                                cnn_filters=2, cnn_width=2, hidden={"CNN": 3},
                                 combiner_hidden=4, text_length=4)
         model = build_model(spec, context, seed=11)
         bundles = [featurize_item(p, context, bundle_parts(spec))
@@ -532,14 +547,16 @@ class TestModelPersistence:
         (lambda tensors, meta: meta.pop("system"), "no 'system' object"),
         (lambda tensors, meta: meta["system"].update(colour="red"), "bad system spec"),
         (lambda tensors, meta: meta["system"].update(cnn_filters=2.5), "bad system spec"),
-        (lambda tensors, meta: meta["system"]["tag_hidden"].update(CNN=5), "bad system spec"),
+        (lambda tensors, meta: meta["system"]["hidden"].update(Plot=5), "bad system spec"),
+        (_widths_as_written_before_the_width_map, "bad system spec"),
         (lambda tensors, meta: tensors.pop("output.bias"), "output.bias"),
         (lambda tensors, meta: tensors.pop("embedding"), "embedding"),
         (lambda tensors, meta: tensors.update({"genres.weight": np.ones((2, 2))}),
          "genres.weight"),
         (lambda tensors, meta: tensors.update(extra=np.ones(1)), "extra"),
-    ], ids=["no-system", "unknown-spec-key", "float-width", "cnn-width-in-tag-hidden",
-            "missing-tensor", "missing-embedding", "wrong-shape", "extra-tensor"])
+    ], ids=["no-system", "unknown-spec-key", "float-width", "non-component-width",
+            "old-width-keys", "missing-tensor", "missing-embedding", "wrong-shape",
+            "extra-tensor"])
     def test_bad_checkpoints_name_the_path(self, tmp_path, word_table, mutate, message):
         model, context, _ = self._trained(word_table)
         path = tmp_path / "model.ckpt"
@@ -572,9 +589,7 @@ class TestTagRepresentation:
     def _model(self):
         profiles = _tag_year_profiles()
         context = _context(profiles)
-        spec = SystemSpec.named("Genres", output_dim=3,
-                                tag_hidden={"Genres": 4, "Actors": 4,
-                                            "Director": 4, "Language": 4})
+        spec = SystemSpec.named("Genres", output_dim=3, hidden={"Genres": 4})
         return build_model(spec, context, seed=0), context
 
     def test_matches_relu_of_weight_column(self):
@@ -611,9 +626,7 @@ class TestAnalogy:
         profiles = [ContentProfile(id=f"m{i}", genres=[tags[i % 4]])
                     for i in range(8)]
         context = _context(profiles)
-        spec = SystemSpec.named("Genres", output_dim=2,
-                                tag_hidden={"Genres": 3, "Actors": 3,
-                                            "Director": 3, "Language": 3})
+        spec = SystemSpec.named("Genres", output_dim=2, hidden={"Genres": 3})
         model = build_model(spec, context, seed=0)
         rng = np.random.default_rng(17)
         model.params["genres.weight"] = rng.random((3, 5)) + 0.5
@@ -641,14 +654,12 @@ class TestAnalogy:
             analogy(model, "genres", "north", "south", "nope")
 
 
-def test_component_output_dims_follow_the_spec():
-    spec = SystemSpec.named("CNN+BOW+Tags+Year", cnn_hidden=7, bow_hidden=9,
-                            year_hidden=2,
-                            tag_hidden={"Genres": 3, "Actors": 4,
-                                        "Director": 5, "Language": 6})
-    dims = component_output_dims(spec)
-    assert dims == {"CNN": 7, "BOW": 9, "Genres": 3, "Actors": 4,
-                    "Director": 5, "Language": 6, "Year": 2}
+def test_hidden_widths_follow_the_spec_in_canonical_order():
+    spec = SystemSpec.named("CNN+BOW+Tags+Year",
+                            hidden={"Year": 2, "Language": 6, "Director": 5, "Actors": 4,
+                                    "Genres": 3, "BOW": 9, "CNN": 7})
+    assert list(spec.hidden.items()) == [("CNN", 7), ("BOW", 9), ("Genres", 3), ("Actors", 4),
+                                         ("Director", 5), ("Language", 6), ("Year", 2)]
 
 
 def _full_system(word_table, cnn_variant="non-static"):
@@ -664,11 +675,10 @@ def _full_system(word_table, cnn_variant="non-static"):
     centroids = Centroids(np.random.default_rng(4).standard_normal((3, 4)))
     context = _context(profiles, word_table=word_table, centroids=centroids)
     spec = SystemSpec.named("CNN+BOW+Tags+Year", output_dim=3, cnn_filters=4,
-                            cnn_width=3, cnn_hidden=5, bow_hidden=6,
-                            year_hidden=2, combiner_hidden=7, text_length=8,
+                            cnn_width=3, combiner_hidden=7, text_length=8,
                             cnn_variant=cnn_variant,
-                            tag_hidden={"Genres": 3, "Actors": 3,
-                                        "Director": 2, "Language": 2})
+                            hidden={"CNN": 5, "BOW": 6, "Genres": 3, "Actors": 3,
+                                    "Director": 2, "Language": 2, "Year": 2})
     model = build_model(spec, context, seed=5)
     bundles = [featurize_item(p, context, bundle_parts(spec)) for p in profiles]
     return model, bundles
@@ -838,7 +848,7 @@ def test_batch_dropout_masks_are_the_per_example_draws_in_order(word_table, word
                 words.append(net.dropout_mask(ref_rng.random(len(bundles[i].text_indices)),
                                               word_p))
             if unit_p:
-                units.append(net.dropout_mask(ref_rng.random(model.spec.bow_hidden), unit_p))
+                units.append(net.dropout_mask(ref_rng.random(model.spec.hidden["BOW"]), unit_p))
         assert rng.random() == ref_rng.random()  # the same number of draws
 
         indices, word_mask, word_rows, (matrix, _, _), _ = cache["text"]
@@ -1043,7 +1053,7 @@ def test_trimmed_text_matrix_pools_like_the_full_one(word_table, text_length,
     profiles = [ContentProfile(id="m0", plot=plot), ContentProfile(id="m1", plot="alpha")]
     context = _context(profiles, word_table=word_table)
     spec = SystemSpec.named("CNN", output_dim=2, cnn_filters=5, cnn_width=cnn_width,
-                            cnn_hidden=3, combiner_hidden=3, text_length=text_length)
+                            hidden={"CNN": 3}, combiner_hidden=3, text_length=text_length)
     model = float64_model(build_model(spec, context, seed=2))
     model.params["cnn.conv_bias"][:] = np.random.default_rng(0).standard_normal(5)
     # Filter 0 scores every real window below its bias: its max is the bias.

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from cb2cf import net
+from cb2cf.evaluation import EvalSettings
+from cb2cf.model import TrainConfig
+from cb2cf.sgns import EmbeddingTable, SgnsConfig, similarity_search
 from gradcheck import grad_check, l2_penalty
 
 
@@ -631,3 +634,24 @@ class TestCheckpoint:
         path.write_bytes(content)
         with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: ")):
             net.load_checkpoint(path)
+
+
+# A count's field -> a call that checks it.
+_COUNT_CHECKS = {
+    "batch_size": lambda v: TrainConfig(batch_size=v),
+    "max_epochs": lambda v: TrainConfig(max_epochs=v),
+    "patience": lambda v: TrainConfig(patience=v),
+    **{name: lambda v, name=name: SgnsConfig(**{name: v})
+       for name in ("dim", "epochs", "negatives", "window")},
+    "folds": lambda v: EvalSettings(TrainConfig(), folds=v),
+    "topk": lambda v: similarity_search(np.ones(2), EmbeddingTable(["a", "b"], np.eye(2)), v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, np.bool_(True)], ids=repr)
+@pytest.mark.parametrize("field", _COUNT_CHECKS)
+def test_counts_refuse_floats_and_bools(field, value):
+    message = f"{field} must be an integer, not {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _COUNT_CHECKS[field](value)
+    _COUNT_CHECKS[field](np.int64(2))  # NumPy integers stay counts
